@@ -1,13 +1,17 @@
 //! Criterion microbenchmarks of the hot paths: CM build / lookup /
 //! maintenance, B+Tree operations, bucketing, and the cardinality
-//! estimators. These complement the experiment binaries (which reproduce
+//! estimators, and the per-row loop every scan runs once its pages are
+//! resident (page-run visit, predicate, snapshot visibility, aggregate
+//! fold). These complement the experiment binaries (which reproduce
 //! the paper's tables/figures on the simulated disk) by measuring real
 //! CPU costs of the in-memory structures.
 
 use cm_core::{AttrConstraint, BucketDirectory, BucketSpec, CmAttr, CmSpec, CorrelationMap};
+use cm_datagen::tpch;
 use cm_index::BPlusTree;
+use cm_query::{AggFunc, AggSpec, AggState, Pred, Query};
 use cm_stats::{estimate_distinct, DistinctSampler, EstimatorKind, FreqTable};
-use cm_storage::{Column, DiskSim, HeapFile, Rid, Schema, Value, ValueType};
+use cm_storage::{Column, DiskSim, HeapFile, MvccState, Rid, Schema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -151,9 +155,72 @@ fn bench_estimators(c: &mut Criterion) {
     });
 }
 
+/// The per-row hot loop of a warm scan, one step at a time, over a
+/// 100 k-row lineitem heap clustered on receiptdate. Every figure is for
+/// the whole heap: divide by 100 000 for ns/row.
+fn bench_row_loop(c: &mut Criterion) {
+    const ROWS: usize = 100_000;
+    let data = tpch::tpch_lineitem(tpch::TpchConfig { rows: ROWS, ..Default::default() });
+    let disk = DiskSim::with_defaults();
+    let heap =
+        HeapFile::bulk_load_clustered(&disk, data.schema, data.rows, 60, tpch::COL_RECEIPTDATE)
+            .unwrap();
+    let last = heap.num_pages() - 1;
+
+    c.bench_function("row_loop_page_run_visit_100k", |b| {
+        b.iter(|| {
+            let mut quantity = 0i64;
+            heap.read_run_visit(disk.as_ref(), 0, last, Some(&[tpch::COL_QUANTITY]), |_, row| {
+                quantity += row[tpch::COL_QUANTITY].as_int().unwrap_or(0);
+            })
+            .unwrap();
+            black_box(quantity)
+        })
+    });
+
+    let mid = tpch::DATE_LO + tpch::DATE_SPAN / 2;
+    let q = Query::new(vec![
+        Pred::between(tpch::COL_SHIPDATE, Value::Date(mid), Value::Date(mid + 365)),
+        Pred::eq(tpch::COL_RETURNFLAG, Value::str("R")),
+    ]);
+    c.bench_function("row_loop_query_matches_100k", |b| {
+        b.iter(|| black_box(heap.iter().filter(|(_, row)| q.matches(row)).count()))
+    });
+
+    // Stamps as a churned table has them: mostly live, some ended before
+    // the snapshot, some after it.
+    let mv = Arc::new(MvccState::new());
+    for _ in 0..100 {
+        mv.next_ts();
+    }
+    let snap = mv.begin();
+    let stamps: Vec<(u64, u64)> = (0..ROWS as u64)
+        .map(|i| match i % 10 {
+            0 => (1, 50),
+            1 => (1, 1_000),
+            _ => (1, cm_storage::LIVE_TS),
+        })
+        .collect();
+    c.bench_function("row_loop_snapshot_sees_100k", |b| {
+        b.iter(|| black_box(stamps.iter().filter(|(begin, end)| snap.sees(*begin, *end)).count()))
+    });
+
+    let spec = AggSpec::new(
+        vec![tpch::COL_SHIPMODE, tpch::COL_RETURNFLAG],
+        vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
+    );
+    c.bench_function("row_loop_agg_observe_str_keys_100k", |b| {
+        b.iter(|| {
+            let mut state = AggState::new(&spec);
+            heap.iter().for_each(|(_, row)| state.observe(row));
+            black_box(state.finish())
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_cm, bench_btree, bench_bucketing, bench_estimators
+    targets = bench_cm, bench_btree, bench_bucketing, bench_estimators, bench_row_loop
 );
 criterion_main!(benches);

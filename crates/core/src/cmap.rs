@@ -327,17 +327,17 @@ mod tests {
         let dir = state_dir(&heap);
         let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
         // Three Boston/MA tuples: deleting two must keep the mapping.
-        let row0 = heap.peek(Rid(0)).unwrap().clone();
-        let row1 = heap.peek(Rid(1)).unwrap().clone();
-        let row2 = heap.peek(Rid(2)).unwrap().clone();
-        assert!(cm.delete(&row0, Rid(0), &dir));
-        assert!(cm.delete(&row1, Rid(1), &dir));
+        let row0 = heap.peek(Rid(0)).unwrap();
+        let row1 = heap.peek(Rid(1)).unwrap();
+        let row2 = heap.peek(Rid(2)).unwrap();
+        assert!(cm.delete(row0, Rid(0), &dir));
+        assert!(cm.delete(row1, Rid(1), &dir));
         assert_eq!(cm.lookup(&[AttrConstraint::Eq(Value::str("boston"))]).len(), 2);
         // Deleting the last MA boston retracts the MA mapping.
-        assert!(cm.delete(&row2, Rid(2), &dir));
+        assert!(cm.delete(row2, Rid(2), &dir));
         assert_eq!(cm.lookup(&[AttrConstraint::Eq(Value::str("boston"))]).len(), 1);
         // Double delete reports failure.
-        assert!(!cm.delete(&row2, Rid(2), &dir));
+        assert!(!cm.delete(row2, Rid(2), &dir));
     }
 
     #[test]
@@ -347,9 +347,9 @@ mod tests {
         let dir = state_dir(&heap);
         let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
         let baseline: Vec<u32> = cm.lookup_values(&[Value::str("boston")]);
-        let row = heap.peek(Rid(7)).unwrap().clone(); // NH boston
-        cm.delete(&row, Rid(7), &dir);
-        cm.insert(&row, Rid(7), &dir);
+        let row = heap.peek(Rid(7)).unwrap(); // NH boston
+        cm.delete(row, Rid(7), &dir);
+        cm.insert(row, Rid(7), &dir);
         assert_eq!(cm.lookup_values(&[Value::str("boston")]), baseline);
     }
 

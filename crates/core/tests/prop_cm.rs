@@ -94,7 +94,7 @@ proptest! {
             &dir,
         );
         // Query for the (u, w) of an arbitrary existing tuple.
-        let probe = heap.peek(Rid((pick % data.len()) as u64)).unwrap().clone();
+        let probe = heap.peek(Rid((pick % data.len()) as u64)).unwrap();
         let (qu, qw) = (probe[1].clone(), probe[2].clone());
         let buckets = cm.lookup(&[
             AttrConstraint::Eq(qu.clone()),
@@ -124,7 +124,7 @@ proptest! {
             if delete_mask[rid.0 as usize % delete_mask.len()] {
                 prop_assert!(maintained.delete(row, rid, &dir));
             } else {
-                survivors.push((rid, row.clone()));
+                survivors.push((rid, row.to_vec()));
             }
         }
         // Rebuild from survivors only.

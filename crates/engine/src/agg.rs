@@ -13,7 +13,7 @@ use crate::engine::{Engine, LegOutcome};
 use crate::error::EngineError;
 use crate::executor::scheduled_makespan;
 use crate::Result;
-use cm_query::{AggSpec, AggState, Query, RunResult, ShardLeg};
+use cm_query::{AggFunc, AggSpec, AggState, Query, RunResult, ShardLeg};
 use cm_storage::{IoStats, Row};
 use std::sync::atomic::Ordering;
 
@@ -84,9 +84,18 @@ impl Engine {
         let snap_ref = snap.as_ref();
 
         let plan = self.plan_query(lt, q, None);
+        // The fold reads its keys and its inputs, nothing else.
+        let reads: Vec<usize> = spec
+            .group_by
+            .iter()
+            .copied()
+            .chain(spec.aggs.iter().filter_map(AggFunc::col))
+            .collect();
         let fold_leg = |leg: &ShardLeg| -> Result<(RunResult, AggState)> {
             let mut state = AggState::new(spec);
-            let r = self.run_leg_visit(lt, leg, false, snap_ref, |row| state.observe(row))?;
+            let r = self.run_leg_visit(lt, leg, false, snap_ref, Some(&reads), |row| {
+                state.observe(row)
+            })?;
             Ok((r, state))
         };
         let leg_results: Vec<Result<(RunResult, AggState)>> =

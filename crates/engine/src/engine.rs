@@ -1115,7 +1115,9 @@ impl Engine {
         snap: Option<&Snapshot>,
     ) -> Result<(RunResult, Vec<Row>)> {
         let mut rows: Vec<Row> = Vec::new();
-        let r = self.run_leg_visit(lt, leg, cold, snap, |row| {
+        // A collected row is copied whole; a counted one is not read.
+        let reads: Option<&[usize]> = if collect { None } else { Some(&[]) };
+        let r = self.run_leg_visit(lt, leg, cold, snap, reads, |row| {
             if collect {
                 rows.push(row.to_vec());
             }
@@ -1126,12 +1128,15 @@ impl Engine {
     /// [`Engine::run_leg`] with an arbitrary visitor over the leg's
     /// matching rows — the shared execute core single-table collection,
     /// per-leg aggregation folds, and hash-join probes all drive.
+    /// `reads` is [`ExecContext::reads`]: the columns `visit` reads,
+    /// `None` for any.
     pub(crate) fn run_leg_visit(
         &self,
         lt: &LoadedTable,
         leg: &ShardLeg,
         cold: bool,
         snap: Option<&Snapshot>,
+        reads: Option<&[usize]>,
         mut visit: impl FnMut(&[cm_storage::Value]),
     ) -> Result<RunResult> {
         let waited = std::time::Instant::now();
@@ -1147,6 +1152,7 @@ impl Engine {
         if let Some(s) = snap {
             ctx = ctx.at_snapshot(s);
         }
+        ctx.reads = reads;
         let q = &leg.query;
         let r = match leg.choice.path {
             AccessPath::FullScan => t.exec_full_scan_visit(&ctx, q, &mut visit),
@@ -1535,17 +1541,8 @@ impl Engine {
         // The victim scan sweeps the whole shard heap as one vectored run
         // through the pool — one seek even while other shards' legs (or
         // the WAL) share their devices.
-        let pages = t.heap().num_pages();
-        if pages > 0 {
-            let tpp = t.heap().tups_per_page() as u64;
-            t.heap().read_run_visit(pool, 0, pages - 1, |page, page_rows| {
-                let start = page * tpp;
-                for (j, row) in page_rows.iter().enumerate() {
-                    if sub.matches(row) {
-                        local.push(Rid(start + j as u64));
-                    }
-                }
-            })?;
+        if let Some(last) = t.heap().num_pages().checked_sub(1) {
+            t.sweep_run(pool, None, sub, Some(&[]), 0, last, |rid, _| local.push(rid))?;
         }
         let mut victims_log: Vec<(u64, Row)> = Vec::with_capacity(local.len());
         for &rid in &local {
@@ -1592,19 +1589,8 @@ impl Engine {
         {
             let t = lt.parts[shard].read();
             let snap = mv.begin();
-            let pages = t.heap().num_pages();
-            if pages > 0 {
-                let tpp = t.heap().tups_per_page() as u64;
-                t.heap().read_run_visit(pool, 0, pages - 1, |page, page_rows| {
-                    let start = page * tpp;
-                    for (j, row) in page_rows.iter().enumerate() {
-                        let rid = Rid(start + j as u64);
-                        let (b, e) = t.stamp_of(rid);
-                        if sub.matches(row) && snap.sees(b, e) {
-                            local.push(rid);
-                        }
-                    }
-                })?;
+            if let Some(last) = t.heap().num_pages().checked_sub(1) {
+                t.sweep_run(pool, Some(&snap), sub, Some(&[]), 0, last, |rid, _| local.push(rid))?;
             }
         }
         // Phase 2: brief write lock — stamp, log, done.

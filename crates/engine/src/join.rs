@@ -272,8 +272,7 @@ impl Engine {
         for (leg, res) in paired {
             let (r, rows) = res?;
             for row in rows {
-                let key = row[build_col].clone();
-                ht.insert(&key, row);
+                ht.insert_keyed(build_col, row);
             }
             build_run.matched += r.matched;
             build_run.examined += r.examined;
@@ -336,6 +335,9 @@ impl Engine {
         };
 
         // ---- probe phase -----------------------------------------------
+        // The probe reads the join column of every row and the rest only
+        // of the (usually few) rows that find a partner.
+        let probe_reads: Option<&[usize]> = Some(std::slice::from_ref(&probe_col));
         // An empty hash table can match nothing; skip the probe sweep.
         let probe_results: Vec<ProbeRun> = if ht.is_empty() {
             Vec::new()
@@ -362,13 +364,14 @@ impl Engine {
                 };
                 let r = match strategy {
                     JoinStrategy::Hash => {
-                        self.run_leg_visit(probe_lt, leg, false, snap_ref, &mut emit)?
+                        self.run_leg_visit(probe_lt, leg, false, snap_ref, probe_reads, &mut emit)?
                     }
                     JoinStrategy::CmClamp(id) => self.run_clamp_leg(
                         probe_lt,
                         leg,
                         Clamp { cm_id: id, col: probe_col, keys: &keys },
                         snap_ref,
+                        probe_reads,
                         emit,
                     ),
                 };
@@ -488,6 +491,7 @@ impl Engine {
         leg: &ShardLeg,
         clamp: Clamp<'_>,
         snap: Option<&Snapshot>,
+        reads: Option<&[usize]>,
         visit: impl FnMut(&[Value]),
     ) -> RunResult {
         let waited = std::time::Instant::now();
@@ -498,6 +502,7 @@ impl Engine {
         if let Some(s) = snap {
             ctx = ctx.at_snapshot(s);
         }
+        ctx.reads = reads;
         part.exec_cm_clamp_visit(&ctx, clamp.cm_id, &leg.query, clamp.col, clamp.keys, visit)
     }
 }

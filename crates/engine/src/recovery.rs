@@ -255,7 +255,7 @@ impl Engine {
                         if mvcc && t.stamp_of(rid).1 != LIVE_TS {
                             vec![Value::Null; r.len()]
                         } else {
-                            r.clone()
+                            r.to_vec()
                         }
                     })
                     .collect();

@@ -94,7 +94,7 @@ proptest! {
         engine
             .with_each_shard("items", |s, t| {
                 for (rid, row) in t.heap().iter() {
-                    base.insert((s as u16, rid.0), row.clone());
+                    base.insert((s as u16, rid.0), row.to_vec());
                 }
             })
             .unwrap();

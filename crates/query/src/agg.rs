@@ -2,7 +2,7 @@
 //!
 //! The access paths in [`crate::exec`] stream matching rows through a
 //! visitor; [`AggState`] is the fold target: a deterministic
-//! (`BTreeMap`-ordered) accumulator for `COUNT` / `SUM` / `MIN` / `MAX`
+//! (key-sorted on output) accumulator for `COUNT` / `SUM` / `MIN` / `MAX`
 //! grouped by a column tuple. States are **mergeable** — a sharded
 //! engine folds one state per shard leg and merges them in explicit
 //! merge-key order, so grouped results are identical however the legs
@@ -14,7 +14,8 @@
 //! of the unlimited one ("LIMIT-stability").
 
 use cm_storage::{Row, Value};
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One aggregate function over a column (or over whole rows for
 /// [`AggFunc::Count`]).
@@ -175,30 +176,107 @@ impl Acc {
     }
 }
 
+/// The distinct group keys seen so far, in arrival order: `width` values
+/// per group in one flat array behind an open-addressing index. A row
+/// finds its group by hashing and comparing its group-by columns where
+/// they lie, so nothing is cloned or allocated unless the group is new.
+#[derive(Debug, Clone)]
+struct GroupKeys {
+    width: usize,
+    hasher: RandomState,
+    /// `index[hash & mask]`, probed linearly: a group number + 1, or 0
+    /// for empty. Power-of-two length, at most half full.
+    index: Vec<u32>,
+    hashes: Vec<u64>,
+    keys: Vec<Value>,
+}
+
+impl GroupKeys {
+    fn new(width: usize) -> Self {
+        GroupKeys {
+            width,
+            hasher: RandomState::new(),
+            index: vec![0; 16],
+            hashes: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.width..(g + 1) * self.width]
+    }
+
+    /// The group whose key is `key(0), key(1), …`, and whether this call
+    /// created it.
+    fn find_or_insert<'a>(&mut self, key: impl Fn(usize) -> &'a Value) -> (usize, bool) {
+        let mut h = self.hasher.build_hasher();
+        (0..self.width).for_each(|i| key(i).hash(&mut h));
+        let hash = h.finish();
+        let mask = self.index.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.index[at] != 0 {
+            let g = self.index[at] as usize - 1;
+            if self.hashes[g] == hash && self.key(g).iter().enumerate().all(|(i, k)| k == key(i)) {
+                return (g, false);
+            }
+            at = (at + 1) & mask;
+        }
+        let g = self.len();
+        self.index[at] = u32::try_from(g + 1).expect("fewer than 2^32 groups");
+        self.hashes.push(hash);
+        self.keys.extend((0..self.width).map(|i| key(i).clone()));
+        if self.len() * 2 > self.index.len() {
+            self.grow_index();
+        }
+        (g, true)
+    }
+
+    /// Double the index and re-place every group from its stored hash.
+    fn grow_index(&mut self) {
+        let mask = self.index.len() * 2 - 1;
+        let mut index = vec![0u32; mask + 1];
+        for (g, &hash) in self.hashes.iter().enumerate() {
+            let mut at = hash as usize & mask;
+            while index[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            index[at] = g as u32 + 1;
+        }
+        self.index = index;
+    }
+}
+
 /// A mergeable grouped-aggregation accumulator. Feed it rows with
 /// [`AggState::observe`], merge per-leg states with [`AggState::merge`]
 /// (in explicit merge-key order), and read the key-sorted result rows
-/// with [`AggState::finish`].
+/// with [`AggState::finish`]. Groups are kept in arrival order; key
+/// order is restored once, by the sort in `finish`.
 #[derive(Debug, Clone)]
 pub struct AggState {
     spec: AggSpec,
-    groups: BTreeMap<Vec<Value>, Vec<Acc>>,
+    groups: GroupKeys,
+    /// `spec.aggs.len()` accumulators per group, in group order.
+    accs: Vec<Acc>,
 }
 
 impl AggState {
     /// An empty state for `spec`.
     pub fn new(spec: &AggSpec) -> Self {
-        AggState { spec: spec.clone(), groups: BTreeMap::new() }
+        AggState {
+            spec: spec.clone(),
+            groups: GroupKeys::new(spec.group_by.len()),
+            accs: Vec::new(),
+        }
     }
 
     /// Fold one (already predicate-filtered) row.
     pub fn observe(&mut self, row: &[Value]) {
-        let key: Vec<Value> = self.spec.group_by.iter().map(|&c| row[c].clone()).collect();
-        let aggs = &self.spec.aggs;
-        let accs = self
-            .groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(Acc::fresh).collect());
+        let AggSpec { group_by, aggs, .. } = &self.spec;
+        let accs = accs_of(&mut self.groups, &mut self.accs, aggs, |i| &row[group_by[i]]);
         for (acc, f) in accs.iter_mut().zip(aggs) {
             acc.observe(f, row);
         }
@@ -209,16 +287,13 @@ impl AggState {
     /// results bit-identical across worker counts.
     pub fn merge(&mut self, other: &AggState) {
         debug_assert_eq!(self.spec, other.spec, "merging states of one spec");
-        for (key, accs) in &other.groups {
-            match self.groups.get_mut(key) {
-                Some(mine) => {
-                    for ((a, b), f) in mine.iter_mut().zip(accs).zip(&self.spec.aggs) {
-                        *a = a.merge_with(f, b);
-                    }
-                }
-                None => {
-                    self.groups.insert(key.clone(), accs.clone());
-                }
+        let aggs = &self.spec.aggs;
+        for g in 0..other.num_groups() {
+            let key = other.groups.key(g);
+            let theirs = &other.accs[g * aggs.len()..(g + 1) * aggs.len()];
+            let mine = accs_of(&mut self.groups, &mut self.accs, aggs, |i| &key[i]);
+            for ((a, b), f) in mine.iter_mut().zip(theirs).zip(aggs) {
+                *a = a.merge_with(f, b);
             }
         }
     }
@@ -233,20 +308,37 @@ impl AggState {
     /// aggregation (empty `group_by`) over zero rows still yields its
     /// one row (`COUNT = 0`, other aggregates `Null`), as SQL does.
     pub fn finish(mut self) -> Vec<Row> {
-        if self.spec.group_by.is_empty() && self.groups.is_empty() {
-            self.groups
-                .insert(Vec::new(), self.spec.aggs.iter().map(Acc::fresh).collect());
+        let aggs = &self.spec.aggs;
+        if self.spec.group_by.is_empty() {
+            accs_of(&mut self.groups, &mut self.accs, aggs, |_| unreachable!("no key columns"));
         }
-        let limit = self.spec.limit.unwrap_or(usize::MAX);
-        self.groups
+        let groups = &self.groups;
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_unstable_by(|&a, &b| groups.key(a).cmp(groups.key(b)));
+        order.truncate(self.spec.limit.unwrap_or(usize::MAX));
+        order
             .into_iter()
-            .take(limit)
-            .map(|(mut key, accs)| {
-                key.extend(accs.iter().map(Acc::finish));
-                key
+            .map(|g| {
+                let accs = self.accs[g * aggs.len()..(g + 1) * aggs.len()].iter();
+                groups.key(g).iter().cloned().chain(accs.map(Acc::finish)).collect()
             })
             .collect()
     }
+}
+
+/// The accumulators of the group keyed `key(0), key(1), …` — fresh ones
+/// if the group is new.
+fn accs_of<'s, 'a>(
+    groups: &mut GroupKeys,
+    accs: &'s mut Vec<Acc>,
+    aggs: &[AggFunc],
+    key: impl Fn(usize) -> &'a Value,
+) -> &'s mut [Acc] {
+    let (g, new) = groups.find_or_insert(key);
+    if new {
+        accs.extend(aggs.iter().map(Acc::fresh));
+    }
+    &mut accs[g * aggs.len()..(g + 1) * aggs.len()]
 }
 
 #[cfg(test)]

@@ -28,17 +28,24 @@ pub struct ExecContext<'a> {
     /// everything the heap holds — the pre-MVCC behaviour, where
     /// exclusion is the shard lock's job.
     pub snap: Option<&'a Snapshot>,
+    /// The columns the visitor reads of a matching row, when the caller
+    /// knows them (an aggregate's keys and inputs, a join's key; empty
+    /// for a count); `None` means any. A hint for the heap's prefetch —
+    /// a sweep fetches these and the predicate's columns ahead of itself
+    /// instead of whole rows — never a projection: the visitor still
+    /// gets whole rows.
+    pub reads: Option<&'a [usize]>,
 }
 
 impl<'a> ExecContext<'a> {
     /// Charge straight to the disk (cold cache).
     pub fn cold(disk: &'a Arc<DiskSim>) -> Self {
-        ExecContext { disk, io: disk, snap: None }
+        ExecContext { disk, io: disk, snap: None, reads: None }
     }
 
     /// Charge through an arbitrary accessor (e.g. a buffer pool).
     pub fn through(disk: &'a Arc<DiskSim>, io: &'a dyn PageAccessor) -> Self {
-        ExecContext { disk, io, snap: None }
+        ExecContext { disk, io, snap: None, reads: None }
     }
 
     /// Read at an MVCC snapshot: rows whose version is not visible to
@@ -46,18 +53,6 @@ impl<'a> ExecContext<'a> {
     pub fn at_snapshot(mut self, snap: &'a Snapshot) -> Self {
         self.snap = Some(snap);
         self
-    }
-
-    /// Is the version in `table`'s slot `rid` visible to this context?
-    #[inline]
-    pub fn visible(&self, table: &Table, rid: Rid) -> bool {
-        match self.snap {
-            None => true,
-            Some(s) => {
-                let (begin, end) = table.stamp_of(rid);
-                s.sees(begin, end)
-            }
-        }
     }
 }
 
@@ -95,21 +90,13 @@ impl Table {
         let before = ctx.disk.stats();
         let mut matched = 0u64;
         let mut examined = 0u64;
-        let pages = self.heap().num_pages();
-        if pages > 0 {
-            // The whole heap is one vectored run: a single seek plus
-            // sequential pages, atomic against concurrent sessions.
-            let tups = self.heap().tups_per_page() as u64;
-            self.heap()
-                .read_run_visit(ctx.io, 0, pages - 1, |page, rows| {
-                    let base = page * tups;
-                    for (i, row) in rows.iter().enumerate() {
-                        examined += 1;
-                        if ctx.visible(self, Rid(base + i as u64)) && q.matches(row) {
-                            matched += 1;
-                            on_match(row);
-                        }
-                    }
+        // The whole heap is one vectored run: a single seek plus
+        // sequential pages, atomic against concurrent sessions.
+        if let Some(last) = self.heap().num_pages().checked_sub(1) {
+            examined = self
+                .sweep_run(ctx.io, ctx.snap, q, ctx.reads, 0, last, |_, row| {
+                    matched += 1;
+                    on_match(row);
                 })
                 .expect("full heap run in range");
         }
@@ -203,7 +190,7 @@ impl Table {
         for rid in rids {
             let row = self.heap().fetch(ctx.io, rid).expect("index rid valid");
             examined += 1;
-            if ctx.visible(self, rid) && q.matches(row) {
+            if q.matches(row) && self.visible_at(ctx.snap, rid) {
                 matched += 1;
                 on_match(row);
             }
@@ -244,18 +231,11 @@ impl Table {
         // Coalesce the sorted page list into maximal contiguous runs and
         // sweep each as one vectored read — co-located results price one
         // seek per run even under concurrent sessions.
-        let tups = self.heap().tups_per_page() as u64;
         cm_storage::for_each_page_run(&pages, |lo, hi| {
-            self.heap()
-                .read_run_visit(ctx.io, lo, hi, |page, rows| {
-                    let base = page * tups;
-                    for (i, row) in rows.iter().enumerate() {
-                        examined += 1;
-                        if ctx.visible(self, Rid(base + i as u64)) && q.matches(row) {
-                            matched += 1;
-                            on_match(row);
-                        }
-                    }
+            examined += self
+                .sweep_run(ctx.io, ctx.snap, q, ctx.reads, lo, hi, |_, row| {
+                    matched += 1;
+                    on_match(row);
                 })
                 .expect("rid pages in range");
         });
@@ -287,46 +267,38 @@ impl Table {
     ) -> RunResult {
         let before = ctx.disk.stats();
         let cm = self.cm(cm_id);
-        let constraints = cm_constraints(cm.spec(), q);
-        let buckets = cm.lookup(&constraints);
+        let buckets = cm.lookup(&cm_constraints(cm.spec(), q));
+        let mut matched = 0u64;
+        let mut examined = 0u64;
+        for (lo, hi) in self.cm_bucket_runs(ctx.io, &buckets) {
+            examined += self
+                .sweep_run(ctx.io, ctx.snap, q, ctx.reads, lo, hi, |_, row| {
+                    matched += 1;
+                    on_match(row);
+                })
+                .expect("bucket pages in range");
+        }
+        RunResult { matched, examined, io: ctx.disk.stats().since(&before) }
+    }
 
-        // Clustered-index descent per returned bucket; upper index
-        // levels are cached within the query (adjacent buckets share
-        // leaves, so contiguous lookups charge little beyond the first).
-        let index_io = ReadCache::new(ctx.io);
-        for &b in &buckets {
+    /// The page runs a CM lookup's `buckets` cover, after charging one
+    /// clustered-index descent per bucket. Upper index levels are cached
+    /// within the query (adjacent buckets share leaves, so contiguous
+    /// lookups charge little beyond the first). Each merged range is a
+    /// maximal contiguous run, swept with one vectored read, so the CM's
+    /// central promise — a few sequential clustered ranges — holds its
+    /// sequential pricing even when concurrent sessions share the shard
+    /// disk.
+    pub(crate) fn cm_bucket_runs(&self, io: &dyn PageAccessor, buckets: &[u32]) -> Vec<(u64, u64)> {
+        let index_io = ReadCache::new(io);
+        for &b in buckets {
             let (start, _) = self.dir().rid_range(b);
             let key = &self.heap().peek(Rid(start)).expect("bucket start valid")
                 [self.clustered_col()];
             self.clustered().charge_probe(&index_io, key);
         }
-
-        // Merge bucket page ranges (adjacent buckets share boundary pages).
-        let merged =
-            merge_page_ranges(buckets.iter().map(|&b| self.dir().page_range(b)).collect());
-
-        let mut matched = 0u64;
-        let mut examined = 0u64;
-        // Each merged bucket range is already a maximal contiguous run:
-        // sweep it with one vectored read, so the CM's central promise —
-        // a few sequential clustered ranges — holds its sequential
-        // pricing even when concurrent sessions share the shard disk.
-        let tups = self.heap().tups_per_page() as u64;
-        for (lo, hi) in merged {
-            self.heap()
-                .read_run_visit(ctx.io, lo, hi, |page, rows| {
-                    let base = page * tups;
-                    for (i, row) in rows.iter().enumerate() {
-                        examined += 1;
-                        if ctx.visible(self, Rid(base + i as u64)) && q.matches(row) {
-                            matched += 1;
-                            on_match(row);
-                        }
-                    }
-                })
-                .expect("bucket pages in range");
-        }
-        RunResult { matched, examined, io: ctx.disk.stats().since(&before) }
+        // Adjacent buckets share boundary pages.
+        merge_page_ranges(buckets.iter().map(|&b| self.dir().page_range(b)).collect())
     }
 }
 

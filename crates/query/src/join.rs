@@ -20,7 +20,7 @@ use crate::exec::{cm_constraints, ExecContext, RunResult};
 use crate::predicate::Query;
 use crate::table::Table;
 use cm_core::AttrConstraint;
-use cm_storage::{ReadCache, Rid, Row, Value};
+use cm_storage::{Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -115,9 +115,19 @@ impl JoinHashTable {
         if key.is_null() {
             return;
         }
-        let idx = self.rows.len() as u32;
+        post(&mut self.map, key, self.rows.len() as u32);
         self.rows.push(row);
-        self.map.entry(key.clone()).or_default().push(idx);
+    }
+
+    /// [`JoinHashTable::insert`] keyed by the row's own column `col`, for
+    /// a caller that would otherwise clone the key out of the row to
+    /// hand both over.
+    pub fn insert_keyed(&mut self, col: usize, row: Row) {
+        if row[col].is_null() {
+            return;
+        }
+        post(&mut self.map, &row[col], self.rows.len() as u32);
+        self.rows.push(row);
     }
 
     /// Row indices matching a probe key (empty for NULL — NULL never
@@ -155,6 +165,17 @@ impl JoinHashTable {
         let mut keys: Vec<Value> = self.map.keys().cloned().collect();
         keys.sort();
         keys
+    }
+}
+
+/// Record build row `idx` under `key`, cloning the key only when it is
+/// new to the table.
+fn post(map: &mut HashMap<Value, Vec<u32>>, key: &Value, idx: u32) {
+    match map.get_mut(key) {
+        Some(postings) => postings.push(idx),
+        None => {
+            map.insert(key.clone(), vec![idx]);
+        }
     }
 }
 
@@ -202,35 +223,15 @@ impl Table {
             .collect();
         let buckets = cm.lookup(&constraints);
 
-        let index_io = ReadCache::new(ctx.io);
-        for &b in &buckets {
-            let (start, _) = self.dir().rid_range(b);
-            let key = &self.heap().peek(Rid(start)).expect("bucket start valid")
-                [self.clustered_col()];
-            self.clustered().charge_probe(&index_io, key);
-        }
-
-        let merged = crate::exec::merge_page_ranges(
-            buckets.iter().map(|&b| self.dir().page_range(b)).collect(),
-        );
-
         let key_set: HashSet<&Value> = keys.iter().collect();
         let mut matched = 0u64;
         let mut examined = 0u64;
-        let tups = self.heap().tups_per_page() as u64;
-        for (lo, hi) in merged {
-            self.heap()
-                .read_run_visit(ctx.io, lo, hi, |page, rows| {
-                    let base = page * tups;
-                    for (i, row) in rows.iter().enumerate() {
-                        examined += 1;
-                        if ctx.visible(self, Rid(base + i as u64))
-                            && q.matches(row)
-                            && key_set.contains(&row[probe_col])
-                        {
-                            matched += 1;
-                            on_match(row);
-                        }
+        for (lo, hi) in self.cm_bucket_runs(ctx.io, &buckets) {
+            examined += self
+                .sweep_run(ctx.io, ctx.snap, q, ctx.reads, lo, hi, |_, row| {
+                    if key_set.contains(&row[probe_col]) {
+                        matched += 1;
+                        on_match(row);
                     }
                 })
                 .expect("bucket pages in range");
@@ -284,8 +285,9 @@ mod tests {
         let mut ht = JoinHashTable::new();
         ht.insert(&Value::Int(1), vec![Value::Int(1), Value::Int(10)]);
         ht.insert(&Value::Int(1), vec![Value::Int(1), Value::Int(11)]);
-        ht.insert(&Value::Int(2), vec![Value::Int(2), Value::Int(20)]);
+        ht.insert_keyed(0, vec![Value::Int(2), Value::Int(20)]);
         ht.insert(&Value::Null, vec![Value::Null, Value::Int(99)]);
+        ht.insert_keyed(0, vec![Value::Null, Value::Int(98)]);
         assert_eq!(ht.len(), 3);
         assert_eq!(ht.num_keys(), 2);
         assert_eq!(ht.probe(&Value::Int(1)).len(), 2);

@@ -8,12 +8,13 @@
 //! (charged page I/O through the buffer pool) + every CM update (pure
 //! memory) + WAL records for all of them.
 
+use crate::predicate::Query;
 use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
 use cm_stats::{correlation_stats, CorrelationStats};
 use cm_storage::{
-    is_pending, DiskSim, HeapFile, LogWrite, PageAccessor, Rid, Row, Schema, StorageError, Value,
-    LIVE_TS,
+    is_pending, DiskSim, HeapFile, LogWrite, PageAccessor, Rid, Row, Schema, Snapshot,
+    StorageError, Value, LIVE_TS,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -173,7 +174,7 @@ impl Table {
             cols,
             disk.alloc_file(),
             DEFAULT_TREE_ORDER,
-            self.heap.iter().map(|(rid, row)| (rid, row.as_slice())),
+            self.heap.iter(),
         );
         self.secondaries.push(idx);
         self.design_epoch += 1;
@@ -204,7 +205,7 @@ impl Table {
             cols,
             disk.alloc_file(),
             DEFAULT_TREE_ORDER,
-            self.heap.iter().map(|(rid, row)| (rid, row.as_slice())),
+            self.heap.iter(),
         )
     }
 
@@ -324,26 +325,13 @@ impl Table {
     pub fn insert_row(
         &mut self,
         io: &dyn PageAccessor,
-        mut wal: Option<&mut dyn LogWrite>,
+        wal: Option<&mut dyn LogWrite>,
         row: Row,
     ) -> Result<Rid, StorageError> {
         let rid = self.heap.append(io, row)?;
         self.stamps.push((1, LIVE_TS));
-        let row = self.heap.peek(rid)?.clone();
         self.dir.note_append(rid);
-        self.clustered.note_append(&row[self.clustered_col], rid);
-        for sec in &mut self.secondaries {
-            sec.insert(io, &row, rid);
-            if let Some(w) = wal.as_deref_mut() {
-                w.append_sized(sec.key_of(&row).size_bytes() + 14);
-            }
-        }
-        for cm in &mut self.cms {
-            cm.insert(&row, rid, &self.dir);
-            if let Some(w) = wal.as_deref_mut() {
-                w.append_sized(cm.wal_record_bytes(&row));
-            }
-        }
+        self.learn_row(io, wal, rid)?;
         Ok(rid)
     }
 
@@ -385,14 +373,33 @@ impl Table {
         rid: Rid,
         row: Row,
     ) -> Result<(), StorageError> {
-        self.heap.restore_row(io, rid, row.clone())?;
+        self.heap.restore_row(io, rid, row)?;
         self.stamps[rid.0 as usize] = (1, LIVE_TS);
+        self.learn_row(io, None, rid)
+    }
+
+    /// Teach the clustered index and every secondary index and CM the
+    /// row now stored in slot `rid`, logging each structure's
+    /// maintenance volume to `wal` if provided.
+    fn learn_row(
+        &mut self,
+        io: &dyn PageAccessor,
+        mut wal: Option<&mut dyn LogWrite>,
+        rid: Rid,
+    ) -> Result<(), StorageError> {
+        let row = self.heap.peek(rid)?;
         self.clustered.note_append(&row[self.clustered_col], rid);
         for sec in &mut self.secondaries {
-            sec.insert(io, &row, rid);
+            sec.insert(io, row, rid);
+            if let Some(w) = wal.as_deref_mut() {
+                w.append_sized(sec.key_of(row).size_bytes() + 14);
+            }
         }
         for cm in &mut self.cms {
-            cm.insert(&row, rid, &self.dir);
+            cm.insert(row, rid, &self.dir);
+            if let Some(w) = wal.as_deref_mut() {
+                w.append_sized(cm.wal_record_bytes(row));
+            }
         }
         Ok(())
     }
@@ -433,18 +440,59 @@ impl Table {
             if row.iter().all(|v| v.is_null()) {
                 continue;
             }
-            let row = row.clone();
             for sec in secondaries.iter_mut() {
-                sec.insert(io, &row, rid);
+                sec.insert(io, row, rid);
             }
             for cm in cms.iter_mut() {
-                cm.insert(&row, rid, &self.dir);
+                cm.insert(row, rid, &self.dir);
             }
         }
         Ok(())
     }
 
+    /// Sweep the page run `lo..=hi` as one vectored read charged to `io`
+    /// and hand every row that is visible at `snap` (every row when
+    /// `None`) and satisfies `q` to `on_match`, with its RID. Returns the
+    /// rows examined. Every scan — the access paths, the clamped join
+    /// probe, `delete_where`'s victim search — goes through here.
+    ///
+    /// `reads` names the columns `on_match` reads of a row (`None`: any
+    /// of them); with the predicate's own columns it tells the heap what
+    /// to prefetch ahead of the sweep.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_run(
+        &self,
+        io: &dyn PageAccessor,
+        snap: Option<&Snapshot>,
+        q: &Query,
+        reads: Option<&[usize]>,
+        lo: u64,
+        hi: u64,
+        mut on_match: impl FnMut(Rid, &[Value]),
+    ) -> Result<u64, StorageError> {
+        let touch: Option<Vec<usize>> =
+            reads.map(|cols| cols.iter().copied().chain(q.predicated_cols()).collect());
+        self.heap.read_run_visit(io, lo, hi, touch.as_deref(), |rid, row| {
+            // The predicate first: only a matching row needs its
+            // stamps read (and, if one is pending, resolved).
+            if q.matches(row) && self.visible_at(snap, rid) {
+                on_match(rid, row);
+            }
+        })
+    }
+
     // ------------------------------------------------------------- MVCC
+
+    /// Is the version in slot `rid` visible at `snap`? Without a
+    /// snapshot (the non-MVCC engine mode) everything the heap holds is —
+    /// the pre-MVCC behaviour, where exclusion is the shard lock's job.
+    #[inline]
+    pub(crate) fn visible_at(&self, snap: Option<&Snapshot>, rid: Rid) -> bool {
+        snap.is_none_or(|s| {
+            let (begin, end) = self.stamp_of(rid);
+            s.sees(begin, end)
+        })
+    }
 
     /// The `(begin, end)` stamp pair of a slot.
     pub fn stamp_of(&self, rid: Rid) -> (u64, u64) {
@@ -470,7 +518,7 @@ impl Table {
         rid: Rid,
         end: u64,
     ) -> Result<Row, StorageError> {
-        let row = self.heap.peek(rid)?.clone();
+        let row = self.heap.peek(rid)?.to_vec();
         self.stamps[rid.0 as usize].1 = end;
         io.write(self.heap.file_id(), self.heap.page_of(rid));
         Ok(row)
@@ -638,7 +686,7 @@ mod tests {
         t.add_secondary(&disk, "price_idx", vec![1]);
         t.add_cm("price_cm", CmSpec::new(vec![CmAttr::raw(1)]));
         let rid = Rid(123);
-        let row = t.heap().peek(rid).unwrap().clone();
+        let row = t.heap().peek(rid).unwrap().to_vec();
         let deleted = t.delete_row(disk.as_ref(), None, rid).unwrap();
         assert_eq!(deleted, row);
         assert_eq!(t.secondary(0).entries(), 999);
@@ -702,12 +750,12 @@ mod tests {
         t.add_secondary(&disk, "price_idx", vec![1]);
         t.add_cm("price_cm", CmSpec::single_raw(1));
         let rid = Rid(123);
-        let row = t.heap().peek(rid).unwrap().clone();
+        let row = t.heap().peek(rid).unwrap().to_vec();
         t.delete_row(disk.as_ref(), None, rid).unwrap();
         assert!(t.is_tombstone(rid).unwrap());
         t.reinstate_row(disk.as_ref(), rid, row.clone()).unwrap();
         assert!(!t.is_tombstone(rid).unwrap());
-        assert_eq!(t.heap().peek(rid).unwrap(), &row);
+        assert_eq!(t.heap().peek(rid).unwrap(), row);
         assert_eq!(t.secondary(0).entries(), 1000, "entry restored");
     }
 
@@ -744,7 +792,7 @@ mod tests {
             vec![Value::Int(3), Value::Int(3333), Value::str("tail2")],
         )
         .unwrap();
-        let rows: Vec<Row> = live.heap().iter().map(|(_, r)| r.clone()).collect();
+        let rows: Vec<Row> = live.heap().iter().map(|(_, r)| r.to_vec()).collect();
         let disk2 = DiskSim::with_defaults();
         let restored = Table::restore(
             &disk2,

@@ -19,8 +19,9 @@
 //!   sessions cannot interleave into the middle of a sweep and shatter
 //!   its sequential pricing ([`PerPageIo`] restores the page-at-a-time
 //!   baseline for comparison).
-//! * [`HeapFile`] — a paged heap of rows; clustering is achieved by bulk
-//!   loading rows sorted on the clustered attribute.
+//! * [`HeapFile`] — a paged heap of rows, one contiguous value array per
+//!   page, with a per-heap string dictionary; clustering is achieved by
+//!   bulk loading rows sorted on the clustered attribute.
 //! * [`BufferPool`] — a capacity-bounded page cache with dirty write-back,
 //!   reproducing the mechanism behind the paper's Experiment 3 (index
 //!   maintenance pressure on the buffer pool).
@@ -71,7 +72,7 @@ pub use disk::{for_each_page_run, DiskConfig, DiskSim, FileId, IoStats, PageAcce
 pub use error::StorageError;
 pub use filedisk::{FileDisk, TempDir};
 pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};
-pub use heap::HeapFile;
+pub use heap::{HeapFile, PageRows, DICT_MAX_STRINGS};
 pub use logrec::{
     crc32, decode_stream, encode_frame, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
     FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,

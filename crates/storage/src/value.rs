@@ -82,8 +82,11 @@ impl From<f64> for OrdF64 {
 ///
 /// `Str` uses `Arc<str>` because categorical columns (eBay `CAT1..CAT6`,
 /// city/state examples) repeat a small dictionary of strings across
-/// millions of rows; sharing the allocation keeps generated tables within
-/// laptop memory (see the heap-allocation guidance in the Rust perf book).
+/// millions of rows, and a clone shares the allocation. Nothing here
+/// interns: [`Value::str`] allocates every time. The sharing comes from
+/// the producer cloning one `Arc` per distinct value (the eBay generator
+/// does), or from [`HeapFile`](crate::heap::HeapFile), whose dictionary
+/// swaps equal strings for one shared allocation as rows are stored.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// SQL NULL. Sorts before every non-null value.
@@ -92,7 +95,7 @@ pub enum Value {
     Int(i64),
     /// Total-ordered float (prices, sky coordinates, magnitudes).
     Float(OrdF64),
-    /// Interned string (category names, cities, states).
+    /// String (category names, cities, states); clones share the text.
     Str(Arc<str>),
     /// Date as days since 1970-01-01 (ship/receipt/commit dates).
     Date(i32),
@@ -105,7 +108,8 @@ impl Value {
         Value::Float(OrdF64(v))
     }
 
-    /// Construct an interned string value.
+    /// Construct a string value in a fresh allocation of its own (a heap
+    /// file shares it with equal strings once the row is stored).
     #[inline]
     pub fn str(s: impl AsRef<str>) -> Self {
         Value::Str(Arc::from(s.as_ref()))

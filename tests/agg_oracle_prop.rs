@@ -7,7 +7,11 @@
 //! case exercises cross-leg state merges. The engine's output is
 //! compared **unsorted** — ascending group-key order is part of the
 //! contract, so any nondeterministic merge shows up as a failure, not
-//! just a reordering.
+//! just a reordering. The fold keeps its groups in arrival order behind
+//! a hash index and sorts once at the end, so the generator also feeds
+//! it string and NULL group keys, more than a thousand groups (several
+//! index doublings), and the same data split over one and over many
+//! legs.
 //!
 //! Case count is `AGG_PROP_CASES` (default 64) so CI smoke jobs can run
 //! a reduced sweep.
@@ -32,24 +36,43 @@ fn schema() -> Arc<Schema> {
         Column::new("k", ValueType::Int),
         Column::new("cat", ValueType::Int),
         Column::new("x", ValueType::Int),
+        Column::new("tag", ValueType::Str),
     ]))
+}
+
+/// A short string, or NULL for every fifth draw: group keys that compare
+/// by text and sort NULL-first.
+fn tag(n: i64) -> Value {
+    if n % 5 == 0 {
+        Value::Null
+    } else {
+        Value::str(format!("t{}", n % 11))
+    }
 }
 
 /// Rows clustered on `k` (0..40): with up to 400 rows over 40 keys,
 /// duplicate clustered keys are guaranteed, so any shard split lands
 /// inside at least one group — the shard-boundary case the merge must
-/// get right. `x` is signed to keep MIN/MAX honest.
+/// get right. `x` is signed to keep MIN/MAX honest. Half the cases add
+/// a block of 1 100 distinct `(cat, k)` pairs, so the multi-column
+/// specs fold more than a thousand groups.
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec((0i64..40, 0i64..8, -50i64..50), 1..400).prop_map(|v| {
+    let base = prop::collection::vec((0i64..40, 0i64..8, -50i64..50, 0i64..55), 1..400);
+    (base, any::<bool>()).prop_map(|(v, many_groups)| {
         let mut rows: Vec<Row> = v
             .into_iter()
-            .map(|(k, c, x)| vec![Value::Int(k), Value::Int(c), Value::Int(x)])
+            .map(|(k, c, x, t)| vec![Value::Int(k), Value::Int(c), Value::Int(x), tag(t)])
             .collect();
         // Pin one duplicated clustered key so even minimal cases have a
         // group that a 2+-shard split can cut in half.
         let pinned = rows[0][0].clone();
         for i in 0..3 {
-            rows.push(vec![pinned.clone(), Value::Int(i), Value::Int(i - 1)]);
+            rows.push(vec![pinned.clone(), Value::Int(i), Value::Int(i - 1), tag(i)]);
+        }
+        if many_groups {
+            for i in 0..1_100 {
+                rows.push(vec![Value::Int(i % 40), Value::Int(100 + i / 40), Value::Int(i), tag(i)]);
+            }
         }
         rows
     })
@@ -129,6 +152,9 @@ fn specs() -> Vec<AggSpec> {
         AggSpec::new(vec![0], vec![AggFunc::Count, AggFunc::Sum(2)]),
         // Multi-column key, including the clustered column last.
         AggSpec::new(vec![1, 0], vec![AggFunc::Count, AggFunc::Max(2)]),
+        // String and NULL keys, alone and ahead of an integer column.
+        AggSpec::new(vec![3], vec![AggFunc::Count, AggFunc::Sum(2)]),
+        AggSpec::new(vec![3, 1], vec![AggFunc::Min(2), AggFunc::Max(2)]),
         // Global aggregation: exactly one row even over zero matches.
         AggSpec::new(vec![], vec![AggFunc::Count, AggFunc::Sum(2), AggFunc::Min(0)]),
     ]
@@ -183,15 +209,26 @@ proptest! {
         prop_assert_eq!(&limited.rows, &full.rows[..n].to_vec());
         prop_assert_eq!(limited.groups, full.groups, "limit truncates rows, not groups");
 
-        let d_full = engine.select_distinct("t", &q, &[1, 0], None).unwrap();
-        let d_lim = engine.select_distinct("t", &q, &[1, 0], Some(limit)).unwrap();
+        // One leg's fold and the merge of `shards` legs' folds agree, on
+        // the string-keyed spec too, and so do their LIMIT prefixes.
+        let one_leg = build_engine(1, 1, false, &rows);
+        for spec in [spec, AggSpec::new(vec![3, 0], vec![AggFunc::Count, AggFunc::Sum(2)])] {
+            let merged = engine.aggregate("t", &q, &spec).unwrap();
+            let single = one_leg.aggregate("t", &q, &spec).unwrap();
+            prop_assert_eq!(&merged.rows, &single.rows, "{} legs vs one", merged.legs.len());
+            let cut = engine.aggregate("t", &q, &spec.clone().with_limit(limit)).unwrap();
+            prop_assert_eq!(&cut.rows, &single.rows[..limit.min(single.rows.len())].to_vec());
+        }
+
+        let d_full = engine.select_distinct("t", &q, &[3, 0], None).unwrap();
+        let d_lim = engine.select_distinct("t", &q, &[3, 0], Some(limit)).unwrap();
         let n = limit.min(d_full.rows.len());
         prop_assert_eq!(&d_lim.rows, &d_full.rows[..n].to_vec());
         // DISTINCT equals the dedup of the projected reference rows.
         let mut want: Vec<Row> = rows
             .iter()
             .filter(|r| q.matches(r))
-            .map(|r| vec![r[1].clone(), r[0].clone()])
+            .map(|r| vec![r[3].clone(), r[0].clone()])
             .collect();
         want.sort();
         want.dedup();
