@@ -54,10 +54,10 @@ fn bench_cm(c: &mut Criterion) {
     let spec = CmSpec::single_pow2(1, 12);
 
     c.bench_function("cm_build_100k", |b| {
-        b.iter(|| CorrelationMap::build("bench", spec.clone(), &heap, &dir))
+        b.iter(|| CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir))
     });
 
-    let cm = CorrelationMap::build("bench", spec.clone(), &heap, &dir);
+    let cm = CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir);
     c.bench_function("cm_lookup_eq", |b| {
         b.iter(|| black_box(cm.lookup(&[AttrConstraint::Eq(Value::Int(500_500))])))
     });
@@ -72,7 +72,7 @@ fn bench_cm(c: &mut Criterion) {
 
     c.bench_function("cm_insert_delete", |b| {
         let row = vec![Value::Int(500), Value::Int(500_123)];
-        let mut cm = CorrelationMap::build("bench", spec.clone(), &heap, &dir);
+        let mut cm = CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir);
         b.iter(|| {
             cm.insert(&row, Rid(42 * 900), &dir);
             cm.delete(&row, Rid(42 * 900), &dir);
@@ -84,7 +84,7 @@ fn bench_cm(c: &mut Criterion) {
     // partkey join).
     let (_kdisk, kheap) = partkey_heap();
     let kdir = BucketDirectory::build(&kheap, 0, 900);
-    let part_cm = CorrelationMap::build("part_cm", CmSpec::single_raw(1), &kheap, &kdir);
+    let part_cm = CorrelationMap::build("part_cm", CmSpec::single_raw(1), kheap.iter(), &kdir);
     assert_eq!(part_cm.num_keys(), 10_000);
     let six: Vec<Value> = (0..6i64).map(|i| Value::Int((i * 157 + 11) % 10_000)).collect();
     c.bench_function("cm_lookup_in_6_of_10k", |b| {
@@ -93,7 +93,7 @@ fn bench_cm(c: &mut Criterion) {
 
     let composite = CmSpec::new(vec![CmAttr::pow2(1, 10), CmAttr::raw(0)]);
     c.bench_function("cm_build_composite_100k", |b| {
-        b.iter(|| CorrelationMap::build("bench", composite.clone(), &heap, &dir))
+        b.iter(|| CorrelationMap::build("bench", composite.clone(), heap.iter(), &dir))
     });
 }
 

@@ -13,8 +13,11 @@
 //! and the write lock is held only to stamp the victims, so readers
 //! never wait on a scan. The sweep crosses write pressure (0/1/4 writer
 //! threads) with shard counts, plus one row per mode where the "writer"
-//! is a loop of `apply_design` structure rebuilds — offline (whole-shard
-//! write locks) vs online (snapshot build + brief swap).
+//! is a loop of `apply_design` structure rebuilds. Both modes run the
+//! same staged install step per shard; what differs is the build's
+//! lock — the shard *write* lock under locking (a delete removes its
+//! row, so the build must exclude deletes) vs the shard *read* lock
+//! under MVCC, with only the brief catch-up-and-swap write-locked.
 
 use crate::datasets::{BenchScale, EBAY_TPP};
 use crate::report::Report;
@@ -465,8 +468,8 @@ pub fn run(scale: BenchScale) -> Report {
          from {lock_heavy_wait:.1} µs to {mvcc_heavy_wait:.1} µs \
          ({wait_ratio:.0}x less blocking); the MVCC read-only baseline p99 is \
          {mvcc_idle_p99:.3} ms; with an apply_design rebuild loop instead of \
-         writers, readers observed {} stalls >50µs during offline rebuilds vs \
-         {} during online MVCC rebuilds (p99 {:.3} ms vs {:.3} ms)",
+         writers, readers observed {} stalls >50µs during write-locked builds vs \
+         {} during read-locked MVCC builds (p99 {:.3} ms vs {:.3} ms)",
         redesign[&false].stalls,
         redesign[&true].stalls,
         redesign[&false].read.p99_ms,

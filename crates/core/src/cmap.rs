@@ -14,7 +14,7 @@
 use crate::bucket::{BucketSpec, CmKey, CmKeyPart};
 use crate::cdir::BucketDirectory;
 use crate::spec::CmSpec;
-use cm_storage::{HeapFile, Rid, Value};
+use cm_storage::{Rid, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -93,19 +93,20 @@ impl CorrelationMap {
         CorrelationMap { name: name.into(), spec, map: BTreeMap::new(), pair_count: 0 }
     }
 
-    /// Algorithm 1: scan the table, recording for every tuple the
-    /// co-occurrence of its CM key with its clustered bucket.
+    /// Algorithm 1: scan the table's `(rid, row)` pairs, recording for
+    /// every tuple the co-occurrence of its CM key with its clustered
+    /// bucket.
     ///
     /// The scan is uncharged: DDL-time construction is outside the
     /// measured window in every experiment, exactly as in the paper.
-    pub fn build(
+    pub fn build<'a>(
         name: impl Into<String>,
         spec: CmSpec,
-        heap: &HeapFile,
+        rows: impl Iterator<Item = (Rid, &'a [Value])>,
         dir: &BucketDirectory,
     ) -> Self {
         let mut cm = Self::new(name, spec);
-        for (rid, row) in heap.iter() {
+        for (rid, row) in rows {
             cm.insert(row, rid, dir);
         }
         cm
@@ -265,7 +266,7 @@ impl CorrelationMap {
 mod tests {
     use super::*;
     use crate::spec::CmAttr;
-    use cm_storage::{Column, DiskSim, Schema, ValueType};
+    use cm_storage::{Column, DiskSim, HeapFile, Schema, ValueType};
     use std::sync::Arc;
 
     /// The heap from Figure 4: people(state, city, salary) clustered on
@@ -305,7 +306,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
         // Distinct cities: boston, cambridge, springfield, manchester,
         // jackson, toledo.
         assert_eq!(cm.num_keys(), 6);
@@ -329,7 +330,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
         for city in ["boston", "springfield", "manchester", "toledo"] {
             let buckets = cm.lookup(&[AttrConstraint::Eq(Value::str(city))]);
             for (rid, row) in heap.iter() {
@@ -348,7 +349,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
+        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
         // Three Boston/MA tuples: deleting two must keep the mapping.
         let row0 = heap.peek(Rid(0)).unwrap();
         let row1 = heap.peek(Rid(1)).unwrap();
@@ -368,7 +369,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
+        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
         let baseline: Vec<u32> = cm.lookup_values(&[Value::str("boston")]);
         let row = heap.peek(Rid(7)).unwrap(); // NH boston
         cm.delete(row, Rid(7), &dir);
@@ -385,7 +386,7 @@ mod tests {
         for (rid, row) in heap.iter() {
             maintained.insert(row, rid, &dir);
         }
-        let built = CorrelationMap::build("b", CmSpec::single_raw(1), &heap, &dir);
+        let built = CorrelationMap::build("b", CmSpec::single_raw(1), heap.iter(), &dir);
         assert_eq!(maintained.num_keys(), built.num_keys());
         assert_eq!(maintained.num_pairs(), built.num_pairs());
         let a: Vec<_> = maintained.iter().collect();
@@ -407,8 +408,8 @@ mod tests {
             .collect();
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 50, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 100);
-        let fine = CorrelationMap::build("p0", CmSpec::single_pow2(1, 0), &heap, &dir);
-        let coarse = CorrelationMap::build("p6", CmSpec::single_pow2(1, 6), &heap, &dir);
+        let fine = CorrelationMap::build("p0", CmSpec::single_pow2(1, 0), heap.iter(), &dir);
+        let coarse = CorrelationMap::build("p6", CmSpec::single_pow2(1, 6), heap.iter(), &dir);
         assert!(coarse.num_keys() < fine.num_keys() / 10);
         assert!(coarse.size_bytes() < fine.size_bytes() / 10);
         // Coarser CM still finds everything a fine CM finds.
@@ -440,11 +441,11 @@ mod tests {
         }
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 10, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 3);
-        let single = CorrelationMap::build("x", CmSpec::single_raw(1), &heap, &dir);
+        let single = CorrelationMap::build("x", CmSpec::single_raw(1), heap.iter(), &dir);
         let comp = CorrelationMap::build(
             "xy",
             CmSpec::new(vec![CmAttr::raw(1), CmAttr::raw(2)]),
-            &heap,
+            heap.iter(),
             &dir,
         );
         assert!((comp.avg_cbuckets_per_key() - 1.0).abs() < 1e-9);
@@ -471,7 +472,7 @@ mod tests {
             (0..1000i64).map(|i| vec![Value::Int(i / 10), Value::Int(i)]).collect();
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 10, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 10);
-        let cm = CorrelationMap::build("u", CmSpec::single_pow2(1, 4), &heap, &dir);
+        let cm = CorrelationMap::build("u", CmSpec::single_pow2(1, 4), heap.iter(), &dir);
         // u in [100, 131]: buckets 6..8 (width 16), i.e. u in [96, 143].
         let buckets = cm.lookup(&[AttrConstraint::Range(Value::Int(100), Value::Int(131))]);
         // Those u values live at rids 96..144 => clustered values 9..14.
@@ -484,7 +485,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
         // 9 distinct (city, state) pairs in the data.
         assert_eq!(cm.num_pairs(), 9);
         let expected: u64 = cm

@@ -119,7 +119,7 @@ proptest! {
         let cm = CorrelationMap::build(
             "u_cm",
             CmSpec::new(vec![CmAttr::pow2(1, level)]),
-            &heap,
+            heap.iter(),
             &dir,
         );
         let qhi = qlo + qspan;
@@ -149,7 +149,7 @@ proptest! {
         let cm = CorrelationMap::build(
             "uw_cm",
             CmSpec::new(vec![CmAttr::pow2(1, level), CmAttr::raw(2)]),
-            &heap,
+            heap.iter(),
             &dir,
         );
         // Query for the (u, w) of an arbitrary existing tuple.
@@ -176,7 +176,7 @@ proptest! {
         let heap = build_heap(&disk, &data);
         let dir = BucketDirectory::build(&heap, 0, 8);
         let spec = CmSpec::new(vec![CmAttr::pow2(1, level)]);
-        let mut maintained = CorrelationMap::build("m", spec.clone(), &heap, &dir);
+        let mut maintained = CorrelationMap::build("m", spec.clone(), heap.iter(), &dir);
         // Delete a subset through the maintenance path.
         let mut survivors: Vec<(Rid, Vec<Value>)> = Vec::new();
         for (rid, row) in heap.iter() {
@@ -241,9 +241,9 @@ proptest! {
         let heap = build_heap(&disk, &data);
         let dir = BucketDirectory::build(&heap, 0, 8);
         let fine = CorrelationMap::build(
-            "f", CmSpec::new(vec![CmAttr::pow2(1, 1)]), &heap, &dir);
+            "f", CmSpec::new(vec![CmAttr::pow2(1, 1)]), heap.iter(), &dir);
         let coarse = CorrelationMap::build(
-            "c", CmSpec::new(vec![CmAttr::pow2(1, 5)]), &heap, &dir);
+            "c", CmSpec::new(vec![CmAttr::pow2(1, 5)]), heap.iter(), &dir);
         let q = AttrConstraint::Range(Value::Int(qlo), Value::Int(qlo + qspan));
         let fine_b = fine.lookup(std::slice::from_ref(&q));
         let coarse_b = coarse.lookup(std::slice::from_ref(&q));
@@ -279,7 +279,7 @@ proptest! {
             CmSpec::new(vec![CmAttr::pow2(1, level), CmAttr::raw(2)]),
         ];
         for spec in specs {
-            let mut cm = CorrelationMap::build("u_cm", spec.clone(), &heap, &dir);
+            let mut cm = CorrelationMap::build("u_cm", spec.clone(), heap.iter(), &dir);
             // Deletes retract keys; the IN list names some of the
             // deleted values, now absent (or still held by a survivor).
             let mut vs: Vec<Value> = picks.iter().copied().map(probe_value).collect();

@@ -9,7 +9,8 @@
 //! after the merge — a limited result is always a stable prefix of the
 //! key-sorted unlimited one.
 
-use crate::engine::{Engine, LegOpts, LegOutcome, LegPath};
+use crate::engine::Engine;
+use crate::read::{LegOpts, LegOutcome, LegPath};
 use crate::error::EngineError;
 use crate::Result;
 use cm_query::{AggFunc, AggSpec, AggState, Query, RunResult};
@@ -74,8 +75,7 @@ impl Engine {
             }
         }
 
-        let loaded = self.read_locked(&entry.loaded);
-        let lt = loaded.as_ref().ok_or_else(|| EngineError::NotLoaded(entry.name.clone()))?;
+        let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);
         let snap = self.mvcc.as_ref().map(|mv| mv.begin());
         // The fold reads its keys and its inputs, nothing else.
@@ -99,7 +99,7 @@ impl Engine {
         for state in &folded.outs {
             merged.merge(state);
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
         // A global aggregation yields its one row even over zero
         // matches, so it always has exactly one group.
         let groups = if spec.group_by.is_empty() { 1 } else { merged.num_groups() };

@@ -24,7 +24,9 @@
 //! scan order, and ties on a duplicate key follow build insertion order
 //! (itself merge-key ordered).
 
-use crate::engine::{Engine, LegOpts, LegOutcome, LegPath, LoadedTable};
+use crate::catalog::LoadedTable;
+use crate::engine::Engine;
+use crate::read::{LegOpts, LegOutcome, LegPath};
 use crate::error::EngineError;
 use crate::Result;
 use cm_advisor::WorkloadProfile;
@@ -175,29 +177,9 @@ impl Engine {
             return Err(EngineError::BadColumn { table: right.into(), col: jq.right_col });
         }
 
-        // Table-level read guards, acquired in name order so two joins
-        // with swapped operands can never deadlock against a concurrent
-        // offline design swap holding one write side. A self-join takes
-        // one guard.
         let self_join = std::sync::Arc::ptr_eq(&left_entry, &right_entry);
-        let (left_guard, right_guard) = if self_join {
-            (self.read_locked(&left_entry.loaded), None)
-        } else if left_entry.name <= right_entry.name {
-            let left_guard = self.read_locked(&left_entry.loaded);
-            (left_guard, Some(self.read_locked(&right_entry.loaded)))
-        } else {
-            let right_guard = self.read_locked(&right_entry.loaded);
-            (self.read_locked(&left_entry.loaded), Some(right_guard))
-        };
-        let left_lt = left_guard
-            .as_ref()
-            .ok_or_else(|| EngineError::NotLoaded(left_entry.name.clone()))?;
-        let right_lt = match &right_guard {
-            Some(g) => {
-                g.as_ref().ok_or_else(|| EngineError::NotLoaded(right_entry.name.clone()))?
-            }
-            None => left_lt,
-        };
+        let left_lt = left_entry.loaded()?;
+        let right_lt = right_entry.loaded()?;
 
         self.profile_read(&left_entry, left_lt, &jq.left_filter);
         if !self_join {
@@ -334,7 +316,7 @@ impl Engine {
             matched += pairs;
             rows.extend(out);
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.counters.queries.fetch_add(1, Ordering::Relaxed);
 
         Ok(JoinOutcome {
             strategy,

@@ -13,7 +13,7 @@
 //!   bundles its clustered heap, sparse clustered index, bucket
 //!   directory, secondary B+Trees, and CMs behind its own `RwLock`, so
 //!   readers run concurrently and writers serialize per *shard*, not per
-//!   engine or even per table;
+//!   engine or even per table — there is no table-level lock;
 //! * one [`cm_storage::StorageShard`] (simulated disk + buffer pool) per
 //!   shard, so concurrent scans on different shards stop interleaving a
 //!   single disk head, plus a dedicated log disk behind a
@@ -52,8 +52,8 @@
 //! * **MVCC snapshot reads** (`EngineConfig::mvcc`): heap versions carry
 //!   begin/end timestamps, every query pins a commit-time snapshot and
 //!   reads under shard *read* locks (writers stop blocking readers —
-//!   categorical deletes scan without the write lock, and
-//!   [`Engine::apply_design`] rebuilds structures online behind a brief
+//!   categorical deletes scan without the write lock, and a design
+//!   change builds its structures under the read lock behind a brief
 //!   swap), while [`Engine::vacuum`] — on demand or every
 //!   `EngineConfig::gc_every` deletes — reclaims versions no live
 //!   snapshot can see;
@@ -62,9 +62,10 @@
 //!   write count), [`Engine::advise_design`] enumerates mixed
 //!   `{B+Tree, CM, none}` structure sets per column and prices each
 //!   with read costs *plus* per-write maintenance, and
-//!   [`Engine::apply_design`] swaps the table's structure set per shard
-//!   atomically (the driver can re-plan mid-run via
-//!   [`MixedWorkloadConfig::advise_after`]).
+//!   [`Engine::apply_design`] swaps the table's structure set shard by
+//!   shard through the one staged install step that also serves
+//!   `create_btree`, `create_cm`, and recovery (the driver can re-plan
+//!   mid-run via [`MixedWorkloadConfig::advise_after`]).
 //!
 //! The full loop, runnable:
 //!
@@ -126,20 +127,27 @@
 #![warn(missing_docs)]
 
 mod agg;
+mod catalog;
+mod design;
 mod engine;
 mod error;
 pub mod executor;
 mod join;
+mod maintenance;
+mod read;
 pub mod recovery;
 mod session;
 pub mod shard;
+mod stats;
 pub mod workload;
+mod write;
 
 pub use agg::AggOutcome;
-pub use engine::{
-    AppliedDesign, Engine, EngineConfig, EngineStats, LegOutcome, QueryOutcome, RouteCounts,
-    TableInfo,
-};
+pub use catalog::{EngineConfig, TableInfo};
+pub use design::{AppliedDesign, StructureSet};
+pub use engine::Engine;
+pub use read::{LegOutcome, QueryOutcome};
+pub use stats::{EngineStats, RouteCounts};
 pub use join::JoinOutcome;
 pub use error::EngineError;
 pub use executor::{scheduled_makespan, Executor};

@@ -35,11 +35,12 @@
 //! the shard pools — so the [`RecoveryReport`]'s simulated time is a
 //! faithful time-to-first-query figure for the bench harness.
 
-use crate::engine::{Engine, EngineConfig, LoadedTable, TableEntry};
+use crate::catalog::{EngineConfig, LoadedTable, TableEntry};
+use crate::design::StructureSet;
+use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::shard::RangeRouter;
 use crate::Result;
-use cm_core::CmSpec;
 use cm_query::Table;
 use cm_storage::{
     decode_stream, LogPayload, Lsn, PageAccessor, Rid, Row, Schema, Value, AUTOCOMMIT_TXN,
@@ -85,11 +86,9 @@ pub struct TableImage {
     pub splits: Vec<Value>,
     /// Per-shard heap images, in shard order.
     pub shards: Vec<ShardImage>,
-    /// Secondary B+Trees at snapshot time: `(name, key columns)`, the
-    /// same set on every shard.
-    pub btrees: Vec<(String, Vec<usize>)>,
-    /// Correlation Maps at snapshot time: `(name, spec)`.
-    pub cms: Vec<(String, CmSpec)>,
+    /// The access structures at snapshot time (the same set on every
+    /// shard).
+    pub structures: StructureSet,
 }
 
 /// A consistent-enough snapshot of every loaded table (fuzzy: shards are
@@ -155,74 +154,6 @@ pub struct RecoveryReport {
     pub sim_ms: f64,
 }
 
-// ------------------------------------------------------- design codec
-
-/// Encode a table's complete access-structure set (secondary B+Trees +
-/// CMs) for a `DesignChange` record. Self-delimiting; decoded by
-/// [`decode_structures`].
-pub(crate) fn encode_structures(t: &Table) -> Vec<u8> {
-    let mut out = Vec::new();
-    let put_str = |out: &mut Vec<u8>, s: &str| {
-        out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    };
-    out.extend_from_slice(&(t.secondaries().len() as u16).to_le_bytes());
-    for sec in t.secondaries() {
-        put_str(&mut out, sec.name());
-        out.extend_from_slice(&(sec.cols().len() as u16).to_le_bytes());
-        for &c in sec.cols() {
-            out.extend_from_slice(&(c as u32).to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(t.cms().len() as u16).to_le_bytes());
-    for cm in t.cms() {
-        put_str(&mut out, cm.name());
-        out.extend_from_slice(&cm.spec().encode());
-    }
-    out
-}
-
-type DecodedStructures = (Vec<(String, Vec<usize>)>, Vec<(String, CmSpec)>);
-
-/// Decode a [`encode_structures`] payload. `None` on malformed bytes.
-pub(crate) fn decode_structures(bytes: &[u8]) -> Option<DecodedStructures> {
-    let mut at = 0usize;
-    let take_u16 = |at: &mut usize| -> Option<u16> {
-        let v = u16::from_le_bytes(bytes.get(*at..*at + 2)?.try_into().ok()?);
-        *at += 2;
-        Some(v)
-    };
-    let take_str = |at: &mut usize| -> Option<String> {
-        let len = u16::from_le_bytes(bytes.get(*at..*at + 2)?.try_into().ok()?) as usize;
-        *at += 2;
-        let s = std::str::from_utf8(bytes.get(*at..*at + len)?).ok()?.to_string();
-        *at += len;
-        Some(s)
-    };
-    let n_btrees = take_u16(&mut at)?;
-    let mut btrees = Vec::with_capacity(n_btrees as usize);
-    for _ in 0..n_btrees {
-        let name = take_str(&mut at)?;
-        let ncols = take_u16(&mut at)? as usize;
-        let mut cols = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let c = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?);
-            at += 4;
-            cols.push(c as usize);
-        }
-        btrees.push((name, cols));
-    }
-    let n_cms = take_u16(&mut at)?;
-    let mut cms = Vec::with_capacity(n_cms as usize);
-    for _ in 0..n_cms {
-        let name = take_str(&mut at)?;
-        let (spec, used) = CmSpec::decode(bytes.get(at..)?)?;
-        at += used;
-        cms.push((name, spec));
-    }
-    (at == bytes.len()).then_some((btrees, cms))
-}
-
 // -------------------------------------------------------- checkpoints
 
 impl Engine {
@@ -231,11 +162,9 @@ impl Engine {
     /// copy — proceed concurrently; the paired `redo_lsn` squares up
     /// anything the fuzzy copy raced with).
     fn snapshot_image(&self) -> DurableImage {
-        let entries: Vec<Arc<TableEntry>> = self.catalog.read().values().cloned().collect();
         let mut tables = Vec::new();
-        for entry in entries {
-            let loaded = entry.loaded.read();
-            let Some(lt) = loaded.as_ref() else { continue };
+        for entry in self.entries() {
+            let Some(lt) = entry.loaded.get() else { continue };
             let mut shards = Vec::with_capacity(lt.parts.len());
             for (i, part) in lt.parts.iter().enumerate() {
                 let t = part.read();
@@ -261,18 +190,7 @@ impl Engine {
                     .collect();
                 shards.push(ShardImage { rows, base_len: lt.base_lens[i] });
             }
-            let t0 = lt.parts[0].read();
-            let btrees = t0
-                .secondaries()
-                .iter()
-                .map(|s| (s.name().to_string(), s.cols().to_vec()))
-                .collect();
-            let cms = t0
-                .cms()
-                .iter()
-                .map(|c| (c.name().to_string(), c.spec().clone()))
-                .collect();
-            drop(t0);
+            let structures = StructureSet::of(&lt.parts[0].read());
             tables.push(TableImage {
                 name: entry.name.clone(),
                 schema: entry.schema.clone(),
@@ -281,8 +199,7 @@ impl Engine {
                 bucket_target: entry.bucket_target,
                 splits: lt.router.splits().to_vec(),
                 shards,
-                btrees,
-                cms,
+                structures,
             });
         }
         tables.sort_by(|a, b| a.name.cmp(&b.name));
@@ -515,15 +432,21 @@ impl Engine {
 
 fn table_entry(engine: &Engine, table: &str) -> Result<Arc<TableEntry>> {
     engine
-        .catalog
-        .read()
-        .get(table)
-        .cloned()
-        .ok_or_else(|| EngineError::Recovery(format!("log names unknown table {table:?}")))
+        .entry(table)
+        .map_err(|_| EngineError::Recovery(format!("log names unknown table {table:?}")))
+}
+
+/// The partitions an imaged table was restored into.
+fn image_of(entry: &TableEntry) -> Result<&LoadedTable> {
+    entry
+        .loaded
+        .get()
+        .ok_or_else(|| EngineError::Recovery(format!("table {:?} has no image", entry.name)))
 }
 
 /// Rebuild one table from its image slice: catalog entry, router,
-/// per-shard [`Table::restore`], then the imaged access structures.
+/// per-shard [`Table::restore`], then the imaged access structures
+/// through the design install step.
 fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
     if ti.shards.len() > engine.backends.len() {
         return Err(EngineError::Recovery(format!(
@@ -541,13 +464,10 @@ fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
         ti.bucket_target,
     )?;
     let entry = table_entry(engine, &ti.name)?;
-    let mut loaded = entry.loaded.write();
     let router = RangeRouter::new(ti.clustered_col, ti.splits.clone());
     let mut parts = Vec::with_capacity(ti.shards.len());
-    let mut base_lens = Vec::with_capacity(ti.shards.len());
-    let mut analyze: Vec<usize> = Vec::new();
     for (i, si) in ti.shards.iter().enumerate() {
-        let mut t = Table::restore(
+        let t = Table::restore(
             engine.backends[i].disk(),
             ti.schema.clone(),
             si.rows.clone(),
@@ -555,26 +475,13 @@ fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
             ti.clustered_col,
             ti.bucket_target,
             si.base_len,
-        )
-        .map_err(EngineError::Storage)?;
-        for (name, cols) in &ti.btrees {
-            t.add_secondary(engine.backends[i].disk(), name.clone(), cols.clone());
-            analyze.extend_from_slice(cols);
-        }
-        for (name, spec) in &ti.cms {
-            t.add_cm(name.clone(), spec.clone());
-            analyze.extend(spec.cols());
-        }
-        analyze.sort_unstable();
-        analyze.dedup();
-        if !analyze.is_empty() {
-            t.analyze_cols(&analyze);
-        }
-        base_lens.push(si.base_len);
+        )?;
         parts.push(RwLock::new(t));
     }
-    *loaded = Some(LoadedTable { router, parts, base_lens });
-    Ok(())
+    let base_lens = ti.shards.iter().map(|si| si.base_len).collect();
+    let restored = LoadedTable { router, parts, base_lens };
+    let lt = entry.loaded.get_or_init(|| restored);
+    engine.install_structures(lt, &ti.structures, true)
 }
 
 /// Run `f` under one shard partition's write lock.
@@ -585,11 +492,7 @@ fn with_part<R>(
     f: impl FnOnce(&mut Table, &dyn PageAccessor) -> Result<R>,
 ) -> Result<R> {
     let entry = table_entry(engine, table)?;
-    let loaded = entry.loaded.read();
-    let lt = loaded
-        .as_ref()
-        .ok_or_else(|| EngineError::Recovery(format!("table {table:?} has no image")))?;
-    let part = lt.parts.get(shard).ok_or_else(|| {
+    let part = image_of(&entry)?.parts.get(shard).ok_or_else(|| {
         EngineError::Recovery(format!("record addresses shard {shard} of {table:?}"))
     })?;
     let mut t = part.write();
@@ -637,33 +540,11 @@ fn redo_delete(engine: &Engine, table: &str, shard: usize, rid: Rid) -> Result<(
 /// the record carries (records hold the full post-change set, so replay
 /// is idempotent and order-tolerant).
 fn redo_design(engine: &Engine, table: &str, design: &[u8]) -> Result<()> {
-    let (btrees, cms) = decode_structures(design).ok_or_else(|| {
+    let set = StructureSet::decode(design).ok_or_else(|| {
         EngineError::Recovery(format!("malformed design-change record for {table:?}"))
     })?;
     let entry = table_entry(engine, table)?;
-    let loaded = entry.loaded.read();
-    let lt = loaded
-        .as_ref()
-        .ok_or_else(|| EngineError::Recovery(format!("table {table:?} has no image")))?;
-    let mut analyze: Vec<usize> = Vec::new();
-    for (i, part) in lt.parts.iter().enumerate() {
-        let mut t = part.write();
-        t.clear_access_structures();
-        for (name, cols) in &btrees {
-            t.add_secondary(engine.backends[i].disk(), name.clone(), cols.clone());
-            analyze.extend_from_slice(cols);
-        }
-        for (name, spec) in &cms {
-            t.add_cm(name.clone(), spec.clone());
-            analyze.extend(spec.cols());
-        }
-        analyze.sort_unstable();
-        analyze.dedup();
-        if !analyze.is_empty() {
-            t.analyze_cols(&analyze);
-        }
-    }
-    Ok(())
+    engine.install_structures(image_of(&entry)?, &set, true)
 }
 
 /// Undo an uncommitted insert: tombstone the slot if it currently holds
@@ -712,35 +593,29 @@ mod tests {
         t.add_secondary(&disk, "ix_b", vec![1]);
         t.add_secondary(&disk, "ix_ab", vec![0, 1]);
         t.add_cm("cm_b", CmSpec::single_raw(1));
-        let bytes = encode_structures(&t);
-        let (btrees, cms) = decode_structures(&bytes).expect("roundtrip");
+        let set = StructureSet::of(&t);
         assert_eq!(
-            btrees,
+            set.btrees,
             vec![("ix_b".to_string(), vec![1]), ("ix_ab".to_string(), vec![0, 1])]
         );
-        assert_eq!(cms.len(), 1);
-        assert_eq!(cms[0].0, "cm_b");
-        assert_eq!(cms[0].1.cols(), vec![1]);
+        assert_eq!(set.cms, vec![("cm_b".to_string(), CmSpec::single_raw(1))]);
+        assert_eq!(StructureSet::decode(&set.encode()), Some(set));
     }
 
     #[test]
     fn empty_structure_sets_encode() {
-        let t = demo_table();
-        let bytes = encode_structures(&t);
-        let (btrees, cms) = decode_structures(&bytes).expect("roundtrip");
-        assert!(btrees.is_empty());
-        assert!(cms.is_empty());
+        let set = StructureSet::of(&demo_table());
+        assert_eq!(set, StructureSet::default());
+        assert_eq!(StructureSet::decode(&set.encode()), Some(set));
     }
 
     #[test]
     fn malformed_design_bytes_are_rejected() {
-        assert!(decode_structures(&[]).is_none());
-        assert!(decode_structures(&[1, 0]).is_none(), "truncated b-tree entry");
-        let mut t = demo_table();
-        let disk = cm_storage::DiskSim::with_defaults();
-        t.add_secondary(&disk, "ix", vec![1]);
-        let mut bytes = encode_structures(&t);
+        assert!(StructureSet::decode(&[]).is_none());
+        assert!(StructureSet::decode(&[1, 0]).is_none(), "truncated b-tree entry");
+        let set = StructureSet { btrees: vec![("ix".into(), vec![1])], cms: Vec::new() };
+        let mut bytes = set.encode();
         bytes.push(0); // trailing garbage
-        assert!(decode_structures(&bytes).is_none());
+        assert!(StructureSet::decode(&bytes).is_none());
     }
 }

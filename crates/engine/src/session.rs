@@ -6,7 +6,8 @@
 //! the paper's flushed-cache methodology). Sessions are `Send`, so a
 //! workload driver hands one to each thread.
 
-use crate::engine::{Engine, QueryOutcome};
+use crate::engine::Engine;
+use crate::read::QueryOutcome;
 use crate::Result;
 use cm_core::CmSpec;
 use cm_query::{AccessPath, Query, QueryPlan};
@@ -216,7 +217,7 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::EngineConfig;
     use cm_query::Pred;
     use cm_storage::{Column, Schema, Value, ValueType};
 

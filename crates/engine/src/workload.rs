@@ -8,7 +8,8 @@
 //! engine the driver also exposes the sharding win: per-shard I/O, the
 //! makespan over the parallel spindles, and WAL group-commit counters.
 
-use crate::engine::{Engine, RouteCounts};
+use crate::engine::Engine;
+use crate::stats::RouteCounts;
 use crate::Result;
 use cm_advisor::DesignSet;
 use cm_query::Query;
@@ -339,7 +340,7 @@ pub fn run_mixed(engine: &Arc<Engine>, cfg: &MixedWorkloadConfig) -> Result<Work
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::EngineConfig;
     use cm_core::CmSpec;
     use cm_query::Pred;
     use cm_storage::{Column, Schema, Value, ValueType};

@@ -118,13 +118,7 @@ impl Table {
         // epoch stamp, tombstoned slots are invisible to every snapshot.
         let stamps = heap
             .iter()
-            .map(|(_, row)| {
-                if row.iter().all(|v| v.is_null()) {
-                    (0, 0)
-                } else {
-                    (1, LIVE_TS)
-                }
-            })
+            .map(|(_, row)| if is_tombstone_row(row) { (0, 0) } else { (1, LIVE_TS) })
             .collect();
         Ok(Table {
             heap,
@@ -166,48 +160,44 @@ impl Table {
         name: impl Into<String>,
         cols: Vec<usize>,
     ) -> usize {
-        let idx = SecondaryIndex::build(
-            name,
-            cols,
-            disk.alloc_file(),
-            DEFAULT_TREE_ORDER,
-            self.heap.iter(),
-        );
+        let idx = self.build_secondary(disk, name, cols);
         self.secondaries.push(idx);
         self.secondaries.len() - 1
     }
 
     /// Add (and build via Algorithm 1) a Correlation Map; returns its id.
     pub fn add_cm(&mut self, name: impl Into<String>, spec: CmSpec) -> usize {
-        let cm = CorrelationMap::build(name, spec, &self.heap, &self.dir);
+        let cm = self.build_cm(name, spec);
         self.cms.push(cm);
         self.cms.len() - 1
     }
 
     /// Build (but do not install) a dense secondary B+Tree on `cols`
-    /// from the current heap — the snapshot-build phase of an online
-    /// design swap, callable under a shard *read* lock. Pair with
-    /// [`Table::install_access_structures`] for the brief write-locked
-    /// flip.
+    /// from the current heap's rows, tombstones skipped — the build
+    /// phase of a design change, callable under a shard *read* lock.
+    /// Pair with [`Table::install_access_structures`].
     pub fn build_secondary(
         &self,
         disk: &DiskSim,
         name: impl Into<String>,
         cols: Vec<usize>,
     ) -> SecondaryIndex {
-        SecondaryIndex::build(
-            name,
-            cols,
-            disk.alloc_file(),
-            DEFAULT_TREE_ORDER,
-            self.heap.iter(),
-        )
+        SecondaryIndex::build(name, cols, disk.alloc_file(), DEFAULT_TREE_ORDER, self.live_rows())
     }
 
     /// Build (but do not install) a Correlation Map — see
     /// [`Table::build_secondary`].
     pub fn build_cm(&self, name: impl Into<String>, spec: CmSpec) -> CorrelationMap {
-        CorrelationMap::build(name, spec, &self.heap, &self.dir)
+        CorrelationMap::build(name, spec, self.live_rows(), &self.dir)
+    }
+
+    /// Every heap slot that holds a row: tombstones (all-NULL slots)
+    /// are skipped, as [`Table::insert_row`] and [`Table::delete_row`]
+    /// keep them out of the maintained structures. An MVCC version that
+    /// has ended but is not yet vacuumed still holds its bytes and is
+    /// included — older snapshots reach it through the structures.
+    fn live_rows(&self) -> impl Iterator<Item = (Rid, &[Value])> {
+        self.heap.iter().filter(|(_, row)| !is_tombstone_row(row))
     }
 
     /// The secondary indexes.
@@ -230,24 +220,22 @@ impl Table {
         &self.cms[id]
     }
 
-    /// Drop all secondary indexes and CMs (used by experiments that sweep
-    /// the number of indexes).
-    pub fn clear_access_structures(&mut self) {
-        self.secondaries.clear();
-        self.cms.clear();
-    }
-
-    /// Install a pre-built structure set (secondaries + CMs), replacing
-    /// the current one in a single call — the brief exclusive phase of
-    /// an online design swap where structures were built off a snapshot
-    /// under a read lock.
+    /// Install pre-built structures (secondaries + CMs) in one call —
+    /// the brief exclusive phase of a design change whose structures
+    /// were built under a read lock. With `replace` they become the
+    /// whole set; otherwise they are appended, so existing ids stay put.
     pub fn install_access_structures(
         &mut self,
         secondaries: Vec<SecondaryIndex>,
         cms: Vec<CorrelationMap>,
+        replace: bool,
     ) {
-        self.secondaries = secondaries;
-        self.cms = cms;
+        if replace {
+            self.secondaries.clear();
+            self.cms.clear();
+        }
+        self.secondaries.extend(secondaries);
+        self.cms.extend(cms);
     }
 
     /// Compute (or refresh) per-column statistics vs. the clustered
@@ -403,14 +391,14 @@ impl Table {
 
     /// Whether a slot holds a delete tombstone (all-NULL row).
     pub fn is_tombstone(&self, rid: Rid) -> Result<bool, StorageError> {
-        Ok(self.heap.peek(rid)?.iter().all(|v| v.is_null()))
+        Ok(is_tombstone_row(self.heap.peek(rid)?))
     }
 
     /// Feed heap slots `from..len` (tombstones skipped) into a
-    /// not-yet-installed structure set — the catch-up step of an online
-    /// design swap: structures were built from a snapshot under a read
-    /// lock, and the brief write-locked phase replays the rows appended
-    /// meanwhile before [`Table::install_access_structures`].
+    /// not-yet-installed structure set — the catch-up step of a design
+    /// change: structures were built under a read lock, and the brief
+    /// write-locked phase replays the rows appended meanwhile before
+    /// [`Table::install_access_structures`].
     pub fn catch_up_structures(
         &self,
         io: &dyn PageAccessor,
@@ -421,7 +409,7 @@ impl Table {
         for raw in from..self.heap.len() {
             let rid = Rid(raw);
             let row = self.heap.peek(rid)?;
-            if row.iter().all(|v| v.is_null()) {
+            if is_tombstone_row(row) {
                 continue;
             }
             for sec in secondaries.iter_mut() {
@@ -559,6 +547,11 @@ impl Table {
             })
             .count() as u64
     }
+}
+
+/// Whether a heap slot's row is a delete tombstone (all NULL).
+fn is_tombstone_row(row: &[Value]) -> bool {
+    row.iter().all(Value::is_null)
 }
 
 // A table partition must be shareable with executor worker threads: a
@@ -716,9 +709,29 @@ mod tests {
         let mut t = demo_table(&disk);
         t.add_secondary(&disk, "i", vec![1]);
         t.add_cm("c", CmSpec::single_raw(1));
-        t.clear_access_structures();
+        // Appending keeps the existing structures and their ids...
+        let sec = t.build_secondary(&disk, "j", vec![2]);
+        t.install_access_structures(vec![sec], Vec::new(), false);
+        assert_eq!(t.secondaries().len(), 2);
+        assert_eq!(t.secondary(0).name(), "i");
+        assert_eq!(t.cms().len(), 1);
+        // ...replacing with an empty set clears them all.
+        t.install_access_structures(Vec::new(), Vec::new(), true);
         assert!(t.secondaries().is_empty());
         assert!(t.cms().is_empty());
+    }
+
+    #[test]
+    fn builds_skip_tombstones() {
+        let disk = DiskSim::with_defaults();
+        let mut t = demo_table(&disk);
+        for rid in [Rid(3), Rid(400), Rid(999)] {
+            t.delete_row(disk.as_ref(), None, rid).unwrap();
+        }
+        let sec = t.add_secondary(&disk, "price_idx", vec![1]);
+        let cm = t.add_cm("price_cm", CmSpec::single_raw(1));
+        assert_eq!(t.secondary(sec).entries(), 997);
+        assert!(t.cm(cm).lookup_values(&[Value::Null]).is_empty(), "no NULL-keyed posting");
     }
 
     #[test]
