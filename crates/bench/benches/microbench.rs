@@ -233,14 +233,43 @@ fn bench_row_loop(c: &mut Criterion) {
         b.iter(|| black_box(stamps.iter().filter(|(begin, end)| snap.sees(*begin, *end)).count()))
     });
 
-    let spec = AggSpec::new(
+    // The group lookup's three regimes: 21 (shipmode, returnflag) groups
+    // whose strings the heap shares (memo hits, pointer-compared keys);
+    // the same keys with every string in an allocation of its own (memo
+    // hits, byte-compared keys); and 500 suppkey groups, past the memo's
+    // cutoff (index probes only).
+    let str_spec = AggSpec::new(
         vec![tpch::COL_SHIPMODE, tpch::COL_RETURNFLAG],
         vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
     );
     c.bench_function("row_loop_agg_observe_str_keys_100k", |b| {
         b.iter(|| {
-            let mut state = AggState::new(&spec);
+            let mut state = AggState::new(&str_spec);
             heap.iter().for_each(|(_, row)| state.observe(row));
+            black_box(state.finish())
+        })
+    });
+    let int_spec = AggSpec::new(
+        vec![tpch::COL_SUPPKEY],
+        vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
+    );
+    c.bench_function("row_loop_agg_observe_int_keys_500_100k", |b| {
+        b.iter(|| {
+            let mut state = AggState::new(&int_spec);
+            heap.iter().for_each(|(_, row)| state.observe(row));
+            black_box(state.finish())
+        })
+    });
+    let unshared: Vec<Vec<Value>> = heap
+        .iter()
+        .map(|(_, row)| {
+            row.iter().map(|v| v.as_str().map_or_else(|| v.clone(), Value::str)).collect()
+        })
+        .collect();
+    c.bench_function("row_loop_agg_observe_unshared_str_keys_100k", |b| {
+        b.iter(|| {
+            let mut state = AggState::new(&str_spec);
+            unshared.iter().for_each(|row| state.observe(row));
             black_box(state.finish())
         })
     });

@@ -1120,14 +1120,18 @@ fn mvcc_snapshot_pins_a_consistent_read_under_a_racing_purge() {
                 purger
                     .delete_where("items", &Query::single(Pred::eq(0, round % 100)))
                     .unwrap();
+                // The refill is one transaction, so a reader sees all
+                // of it or none of it.
+                let refill = purger.session();
                 for i in 0..50i64 {
-                    purger
+                    refill
                         .insert(
                             "items",
                             vec![Value::Int(round % 100), Value::Int((round % 100) * 100 + i)],
                         )
                         .unwrap();
                 }
+                refill.commit();
             }
             stop_ref.store(true, Ordering::Relaxed);
         });

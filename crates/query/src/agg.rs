@@ -23,9 +23,14 @@ pub enum AggFunc {
     /// `COUNT(*)`: rows in the group (NULLs included — it counts rows,
     /// not values).
     Count,
-    /// `SUM(col)`, skipping NULLs. Integer inputs stay integers; a
-    /// single `Float` input promotes the sum to `Float`. A group with no
-    /// non-NULL input sums to `Null` (SQL semantics).
+    /// `SUM(col)`, skipping NULLs. `Int` and `Date` inputs add exactly,
+    /// as `i64`; a single `Float` input promotes the sum to `Float`. A
+    /// sum that would leave the `i64` range is widened the same way, as
+    /// SQL engines widen an overflowing integer sum: the running value
+    /// becomes a `Float` and the fold goes on in `f64`. Like a float sum,
+    /// a widened one can depend on how the rows were split over legs
+    /// (never on worker scheduling). A group with no non-NULL input sums
+    /// to `Null` (SQL semantics).
     Sum(usize),
     /// `MIN(col)`, skipping NULLs; `Null` if no non-NULL input.
     Min(usize),
@@ -117,18 +122,24 @@ impl Acc {
         }
     }
 
-    /// Add one value into a sum accumulator (NULLs skipped; a float
-    /// promotes an integer running sum).
+    /// Add one value into a sum accumulator (NULLs skipped). `Int` and
+    /// `Date` inputs add as `i64`; a float, or an `i64` overflow,
+    /// promotes an integer running sum to `f64`.
     fn add_value(&mut self, v: &Value) {
         let num = match v {
             Value::Null => return,
             v => v.as_numeric().expect("SUM over a numeric column"),
         };
-        *self = match (&*self, v) {
-            (Acc::SumEmpty, Value::Float(_)) => Acc::SumFloat(num),
-            (Acc::SumEmpty, _) => Acc::SumInt(num as i64),
-            (Acc::SumInt(s), Value::Float(_)) => Acc::SumFloat(*s as f64 + num),
-            (Acc::SumInt(s), _) => Acc::SumInt(s + num as i64),
+        let int = match v {
+            Value::Int(i) => Some(*i),
+            Value::Date(d) => Some(i64::from(*d)),
+            _ => None,
+        };
+        *self = match (&*self, int) {
+            (Acc::SumEmpty, Some(i)) => Acc::SumInt(i),
+            (Acc::SumInt(s), Some(i)) => int_sum(*s, i),
+            (Acc::SumEmpty, None) => Acc::SumFloat(num),
+            (Acc::SumInt(s), None) => Acc::SumFloat(*s as f64 + num),
             (Acc::SumFloat(s), _) => Acc::SumFloat(s + num),
             _ => unreachable!("sum accumulator"),
         };
@@ -144,7 +155,7 @@ impl Acc {
             (Acc::Count(a), Acc::Count(b)) => Acc::Count(a + b),
             (a, Acc::SumEmpty) => a.clone(),
             (Acc::SumEmpty, b) => b.clone(),
-            (Acc::SumInt(a), Acc::SumInt(b)) => Acc::SumInt(a + b),
+            (Acc::SumInt(a), Acc::SumInt(b)) => int_sum(*a, *b),
             (Acc::SumInt(a), Acc::SumFloat(b)) => Acc::SumFloat(*a as f64 + b),
             (Acc::SumFloat(a), Acc::SumInt(b)) => Acc::SumFloat(a + *b as f64),
             (Acc::SumFloat(a), Acc::SumFloat(b)) => Acc::SumFloat(a + b),
@@ -175,12 +186,38 @@ impl Acc {
     }
 }
 
+/// `a + b` as an integer sum, widened to a float sum if it overflows
+/// `i64`.
+fn int_sum(a: i64, b: i64) -> Acc {
+    a.checked_add(b).map_or(Acc::SumFloat(a as f64 + b as f64), Acc::SumInt)
+}
+
+/// Slots in [`GroupKeys`]' memo: a power of two.
+const MEMO_SLOTS: usize = 256;
+
+/// [`GroupKeys`] consults its memo only while it holds at most this many
+/// groups. A quarter of the slots keeps collisions rare; past it a row's
+/// key is less likely to sit in its slot, and a miss costs the memo
+/// check on top of the probe it falls back to.
+const MEMO_MAX_GROUPS: usize = MEMO_SLOTS / 4;
+
 /// The distinct group keys seen so far, in arrival order: `width` values
 /// per group in one flat array behind an open-addressing index. A row
 /// finds its group by hashing and comparing its group-by columns where
 /// they lie, so nothing is cloned or allocated unless the group is new.
 /// Keys hash with [`cm_storage::FxHasher`], whose avalanching `finish`
 /// keeps the low bits the index masks well spread.
+///
+/// While there are few groups — the low-cardinality attributes soft
+/// dependencies are found on — a direct-mapped **memo** sits in front of
+/// the index. Its slot comes from an O(1) [`fingerprint`] of the key
+/// values, and it remembers the last group seen there. A row whose key
+/// equals that group's (`Value::eq`, a pointer compare for shared
+/// strings) skips hashing and probing; any other row takes the index
+/// path and then claims the slot. Fingerprints may collide: the equality
+/// check, not the fingerprint, decides the group. Above
+/// [`MEMO_MAX_GROUPS`] groups the memo is skipped. Group numbers, and so
+/// results, do not depend on it.
 #[derive(Debug, Clone)]
 struct GroupKeys {
     width: usize,
@@ -190,6 +227,9 @@ struct GroupKeys {
     index: Vec<u32>,
     hashes: Vec<u64>,
     keys: Vec<Value>,
+    /// `memo[slot]`: the last group whose key fingerprinted to `slot`,
+    /// plus one, or 0 for empty.
+    memo: Box<[u32; MEMO_SLOTS]>,
 }
 
 impl GroupKeys {
@@ -200,6 +240,7 @@ impl GroupKeys {
             index: vec![0; 16],
             hashes: Vec::new(),
             keys: Vec::new(),
+            memo: Box::new([0; MEMO_SLOTS]),
         }
     }
 
@@ -211,9 +252,37 @@ impl GroupKeys {
         &self.keys[g * self.width..(g + 1) * self.width]
     }
 
+    /// Whether group `g`'s key is `key(0), key(1), …`. Forced inline:
+    /// called out of line from the probe loop, it made grouping past the
+    /// memo's cutoff ~15 % slower than a loop that compares in place.
+    #[inline(always)]
+    fn key_is<'a>(&self, g: usize, key: impl Fn(usize) -> &'a Value) -> bool {
+        for (i, k) in self.key(g).iter().enumerate() {
+            if k != key(i) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// The group whose key is `key(0), key(1), …`, and whether this call
     /// created it.
     fn find_or_insert<'a>(&mut self, key: impl Fn(usize) -> &'a Value) -> (usize, bool) {
+        let slot = (self.len() <= MEMO_MAX_GROUPS).then(|| memo_slot((0..self.width).map(&key)));
+        if let Some(g) = slot.and_then(|s| self.memo[s].checked_sub(1)) {
+            if self.key_is(g as usize, &key) {
+                return (g as usize, false);
+            }
+        }
+        let found = self.probe(key);
+        if let Some(s) = slot {
+            self.memo[s] = found.0 as u32 + 1;
+        }
+        found
+    }
+
+    /// `find_or_insert` through the index alone.
+    fn probe<'a>(&mut self, key: impl Fn(usize) -> &'a Value) -> (usize, bool) {
         let mut h = self.hasher.build_hasher();
         (0..self.width).for_each(|i| key(i).hash(&mut h));
         let hash = h.finish();
@@ -221,7 +290,7 @@ impl GroupKeys {
         let mut at = hash as usize & mask;
         while self.index[at] != 0 {
             let g = self.index[at] as usize - 1;
-            if self.hashes[g] == hash && self.key(g).iter().enumerate().all(|(i, k)| k == key(i)) {
+            if self.hashes[g] == hash && self.key_is(g, &key) {
                 return (g, false);
             }
             at = (at + 1) & mask;
@@ -251,11 +320,44 @@ impl GroupKeys {
     }
 }
 
+/// An O(1) summary of one key value that depends only on its content:
+/// the payload bits of an `Int`, `Date` or `Float`, a constant for
+/// `Null`, and a string's length with its first and last byte (so
+/// `"AIR"` and `"ASR"` share one). It never reads a string's other bytes
+/// or its address, so memo hits do not depend on whether equal strings
+/// share an allocation.
+fn fingerprint(v: &Value) -> u64 {
+    match v {
+        Value::Null => 0x6E75_6C6C,
+        Value::Int(i) => *i as u64,
+        Value::Date(d) => *d as u64,
+        Value::Float(f) => f.0.to_bits(),
+        Value::Str(s) => match s.as_bytes() {
+            [] => 0,
+            [first, .., last] | [first @ last] => {
+                s.len() as u64 | u64::from(*first) << 40 | u64::from(*last) << 48
+            }
+        },
+    }
+}
+
+/// The memo slot of a key: its values' fingerprints folded together,
+/// then Fibonacci-hashed (the top bits of a multiply by 2^64/φ) down to
+/// [`MEMO_SLOTS`].
+fn memo_slot<'a>(key: impl Iterator<Item = &'a Value>) -> usize {
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let folded = key.fold(0u64, |acc, v| (acc ^ fingerprint(v)).wrapping_mul(PHI));
+    (folded >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
 /// A mergeable grouped-aggregation accumulator. Feed it rows with
 /// [`AggState::observe`], merge per-leg states with [`AggState::merge`]
 /// (in explicit merge-key order), and read the key-sorted result rows
 /// with [`AggState::finish`]. Groups are kept in arrival order; key
-/// order is restored once, by the sort in `finish`.
+/// order is restored once, by the sort in `finish`. A row finds its group
+/// through a small key-fingerprint memo while the state holds few groups
+/// and through a hash index otherwise; both find the same group, so
+/// results never depend on which one did.
 #[derive(Debug, Clone)]
 pub struct AggState {
     spec: AggSpec,
@@ -488,6 +590,69 @@ mod tests {
         assert!(!a.groups.hashes.is_empty());
         assert_eq!(a.groups.hashes, b.groups.hashes);
         assert_eq!(a.groups.index, b.groups.index);
+    }
+
+    #[test]
+    fn int_sums_are_exact_above_2_pow_53() {
+        let spec = AggSpec::new(vec![], vec![AggFunc::Sum(0)]);
+        let big = (1i64 << 53) + 1;
+        let out = fold(&spec, &[vec![Value::Int(big)], vec![Value::Int(2)]]);
+        assert_eq!(out, vec![vec![Value::Int(big + 2)]]);
+        let dates = fold(&spec, &[vec![Value::Date(i32::MAX)], vec![Value::Date(i32::MAX)]]);
+        assert_eq!(dates, vec![vec![Value::Int(2 * i64::from(i32::MAX))]]);
+    }
+
+    #[test]
+    fn int_sum_overflow_widens_to_float() {
+        let spec = AggSpec::new(vec![], vec![AggFunc::Sum(0)]);
+        let rows = [vec![Value::Int(i64::MAX)], vec![Value::Int(1)], vec![Value::Int(1)]];
+        let want = vec![vec![Value::float(i64::MAX as f64 + 1.0 + 1.0)]];
+        assert_eq!(fold(&spec, &rows), want);
+        let low = fold(&spec, &[vec![Value::Int(i64::MIN)], vec![Value::Int(-1)]]);
+        assert_eq!(low, vec![vec![Value::float(i64::MIN as f64 - 1.0)]]);
+
+        // Two legs that each stay in range but overflow when merged.
+        let mut a = AggState::new(&spec);
+        a.observe(&[Value::Int(i64::MAX)]);
+        let mut b = AggState::new(&spec);
+        b.observe(&[Value::Int(i64::MAX)]);
+        a.merge(&b);
+        assert_eq!(a.finish(), vec![vec![Value::float(i64::MAX as f64 * 2.0)]]);
+    }
+
+    #[test]
+    fn memo_checks_keys_whose_fingerprints_collide() {
+        let (air, asr) = (Value::str("AIR"), Value::str("ASR"));
+        assert_eq!(fingerprint(&air), fingerprint(&asr));
+        let keys = [
+            (air.clone(), (0, true)),
+            (asr, (1, true)),
+            (air, (0, false)),
+            (Value::str("ASR"), (1, false)),
+            (Value::float(2.0), (2, true)),
+            (Value::Int(2), (3, true)),
+            (Value::float(-0.0), (4, true)),
+            (Value::float(0.0), (4, false)),
+        ];
+        let mut groups = GroupKeys::new(1);
+        for (k, want) in &keys {
+            assert_eq!(groups.find_or_insert(|_| k), *want, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn memo_is_bypassed_past_its_cutoff() {
+        let mut groups = GroupKeys::new(1);
+        let keys: Vec<Value> = (0..2 * MEMO_MAX_GROUPS as i64).map(Value::Int).collect();
+        for (g, k) in keys.iter().enumerate() {
+            assert_eq!(groups.find_or_insert(|_| k), (g, true));
+        }
+        let memo = groups.memo.clone();
+        for (g, k) in keys.iter().enumerate().rev() {
+            assert_eq!(groups.find_or_insert(|_| k), (g, false));
+        }
+        assert_eq!(groups.memo, memo, "no memo writes above the cutoff");
+        assert!(memo.iter().all(|&m| m as usize <= MEMO_MAX_GROUPS + 1));
     }
 
     #[test]

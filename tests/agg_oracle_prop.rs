@@ -13,14 +13,22 @@
 //! index doublings), and the same data split over one and over many
 //! legs.
 //!
+//! `AggState` itself is also checked on its own against a `BTreeMap`
+//! keyed by exact value identity, on keys picked to trip the group memo
+//! in front of its hash index: equal strings in shared and in separate
+//! allocations, different strings with one memo fingerprint, `0.0` and
+//! `-0.0`, NaNs with different payloads, `Int(2)` beside `Float(2.0)`,
+//! NULLs, group counts that cross the memo's cutoff mid-fold, and folds
+//! split at random points and merged back.
+//!
 //! Case count is `AGG_PROP_CASES` (default 64) so CI smoke jobs can run
 //! a reduced sweep.
 
 use cm_engine::{AggFunc, AggSpec, Engine, EngineConfig};
-use cm_query::{Pred, Query};
+use cm_query::{AggState, Pred, Query};
 use cm_storage::{Column, Row, Schema, Value, ValueType};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn cases() -> ProptestConfig {
@@ -160,6 +168,109 @@ fn specs() -> Vec<AggSpec> {
     ]
 }
 
+/// A group-key value by exact identity, ordered: what `Value::eq` tells
+/// apart and nothing more. Floats compare by canonical bits (`-0.0` is
+/// `0.0`, every NaN is one NaN); `Int(2)` and `Float(2.0)` differ.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Ident {
+    Null,
+    Int(i64),
+    Float(u64),
+    Str(String),
+    Date(i32),
+}
+
+fn ident(v: &Value) -> Ident {
+    match v {
+        Value::Null => Ident::Null,
+        Value::Int(i) => Ident::Int(*i),
+        Value::Float(f) if f.0.is_nan() => Ident::Float(f64::NAN.to_bits()),
+        Value::Float(f) if f.0 == 0.0 => Ident::Float(0),
+        Value::Float(f) => Ident::Float(f.0.to_bits()),
+        Value::Str(s) => Ident::Str(s.to_string()),
+        Value::Date(d) => Ident::Date(*d),
+    }
+}
+
+/// A value's exact bits, `-0.0` and NaN payloads included: which of a
+/// group's equal keys the fold kept.
+fn bits(v: &Value) -> (Ident, u64) {
+    (ident(v), v.as_float().map_or(0, f64::to_bits))
+}
+
+/// Strings in pairs that share a length, first and last byte — one memo
+/// fingerprint — but not their text.
+const LOOKALIKES: [&str; 6] = ["AIR", "ASR", "MAIL", "MALL", "REG AIR", "RAG AIR"];
+
+/// Group-key value number `code`. Codes below 16 are the awkward cases:
+/// lookalike strings, each either cloned from `shared` or in a fresh
+/// allocation of its own, NULL, signed zeros, NaN payloads, and `2` as
+/// an `Int`, a `Float` and a `Date`. Higher codes are distinct `Int`s,
+/// so a wide code range folds well past the memo's cutoff.
+fn memo_key(code: u32, shared: &[Value]) -> Value {
+    let lookalike = (code / 16) as usize % LOOKALIKES.len();
+    match code % 16 {
+        0 => Value::Null,
+        1 => shared[lookalike].clone(),
+        2 => Value::str(LOOKALIKES[lookalike]),
+        3 => Value::float(0.0),
+        4 => Value::float(-0.0),
+        5 => Value::float(f64::from_bits(0x7FF8_0000_0000_0000 | u64::from(code))),
+        6 => Value::float(f64::NAN),
+        7 => Value::Int(2),
+        8 => Value::float(2.0),
+        9 => Value::Date(2),
+        _ => Value::Int(i64::from(code / 16)),
+    }
+}
+
+/// Rows `(key0, key1, x)` over a code range of 16 to 4 000, so a fold
+/// meets anywhere from a few groups to a few hundred, plus up to four
+/// cut points that split the fold into states merged back in order.
+fn memo_rows_strategy() -> impl Strategy<Value = (Vec<Row>, Vec<usize>)> {
+    let raw = prop::collection::vec((0u32..1 << 20, 0u32..1 << 20, -50i64..50), 1..600);
+    let cuts = prop::collection::vec(any::<u32>(), 0..5);
+    (16u32..4_000, raw, cuts).prop_map(|(span, raw, cuts)| {
+        let shared: Vec<Value> = LOOKALIKES.iter().map(Value::str).collect();
+        let rows: Vec<Row> = raw
+            .into_iter()
+            .map(|(a, b, x)| {
+                vec![memo_key(a % span, &shared), memo_key(b % 64, &shared), Value::Int(x)]
+            })
+            .collect();
+        let cuts = cuts.into_iter().map(|c| c as usize % (rows.len() + 1)).collect();
+        (rows, cuts)
+    })
+}
+
+/// `BTreeMap` reference for `spec` (group-by columns, then `COUNT`,
+/// `SUM`, `MIN`, `MAX` of the `Int` column 2, summed in `i128`): the
+/// result rows with each group keyed by the first value seen for it, in
+/// key identity order.
+fn identity_reference(rows: &[Row], spec: &AggSpec) -> Vec<Row> {
+    type Acc = (Vec<Value>, i64, i128, i64, i64);
+    let mut groups: BTreeMap<Vec<Ident>, Acc> = BTreeMap::new();
+    for row in rows {
+        let key: Vec<Value> = spec.group_by.iter().map(|&c| row[c].clone()).collect();
+        let x = row[2].as_int().expect("Int column");
+        let acc = groups
+            .entry(key.iter().map(ident).collect())
+            .or_insert((key, 0, 0, i64::MAX, i64::MIN));
+        acc.1 += 1;
+        acc.2 += i128::from(x);
+        acc.3 = acc.3.min(x);
+        acc.4 = acc.4.max(x);
+    }
+    groups
+        .into_values()
+        .map(|(mut key, count, sum, min, max)| {
+            let all = [count, i64::try_from(sum).unwrap(), min, max].map(Value::Int);
+            key.extend(all.into_iter().take(spec.aggs.len()));
+            key
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(cases())]
 
@@ -233,5 +344,43 @@ proptest! {
         want.sort();
         want.dedup();
         prop_assert_eq!(&d_full.rows, &want);
+    }
+
+    /// `AggState` keeps exactly the groups `Value::eq` tells apart, keyed
+    /// by the first value seen, with exact aggregates, in ascending key
+    /// order — through its group memo, past the memo's cutoff, and when
+    /// the fold is split into states merged back in order.
+    #[test]
+    fn agg_state_groups_by_value_identity(input in memo_rows_strategy()) {
+        let (rows, mut cuts) = input;
+        cuts.push(0);
+        cuts.push(rows.len());
+        cuts.sort_unstable();
+        let aggs = vec![AggFunc::Count, AggFunc::Sum(2), AggFunc::Min(2), AggFunc::Max(2)];
+        for spec in [
+            AggSpec::new(vec![0, 1], aggs.clone()),
+            AggSpec::new(vec![0], aggs),
+            AggSpec::distinct(vec![1, 0]),
+        ] {
+            let mut parts = cuts.windows(2).map(|w| {
+                let mut st = AggState::new(&spec);
+                rows[w[0]..w[1]].iter().for_each(|r| st.observe(r));
+                st
+            });
+            let mut state = parts.next().expect("one part at least");
+            parts.for_each(|p| state.merge(&p));
+            let want = identity_reference(&rows, &spec);
+            prop_assert_eq!(state.num_groups(), want.len());
+            let mut out = state.finish();
+            let keys = spec.group_by.len();
+            prop_assert!(out.windows(2).all(|w| w[0][..keys] <= w[1][..keys]), "key-sorted");
+            // `Int(2)` and `Float(2.0)` sort as equal, so order by identity
+            // before comparing.
+            out.sort_by_key(|r| r[..keys].iter().map(ident).collect::<Vec<_>>());
+            let exact = |rs: &[Row]| -> Vec<Vec<(Ident, u64)>> {
+                rs.iter().map(|r| r.iter().map(bits).collect()).collect()
+            };
+            prop_assert_eq!(exact(&out), exact(&want), "spec {:?}, cuts {:?}", &spec, &cuts);
+        }
     }
 }
