@@ -19,7 +19,7 @@
 
 use cm_query::Table;
 use cm_stats::{estimate_distinct, EstimatorKind, FreqTable, ReservoirSampler};
-use cm_storage::{Rid, Value};
+use cm_storage::Rid;
 
 /// One discovered soft functional dependency `determinant → dependent`.
 #[derive(Debug, Clone)]
@@ -203,19 +203,10 @@ pub fn discover_for_clustered(table: &Table, config: &DiscoveryConfig) -> Vec<So
     discover_soft_fds(table, &candidates, dep, config)
 }
 
-/// Map raw clustered values onto coarse position blocks for discovery
-/// against a near-unique clustered key (a unique key trivially "depends"
-/// on nothing; what CMs exploit is proximity, so the dependent is the
-/// clustered *neighborhood*). Returns a derived column of `blocks` ids.
-pub fn clustered_blocks(table: &Table, blocks: u64) -> Vec<Value> {
-    let n = table.heap().len().max(1);
-    (0..n).map(|rid| Value::Int((rid * blocks / n) as i64)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_storage::{Column, DiskSim, Schema, ValueType};
+    use cm_storage::{Column, DiskSim, Schema, Value, ValueType};
     use std::sync::Arc;
 
     /// Table with: a strong single FD (u1 -> c), a pair FD ((x, y) -> c

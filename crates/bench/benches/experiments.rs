@@ -12,7 +12,7 @@ use cm_bench::datasets::{
 };
 use cm_core::{BucketSpec, CmAttr, CmSpec};
 use cm_datagen::{ebay::COL_PRICE, sdss, tpch};
-use cm_query::{ExecContext, Pred, Query};
+use cm_query::{AccessPath, ExecContext, Pred, Query};
 use cm_storage::DiskSim;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,21 +30,21 @@ fn bench_experiment1_ebay(c: &mut Criterion) {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_cm_scan(&ctx, cm, &q))
+            black_box(table.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap())
         })
     });
     g.bench_function("btree_sorted_scan", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_secondary_sorted(&ctx, sec, &q))
+            black_box(table.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}))
         })
     });
     g.bench_function("full_scan", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_full_scan(&ctx, &q))
+            black_box(table.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap())
         })
     });
     g.finish();
@@ -68,14 +68,14 @@ fn bench_figure3_tpch(c: &mut Criterion) {
         b.iter(|| {
             disk_a.reset();
             let ctx = ExecContext::cold(&disk_a);
-            black_box(corr.exec_secondary_sorted(&ctx, sec_a, &q))
+            black_box(corr.exec_visit(&ctx, AccessPath::SecondarySorted(sec_a), &q, |_, _| {}))
         })
     });
     g.bench_function("uncorrelated_clustering", |b| {
         b.iter(|| {
             disk_b.reset();
             let ctx = ExecContext::cold(&disk_b);
-            black_box(uncorr.exec_secondary_sorted(&ctx, sec_b, &q))
+            black_box(uncorr.exec_visit(&ctx, AccessPath::SecondarySorted(sec_b), &q, |_, _| {}))
         })
     });
     g.finish();
@@ -109,14 +109,14 @@ fn bench_experiment5_sdss(c: &mut Criterion) {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_cm_scan(&ctx, cm_pair, &q))
+            black_box(table.exec_visit(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap())
         })
     });
     g.bench_function("composite_btree", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_secondary_sorted(&ctx, bt, &q))
+            black_box(table.exec_visit(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}))
         })
     });
     g.finish();

@@ -14,7 +14,7 @@ use crate::datasets::{BenchScale, EBAY_TPP};
 use crate::report::{bytes, ms, Report};
 use cm_core::{BucketSpec, CmAttr, CmSpec};
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID, COL_PRICE};
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,8 +117,9 @@ pub fn run(scale: BenchScale) -> Report {
     let mut eqw_total = 0.0;
     for (label, q) in &queries {
         disk.reset();
-        let w = table.exec_cm_scan(&ctx, eq_width, q);
-        let d = table.exec_cm_scan(&ctx, eq_depth, q);
+        let run = |cm| table.exec_visit(&ctx, AccessPath::CmScan(cm), q, |_, _| {});
+        let w = run(eq_width).expect("CM id in range");
+        let d = run(eq_depth).expect("CM id in range");
         assert_eq!(w.matched, d.matched, "both schemes answer identically");
         eqw_total += w.ms();
         eqd_total += d.ms();

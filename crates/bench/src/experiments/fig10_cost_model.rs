@@ -10,7 +10,7 @@ use crate::report::{ms, Report};
 use cm_core::{AttrConstraint, CmSpec};
 use cm_cost::CostParams;
 use cm_datagen::ebay::COL_CAT5;
-use cm_query::{ExecContext, Pred, Query};
+use cm_query::{AccessPath, ExecContext, Pred, Query};
 use cm_storage::{DiskSim, Value};
 use std::collections::HashMap;
 
@@ -79,7 +79,9 @@ pub fn run(scale: BenchScale) -> Report {
         let buckets = table.cm(cm).lookup(&[AttrConstraint::Eq(v.clone())]);
         disk.reset();
         let ctx = ExecContext::cold(&disk);
-        let run = table.exec_cm_scan(&ctx, cm, &q);
+        let run = table
+            .exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
+            .expect("CM id in range");
         let model = params.cost_cm(
             buckets.len() as f64,
             1.0,

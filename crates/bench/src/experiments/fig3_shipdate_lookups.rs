@@ -11,7 +11,7 @@ use crate::datasets::{tpch_data, tpch_table, BenchScale};
 use crate::report::{ms, Report};
 use cm_cost::CostParams;
 use cm_datagen::tpch::{COL_ORDERKEY, COL_RECEIPTDATE, COL_SHIPDATE};
-use cm_query::{ExecContext, Pred, Query};
+use cm_query::{AccessPath, ExecContext, Pred, Query};
 use cm_storage::DiskSim;
 
 /// Run the experiment.
@@ -58,7 +58,9 @@ pub fn run(scale: BenchScale) -> Report {
 
     let scan_ms = {
         let ctx = ExecContext::cold(&disk_a);
-        corr.exec_full_scan(&ctx, &Query::default()).ms()
+        corr.exec_visit(&ctx, AccessPath::FullScan, &Query::default(), |_, _| {})
+            .expect("a full scan uses no access structure")
+            .ms()
     };
 
     let mut corr_at_max = 0.0;
@@ -69,12 +71,12 @@ pub fn run(scale: BenchScale) -> Report {
         disk_a.reset();
         let ctx_a = ExecContext::cold(&disk_a);
         let r_corr = corr
-            .exec_secondary_sorted(&ctx_a, sec_a, &q)
+            .exec_visit(&ctx_a, AccessPath::SecondarySorted(sec_a), &q, |_, _| {})
             .expect("shipdate predicate");
         disk_b.reset();
         let ctx_b = ExecContext::cold(&disk_b);
         let r_uncorr = uncorr
-            .exec_secondary_sorted(&ctx_b, sec_b, &q)
+            .exec_visit(&ctx_b, AccessPath::SecondarySorted(sec_b), &q, |_, _| {})
             .expect("shipdate predicate");
         let model = params.cost_sorted(n as f64, st.c_per_u, st.c_tups);
         corr_at_max = r_corr.ms();

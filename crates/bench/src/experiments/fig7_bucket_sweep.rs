@@ -12,7 +12,7 @@ use crate::report::{bytes, ms, Report};
 use cm_core::CmSpec;
 use cm_cost::CostParams;
 use cm_datagen::ebay::COL_PRICE;
-use cm_query::{ExecContext, Pred, Query};
+use cm_query::{AccessPath, ExecContext, Pred, Query};
 use cm_storage::DiskSim;
 
 /// Run the experiment.
@@ -33,7 +33,7 @@ pub fn run(scale: BenchScale) -> Report {
     let bt_ms = {
         disk.reset();
         table
-            .exec_secondary_sorted(&ctx, sec, &q)
+            .exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {})
             .expect("indexed predicate")
             .ms()
     };
@@ -62,7 +62,9 @@ pub fn run(scale: BenchScale) -> Report {
         );
         disk.reset();
         let ctx2 = ExecContext::cold(&disk);
-        let run = t2.exec_cm_scan(&ctx2, cm, &q);
+        let run = t2
+            .exec_visit(&ctx2, AccessPath::CmScan(cm), &q, |_, _| {})
+            .expect("CM id in range");
         let cmref = t2.cm(cm);
         // Model: number of CM keys the 100-wide range selects at this
         // width, times the CM's bucketed c_per_u.

@@ -24,7 +24,7 @@ use crate::datasets::{BenchScale, EBAY_TPP};
 use crate::report::Report;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID};
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, FileId, IoStats, PageAccessor, PerPageIo};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -177,15 +177,14 @@ pub(crate) fn measure(
                 for p in 0..id as u64 {
                     io.read(table.heap().file_id(), p);
                 }
+                let access = match path {
+                    "full scan" => AccessPath::FullScan,
+                    "secondary sorted" => AccessPath::SecondarySorted(sec),
+                    _ => AccessPath::CmScan(cm),
+                };
                 let mut local = 0u64;
                 for q in &queries[id * per_session..(id + 1) * per_session] {
-                    let r = match path {
-                        "full scan" => table.exec_full_scan(&ctx, q),
-                        "secondary sorted" => table
-                            .exec_secondary_sorted(&ctx, sec, q)
-                            .expect("catid prefix"),
-                        _ => table.exec_cm_scan(&ctx, cm, q),
-                    };
+                    let r = table.exec_visit(&ctx, access, q, |_, _| {}).expect("catid prefix");
                     local += r.matched;
                 }
                 matched.fetch_add(local, Ordering::Relaxed);

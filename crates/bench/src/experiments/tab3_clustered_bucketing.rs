@@ -10,7 +10,7 @@ use crate::datasets::{sdss_data, BenchScale, SDSS_TPP};
 use crate::report::{ms, Report};
 use cm_core::CmSpec;
 use cm_datagen::sdss::COL_FIELDID;
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 
 /// Run the experiment.
@@ -47,7 +47,9 @@ pub fn run(scale: BenchScale) -> Report {
         let cm = table.add_cm("fieldID_cm", CmSpec::single_raw(COL_FIELDID));
         disk.reset();
         let ctx = ExecContext::cold(&disk);
-        let r = table.exec_cm_scan(&ctx, cm, &q);
+        let r = table
+            .exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
+            .expect("CM id in range");
         if first_cost.is_none() {
             first_cost = Some(r.ms());
         }

@@ -9,7 +9,7 @@
 //! keys to bucket IDs, and a bucket resolves to one contiguous page range
 //! — false positives cost only sequential I/O (Table 3).
 
-use cm_storage::{HeapFile, Rid};
+use cm_storage::{HeapFile, Rid, Value};
 
 /// The bucket-ID assignment over a clustered heap.
 #[derive(Debug, Clone)]
@@ -24,42 +24,13 @@ pub struct BucketDirectory {
 }
 
 impl BucketDirectory {
-    /// Build over a heap clustered on `col`, targeting `b` tuples per
-    /// bucket (paper: "assigning tuples to bucket i ... once it has read
-    /// b tuples ... continues until the value of the clustered attribute
-    /// is no longer v").
+    /// Build over a heap clustered on `col` whose every slot is live,
+    /// targeting `b` tuples per bucket (paper: "assigning tuples to
+    /// bucket i ... once it has read b tuples ... continues until the
+    /// value of the clustered attribute is no longer v"): the whole heap
+    /// is the sorted prefix of [`BucketDirectory::restore`].
     pub fn build(heap: &HeapFile, col: usize, target_tuples_per_bucket: u64) -> Self {
-        assert!(target_tuples_per_bucket > 0, "bucket target must be positive");
-        let b = target_tuples_per_bucket;
-        let mut starts = Vec::new();
-        let mut in_bucket = 0u64;
-        let mut boundary_value: Option<cm_storage::Value> = None;
-        for (rid, row) in heap.iter() {
-            if starts.is_empty() {
-                starts.push(rid.0);
-                in_bucket = 0;
-            }
-            let v = &row[col];
-            if let Some(bv) = &boundary_value {
-                // We are past the b-th tuple, waiting for the value to
-                // change before closing the bucket.
-                if v != bv {
-                    starts.push(rid.0);
-                    in_bucket = 0;
-                    boundary_value = None;
-                }
-            }
-            in_bucket += 1;
-            if in_bucket == b && boundary_value.is_none() {
-                boundary_value = Some(v.clone());
-            }
-        }
-        BucketDirectory {
-            starts,
-            heap_len: heap.len(),
-            tups_per_page: heap.tups_per_page(),
-            target: b,
-        }
+        Self::restore(heap, col, target_tuples_per_bucket, heap.len(), |_| true)
     }
 
     /// A directory with exactly one bucket per page — the degenerate
@@ -135,45 +106,49 @@ impl BucketDirectory {
         self.heap_len = rid.0 + 1;
     }
 
-    /// Rebuild a directory over a *recovered* heap: the first
-    /// `sorted_len` rows were bulk-loaded clustered on `col` (some may
-    /// since have been tombstoned to all-NULL by deletes), and every row
-    /// past that was appended live through
-    /// [`BucketDirectory::note_append`]. The sorted prefix re-runs the
-    /// build algorithm — tolerating tombstones by never closing a bucket
-    /// on a NULL — and the tail replays the append arithmetic, so every
-    /// RID gets a valid, contiguous bucket again.
-    pub fn restore(heap: &HeapFile, col: usize, target: u64, sorted_len: u64) -> Self {
+    /// Build a directory over a heap whose first `sorted_len` slots were
+    /// bulk-loaded clustered on `col` and whose later slots were appended
+    /// through [`BucketDirectory::note_append`]; `live` says which slots
+    /// hold a row. The sorted prefix runs the paper's algorithm over its
+    /// live rows. A dead slot counts toward its bucket's size but never
+    /// closes a bucket, because its value is not a row's. The tail
+    /// replays the append arithmetic. Every RID gets a valid, contiguous
+    /// bucket, and on a heap no delete has touched this is exactly the
+    /// directory the live table maintains.
+    pub fn restore(
+        heap: &HeapFile,
+        col: usize,
+        target: u64,
+        sorted_len: u64,
+        live: impl Fn(Rid) -> bool,
+    ) -> Self {
         assert!(target > 0, "bucket target must be positive");
-        let b = target;
+        let sorted_len = sorted_len.min(heap.len());
         let mut starts = Vec::new();
-        let mut in_bucket = 0u64;
-        let mut boundary_value: Option<cm_storage::Value> = None;
-        for (rid, row) in heap.iter().take(sorted_len as usize) {
-            if starts.is_empty() {
-                starts.push(rid.0);
-                in_bucket = 0;
-            }
+        if sorted_len > 0 {
+            starts.push(0);
+        }
+        // Set once the open bucket holds `target` slots: the bucket
+        // closes at the next live row with a different value.
+        let mut boundary: Option<&Value> = None;
+        for (rid, row) in heap.iter().take(sorted_len as usize).filter(|(rid, _)| live(*rid)) {
             let v = &row[col];
-            if let Some(bv) = &boundary_value {
-                if !v.is_null() && v != bv {
-                    starts.push(rid.0);
-                    in_bucket = 0;
-                    boundary_value = None;
-                }
+            if boundary.is_some_and(|bv| bv != v) {
+                starts.push(rid.0);
+                boundary = None;
             }
-            in_bucket += 1;
-            if in_bucket >= b && boundary_value.is_none() && !v.is_null() {
-                boundary_value = Some(v.clone());
+            let start = *starts.last().expect("opened above");
+            if boundary.is_none() && rid.0 - start + 1 >= target {
+                boundary = Some(v);
             }
         }
         let mut dir = BucketDirectory {
             starts,
-            heap_len: sorted_len.min(heap.len()),
+            heap_len: sorted_len,
             tups_per_page: heap.tups_per_page(),
-            target: b,
+            target,
         };
-        for rid in dir.heap_len..heap.len() {
+        for rid in sorted_len..heap.len() {
             dir.note_append(Rid(rid));
         }
         dir
@@ -309,10 +284,14 @@ mod tests {
     #[test]
     fn restore_matches_build_on_a_pristine_heap() {
         let disk = DiskSim::with_defaults();
-        let keys: Vec<i64> = (0..300).map(|i| i / 7).collect();
+        // A live table: 300 sorted rows built, then 90 appended.
+        let keys: Vec<i64> = (0..390).map(|i| if i < 300 { i / 7 } else { i % 5 }).collect();
+        let mut built = BucketDirectory::build(&heap_with_keys(&disk, &keys[..300], 10), 0, 25);
+        for rid in 300..390 {
+            built.note_append(Rid(rid));
+        }
         let heap = heap_with_keys(&disk, &keys, 10);
-        let built = BucketDirectory::build(&heap, 0, 25);
-        let restored = BucketDirectory::restore(&heap, 0, 25, heap.len());
+        let restored = BucketDirectory::restore(&heap, 0, 25, 300, |_| true);
         assert_eq!(built.num_buckets(), restored.num_buckets());
         for (b, range) in built.iter() {
             assert_eq!(restored.rid_range(b), range);
@@ -322,18 +301,14 @@ mod tests {
     #[test]
     fn restore_covers_tombstones_and_appended_tail() {
         let disk = DiskSim::with_defaults();
-        let keys: Vec<i64> = (0..100).map(|i| i / 4).collect();
-        let mut rows: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
-        // Tombstone a scattering of the sorted prefix, then grow a tail.
-        for &i in &[3usize, 4, 5, 39, 40, 41, 42, 43, 98] {
-            rows[i] = vec![Value::Null];
-        }
-        for i in 0..30 {
-            rows.push(vec![Value::Int(1000 + i)]);
-        }
-        let schema = Arc::new(Schema::new(vec![Column::new("k", ValueType::Int)]));
-        let heap = HeapFile::bulk_load(&disk, schema, rows, 10).unwrap();
-        let dir = BucketDirectory::restore(&heap, 0, 20, 100);
+        let mut keys: Vec<i64> = (0..100).map(|i| i / 4).collect();
+        keys.extend(1000..1030);
+        let heap = heap_with_keys(&disk, &keys, 10);
+        // Kill a scattering of the sorted prefix; the tail was appended.
+        // The dead slots keep their values: liveness is the caller's.
+        let dead = [3u64, 4, 5, 39, 40, 41, 42, 43, 98];
+        let live = |rid: Rid| !dead.contains(&rid.0);
+        let dir = BucketDirectory::restore(&heap, 0, 20, 100, live);
         assert_eq!(dir.heap_len(), heap.len());
         // Every rid has a bucket and ranges tile the heap contiguously.
         let mut expect_lo = 0;
@@ -342,6 +317,13 @@ mod tests {
             assert!(hi > lo);
             for r in lo..hi {
                 assert_eq!(dir.bucket_of(Rid(r)), b);
+            }
+            // A prefix bucket opens on a live row whose value differs
+            // from the previous live row's.
+            if lo > 0 && lo < 100 {
+                assert!(live(Rid(lo)), "bucket {b} opens on a dead slot");
+                let prev = (0..lo).rev().find(|&r| live(Rid(r))).unwrap();
+                assert_ne!(keys[prev as usize], keys[lo as usize], "bucket {b} splits a value");
             }
             expect_lo = hi;
         }

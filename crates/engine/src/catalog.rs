@@ -200,28 +200,49 @@ impl Engine {
             chunks.len(),
             "router addresses exactly the partitions built"
         );
-        let mut parts = Vec::with_capacity(chunks.len());
-        let mut base_lens = Vec::with_capacity(chunks.len());
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let t = Table::build(
-                self.backends[i].disk(),
-                entry.schema.clone(),
-                chunk,
-                entry.tups_per_page,
-                entry.clustered_col,
-                entry.bucket_target,
-            )?;
-            base_lens.push(t.heap().len());
-            parts.push(RwLock::new(t));
-        }
-        let total = base_lens.iter().sum();
+        // The rows arrive sorted: each chunk is a sorted image, all live.
+        let shards = chunks.into_iter().map(|chunk| {
+            let len = chunk.len() as u64;
+            (chunk.into_iter().map(Some).collect(), len)
+        });
         // A racing second load loses here, however far its build got.
-        entry.loaded.set(LoadedTable { router, parts, base_lens }).map_err(|_| already())?;
+        let total = self.publish_parts(&entry, router, shards)?.base_lens.iter().sum();
         // The bulk build is not logged record by record, so recovery
         // starts from an image of the freshly-loaded state; install it
         // before any logged mutation can land.
         self.install_base_image();
         Ok(total)
+    }
+
+    /// Build a table's partitions — shard `i` restored on backend `i`
+    /// from its slot image and sorted-prefix length ([`Table::restore`])
+    /// — and publish them behind `router` as the table's loaded state:
+    /// the one construction path of [`Engine::load`] and recovery. A
+    /// table already loaded is [`EngineError::AlreadyLoaded`].
+    pub(crate) fn publish_parts<'e>(
+        &self,
+        entry: &'e TableEntry,
+        router: RangeRouter,
+        shards: impl IntoIterator<Item = (Vec<Option<Row>>, u64)>,
+    ) -> Result<&'e LoadedTable> {
+        let mut parts = Vec::new();
+        let mut base_lens = Vec::new();
+        for (i, (slots, base_len)) in shards.into_iter().enumerate() {
+            let t = Table::restore(
+                self.backends[i].disk(),
+                entry.schema.clone(),
+                slots,
+                entry.tups_per_page,
+                entry.clustered_col,
+                entry.bucket_target,
+                base_len,
+            )?;
+            parts.push(RwLock::new(t));
+            base_lens.push(base_len);
+        }
+        let loaded = LoadedTable { router, parts, base_lens };
+        entry.loaded.set(loaded).map_err(|_| EngineError::AlreadyLoaded(entry.name.clone()))?;
+        entry.loaded()
     }
 
     /// Refresh planner statistics for the given columns on every shard

@@ -5,7 +5,7 @@ use super::*;
 use crate::{EngineConfig, EngineError};
 use cm_advisor::{DesignSet, Structure};
 use cm_core::CmSpec;
-use cm_query::{AccessPath, Pred, Query};
+use cm_query::{AccessPath, AggFunc, AggSpec, Pred, Query};
 use cm_storage::{Column, LogPayload, Row, Schema, Value, ValueType, LIVE_TS};
 use std::sync::atomic::Ordering;
 
@@ -746,15 +746,10 @@ fn too_many_shards_rejected() {
     assert_eq!(Engine::try_new(config).unwrap().num_shards(), Rid::MAX_SHARDS);
 }
 
-/// A full query over the live (non-tombstone) rows of the demo
-/// table: `Between` on the clustered column excludes all-NULL
-/// tombstone slots, unlike an empty `Query`.
-fn all_live() -> Query {
-    Query::single(Pred::between(0, i64::MIN, i64::MAX))
-}
-
-fn sorted_rows(engine: &Engine, q: &Query) -> Vec<Row> {
-    let mut rows = engine.execute_collect("items", q).unwrap().rows.unwrap();
+/// Every live row of the demo table, sorted: an unpredicated scan skips
+/// dead slots.
+fn live_rows(engine: &Engine) -> Vec<Row> {
+    let mut rows = engine.execute_collect("items", &Query::default()).unwrap().rows.unwrap();
     rows.sort();
     rows
 }
@@ -805,12 +800,12 @@ fn recovery_replays_committed_work() {
     }
     session.delete_where("items", &Query::single(Pred::eq(0, 17i64))).unwrap();
     session.commit();
-    let expect = sorted_rows(&engine, &all_live());
+    let expect = live_rows(&engine);
 
     let state = engine.crash_state(None);
     let (recovered, report) =
         Engine::recover(EngineConfig::default(), &state).unwrap();
-    assert_eq!(sorted_rows(&recovered, &all_live()), expect);
+    assert_eq!(live_rows(&recovered), expect);
     assert!(report.redone > 0);
     assert_eq!(report.undone, 0);
     assert_eq!(report.committed_txns, 1);
@@ -828,7 +823,7 @@ fn recovery_rolls_back_the_uncommitted_tail() {
     let committed = engine.session();
     committed.insert("items", vec![Value::Int(3), Value::Int(333_333)]).unwrap();
     committed.commit();
-    let expect = sorted_rows(&engine, &all_live());
+    let expect = live_rows(&engine);
 
     // A second session writes — including deletes — but never commits.
     let doomed = engine.session();
@@ -842,7 +837,7 @@ fn recovery_rolls_back_the_uncommitted_tail() {
     let (recovered, report) =
         Engine::recover(EngineConfig::default(), &state).unwrap();
     assert_eq!(
-        sorted_rows(&recovered, &all_live()),
+        live_rows(&recovered),
         expect,
         "uncommitted insert gone, uncommitted deletes reinstated"
     );
@@ -865,7 +860,7 @@ fn torn_log_tail_is_detected_and_truncated() {
     assert!(report.torn, "mid-frame cut is detected by checksum");
     assert!(report.valid_bytes < report.log_bytes);
     // The recovered engine still answers queries consistently.
-    let rows = sorted_rows(&recovered, &all_live());
+    let rows = live_rows(&recovered);
     assert!(rows.len() >= 5000 - 1);
 }
 
@@ -954,7 +949,7 @@ fn sharded_recovery_restores_routing() {
     }
     session.delete_where("items", &Query::single(Pred::eq(0, 66i64))).unwrap();
     session.commit();
-    let expect = sorted_rows(&engine, &all_live());
+    let expect = live_rows(&engine);
     let state = engine.crash_state(None);
     let (recovered, _) = Engine::recover(
         EngineConfig { shards: 4, ..EngineConfig::default() },
@@ -962,7 +957,7 @@ fn sharded_recovery_restores_routing() {
     )
     .unwrap();
     assert_eq!(recovered.num_shards(), 4);
-    assert_eq!(sorted_rows(&recovered, &all_live()), expect);
+    assert_eq!(live_rows(&recovered), expect);
     // Point queries still route to a single shard.
     let out = recovered.execute("items", &Query::single(Pred::eq(0, 10i64))).unwrap();
     assert_eq!(out.shards.len(), 1);
@@ -1041,7 +1036,7 @@ fn mvcc_multi_shard_delete_where_flips_atomically() {
         .delete_where("items", &Query::single(Pred::between(0, 0i64, 99i64)))
         .unwrap();
     assert_eq!(victims.len(), 5000);
-    let left = engine.execute("items", &all_live()).unwrap();
+    let left = engine.execute("items", &Query::default()).unwrap();
     assert_eq!(left.run.matched, 0, "the purge is visible after the internal commit");
     assert_eq!(engine.dead_versions(), 5000);
 }
@@ -1063,7 +1058,7 @@ fn mvcc_vacuum_reclaims_dead_versions() {
     // Reads over the reclaimed range still answer correctly.
     let out = engine.execute("items", &Query::single(Pred::eq(0, 5i64))).unwrap();
     assert_eq!(out.run.matched, 0);
-    assert_eq!(engine.execute("items", &all_live()).unwrap().run.matched, 4950);
+    assert_eq!(engine.execute("items", &Query::default()).unwrap().run.matched, 4950);
 }
 
 #[test]
@@ -1296,7 +1291,7 @@ fn mvcc_recovery_restores_the_committed_prefix_and_clock() {
     }
     committed.delete_where("items", &Query::single(Pred::eq(0, 77i64))).unwrap();
     committed.commit();
-    let expect = sorted_rows(&engine, &all_live());
+    let expect = live_rows(&engine);
     // An uncommitted tail that must vanish.
     let doomed = engine.session();
     doomed.insert("items", vec![Value::Int(1), Value::Int(60_000)]).unwrap();
@@ -1306,7 +1301,7 @@ fn mvcc_recovery_restores_the_committed_prefix_and_clock() {
     // and must be rolled back by undo (their commit never logged).
     let state = engine.crash_state(Some(engine.appended_log().len() as u64));
     let (recovered, report) = Engine::recover(config, &state).unwrap();
-    assert_eq!(sorted_rows(&recovered, &all_live()), expect);
+    assert_eq!(live_rows(&recovered), expect);
     assert!(report.uncommitted_txns >= 1);
     let clock_after = recovered.mvcc_stats().unwrap().clock;
     assert!(
@@ -1334,10 +1329,10 @@ fn mvcc_checkpoint_image_does_not_resurrect_committed_deletes() {
     session.delete_where("items", &Query::single(Pred::eq(0, 21i64))).unwrap();
     session.commit();
     engine.checkpoint();
-    let expect = sorted_rows(&engine, &all_live());
+    let expect = live_rows(&engine);
     let state = engine.crash_state(None);
     let (recovered, _) = Engine::recover(config, &state).unwrap();
-    assert_eq!(sorted_rows(&recovered, &all_live()), expect);
+    assert_eq!(live_rows(&recovered), expect);
     let out = recovered.execute("items", &Query::single(Pred::eq(0, 21i64))).unwrap();
     assert_eq!(out.run.matched, 0, "the purged category stays purged");
 }
@@ -1379,4 +1374,35 @@ fn insert_many_txn_stays_invisible_until_commit() {
     engine.log_commit(txn);
     let seen = engine.execute("items", &probe).unwrap();
     assert_eq!(seen.run.matched, 150, "committed batch is fully visible");
+}
+
+#[test]
+fn a_dead_slot_is_known_by_its_stamp_not_its_values() {
+    for mvcc in [false, true] {
+        let engine = demo_engine_with(EngineConfig { mvcc, ..EngineConfig::default() });
+        let gone = engine.delete_where("items", &Query::single(Pred::eq(0, 7i64))).unwrap();
+        assert_eq!(gone.len(), 50, "mvcc={mvcc}");
+        // MVCC: reclaim the ended versions, so their slots are dead too.
+        engine.vacuum().unwrap();
+        let count = |engine: &Engine| {
+            let spec = AggSpec::new(Vec::new(), vec![AggFunc::Count]);
+            engine.aggregate("items", &Query::default(), &spec).unwrap().rows[0][0].clone()
+        };
+        assert_eq!(live_rows(&engine).len(), 4950, "mvcc={mvcc}: a scan skips dead slots");
+        assert_eq!(count(&engine), Value::Int(4950), "mvcc={mvcc}");
+        assert!(
+            matches!(engine.delete("items", gone[0]), Err(EngineError::BadRid { .. })),
+            "mvcc={mvcc}: a dead slot cannot be deleted twice"
+        );
+        // An all-NULL row is a row: scanned, counted, indexed.
+        engine.insert("items", vec![Value::Null, Value::Null]).unwrap();
+        engine.commit();
+        assert_eq!(live_rows(&engine).len(), 4951, "mvcc={mvcc}");
+        assert_eq!(count(&engine), Value::Int(4951), "mvcc={mvcc}");
+        let ix = engine.create_btree("items", "price_ix", vec![1]).unwrap();
+        let entries = engine.with_table("items", |t| t.secondary(ix).entries()).unwrap();
+        assert_eq!(entries, 4951, "mvcc={mvcc}: the all-NULL row is indexed");
+        let victims = engine.delete_where("items", &Query::default()).unwrap();
+        assert_eq!(victims.len(), 4951, "mvcc={mvcc}: only live victims");
+    }
 }

@@ -31,8 +31,7 @@ use crate::error::EngineError;
 use crate::Result;
 use cm_advisor::WorkloadProfile;
 use cm_cost::CostParams;
-use cm_core::AttrConstraint;
-use cm_query::exec::cm_constraints;
+use cm_query::exec::clamp_constraints;
 use cm_query::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy, RunResult, ShardLeg};
 use cm_storage::{Row, Value};
 use std::sync::atomic::Ordering;
@@ -347,20 +346,7 @@ impl Engine {
     fn clamp_estimate(&self, lt: &LoadedTable, leg: &ShardLeg, clamp: Clamp<'_>) -> f64 {
         let part = self.read_locked(&lt.parts[leg.shard]);
         let Some(cm) = part.cms().get(clamp.cm_id) else { return f64::INFINITY };
-        let constraints: Vec<AttrConstraint> = cm
-            .spec()
-            .attrs()
-            .iter()
-            .zip(cm_constraints(cm.spec(), &leg.query))
-            .map(|(attr, from_q)| {
-                if attr.col == clamp.col {
-                    AttrConstraint::In(clamp.keys.to_vec())
-                } else {
-                    from_q
-                }
-            })
-            .collect();
-        let buckets = cm.lookup(&constraints);
+        let buckets = cm.lookup(&clamp_constraints(cm.spec(), &leg.query, clamp.col, clamp.keys));
         let merged = cm_query::merge_page_ranges(
             buckets.iter().map(|&b| part.dir().page_range(b)).collect(),
         );

@@ -14,13 +14,13 @@ const VACUUM_CHUNK: usize = 128;
 impl Engine {
     /// Multi-version garbage collection: under each shard's write lock,
     /// rewrite every resolvable pending stamp to its plain commit
-    /// timestamp, then physically reclaim (heap tombstone + access
+    /// timestamp, then physically reclaim (dead heap slot + access
     /// structure retraction) the versions whose end timestamp is at or
     /// below the oldest live snapshot — no current or future reader can
     /// see them. Returns `(stamps_resolved, versions_reclaimed)`; a
     /// no-op `(0, 0)` without MVCC. Logs nothing: the logical deletes
     /// that ended these versions are already in the WAL, and a
-    /// checkpoint image materializes ended versions as tombstones.
+    /// checkpoint image records ended versions as dead slots.
     ///
     /// Reclaim work is chunked: each shard write-lock hold retracts at
     /// most `VACUUM_CHUNK` versions, keeping reader stalls bounded

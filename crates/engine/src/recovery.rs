@@ -44,9 +44,8 @@ use crate::Result;
 use cm_query::Table;
 use cm_storage::{
     decode_stream, LogPayload, Lsn, PageAccessor, Rid, Row, Schema, Value, AUTOCOMMIT_TXN,
-    FRAME_HEADER_BYTES, LIVE_TS, PAYLOAD_HEADER_BYTES,
+    FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,
 };
-use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -60,8 +59,11 @@ const CHECKPOINT_END_FRAME_BYTES: u64 =
 /// One shard's slice of a checkpoint image.
 #[derive(Debug, Clone)]
 pub struct ShardImage {
-    /// Every heap slot in RID order, tombstones (all-NULL rows) included.
-    pub rows: Vec<Row>,
+    /// Every heap slot in RID order: `Some(row)` while the row's version
+    /// is current, `None` for a slot that holds no row or whose version
+    /// a delete has ended. Liveness is recorded here, never read from the
+    /// row's values: an all-NULL row is a row.
+    pub slots: Vec<Option<Row>>,
     /// The bulk-loaded sorted-prefix length ([`cm_query::Table::restore`]
     /// rebuilds the clustered index and bucket directory from it; rows
     /// past it are re-learned as appends).
@@ -168,27 +170,16 @@ impl Engine {
             let mut shards = Vec::with_capacity(lt.parts.len());
             for (i, part) in lt.parts.iter().enumerate() {
                 let t = part.read();
-                // Under MVCC, end-stamped versions image as all-NULL
-                // tombstones: a *committed* delete whose record precedes
-                // `redo_lsn` is never replayed, so the image must not
-                // carry the dead bytes — while an *uncommitted* delete is
-                // reinstated by undo from its record's before-image
-                // either way. Pending-begin rows (uncommitted inserts)
-                // keep their bytes; undo tombstones them if the
-                // transaction never commits.
-                let mvcc = self.mvcc.is_some();
-                let rows: Vec<Row> = t
-                    .heap()
-                    .iter()
-                    .map(|(rid, r)| {
-                        if mvcc && t.stamp_of(rid).1 != LIVE_TS {
-                            vec![Value::Null; r.len()]
-                        } else {
-                            r.to_vec()
-                        }
-                    })
-                    .collect();
-                shards.push(ShardImage { rows, base_len: lt.base_lens[i] });
+                // An ended version images as dead: a *committed* delete
+                // whose record precedes `redo_lsn` is never replayed, so
+                // the image must not carry the row — while an
+                // *uncommitted* delete is reinstated by undo from its
+                // record's before-image either way. Pending-begin rows
+                // (uncommitted inserts) are current; undo removes them
+                // if the transaction never commits.
+                let slots =
+                    t.heap().iter().map(|(rid, r)| t.is_current(rid).then(|| r.to_vec())).collect();
+                shards.push(ShardImage { slots, base_len: lt.base_lens[i] });
             }
             let structures = StructureSet::of(&lt.parts[0].read());
             tables.push(TableImage {
@@ -444,9 +435,9 @@ fn image_of(entry: &TableEntry) -> Result<&LoadedTable> {
         .ok_or_else(|| EngineError::Recovery(format!("table {:?} has no image", entry.name)))
 }
 
-/// Rebuild one table from its image slice: catalog entry, router,
-/// per-shard [`Table::restore`], then the imaged access structures
-/// through the design install step.
+/// Rebuild one table from its image slice: catalog entry, then the
+/// partitions through the load path ([`Engine::publish_parts`]), then
+/// the imaged access structures through the design install step.
 fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
     if ti.shards.len() > engine.backends.len() {
         return Err(EngineError::Recovery(format!(
@@ -465,22 +456,8 @@ fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
     )?;
     let entry = table_entry(engine, &ti.name)?;
     let router = RangeRouter::new(ti.clustered_col, ti.splits.clone());
-    let mut parts = Vec::with_capacity(ti.shards.len());
-    for (i, si) in ti.shards.iter().enumerate() {
-        let t = Table::restore(
-            engine.backends[i].disk(),
-            ti.schema.clone(),
-            si.rows.clone(),
-            ti.tups_per_page,
-            ti.clustered_col,
-            ti.bucket_target,
-            si.base_len,
-        )?;
-        parts.push(RwLock::new(t));
-    }
-    let base_lens = ti.shards.iter().map(|si| si.base_len).collect();
-    let restored = LoadedTable { router, parts, base_lens };
-    let lt = entry.loaded.get_or_init(|| restored);
+    let shards = ti.shards.iter().map(|si| (si.slots.clone(), si.base_len));
+    let lt = engine.publish_parts(&entry, router, shards)?;
     engine.install_structures(lt, &ti.structures, true)
 }
 

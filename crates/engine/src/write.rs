@@ -13,7 +13,7 @@ use crate::read::{LegDone, LegOpts, LegPath};
 use crate::Result;
 use cm_query::{Query, ShardLeg, Table};
 use cm_storage::{
-    pending_stamp, IoStats, LogPayload, Rid, Row, Snapshot, WalBatch, AUTOCOMMIT_TXN, LIVE_TS,
+    pending_stamp, IoStats, LogPayload, Rid, Row, Snapshot, WalBatch, AUTOCOMMIT_TXN,
 };
 use std::sync::atomic::Ordering;
 
@@ -157,8 +157,10 @@ impl Engine {
         // fuzzy-checkpoint ordering guarantee.
         let row = {
             let mut t = lt.parts[shard].write();
+            if !t.is_current(rid.local()) {
+                return Err(bad_rid());
+            }
             let end = match &self.mvcc {
-                Some(_) if t.stamp_of(rid.local()).1 != LIVE_TS => return Err(bad_rid()),
                 Some(mv) if txn == AUTOCOMMIT_TXN => mv.next_ts(),
                 _ => pending_stamp(txn),
             };
@@ -181,11 +183,12 @@ impl Engine {
     }
 
     /// The delete pipeline's **remove** step, under the shard's write
-    /// lock. With MVCC each victim's version is end-stamped with `end`:
-    /// its heap bytes and access-structure entries stay for older
-    /// snapshots until vacuum reclaims them, and a victim another writer
-    /// already ended is skipped, so a delete never clobbers a concurrent
-    /// one. Without MVCC the victim leaves the heap and every access
+    /// lock. A victim whose version has already ended — another writer
+    /// deleted it, or its slot holds no row — is skipped, so a delete
+    /// never clobbers a concurrent one. With MVCC each victim's version
+    /// is end-stamped with `end`: its heap bytes and access-structure
+    /// entries stay for older snapshots until vacuum reclaims them.
+    /// Without MVCC the victim leaves the heap and every access
     /// structure, with the maintenance volume logged to `batch`. Returns
     /// each removed victim's local rid and before-image.
     fn remove_rows(
@@ -199,10 +202,10 @@ impl Engine {
         let pool = self.backends[shard].pool();
         let mut removed = Vec::with_capacity(victims.len());
         for &rid in victims {
+            if !t.is_current(rid) {
+                continue;
+            }
             let row = if self.mvcc.is_some() {
-                if t.stamp_of(rid).1 != LIVE_TS {
-                    continue;
-                }
                 t.end_version(pool, rid, end)?
             } else {
                 t.delete_row(pool, Some(&mut *batch), rid)?

@@ -439,11 +439,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         }
     }
 
-    /// First (smallest) key, if any.
-    pub fn first_key(&self) -> Option<&K> {
-        self.iter().next().map(|(_, k, _)| k)
-    }
-
     /// Check structural invariants; used by tests and debug assertions.
     /// Returns the number of entries found.
     pub fn check_invariants(&self) -> usize {

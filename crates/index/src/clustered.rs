@@ -8,7 +8,7 @@
 //! charges per clustered value reached through a correlation (§4.1).
 
 use crate::btree::BPlusTree;
-use cm_storage::{FileId, HeapFile, PageAccessor, Rid, Value};
+use cm_storage::{FileId, PageAccessor, Rid, Value};
 use std::ops::Bound;
 
 /// Sparse index: one entry per distinct clustered value.
@@ -20,66 +20,30 @@ pub struct ClusteredIndex {
 }
 
 impl ClusteredIndex {
-    /// Build over a heap that was bulk-loaded clustered on `col`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the heap is not sorted on `col`; the
-    /// structure is meaningless otherwise.
-    pub fn build(heap: &HeapFile, col: usize, file: FileId, order: usize) -> Self {
-        let mut tree = BPlusTree::new(order);
-        let mut last: Option<Value> = None;
-        for (rid, row) in heap.iter() {
-            let v = &row[col];
-            match &last {
-                Some(prev) if prev == v => {}
-                Some(prev) => {
-                    debug_assert!(prev < v, "heap must be sorted on the clustered column");
-                    tree.insert(v.clone(), rid.0);
-                    last = Some(v.clone());
-                }
-                None => {
-                    tree.insert(v.clone(), rid.0);
-                    last = Some(v.clone());
-                }
-            }
-        }
-        ClusteredIndex { col, tree, file, heap_len: heap.len() }
-    }
-
-    /// Rebuild over a *recovered* heap: the first `sorted_len` rows were
-    /// loaded clustered on `col` (deletes may since have tombstoned some
-    /// to all-NULL), and the rest were appended live. The non-NULL
-    /// subsequence of a sorted prefix is still sorted, so the prefix
-    /// indexes the first surviving RID of each distinct value; tail rows
-    /// replay the [`ClusteredIndex::note_append`] rule. Runs that lost
-    /// their first rows start at the nearest surviving tombstone-free
-    /// RID — scans may cover a few extra tombstoned slots, which match
-    /// no predicate, so query answers are unchanged.
-    pub fn restore(
-        heap: &HeapFile,
+    /// Build over the live rows of a heap, in RID order (`rows`; dead
+    /// slots are simply absent), `heap_len` slots long. Each distinct
+    /// value is indexed at the first RID it appears at, NULL included:
+    /// for a heap bulk-loaded clustered on `col` that is the start of
+    /// the value's run, and a value first seen in the appended tail
+    /// starts where [`ClusteredIndex::note_append`] put it. A run that
+    /// lost its first rows to deletes starts at its first surviving
+    /// row, so a scan may cover a few dead slots more, which hold no row.
+    pub fn build<'a>(
+        rows: impl IntoIterator<Item = (Rid, &'a [Value])>,
         col: usize,
-        sorted_len: u64,
+        heap_len: u64,
         file: FileId,
         order: usize,
     ) -> Self {
-        let mut tree = BPlusTree::new(order);
-        let mut last: Option<Value> = None;
-        for (rid, row) in heap.iter().take(sorted_len as usize) {
+        let mut idx = ClusteredIndex { col, tree: BPlusTree::new(order), file, heap_len };
+        let mut last: Option<&Value> = None;
+        for (rid, row) in rows {
             let v = &row[col];
-            if v.is_null() {
-                continue;
+            // The rest of a run repeats its value: no tree probe.
+            if last != Some(v) {
+                idx.note_append(v, rid);
+                last = Some(v);
             }
-            match &last {
-                Some(prev) if prev == v => {}
-                _ => {
-                    tree.insert(v.clone(), rid.0);
-                    last = Some(v.clone());
-                }
-            }
-        }
-        let mut idx = ClusteredIndex { col, tree, file, heap_len: sorted_len.min(heap.len()) };
-        for (rid, row) in heap.iter().skip(sorted_len as usize) {
-            idx.note_append(&row[col], rid);
         }
         idx
     }
@@ -107,14 +71,18 @@ impl ClusteredIndex {
     /// Record that the heap grew (appends during maintenance workloads).
     /// New distinct values at the tail are indexed; re-appearing values
     /// keep their original first-RID (the tail breaks clustering, exactly
-    /// as appends to a once-`CLUSTER`ed PostgreSQL table do). NULLs bump
-    /// the length without being indexed — recovery appends all-NULL
-    /// placeholders for rows that were deleted before the crash.
+    /// as appends to a once-`CLUSTER`ed PostgreSQL table do).
     pub fn note_append(&mut self, value: &Value, rid: Rid) {
-        self.heap_len = self.heap_len.max(rid.0 + 1);
-        if !value.is_null() && self.tree.get(value).is_none() {
+        self.grow_to(rid.0 + 1);
+        if self.tree.get(value).is_none() {
             self.tree.insert(value.clone(), rid.0);
         }
+    }
+
+    /// Record that the heap grew to `heap_len` slots without a row to
+    /// index — recovery's placeholders for rows deleted before a crash.
+    pub fn grow_to(&mut self, heap_len: u64) {
+        self.heap_len = self.heap_len.max(heap_len);
     }
 
     /// Charge one root-to-leaf descent against `io`.
@@ -152,11 +120,6 @@ impl ClusteredIndex {
         Some((start, end))
     }
 
-    /// RID range of exactly one clustered value, charging one descent.
-    pub fn rid_range_of_value(&self, io: &dyn PageAccessor, v: &Value) -> Option<(u64, u64)> {
-        self.rid_range(io, v, v)
-    }
-
     /// Uncharged variant of [`ClusteredIndex::rid_range`] for planning and
     /// statistics (no measured I/O).
     pub fn rid_range_uncharged(&self, lo: &Value, hi: &Value) -> Option<(u64, u64)> {
@@ -191,8 +154,13 @@ impl ClusteredIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_storage::{Column, DiskSim, Schema, ValueType};
+    use cm_storage::{Column, DiskSim, HeapFile, Schema, ValueType};
     use std::sync::Arc;
+
+    /// The index over every slot of `heap`.
+    fn build(heap: &HeapFile, disk: &DiskSim, order: usize) -> ClusteredIndex {
+        ClusteredIndex::build(heap.iter(), 0, heap.len(), disk.alloc_file(), order)
+    }
 
     fn clustered_heap(disk: &DiskSim) -> HeapFile {
         let schema = Arc::new(Schema::new(vec![
@@ -222,7 +190,7 @@ mod tests {
     fn build_records_run_starts() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let idx = build(&heap, &disk, 4);
         assert_eq!(idx.distinct_values(), 4);
         assert_eq!(
             idx.rid_range_uncharged(&Value::str("MA"), &Value::str("MA")),
@@ -243,7 +211,7 @@ mod tests {
     fn range_spans_multiple_values() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let idx = build(&heap, &disk, 4);
         assert_eq!(
             idx.rid_range_uncharged(&Value::str("MA"), &Value::str("MN")),
             Some((0, 5))
@@ -259,7 +227,7 @@ mod tests {
     fn missing_ranges_return_none() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let idx = build(&heap, &disk, 4);
         assert_eq!(idx.rid_range_uncharged(&Value::str("ZZ"), &Value::str("ZZ")), None);
         assert_eq!(idx.rid_range_uncharged(&Value::str("MB"), &Value::str("MC")), None);
     }
@@ -268,7 +236,7 @@ mod tests {
     fn probes_charge_height_reads() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let idx = build(&heap, &disk, 4);
         let before = disk.stats();
         let _ = idx.rid_range(disk.as_ref(), &Value::str("MA"), &Value::str("MA"));
         let d = disk.stats().since(&before);
@@ -279,7 +247,7 @@ mod tests {
     fn c_tups_is_rows_over_distinct() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let idx = build(&heap, &disk, 4);
         assert!((idx.c_tups() - 2.5).abs() < 1e-12);
     }
 
@@ -287,7 +255,7 @@ mod tests {
     fn note_append_extends_heap_and_indexes_new_values() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let mut idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let mut idx = build(&heap, &disk, 4);
         idx.note_append(&Value::str("TX"), Rid(10));
         assert_eq!(idx.distinct_values(), 5);
         assert_eq!(
@@ -306,44 +274,53 @@ mod tests {
     fn restore_tolerates_tombstones_and_tail() {
         let disk = DiskSim::with_defaults();
         let schema = Arc::new(Schema::new(vec![Column::new("k", ValueType::Str)]));
-        // Sorted prefix with the whole MN run and the first NH row
-        // tombstoned, plus a live tail.
-        let mut rows: Vec<Vec<Value>> = [
-            "MA", "MA", "MA", "MN", "MN", "NH", "NH", "NH", "NH", "OH",
-        ]
-        .iter()
-        .map(|s| vec![Value::str(*s)])
-        .collect();
-        rows[3] = vec![Value::Null];
-        rows[4] = vec![Value::Null];
-        rows[5] = vec![Value::Null];
-        rows.push(vec![Value::str("TX")]);
-        rows.push(vec![Value::Null]); // deleted tail row
+        // Sorted prefix with the whole MN run and the first NH row dead,
+        // plus a live tail row and a dead one. The dead slots keep their
+        // values: liveness is the caller's record, not the row's.
+        let rows: Vec<Vec<Value>> =
+            ["MA", "MA", "MA", "MN", "MN", "NH", "NH", "NH", "NH", "OH", "TX", "ZZ"]
+                .iter()
+                .map(|s| vec![Value::str(*s)])
+                .collect();
         let heap = HeapFile::bulk_load(&disk, schema, rows, 4).unwrap();
-        let idx = ClusteredIndex::restore(&heap, 0, 10, disk.alloc_file(), 4);
-        // MA unchanged; NH starts at its first *surviving* row; the NULL
-        // rows are never indexed; the tail value is.
+        let dead = [3, 4, 5, 11];
+        let live = heap.iter().filter(|(rid, _)| !dead.contains(&rid.0));
+        let idx = ClusteredIndex::build(live, 0, heap.len(), disk.alloc_file(), 4);
+        // MA unchanged; NH starts at its first *surviving* row; dead
+        // slots are never indexed; the tail value is.
         assert_eq!(idx.rid_range_uncharged(&Value::str("MA"), &Value::str("MA")), Some((0, 6)));
         assert_eq!(idx.rid_range_uncharged(&Value::str("NH"), &Value::str("NH")), Some((6, 9)));
         assert_eq!(idx.rid_range_uncharged(&Value::str("TX"), &Value::str("TX")), Some((10, 12)));
         assert_eq!(idx.distinct_values(), 4, "MA NH OH TX");
-        assert_eq!(idx.rid_range_uncharged(&Value::Null, &Value::Null), None);
+        assert_eq!(idx.rid_range_uncharged(&Value::str("ZZ"), &Value::str("ZZ")), None);
     }
 
     #[test]
-    fn null_appends_grow_length_without_indexing() {
+    fn placeholder_growth_extends_length_without_indexing() {
         let disk = DiskSim::with_defaults();
         let heap = clustered_heap(&disk);
-        let mut idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 4);
+        let mut idx = build(&heap, &disk, 4);
         let distinct = idx.distinct_values();
-        idx.note_append(&Value::Null, Rid(10));
+        idx.grow_to(11);
         assert_eq!(idx.distinct_values(), distinct);
         // The heap end moved: the last run now extends over the
-        // placeholder, which holds no matching rows.
+        // placeholder, which holds no row.
         assert_eq!(
             idx.rid_range_uncharged(&Value::str("OH"), &Value::str("OH")),
             Some((9, 11))
         );
+    }
+
+    #[test]
+    fn null_is_an_ordinary_key() {
+        let disk = DiskSim::with_defaults();
+        let schema = Arc::new(Schema::new(vec![Column::new("k", ValueType::Str)]));
+        let rows = vec![vec![Value::Null], vec![Value::Null], vec![Value::str("MA")]];
+        let heap = HeapFile::bulk_load(&disk, schema, rows, 4).unwrap();
+        let mut idx = build(&heap, &disk, 4);
+        assert_eq!(idx.rid_range_uncharged(&Value::Null, &Value::Null), Some((0, 2)));
+        idx.note_append(&Value::Null, Rid(3));
+        assert_eq!(idx.distinct_values(), 2, "a re-appearing NULL keeps its run start");
     }
 
     #[test]
@@ -352,7 +329,7 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Column::new("k", ValueType::Int)]));
         let rows: Vec<Vec<Value>> = (0..5000i64).map(|i| vec![Value::Int(i / 2)]).collect();
         let heap = HeapFile::bulk_load(&disk, schema, rows, 50).unwrap();
-        let idx = ClusteredIndex::build(&heap, 0, disk.alloc_file(), 16);
+        let idx = build(&heap, &disk, 16);
         assert_eq!(idx.distinct_values(), 2500);
         assert!(idx.height() >= 3);
         assert_eq!(idx.rid_range_uncharged(&Value::Int(100), &Value::Int(100)), Some((200, 202)));

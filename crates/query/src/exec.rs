@@ -78,8 +78,8 @@ impl RunResult {
 impl Table {
     /// Run access path `path` for `q`, handing every match visible at
     /// `ctx.snap` to `on_match` with its RID — the one dispatch every
-    /// engine leg executes through (the `exec_*` methods below are thin
-    /// wrappers over it). A path naming a secondary index or CM this
+    /// engine leg executes through (the `exec_*_visit` methods below are
+    /// thin wrappers over it). A path naming a secondary index or CM this
     /// table does not have, or a secondary path with no predicate on the
     /// index's first key column, is a [`QueryError`], not a panic.
     ///
@@ -146,12 +146,8 @@ impl Table {
         Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })
     }
 
-    /// Access path 1: full sequential scan (§3).
-    pub fn exec_full_scan(&self, ctx: &ExecContext<'_>, q: &Query) -> RunResult {
-        self.exec_full_scan_visit(ctx, q, |_| {})
-    }
-
-    /// Full scan with a visitor over matching rows (for aggregates).
+    /// Access path 1: full sequential scan (§3), with a visitor over
+    /// matching rows.
     pub fn exec_full_scan_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -224,17 +220,8 @@ impl Table {
     }
 
     /// Access path 2: pipelined secondary index scan (§3.1): every
-    /// posting triggers an uncoordinated heap fetch.
-    pub fn exec_secondary_pipelined(
-        &self,
-        ctx: &ExecContext<'_>,
-        sec_id: usize,
-        q: &Query,
-    ) -> Result<RunResult, QueryError> {
-        self.exec_secondary_pipelined_visit(ctx, sec_id, q, |_| {})
-    }
-
-    /// Pipelined scan with a visitor over matching rows.
+    /// posting triggers an uncoordinated heap fetch. The visitor gets
+    /// every matching row.
     pub fn exec_secondary_pipelined_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -248,16 +235,7 @@ impl Table {
     /// Access path 3: sorted (bitmap) secondary index scan (§3.2):
     /// collect RIDs, sort and deduplicate their pages, then sweep the
     /// heap in page order so co-located results cost sequential reads.
-    pub fn exec_secondary_sorted(
-        &self,
-        ctx: &ExecContext<'_>,
-        sec_id: usize,
-        q: &Query,
-    ) -> Result<RunResult, QueryError> {
-        self.exec_secondary_sorted_visit(ctx, sec_id, q, |_| {})
-    }
-
-    /// Sorted scan with a visitor over matching rows.
+    /// The visitor gets every matching row.
     pub fn exec_secondary_sorted_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -279,12 +257,9 @@ impl Table {
     /// 3. A page-ordered sweep of the merged bucket ranges, re-filtering
     ///    every row against the original predicate — bucketing introduces
     ///    false positives, never false negatives.
-    pub fn exec_cm_scan(&self, ctx: &ExecContext<'_>, cm_id: usize, q: &Query) -> RunResult {
-        self.exec_cm_scan_visit(ctx, cm_id, q, |_| {})
-    }
-
-    /// CM-guided scan with a visitor over matching rows. Panics on a CM
-    /// id the table does not have ([`Table::exec_visit`] reports it).
+    ///
+    /// The visitor gets every matching row. Panics on a CM id the table
+    /// does not have ([`Table::exec_visit`] reports it).
     pub fn exec_cm_scan_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -349,6 +324,28 @@ pub fn cm_constraints(spec: &cm_core::CmSpec, q: &Query) -> Vec<AttrConstraint> 
         .collect()
 }
 
+/// [`cm_constraints`] for a CM-clamped join probe: the attribute on
+/// `probe_col` takes `IN keys` (the build side's distinct join keys);
+/// every other attribute takes its constraint from `q`.
+pub fn clamp_constraints(
+    spec: &cm_core::CmSpec,
+    q: &Query,
+    probe_col: usize,
+    keys: &[Value],
+) -> Vec<AttrConstraint> {
+    spec.attrs()
+        .iter()
+        .zip(cm_constraints(spec, q))
+        .map(|(attr, from_q)| {
+            if attr.col == probe_col {
+                AttrConstraint::In(keys.to_vec())
+            } else {
+                from_q
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,9 +375,19 @@ mod tests {
         Table::build(disk, schema, rows, 20, 0, 400).unwrap()
     }
 
+    /// Run `path` for `q` without a visitor.
+    fn run(
+        t: &Table,
+        ctx: &ExecContext<'_>,
+        path: AccessPath,
+        q: &Query,
+    ) -> Result<RunResult, QueryError> {
+        t.exec_visit(ctx, path, q, |_, _| {})
+    }
+
     fn count_by_scan(t: &Table, disk: &Arc<DiskSim>, q: &Query) -> u64 {
         let ctx = ExecContext::cold(disk);
-        t.exec_full_scan(&ctx, q).matched
+        run(t, &ctx, AccessPath::FullScan, q).unwrap().matched
     }
 
     #[test]
@@ -401,9 +408,13 @@ mod tests {
         for q in &queries {
             let truth = count_by_scan(&t, &disk, q);
             let ctx = ExecContext::cold(&disk);
-            assert_eq!(t.exec_secondary_sorted(&ctx, sec, q).unwrap().matched, truth, "{q:?}");
-            assert_eq!(t.exec_secondary_pipelined(&ctx, sec, q).unwrap().matched, truth, "{q:?}");
-            assert_eq!(t.exec_cm_scan(&ctx, cm, q).matched, truth, "{q:?}");
+            for path in [
+                AccessPath::SecondarySorted(sec),
+                AccessPath::SecondaryPipelined(sec),
+                AccessPath::CmScan(cm),
+            ] {
+                assert_eq!(run(&t, &ctx, path, q).unwrap().matched, truth, "{path:?} {q:?}");
+            }
         }
     }
 
@@ -412,7 +423,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
         let ctx = ExecContext::cold(&disk);
-        let r = t.exec_full_scan(&ctx, &Query::single(Pred::eq(1, 1i64)));
+        let r = run(&t, &ctx, AccessPath::FullScan, &Query::single(Pred::eq(1, 1i64))).unwrap();
         assert_eq!(r.io.seeks, 1, "one initial seek");
         assert_eq!(r.io.seq_reads, t.heap().num_pages() - 1);
         assert_eq!(r.examined, t.heap().len());
@@ -425,8 +436,8 @@ mod tests {
         let sec = t.add_secondary(&disk, "price", vec![1]);
         let q = Query::single(Pred::between(1, 2000i64, 2500i64));
         let ctx = ExecContext::cold(&disk);
-        let sorted = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
-        let pipelined = t.exec_secondary_pipelined(&ctx, sec, &q).unwrap();
+        let sorted = run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap();
+        let pipelined = run(&t, &ctx, AccessPath::SecondaryPipelined(sec), &q).unwrap();
         assert!(sorted.ms() < pipelined.ms() / 2.0, "{} vs {}", sorted.ms(), pipelined.ms());
     }
 
@@ -437,7 +448,7 @@ mod tests {
         let cm = t.add_cm("price_cm", CmSpec::new(vec![CmAttr::pow2(1, 8)]));
         let q = Query::single(Pred::between(1, 4200i64, 4300i64));
         let ctx = ExecContext::cold(&disk);
-        let r = t.exec_cm_scan(&ctx, cm, &q);
+        let r = run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap();
         let truth = count_by_scan(&t, &disk, &q);
         assert_eq!(r.matched, truth);
         assert!(r.examined >= r.matched, "bucketing adds false positives");
@@ -450,8 +461,8 @@ mod tests {
         let cm = t.add_cm("price_cm", CmSpec::new(vec![CmAttr::pow2(1, 5)]));
         let q = Query::single(Pred::between(1, 4200i64, 4300i64));
         let ctx = ExecContext::cold(&disk);
-        let cm_run = t.exec_cm_scan(&ctx, cm, &q);
-        let scan = t.exec_full_scan(&ctx, &q);
+        let cm_run = run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap();
+        let scan = run(&t, &ctx, AccessPath::FullScan, &q).unwrap();
         assert!(
             cm_run.ms() < scan.ms() / 3.0,
             "CM {} ms vs scan {} ms",
@@ -469,8 +480,8 @@ mod tests {
         // buckets, so the CM sweeps most of the table.
         let q = Query::single(Pred::eq(2, 5i64));
         let ctx = ExecContext::cold(&disk);
-        let cm_run = t.exec_cm_scan(&ctx, cm, &q);
-        let scan = t.exec_full_scan(&ctx, &q);
+        let cm_run = run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap();
+        let scan = run(&t, &ctx, AccessPath::FullScan, &q).unwrap();
         assert!(
             cm_run.io.pages() as f64 > 0.5 * scan.io.pages() as f64,
             "uncorrelated CM touches most pages ({} vs {})",
@@ -491,7 +502,7 @@ mod tests {
             Pred::between(2, 0i64, 10i64),
         ]);
         let ctx = ExecContext::cold(&disk);
-        let r = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
+        let r = run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap();
         assert_eq!(r.matched, count_by_scan(&t, &disk, &q));
     }
 
@@ -502,7 +513,7 @@ mod tests {
         let sec = t.add_secondary(&disk, "cat_price", vec![0, 1]);
         let q = Query::new(vec![Pred::eq(0, 42i64), Pred::eq(1, 4217i64)]);
         let ctx = ExecContext::cold(&disk);
-        let r = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
+        let r = run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap();
         assert_eq!(r.matched, count_by_scan(&t, &disk, &q));
     }
 
@@ -532,12 +543,12 @@ mod tests {
         // narrow at all — a clean error, not a panic.
         let q = Query::single(Pred::eq(2, 5i64));
         let ctx = ExecContext::cold(&disk);
-        let err = t.exec_secondary_sorted(&ctx, sec, &q).unwrap_err();
+        let err = run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap_err();
         assert_eq!(
             err,
             QueryError::NoIndexPredicate { index: "price_tag".into(), col: 1 }
         );
-        assert!(t.exec_secondary_pipelined(&ctx, sec, &q).is_err());
+        assert!(run(&t, &ctx, AccessPath::SecondaryPipelined(sec), &q).is_err());
         assert!(err.to_string().contains("price_tag"), "{err}");
     }
 
@@ -552,8 +563,8 @@ mod tests {
             1,
             vec![Value::Int(4217), Value::Int(100), Value::Int(4217), Value::Int(4217)],
         ));
-        let a = t.exec_secondary_pipelined(&ctx, sec, &unique).unwrap();
-        let b = t.exec_secondary_pipelined(&ctx, sec, &dup).unwrap();
+        let a = run(&t, &ctx, AccessPath::SecondaryPipelined(sec), &unique).unwrap();
+        let b = run(&t, &ctx, AccessPath::SecondaryPipelined(sec), &dup).unwrap();
         assert_eq!(a.matched, b.matched);
         assert_eq!(
             a.examined, b.examined,
@@ -570,7 +581,7 @@ mod tests {
         // handful of contiguous heap page runs.
         let q = Query::single(Pred::between(1, 2000i64, 2499i64));
         let ctx = ExecContext::cold(&disk);
-        let r = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
+        let r = run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap();
         let heap_pages = (r.io.seeks + r.io.seq_reads) as f64;
         assert!(
             (r.io.seeks as f64) < 0.3 * heap_pages,
@@ -589,7 +600,7 @@ mod tests {
         let sec = t.add_secondary(&disk, "price", vec![1]);
         let cm = t.add_cm("price_cm", CmSpec::new(vec![CmAttr::pow2(1, 5)]));
         let q = Query::single(Pred::between(1, 4200i64, 4300i64));
-        let truth = t.exec_full_scan(&ExecContext::cold(&disk), &q).matched;
+        let truth = run(&t, &ExecContext::cold(&disk), AccessPath::FullScan, &q).unwrap().matched;
         assert!(truth > 0);
         let victim = t
             .heap()
@@ -613,10 +624,10 @@ mod tests {
         let counts = |snap: &cm_storage::Snapshot| {
             let ctx = ExecContext::cold(&disk).at_snapshot(snap);
             [
-                t.exec_full_scan(&ctx, &q).matched,
-                t.exec_secondary_sorted(&ctx, sec, &q).unwrap().matched,
-                t.exec_secondary_pipelined(&ctx, sec, &q).unwrap().matched,
-                t.exec_cm_scan(&ctx, cm, &q).matched,
+                run(&t, &ctx, AccessPath::FullScan, &q).unwrap().matched,
+                run(&t, &ctx, AccessPath::SecondarySorted(sec), &q).unwrap().matched,
+                run(&t, &ctx, AccessPath::SecondaryPipelined(sec), &q).unwrap().matched,
+                run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap().matched,
             ]
         };
         assert_eq!(counts(&old_snap), [truth; 4], "old snapshot: delete + pending invisible");
@@ -628,7 +639,7 @@ mod tests {
         // No snapshot: the pre-MVCC reader sees every heap row, pending
         // or ended (lock-based engines rely on exclusion instead).
         let ctx = ExecContext::cold(&disk);
-        assert_eq!(t.exec_full_scan(&ctx, &q).matched, truth + 1);
+        assert_eq!(run(&t, &ctx, AccessPath::FullScan, &q).unwrap().matched, truth + 1);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! picks per query.
 
 use crate::error::QueryError;
-use crate::exec::{cm_constraints, ExecContext, RunResult};
+use crate::exec::{clamp_constraints, ExecContext, RunResult};
 use crate::predicate::Query;
 use crate::table::Table;
-use cm_core::AttrConstraint;
 use cm_storage::{FxHashMap, FxHashSet, Rid, Row, Value};
 use std::fmt;
 
@@ -225,20 +224,7 @@ impl Table {
     ) -> Result<RunResult, QueryError> {
         let before = ctx.disk.stats();
         let cm = self.cms().get(cm_id).ok_or(QueryError::UnknownCm { id: cm_id })?;
-        let constraints: Vec<AttrConstraint> = cm
-            .spec()
-            .attrs()
-            .iter()
-            .zip(cm_constraints(cm.spec(), q))
-            .map(|(attr, from_q)| {
-                if attr.col == probe_col {
-                    AttrConstraint::In(keys.to_vec())
-                } else {
-                    from_q
-                }
-            })
-            .collect();
-        let buckets = cm.lookup(&constraints);
+        let buckets = cm.lookup(&clamp_constraints(cm.spec(), q, probe_col, keys));
 
         let key_set: FxHashSet<&Value> = keys.iter().collect();
         let mut matched = 0u64;

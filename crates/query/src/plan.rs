@@ -134,16 +134,6 @@ impl Planner {
         PlanChoice { path, est_ms, alternatives: candidates }
     }
 
-    /// Estimated selectivity of an equality predicate (diagnostics):
-    /// `1 / distinct`.
-    pub fn eq_selectivity(table: &Table, col: usize) -> Option<f64> {
-        let st = table.col_stats(col)?;
-        if st.corr.distinct_u == 0 {
-            return None;
-        }
-        Some(1.0 / st.corr.distinct_u as f64)
-    }
-
     /// Estimated fraction of the value domain a range predicate covers
     /// (diagnostics).
     pub fn range_fraction(table: &Table, col: usize, lo: &Value, hi: &Value) -> Option<f64> {
@@ -242,8 +232,8 @@ mod tests {
         let planner = Planner::new(disk.config());
         let choice = planner.choose(&t, &q);
         let ctx = ExecContext::cold(&disk);
-        let sorted = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
-        let scan = t.exec_full_scan(&ctx, &q);
+        let sorted = t.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
+        let scan = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
         assert!(sorted.ms() < scan.ms());
         // Planner agreed: its chosen estimate is below its scan estimate.
         let scan_est = choice

@@ -38,12 +38,13 @@ pub struct ColumnStats {
 ///
 /// Every heap slot carries an MVCC **stamp pair** (`begin`, `end`) in a
 /// parallel vector (see [`cm_storage::mvcc`] for the encoding): bulk-
-/// loaded rows are stamped `(1, LIVE_TS)`, physically deleted slots
-/// `(0, 0)` (invisible to every snapshot, matching their all-NULL
-/// tombstone), and MVCC mutations stamp versions without touching the
-/// row bytes. Engines that run without MVCC simply never pass a
-/// snapshot to the executors, so the stamps cost one uncharged memory
-/// write per mutation and nothing else.
+/// loaded rows are stamped `(1, LIVE_TS)`, slots that hold no row
+/// `(0, 0)`, and MVCC mutations stamp versions without touching the
+/// row bytes. The stamp is the one record of whether a slot holds a
+/// row, in both engine modes: a physical delete stamps `(0, 0)`, and
+/// nothing infers a dead slot from its values (a row may be all NULL).
+/// Engines that run without MVCC pass no snapshot to the executors,
+/// which then only skip `(0, 0)` slots.
 pub struct Table {
     heap: HeapFile,
     clustered_col: usize,
@@ -58,68 +59,66 @@ pub struct Table {
 /// Default B+Tree fanout for the indexes built on tables.
 pub const DEFAULT_TREE_ORDER: usize = 64;
 
+/// Stamp pair of a slot that holds no row: deleted, reclaimed, or a
+/// recovery placeholder. Invisible to every snapshot.
+const DEAD: (u64, u64) = (0, 0);
+
+/// Stamp pair of a row live since the epoch: bulk-loaded, restored, or
+/// inserted (MVCC then overwrites the begin stamp).
+const LIVE: (u64, u64) = (1, LIVE_TS);
+
 impl Table {
     /// Build a table clustered on `clustered_col`, with a clustered index
-    /// and a bucket directory targeting `bucket_target` tuples per bucket.
+    /// and a bucket directory targeting `bucket_target` tuples per bucket:
+    /// the rows are sorted on the clustered column (ties keep their input
+    /// order, as under PostgreSQL's `CLUSTER`) and go through
+    /// [`Table::restore`] as one sorted image whose every slot is live.
     pub fn build(
         disk: &DiskSim,
         schema: Arc<Schema>,
-        rows: Vec<Row>,
+        mut rows: Vec<Row>,
         tups_per_page: usize,
         clustered_col: usize,
         bucket_target: u64,
     ) -> Result<Self, StorageError> {
-        let heap =
-            HeapFile::bulk_load_clustered(disk, schema, rows, tups_per_page, clustered_col)?;
-        let arity = heap.schema().arity();
-        let clustered =
-            ClusteredIndex::build(&heap, clustered_col, disk.alloc_file(), DEFAULT_TREE_ORDER);
-        let dir = BucketDirectory::build(&heap, clustered_col, bucket_target);
-        let stamps = vec![(1, LIVE_TS); heap.len() as usize];
-        Ok(Table {
-            heap,
-            clustered_col,
-            clustered,
-            dir,
-            secondaries: Vec::new(),
-            cms: Vec::new(),
-            stats: vec![None; arity],
-            stamps,
-        })
+        rows.sort_by(|a, b| a[clustered_col].cmp(&b[clustered_col]));
+        let len = rows.len() as u64;
+        let slots = rows.into_iter().map(Some).collect();
+        Self::restore(disk, schema, slots, tups_per_page, clustered_col, bucket_target, len)
     }
 
-    /// Rebuild a table from a *recovered* heap image: `rows` are taken
-    /// verbatim (tombstones and the unsorted appended tail included —
-    /// no re-sort), with the first `sorted_len` rows known to have been
-    /// bulk-loaded clustered on `clustered_col`. The clustered index and
-    /// bucket directory are restored with their tombstone-tolerant
-    /// paths; secondary indexes and CMs are re-added afterwards by the
-    /// recovery driver (in design order, as redo replays).
+    /// Build a table from a heap image: `slots` in RID order, `None` for
+    /// a slot that holds no row, taken verbatim (the unsorted appended
+    /// tail included — no re-sort). The first `sorted_len` slots are
+    /// known to have been bulk-loaded clustered on `clustered_col`. The
+    /// clustered index and bucket directory are built over the live
+    /// rows; secondary indexes and CMs are added afterwards (recovery
+    /// re-adds them in design order, as redo replays).
     pub fn restore(
         disk: &DiskSim,
         schema: Arc<Schema>,
-        rows: Vec<Row>,
+        slots: Vec<Option<Row>>,
         tups_per_page: usize,
         clustered_col: usize,
         bucket_target: u64,
         sorted_len: u64,
     ) -> Result<Self, StorageError> {
-        let heap = HeapFile::bulk_load(disk, schema, rows, tups_per_page)?;
-        let arity = heap.schema().arity();
-        let clustered = ClusteredIndex::restore(
-            &heap,
+        let arity = schema.arity();
+        // An image collapses version chains: live rows restart at the
+        // epoch stamp.
+        let stamps: Vec<(u64, u64)> =
+            slots.iter().map(|slot| if slot.is_some() { LIVE } else { DEAD }).collect();
+        let rows = slots.into_iter().map(|slot| slot.unwrap_or_else(|| vec![Value::Null; arity]));
+        let heap = HeapFile::bulk_load(disk, schema, rows.collect(), tups_per_page)?;
+        let live = |rid: Rid| stamps[rid.0 as usize] != DEAD;
+        let clustered = ClusteredIndex::build(
+            heap.iter().filter(|&(rid, _)| live(rid)),
             clustered_col,
-            sorted_len,
+            heap.len(),
             disk.alloc_file(),
             DEFAULT_TREE_ORDER,
         );
-        let dir = BucketDirectory::restore(&heap, clustered_col, bucket_target, sorted_len);
-        // Recovery collapses version chains: live rows restart at the
-        // epoch stamp, tombstoned slots are invisible to every snapshot.
-        let stamps = heap
-            .iter()
-            .map(|(_, row)| if is_tombstone_row(row) { (0, 0) } else { (1, LIVE_TS) })
-            .collect();
+        let dir = BucketDirectory::restore(&heap, clustered_col, bucket_target, sorted_len, live);
         Ok(Table {
             heap,
             clustered_col,
@@ -191,13 +190,19 @@ impl Table {
         CorrelationMap::build(name, spec, self.live_rows(), &self.dir)
     }
 
-    /// Every heap slot that holds a row: tombstones (all-NULL slots)
-    /// are skipped, as [`Table::insert_row`] and [`Table::delete_row`]
-    /// keep them out of the maintained structures. An MVCC version that
-    /// has ended but is not yet vacuumed still holds its bytes and is
-    /// included — older snapshots reach it through the structures.
+    /// Every heap slot that holds a row: dead slots are skipped, as
+    /// [`Table::insert_row`] and [`Table::delete_row`] keep them out of
+    /// the maintained structures. An MVCC version that has ended but is
+    /// not yet vacuumed still holds its row and is included — older
+    /// snapshots reach it through the structures.
     fn live_rows(&self) -> impl Iterator<Item = (Rid, &[Value])> {
-        self.heap.iter().filter(|(_, row)| !is_tombstone_row(row))
+        self.heap.iter().filter(|&(rid, _)| self.holds_row(rid))
+    }
+
+    /// Whether slot `rid` holds a row (its stamp is not [`DEAD`]).
+    #[inline]
+    fn holds_row(&self, rid: Rid) -> bool {
+        self.stamps[rid.0 as usize] != DEAD
     }
 
     /// The secondary indexes.
@@ -301,7 +306,7 @@ impl Table {
         row: Row,
     ) -> Result<Rid, StorageError> {
         let rid = self.heap.append(io, row)?;
-        self.stamps.push((1, LIVE_TS));
+        self.stamps.push(LIVE);
         self.dir.note_append(rid);
         self.learn_row(io, wal, rid)?;
         Ok(rid)
@@ -319,7 +324,7 @@ impl Table {
         rid: Rid,
     ) -> Result<Row, StorageError> {
         let row = self.heap.delete(io, rid)?;
-        self.stamps[rid.0 as usize] = (0, 0);
+        self.stamps[rid.0 as usize] = DEAD;
         for sec in &mut self.secondaries {
             sec.remove(io, &row, rid);
             if let Some(w) = wal.as_deref_mut() {
@@ -335,18 +340,19 @@ impl Table {
         Ok(row)
     }
 
-    /// Reinstate a row into a tombstoned slot — recovery's redo of a
-    /// logged insert whose slot was grown as a placeholder, and its undo
-    /// of an uncommitted delete. The heap slot is refilled (charged like
-    /// a page write) and every access structure re-learns the row.
+    /// Reinstate a row into a dead slot — recovery's redo of a logged
+    /// insert whose slot was grown as a placeholder, and its undo of an
+    /// uncommitted delete. The heap slot is refilled (charged like a
+    /// page write) and every access structure re-learns the row.
     pub fn reinstate_row(
         &mut self,
         io: &dyn PageAccessor,
         rid: Rid,
         row: Row,
     ) -> Result<(), StorageError> {
+        debug_assert!(self.is_tombstone(rid).unwrap_or(true), "reinstating over a live row");
         self.heap.restore_row(io, rid, row)?;
-        self.stamps[rid.0 as usize] = (1, LIVE_TS);
+        self.stamps[rid.0 as usize] = LIVE;
         self.learn_row(io, None, rid)
     }
 
@@ -376,25 +382,33 @@ impl Table {
         Ok(())
     }
 
-    /// Append an all-NULL placeholder slot, keeping the directory and
+    /// Append a dead placeholder slot, keeping the directory and
     /// clustered index length in step. Recovery uses this to grow a
     /// shard's heap up to a logged RID whose intervening rows were
     /// deleted before the crash. Uncharged: the corresponding pages were
     /// written (and priced) before the crash.
     pub fn append_placeholder(&mut self) -> Rid {
         let rid = self.heap.append_tombstone();
-        self.stamps.push((0, 0));
+        self.stamps.push(DEAD);
         self.dir.note_append(rid);
-        self.clustered.note_append(&Value::Null, rid);
+        self.clustered.grow_to(rid.0 + 1);
         rid
     }
 
-    /// Whether a slot holds a delete tombstone (all-NULL row).
+    /// Whether a slot holds no row: its stamp pair is `(0, 0)`.
     pub fn is_tombstone(&self, rid: Rid) -> Result<bool, StorageError> {
-        Ok(is_tombstone_row(self.heap.peek(rid)?))
+        let len = self.heap.len();
+        let stamp = self.stamps.get(rid.0 as usize);
+        stamp.map(|s| *s == DEAD).ok_or(StorageError::RidOutOfRange { rid: rid.0, len })
     }
 
-    /// Feed heap slots `from..len` (tombstones skipped) into a
+    /// Whether slot `rid` exists and holds a version no delete has ended
+    /// — what a delete may remove.
+    pub fn is_current(&self, rid: Rid) -> bool {
+        self.stamps.get(rid.0 as usize).is_some_and(|&(_, end)| end == LIVE_TS)
+    }
+
+    /// Feed heap slots `from..len` (dead slots skipped) into a
     /// not-yet-installed structure set — the catch-up step of a design
     /// change: structures were built under a read lock, and the brief
     /// write-locked phase replays the rows appended meanwhile before
@@ -406,12 +420,8 @@ impl Table {
         secondaries: &mut [SecondaryIndex],
         cms: &mut [CorrelationMap],
     ) -> Result<(), StorageError> {
-        for raw in from..self.heap.len() {
-            let rid = Rid(raw);
+        for rid in (from..self.heap.len()).map(Rid).filter(|&rid| self.holds_row(rid)) {
             let row = self.heap.peek(rid)?;
-            if is_tombstone_row(row) {
-                continue;
-            }
             for sec in secondaries.iter_mut() {
                 sec.insert(io, row, rid);
             }
@@ -457,14 +467,16 @@ impl Table {
     // ------------------------------------------------------------- MVCC
 
     /// Is the version in slot `rid` visible at `snap`? Without a
-    /// snapshot (the non-MVCC engine mode) everything the heap holds is —
-    /// the pre-MVCC behaviour, where exclusion is the shard lock's job.
+    /// snapshot (the non-MVCC engine mode) every slot that holds a row
+    /// is — the pre-MVCC behaviour, where exclusion is the shard lock's
+    /// job.
     #[inline]
     pub(crate) fn visible_at(&self, snap: Option<&Snapshot>, rid: Rid) -> bool {
-        snap.is_none_or(|s| {
-            let (begin, end) = self.stamp_of(rid);
-            s.sees(begin, end)
-        })
+        let (begin, end) = self.stamp_of(rid);
+        match snap {
+            Some(s) => s.sees(begin, end),
+            None => (begin, end) != DEAD,
+        }
     }
 
     /// The `(begin, end)` stamp pair of a slot.
@@ -522,15 +534,12 @@ impl Table {
 
     /// Slots whose version ended at or before `oldest_live` (plain
     /// stamps only — pending ends are unresolved and must survive) and
-    /// that still hold row bytes: the versions vacuum may physically
+    /// that still hold a row: the versions vacuum may physically
     /// reclaim via [`Table::delete_row`].
     pub fn reclaimable(&self, oldest_live: u64) -> Vec<Rid> {
-        self.stamps
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, end))| !is_pending(*end) && *end != LIVE_TS && *end <= oldest_live)
-            .map(|(i, _)| Rid(i as u64))
-            .filter(|&rid| !self.is_tombstone(rid).unwrap_or(true))
+        self.ended_versions()
+            .filter(|&(_, end)| !is_pending(end) && end <= oldest_live)
+            .map(|(rid, _)| rid)
             .collect()
     }
 
@@ -538,20 +547,16 @@ impl Table {
     /// the "dead tail" a vacuum pass would inspect (chain-length signal
     /// for the GC counters).
     pub fn dead_versions(&self) -> u64 {
-        self.stamps
-            .iter()
-            .enumerate()
-            .filter(|(i, (_, end))| {
-                *end != LIVE_TS
-                    && !self.is_tombstone(Rid(*i as u64)).unwrap_or(true)
-            })
-            .count() as u64
+        self.ended_versions().count() as u64
     }
-}
 
-/// Whether a heap slot's row is a delete tombstone (all NULL).
-fn is_tombstone_row(row: &[Value]) -> bool {
-    row.iter().all(Value::is_null)
+    /// Slots that hold a row whose version a delete has ended, with the
+    /// end stamp.
+    fn ended_versions(&self) -> impl Iterator<Item = (Rid, u64)> + '_ {
+        self.stamps.iter().enumerate().filter_map(|(i, &stamp)| {
+            (stamp != DEAD && stamp.1 != LIVE_TS).then_some((Rid(i as u64), stamp.1))
+        })
+    }
 }
 
 // A table partition must be shareable with executor worker threads: a
@@ -783,12 +788,16 @@ mod tests {
             vec![Value::Int(3), Value::Int(3333), Value::str("tail2")],
         )
         .unwrap();
-        let rows: Vec<Row> = live.heap().iter().map(|(_, r)| r.to_vec()).collect();
+        let slots: Vec<Option<Row>> = live
+            .heap()
+            .iter()
+            .map(|(rid, r)| (!live.is_tombstone(rid).unwrap()).then(|| r.to_vec()))
+            .collect();
         let disk2 = DiskSim::with_defaults();
         let restored = Table::restore(
             &disk2,
             live.heap().schema().clone(),
-            rows,
+            slots,
             20,
             0,
             40,
@@ -800,9 +809,9 @@ mod tests {
         // (incrementally maintained) one: it may shift run boundaries
         // across tombstoned slots, but every live row stays inside its
         // value's run, and any slots covered beyond the live range are
-        // tombstones (matched by no predicate).
-        for (_, probe_row) in live.heap().iter() {
-            if probe_row.iter().all(|v| v.is_null()) {
+        // dead slots (skipped by every scan).
+        for (probe, probe_row) in live.heap().iter() {
+            if live.is_tombstone(probe).unwrap() {
                 continue;
             }
             let v = &probe_row[0];

@@ -142,11 +142,6 @@ impl BufferPool {
         self.disk.stats().since(&before)
     }
 
-    /// Reset the counters without touching residency.
-    pub fn reset_stats(&self) {
-        self.state.lock().stats = PoolStats::default();
-    }
-
     fn access(&self, file: FileId, page: u64, mark_dirty: bool) {
         self.access_run(file, page, page, mark_dirty);
     }

@@ -312,8 +312,8 @@ impl HeapFile {
 
     /// Append an all-NULL placeholder row without charging I/O. Recovery
     /// uses this to grow a shard's heap up to a logged RID whose
-    /// intervening slots were deleted before the crash (their delete
-    /// records will be — or already were — replayed as no-ops).
+    /// intervening slots were deleted before the crash. The heap does
+    /// not know which slots are live; its owner records that.
     pub fn append_tombstone(&mut self) -> Rid {
         let rid = Rid(self.len as u64);
         self.push_row(vec![Value::Null; self.arity]);
@@ -323,15 +323,11 @@ impl HeapFile {
     /// Reinstate a row into a tombstoned slot, charging a write of the
     /// page — redo of a logged insert whose slot exists but was emptied,
     /// and undo of an uncommitted delete. Errors if the slot is out of
-    /// range; panics (debug) if the slot is live, because recovery must
+    /// range. The caller checks that the slot is dead: recovery must
     /// never clobber a row that survived.
     pub fn restore_row(&mut self, io: &dyn PageAccessor, rid: Rid, row: Row) -> Result<()> {
         self.schema.validate(&row)?;
         let (page, range) = self.slot(rid)?;
-        debug_assert!(
-            self.pages[page][range.clone()].iter().all(Value::is_null),
-            "restore_row target must be a tombstone"
-        );
         for (slot, mut v) in self.pages[page][range].iter_mut().zip(row) {
             self.dict.share(&mut v);
             *slot = v;
@@ -340,9 +336,10 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Remove a row by RID. The slot is tombstoned (set to all-NULL) rather
-    /// than compacted, as in a real heap; the caller (indexes, CMs) is
-    /// responsible for unindexing first. Charges a write of the page.
+    /// Remove a row by RID. The slot's values are cleared to NULL (which
+    /// frees them) rather than compacted, as in a real heap; the caller
+    /// unindexes the row and records the slot as dead. Charges a write
+    /// of the page.
     pub fn delete(&mut self, io: &dyn PageAccessor, rid: Rid) -> Result<Row> {
         let (page, range) = self.slot(rid)?;
         let old = self.pages[page][range]
@@ -351,11 +348,6 @@ impl HeapFile {
             .collect();
         io.write(self.file, rid.page(self.tups_per_page));
         Ok(old)
-    }
-
-    /// Column value of a row, uncharged.
-    pub fn peek_col(&self, rid: Rid, col: usize) -> Result<&Value> {
-        Ok(&self.peek(rid)?[col])
     }
 }
 

@@ -7,7 +7,7 @@ use cm_advisor::{Advisor, AdvisorConfig};
 use cm_core::CmSpec;
 use cm_datagen::ebay::{self, ebay, EbayConfig};
 use cm_datagen::sdss;
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 
 fn advisor() -> Advisor {
@@ -27,8 +27,8 @@ fn recommended_design_materializes_and_answers_correctly() {
 
     let cm = t.add_cm("advisor_cm", CmSpec::new(chosen.design.attrs.clone()));
     let ctx = ExecContext::cold(&disk);
-    let truth = t.exec_full_scan(&ctx, &q).matched;
-    let r = t.exec_cm_scan(&ctx, cm, &q);
+    let truth = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched;
+    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert_eq!(r.matched, truth, "materialized recommendation answers correctly");
 
     // The estimated size tracks the materialized size within a small

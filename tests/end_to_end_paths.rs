@@ -4,15 +4,20 @@
 
 use cm_core::{BucketSpec, CmAttr, CmSpec};
 use cm_datagen::{ebay, sdss, tpch};
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 
 fn assert_paths_agree(table: &Table, disk: &std::sync::Arc<DiskSim>, sec: usize, cm: usize, q: &Query) {
     let ctx = ExecContext::cold(disk);
-    let truth = table.exec_full_scan(&ctx, q).matched;
-    assert_eq!(table.exec_secondary_sorted(&ctx, sec, q).unwrap().matched, truth, "{q:?}");
-    assert_eq!(table.exec_secondary_pipelined(&ctx, sec, q).unwrap().matched, truth, "{q:?}");
-    assert_eq!(table.exec_cm_scan(&ctx, cm, q).matched, truth, "{q:?}");
+    let matched = |path| table.exec_visit(&ctx, path, q, |_, _| {}).unwrap().matched;
+    let truth = matched(AccessPath::FullScan);
+    for path in [
+        AccessPath::SecondarySorted(sec),
+        AccessPath::SecondaryPipelined(sec),
+        AccessPath::CmScan(cm),
+    ] {
+        assert_eq!(matched(path), truth, "{path:?} {q:?}");
+    }
 }
 
 #[test]
@@ -69,8 +74,8 @@ fn tpch_shipdate_queries_agree_and_order_correctly() {
 
     // Ordering: correlated sorted scan beats pipelined by a wide margin.
     let ctx = ExecContext::cold(&disk);
-    let sorted = t.exec_secondary_sorted(&ctx, sec, &q).unwrap();
-    let pipelined = t.exec_secondary_pipelined(&ctx, sec, &q).unwrap();
+    let sorted = t.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
+    let pipelined = t.exec_visit(&ctx, AccessPath::SecondaryPipelined(sec), &q, |_, _| {}).unwrap();
     // Postings come back rid-ascending per value, so even the pipelined
     // path gets some short-skip locality; the sorted scan still wins
     // clearly by merging across values.
@@ -101,17 +106,18 @@ fn sdss_composite_cm_agrees_and_wins() {
         Pred::between(sdss::COL_DEC, 3.1, 3.4),
     ]);
     let ctx = ExecContext::cold(&disk);
-    let truth = t.exec_full_scan(&ctx, &q).matched;
+    let matched = |path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+    let truth = matched(AccessPath::FullScan);
     assert!(truth > 0, "query selects something");
-    assert_eq!(t.exec_secondary_sorted(&ctx, bt, &q).unwrap().matched, truth);
-    assert_eq!(t.exec_cm_scan(&ctx, cm_pair, &q).matched, truth);
-    assert_eq!(t.exec_cm_scan(&ctx, cm_ra, &q).matched, truth);
+    assert_eq!(matched(AccessPath::SecondarySorted(bt)), truth);
+    assert_eq!(matched(AccessPath::CmScan(cm_pair)), truth);
+    assert_eq!(matched(AccessPath::CmScan(cm_ra)), truth);
 
     // Experiment 5's ordering: composite CM beats the single-attribute CM
     // and the composite B+Tree on this two-range query.
-    let r_pair = t.exec_cm_scan(&ctx, cm_pair, &q);
-    let r_ra = t.exec_cm_scan(&ctx, cm_ra, &q);
-    let r_bt = t.exec_secondary_sorted(&ctx, bt, &q).unwrap();
+    let r_pair = t.exec_visit(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap();
+    let r_ra = t.exec_visit(&ctx, AccessPath::CmScan(cm_ra), &q, |_, _| {}).unwrap();
+    let r_bt = t.exec_visit(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}).unwrap();
     assert!(r_pair.ms() < r_ra.ms(), "pair {} vs ra {}", r_pair.ms(), r_ra.ms());
     assert!(r_pair.ms() < r_bt.ms(), "pair {} vs btree {}", r_pair.ms(), r_bt.ms());
     // The fine-bucketed pair CM is smaller than the dense index even at
@@ -151,9 +157,9 @@ fn cm_examined_rows_are_superset_of_matches() {
     let cm = t.add_cm("price_cm", CmSpec::single_pow2(ebay::COL_PRICE, 14));
     let q = Query::single(Pred::between(ebay::COL_PRICE, 200_000i64, 220_000i64));
     let ctx = ExecContext::cold(&disk);
-    let r = t.exec_cm_scan(&ctx, cm, &q);
+    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert!(r.examined >= r.matched);
-    assert_eq!(r.matched, t.exec_full_scan(&ctx, &q).matched);
+    assert_eq!(r.matched, t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched);
 }
 
 #[test]
@@ -180,8 +186,8 @@ fn uncorrelated_cm_approaches_scan_cost() {
     let cm = t.add_cm("supp_cm", CmSpec::single_raw(tpch::COL_SUPPKEY));
     let q = Query::single(Pred::eq(tpch::COL_SUPPKEY, 7i64));
     let ctx = ExecContext::cold(&disk);
-    let r = t.exec_cm_scan(&ctx, cm, &q);
-    let scan = t.exec_full_scan(&ctx, &q);
+    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let scan = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
     assert!(
         r.io.pages() as f64 > 0.5 * scan.io.pages() as f64,
         "uncorrelated CM touches most of the table ({} vs {} pages)",
@@ -205,8 +211,8 @@ fn warm_pool_executions_cost_less_than_cold() {
     let q = Query::single(Pred::between(ebay::COL_PRICE, 100_000i64, 120_000i64));
     let pool = cm_storage::BufferPool::new(disk.clone(), 4096);
     let ctx = ExecContext::through(&disk, &pool);
-    let cold = t.exec_cm_scan(&ctx, cm, &q);
-    let warm = t.exec_cm_scan(&ctx, cm, &q);
+    let cold = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let warm = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert_eq!(cold.matched, warm.matched);
     assert!(warm.ms() < 0.1 * cold.ms(), "warm {} vs cold {}", warm.ms(), cold.ms());
 }

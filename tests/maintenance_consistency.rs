@@ -6,7 +6,7 @@
 
 use cm_core::{CmSpec, CorrelationMap};
 use cm_datagen::ebay::{self, ebay, EbayConfig};
-use cm_query::{ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{BufferPool, DiskSim, Rid, Wal};
 
 fn small_table(disk: &std::sync::Arc<DiskSim>, seed: u64) -> (Table, ebay::EbayData) {
@@ -32,9 +32,10 @@ fn queries_stay_correct_across_insert_batches() {
         }
         wal.commit();
         let ctx = ExecContext::cold(&disk);
-        let truth = t.exec_full_scan(&ctx, &q).matched;
-        assert_eq!(t.exec_secondary_sorted(&ctx, sec, &q).unwrap().matched, truth, "batch {batch_no}");
-        assert_eq!(t.exec_cm_scan(&ctx, cm, &q).matched, truth, "batch {batch_no}");
+        let matched = |path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+        let truth = matched(AccessPath::FullScan);
+        assert_eq!(matched(AccessPath::SecondarySorted(sec)), truth, "batch {batch_no}");
+        assert_eq!(matched(AccessPath::CmScan(cm)), truth, "batch {batch_no}");
     }
 }
 
@@ -46,17 +47,18 @@ fn deletes_retract_from_every_structure() {
     let cm = t.add_cm("price_cm", CmSpec::single_pow2(ebay::COL_PRICE, 10));
     let q = Query::single(Pred::between(ebay::COL_PRICE, 0i64, 1_000_000i64));
     let ctx = ExecContext::cold(&disk);
-    let before = t.exec_full_scan(&ctx, &q).matched;
+    let matched = |t: &Table, path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+    let before = matched(&t, AccessPath::FullScan);
 
     // Delete every 7th row.
     let victims: Vec<Rid> = (0..t.heap().len()).step_by(7).map(Rid).collect();
     for &rid in &victims {
         t.delete_row(disk.as_ref(), None, rid).unwrap();
     }
-    let truth = t.exec_full_scan(&ctx, &q).matched;
+    let truth = matched(&t, AccessPath::FullScan);
     assert_eq!(before - victims.len() as u64, truth);
-    assert_eq!(t.exec_secondary_sorted(&ctx, sec, &q).unwrap().matched, truth);
-    assert_eq!(t.exec_cm_scan(&ctx, cm, &q).matched, truth);
+    assert_eq!(matched(&t, AccessPath::SecondarySorted(sec)), truth);
+    assert_eq!(matched(&t, AccessPath::CmScan(cm)), truth);
 }
 
 #[test]
