@@ -43,7 +43,7 @@ pub fn recommend_clustering(
 ) -> Vec<ClusteringChoice> {
     // One shared sample of row ids.
     let mut reservoir = ReservoirSampler::new(config.sample_size, config.seed);
-    for (rid, _) in table.heap().iter() {
+    for rid in (0..table.heap().len()).map(Rid) {
         reservoir.observe(rid);
     }
     let sample: Vec<Rid> = reservoir.into_sample();
@@ -56,7 +56,7 @@ pub fn recommend_clustering(
             .iter()
             .map(|&rid| {
                 let mut h = DefaultHasher::new();
-                table.heap().peek(rid).expect("sampled rid valid")[col].hash(&mut h);
+                table.heap().value(rid, col).expect("sampled rid valid").hash(&mut h);
                 h.finish()
             })
             .collect()

@@ -98,7 +98,7 @@ pub fn discover_soft_fds(
 ) -> Vec<SoftFd> {
     // Shared sample.
     let mut reservoir = ReservoirSampler::new(config.sample_size, config.seed);
-    for (rid, _) in table.heap().iter() {
+    for rid in (0..table.heap().len()).map(Rid) {
         reservoir.observe(rid);
     }
     let sample: Vec<Rid> = reservoir.into_sample();
@@ -113,7 +113,7 @@ pub fn discover_soft_fds(
             .iter()
             .map(|&rid| {
                 let mut h = DefaultHasher::new();
-                table.heap().peek(rid).expect("sampled rid valid")[col].hash(&mut h);
+                table.heap().value(rid, col).expect("sampled rid valid").hash(&mut h);
                 h.finish()
             })
             .collect()

@@ -152,7 +152,7 @@ impl Advisor {
 
         // 2. One shared random sample of RIDs.
         let mut reservoir = ReservoirSampler::new(self.config.sample_size, self.config.seed);
-        for (rid, _) in table.heap().iter() {
+        for rid in (0..table.heap().len()).map(Rid) {
             reservoir.observe(rid);
         }
         let sample: Vec<Rid> = reservoir.into_sample();
@@ -172,8 +172,8 @@ impl Advisor {
                 for spec in &cand.specs {
                     let mut v = Vec::with_capacity(sample.len());
                     for &rid in &sample {
-                        let row = table.heap().peek(rid).expect("sampled rid valid");
-                        let part = spec.key_part(&row[cand.col]);
+                        let value = table.heap().value(rid, cand.col).expect("sampled rid valid");
+                        let part = spec.key_part(&value);
                         let mut h = DefaultHasher::new();
                         part.hash(&mut h);
                         v.push(h.finish());
@@ -224,9 +224,9 @@ impl Advisor {
     /// Modeled dense B+Tree size over `attrs` (one posting per tuple).
     fn btree_size(&self, table: &Table, attrs: &[usize]) -> f64 {
         let mut key_bytes = 0.0;
-        for (_, row) in table.heap().iter().take(256) {
+        for rid in (0..table.heap().len().min(256)).map(Rid) {
             for &c in attrs {
-                key_bytes += row[c].size_bytes() as f64;
+                key_bytes += table.heap().value(rid, c).expect("rid in range").size_bytes() as f64;
             }
         }
         let avg_key = if attrs.is_empty() { 8.0 } else { key_bytes / 256.0 };

@@ -411,9 +411,9 @@ fn bucketed_c_per_u(
     let mut keys = FreqTable::new();
     let mut pairs = FreqTable::new();
     for (i, &rid) in sample.iter().enumerate() {
-        let row = table.heap().peek(rid).expect("sampled rid valid");
+        let v = table.heap().value(rid, col).expect("sampled rid valid");
         let mut h = DefaultHasher::new();
-        spec.key_part(&row[col]).hash(&mut h);
+        spec.key_part(&v).hash(&mut h);
         let kh = h.finish();
         keys.observe(kh);
         pairs.observe(kh ^ (u64::from(cbuckets[i]).wrapping_mul(0x9E3779B97F4A7C15)));
@@ -477,7 +477,7 @@ pub fn recommend_for_workload(
         (Vec::new(), Vec::new())
     } else {
         let mut reservoir = ReservoirSampler::new(cfg.sample_size, cfg.seed);
-        for (rid, _) in table.heap().iter() {
+        for rid in (0..table.heap().len()).map(Rid) {
             reservoir.observe(rid);
         }
         let sample: Vec<Rid> = reservoir.into_sample();

@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the hot paths: CM build / lookup /
 //! maintenance, B+Tree operations, bucketing, and the cardinality
-//! estimators, the per-row loop every scan runs once its pages are
-//! resident (page-run visit, predicate, snapshot visibility, aggregate
-//! fold, join probe) and the `Value` comparison under all of them. These complement
+//! estimators, the per-page layers every scan runs once its pages are
+//! resident (kernel selection, snapshot visibility, grouped fold, typed
+//! join probe) and the `Value` comparison under row-at-a-time code. These complement
 //! the experiment binaries (which reproduce the paper's tables/figures
 //! on the simulated disk) by measuring real CPU costs of the in-memory
 //! structures.
@@ -10,9 +10,9 @@
 use cm_core::{AttrConstraint, BucketDirectory, BucketSpec, CmAttr, CmSpec, CorrelationMap};
 use cm_datagen::tpch;
 use cm_index::BPlusTree;
-use cm_query::{AggFunc, AggSpec, AggState, JoinHashTable, Pred, Query};
+use cm_query::{AggFunc, AggSpec, BatchAgg, JoinHashTable, PageFilter, Pred, Query};
 use cm_stats::{estimate_distinct, DistinctSampler, EstimatorKind, FreqTable};
-use cm_storage::{Column, DiskSim, HeapFile, MvccState, Rid, Schema, Value, ValueType};
+use cm_storage::{Column, DiskSim, HeapFile, MvccState, PageRef, Rid, Schema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -54,10 +54,10 @@ fn bench_cm(c: &mut Criterion) {
     let spec = CmSpec::single_pow2(1, 12);
 
     c.bench_function("cm_build_100k", |b| {
-        b.iter(|| CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir))
+        b.iter(|| CorrelationMap::build("bench", spec.clone(), &heap, |_| true, &dir))
     });
 
-    let cm = CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir);
+    let cm = CorrelationMap::build("bench", spec.clone(), &heap, |_| true, &dir);
     c.bench_function("cm_lookup_eq", |b| {
         b.iter(|| black_box(cm.lookup(&[AttrConstraint::Eq(Value::Int(500_500))])))
     });
@@ -72,7 +72,7 @@ fn bench_cm(c: &mut Criterion) {
 
     c.bench_function("cm_insert_delete", |b| {
         let row = vec![Value::Int(500), Value::Int(500_123)];
-        let mut cm = CorrelationMap::build("bench", spec.clone(), heap.iter(), &dir);
+        let mut cm = CorrelationMap::build("bench", spec.clone(), &heap, |_| true, &dir);
         b.iter(|| {
             cm.insert(&row, Rid(42 * 900), &dir);
             cm.delete(&row, Rid(42 * 900), &dir);
@@ -84,7 +84,7 @@ fn bench_cm(c: &mut Criterion) {
     // partkey join).
     let (_kdisk, kheap) = partkey_heap();
     let kdir = BucketDirectory::build(&kheap, 0, 900);
-    let part_cm = CorrelationMap::build("part_cm", CmSpec::single_raw(1), kheap.iter(), &kdir);
+    let part_cm = CorrelationMap::build("part_cm", CmSpec::single_raw(1), &kheap, |_| true, &kdir);
     assert_eq!(part_cm.num_keys(), 10_000);
     let six: Vec<Value> = (0..6i64).map(|i| Value::Int((i * 157 + 11) % 10_000)).collect();
     c.bench_function("cm_lookup_in_6_of_10k", |b| {
@@ -93,7 +93,7 @@ fn bench_cm(c: &mut Criterion) {
 
     let composite = CmSpec::new(vec![CmAttr::pow2(1, 10), CmAttr::raw(0)]);
     c.bench_function("cm_build_composite_100k", |b| {
-        b.iter(|| CorrelationMap::build("bench", composite.clone(), heap.iter(), &dir))
+        b.iter(|| CorrelationMap::build("bench", composite.clone(), &heap, |_| true, &dir))
     });
 }
 
@@ -183,36 +183,43 @@ fn bench_estimators(c: &mut Criterion) {
     });
 }
 
-/// The per-row hot loop of a warm scan, one step at a time, over a
-/// 100 k-row lineitem heap clustered on receiptdate. Every figure is for
-/// the whole heap: divide by 100 000 for ns/row.
-fn bench_row_loop(c: &mut Criterion) {
-    const ROWS: usize = 100_000;
+/// The per-page layers of a warm scan, one at a time, over a 200 k-row
+/// lineitem heap clustered on receiptdate: the kernels' selection, the
+/// snapshot test on stamps, the grouped fold of `scan_warm`'s aggregate,
+/// and the typed join probe. Every figure is for the whole heap: divide
+/// by 200 000 for ns/row.
+fn bench_page_batches(c: &mut Criterion) {
+    const ROWS: usize = 200_000;
     let data = tpch::tpch_lineitem(tpch::TpchConfig { rows: ROWS, ..Default::default() });
     let disk = DiskSim::with_defaults();
     let heap =
         HeapFile::bulk_load_clustered(&disk, data.schema, data.rows, 60, tpch::COL_RECEIPTDATE)
             .unwrap();
     let last = heap.num_pages() - 1;
-
-    c.bench_function("row_loop_page_run_visit_100k", |b| {
-        b.iter(|| {
-            let mut quantity = 0i64;
-            heap.read_run_visit(disk.as_ref(), 0, last, Some(&[tpch::COL_QUANTITY]), |_, row| {
-                quantity += row[tpch::COL_QUANTITY].as_int().unwrap_or(0);
-            })
-            .unwrap();
-            black_box(quantity)
+    // Every slot of every page, handed to `each` with a full selection.
+    let sweep = |each: &mut dyn FnMut(PageRef<'_>, &[u32])| {
+        let mut sel = Vec::new();
+        heap.read_run_visit(disk.as_ref(), 0, last, |page| {
+            sel.clear();
+            sel.extend(0..page.len() as u32);
+            each(page, &sel);
         })
-    });
+        .unwrap();
+    };
 
     let mid = tpch::DATE_LO + tpch::DATE_SPAN / 2;
     let q = Query::new(vec![
         Pred::between(tpch::COL_SHIPDATE, Value::Date(mid), Value::Date(mid + 365)),
         Pred::eq(tpch::COL_RETURNFLAG, Value::str("R")),
     ]);
-    c.bench_function("row_loop_query_matches_100k", |b| {
-        b.iter(|| black_box(heap.iter().filter(|(_, row)| q.matches(row)).count()))
+    c.bench_function("page_select_200k", |b| {
+        b.iter(|| {
+            let mut filter = PageFilter::compile(&q, &heap).unwrap();
+            let mut n = 0;
+            heap.read_run_visit(disk.as_ref(), 0, last, |page| n += filter.select(page).len())
+            .unwrap();
+            black_box(n)
+        })
     });
 
     // Stamps as a churned table has them: mostly live, some ended before
@@ -229,48 +236,42 @@ fn bench_row_loop(c: &mut Criterion) {
             _ => (1, cm_storage::LIVE_TS),
         })
         .collect();
-    c.bench_function("row_loop_snapshot_sees_100k", |b| {
+    c.bench_function("snapshot_sees_200k", |b| {
         b.iter(|| black_box(stamps.iter().filter(|(begin, end)| snap.sees(*begin, *end)).count()))
     });
 
-    // The group lookup's three regimes: 21 (shipmode, returnflag) groups
-    // whose strings the heap shares (memo hits, pointer-compared keys);
-    // the same keys with every string in an allocation of its own (memo
-    // hits, byte-compared keys); and 500 suppkey groups, past the memo's
-    // cutoff (index probes only).
+    // `scan_warm`'s aggregate — 21 (shipmode, returnflag) groups keyed
+    // by dictionary codes, a float sum — and 500 suppkey groups.
     let str_spec = AggSpec::new(
         vec![tpch::COL_SHIPMODE, tpch::COL_RETURNFLAG],
         vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
     );
-    c.bench_function("row_loop_agg_observe_str_keys_100k", |b| {
-        b.iter(|| {
-            let mut state = AggState::new(&str_spec);
-            heap.iter().for_each(|(_, row)| state.observe(row));
-            black_box(state.finish())
-        })
-    });
     let int_spec = AggSpec::new(
         vec![tpch::COL_SUPPKEY],
         vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
     );
-    c.bench_function("row_loop_agg_observe_int_keys_500_100k", |b| {
+    for (name, spec) in [("page_fold_str_keys_200k", &str_spec), ("page_fold_int_keys_200k", &int_spec)] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut fold = BatchAgg::new(spec);
+                sweep(&mut |page, sel| fold.fold(page, sel));
+                black_box(fold.finish().finish())
+            })
+        });
+    }
+
+    // `scan_warm`'s hash join probe: six partkeys, translated to the
+    // column's representation once, probed by every row.
+    let mut ht = JoinHashTable::new();
+    for i in 0..6i64 {
+        ht.insert_keyed(0, vec![Value::Int((i * 157 + 11) % 10_000), Value::Int(i)]);
+    }
+    c.bench_function("page_probe_partkey_200k", |b| {
         b.iter(|| {
-            let mut state = AggState::new(&int_spec);
-            heap.iter().for_each(|(_, row)| state.observe(row));
-            black_box(state.finish())
-        })
-    });
-    let unshared: Vec<Vec<Value>> = heap
-        .iter()
-        .map(|(_, row)| {
-            row.iter().map(|v| v.as_str().map_or_else(|| v.clone(), Value::str)).collect()
-        })
-        .collect();
-    c.bench_function("row_loop_agg_observe_unshared_str_keys_100k", |b| {
-        b.iter(|| {
-            let mut state = AggState::new(&str_spec);
-            unshared.iter().for_each(|row| state.observe(row));
-            black_box(state.finish())
+            let keys = ht.key_probe(&heap, tpch::COL_PARTKEY);
+            let mut pairs = 0;
+            sweep(&mut |page, sel| keys.probe(page, sel, |_, rows| pairs += rows.len()));
+            black_box(pairs)
         })
     });
 }
@@ -316,6 +317,6 @@ fn bench_value_cmp(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_cm, bench_btree, bench_bucketing, bench_estimators, bench_row_loop, bench_join_probe, bench_value_cmp
+    targets = bench_cm, bench_btree, bench_bucketing, bench_estimators, bench_page_batches, bench_join_probe, bench_value_cmp
 );
 criterion_main!(benches);

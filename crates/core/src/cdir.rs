@@ -130,18 +130,21 @@ impl BucketDirectory {
         }
         // Set once the open bucket holds `target` slots: the bucket
         // closes at the next live row with a different value.
-        let mut boundary: Option<&Value> = None;
-        for (rid, row) in heap.iter().take(sorted_len as usize).filter(|(rid, _)| live(*rid)) {
+        let mut boundary: Option<Value> = None;
+        heap.scan_cols(&[col], |rid, row| {
+            if rid.0 >= sorted_len || !live(rid) {
+                return;
+            }
             let v = &row[col];
-            if boundary.is_some_and(|bv| bv != v) {
+            if boundary.as_ref().is_some_and(|bv| bv != v) {
                 starts.push(rid.0);
                 boundary = None;
             }
             let start = *starts.last().expect("opened above");
             if boundary.is_none() && rid.0 - start + 1 >= target {
-                boundary = Some(v);
+                boundary = Some(v.clone());
             }
-        }
+        });
         let mut dir = BucketDirectory {
             starts,
             heap_len: sorted_len,

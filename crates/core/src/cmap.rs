@@ -14,7 +14,7 @@
 use crate::bucket::{BucketSpec, CmKey, CmKeyPart};
 use crate::cdir::BucketDirectory;
 use crate::spec::CmSpec;
-use cm_storage::{Rid, Value};
+use cm_storage::{HeapFile, Rid, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -93,22 +93,26 @@ impl CorrelationMap {
         CorrelationMap { name: name.into(), spec, map: BTreeMap::new(), pair_count: 0 }
     }
 
-    /// Algorithm 1: scan the table's `(rid, row)` pairs, recording for
-    /// every tuple the co-occurrence of its CM key with its clustered
-    /// bucket.
+    /// Algorithm 1: scan the heap's slots that `live` admits, recording
+    /// for every tuple the co-occurrence of its CM key with its clustered
+    /// bucket. The scan reads only the key's columns.
     ///
     /// The scan is uncharged: DDL-time construction is outside the
     /// measured window in every experiment, exactly as in the paper.
-    pub fn build<'a>(
+    pub fn build(
         name: impl Into<String>,
         spec: CmSpec,
-        rows: impl Iterator<Item = (Rid, &'a [Value])>,
+        heap: &HeapFile,
+        live: impl Fn(Rid) -> bool,
         dir: &BucketDirectory,
     ) -> Self {
         let mut cm = Self::new(name, spec);
-        for (rid, row) in rows {
-            cm.insert(row, rid, dir);
-        }
+        let cols = cm.spec.cols();
+        heap.scan_cols(&cols, |rid, row| {
+            if live(rid) {
+                cm.insert(row, rid, dir);
+            }
+        });
         cm
     }
 
@@ -306,7 +310,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         // Distinct cities: boston, cambridge, springfield, manchester,
         // jackson, toledo.
         assert_eq!(cm.num_keys(), 6);
@@ -330,7 +334,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         for city in ["boston", "springfield", "manchester", "toledo"] {
             let buckets = cm.lookup(&[AttrConstraint::Eq(Value::str(city))]);
             for (rid, row) in heap.iter() {
@@ -349,19 +353,19 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
+        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         // Three Boston/MA tuples: deleting two must keep the mapping.
         let row0 = heap.peek(Rid(0)).unwrap();
         let row1 = heap.peek(Rid(1)).unwrap();
         let row2 = heap.peek(Rid(2)).unwrap();
-        assert!(cm.delete(row0, Rid(0), &dir));
-        assert!(cm.delete(row1, Rid(1), &dir));
+        assert!(cm.delete(&row0, Rid(0), &dir));
+        assert!(cm.delete(&row1, Rid(1), &dir));
         assert_eq!(cm.lookup(&[AttrConstraint::Eq(Value::str("boston"))]).len(), 2);
         // Deleting the last MA boston retracts the MA mapping.
-        assert!(cm.delete(row2, Rid(2), &dir));
+        assert!(cm.delete(&row2, Rid(2), &dir));
         assert_eq!(cm.lookup(&[AttrConstraint::Eq(Value::str("boston"))]).len(), 1);
         // Double delete reports failure.
-        assert!(!cm.delete(row2, Rid(2), &dir));
+        assert!(!cm.delete(&row2, Rid(2), &dir));
     }
 
     #[test]
@@ -369,11 +373,11 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
+        let mut cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         let baseline: Vec<u32> = cm.lookup_values(&[Value::str("boston")]);
         let row = heap.peek(Rid(7)).unwrap(); // NH boston
-        cm.delete(row, Rid(7), &dir);
-        cm.insert(row, Rid(7), &dir);
+        cm.delete(&row, Rid(7), &dir);
+        cm.insert(&row, Rid(7), &dir);
         assert_eq!(cm.lookup_values(&[Value::str("boston")]), baseline);
     }
 
@@ -384,9 +388,9 @@ mod tests {
         let dir = state_dir(&heap);
         let mut maintained = CorrelationMap::new("m", CmSpec::single_raw(1));
         for (rid, row) in heap.iter() {
-            maintained.insert(row, rid, &dir);
+            maintained.insert(&row, rid, &dir);
         }
-        let built = CorrelationMap::build("b", CmSpec::single_raw(1), heap.iter(), &dir);
+        let built = CorrelationMap::build("b", CmSpec::single_raw(1), &heap, |_| true, &dir);
         assert_eq!(maintained.num_keys(), built.num_keys());
         assert_eq!(maintained.num_pairs(), built.num_pairs());
         let a: Vec<_> = maintained.iter().collect();
@@ -408,8 +412,8 @@ mod tests {
             .collect();
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 50, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 100);
-        let fine = CorrelationMap::build("p0", CmSpec::single_pow2(1, 0), heap.iter(), &dir);
-        let coarse = CorrelationMap::build("p6", CmSpec::single_pow2(1, 6), heap.iter(), &dir);
+        let fine = CorrelationMap::build("p0", CmSpec::single_pow2(1, 0), &heap, |_| true, &dir);
+        let coarse = CorrelationMap::build("p6", CmSpec::single_pow2(1, 6), &heap, |_| true, &dir);
         assert!(coarse.num_keys() < fine.num_keys() / 10);
         assert!(coarse.size_bytes() < fine.size_bytes() / 10);
         // Coarser CM still finds everything a fine CM finds.
@@ -441,11 +445,12 @@ mod tests {
         }
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 10, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 3);
-        let single = CorrelationMap::build("x", CmSpec::single_raw(1), heap.iter(), &dir);
+        let single = CorrelationMap::build("x", CmSpec::single_raw(1), &heap, |_| true, &dir);
         let comp = CorrelationMap::build(
             "xy",
             CmSpec::new(vec![CmAttr::raw(1), CmAttr::raw(2)]),
-            heap.iter(),
+            &heap,
+            |_| true,
             &dir,
         );
         assert!((comp.avg_cbuckets_per_key() - 1.0).abs() < 1e-9);
@@ -472,7 +477,7 @@ mod tests {
             (0..1000i64).map(|i| vec![Value::Int(i / 10), Value::Int(i)]).collect();
         let heap = HeapFile::bulk_load_clustered(&disk, schema, rows, 10, 0).unwrap();
         let dir = BucketDirectory::build(&heap, 0, 10);
-        let cm = CorrelationMap::build("u", CmSpec::single_pow2(1, 4), heap.iter(), &dir);
+        let cm = CorrelationMap::build("u", CmSpec::single_pow2(1, 4), &heap, |_| true, &dir);
         // u in [100, 131]: buckets 6..8 (width 16), i.e. u in [96, 143].
         let buckets = cm.lookup(&[AttrConstraint::Range(Value::Int(100), Value::Int(131))]);
         // Those u values live at rids 96..144 => clustered values 9..14.
@@ -485,7 +490,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
-        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), heap.iter(), &dir);
+        let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         // 9 distinct (city, state) pairs in the data.
         assert_eq!(cm.num_pairs(), 9);
         let expected: u64 = cm

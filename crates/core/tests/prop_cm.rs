@@ -119,7 +119,8 @@ proptest! {
         let cm = CorrelationMap::build(
             "u_cm",
             CmSpec::new(vec![CmAttr::pow2(1, level)]),
-            heap.iter(),
+            &heap,
+            |_| true,
             &dir,
         );
         let qhi = qlo + qspan;
@@ -149,7 +150,8 @@ proptest! {
         let cm = CorrelationMap::build(
             "uw_cm",
             CmSpec::new(vec![CmAttr::pow2(1, level), CmAttr::raw(2)]),
-            heap.iter(),
+            &heap,
+            |_| true,
             &dir,
         );
         // Query for the (u, w) of an arbitrary existing tuple.
@@ -176,12 +178,12 @@ proptest! {
         let heap = build_heap(&disk, &data);
         let dir = BucketDirectory::build(&heap, 0, 8);
         let spec = CmSpec::new(vec![CmAttr::pow2(1, level)]);
-        let mut maintained = CorrelationMap::build("m", spec.clone(), heap.iter(), &dir);
+        let mut maintained = CorrelationMap::build("m", spec.clone(), &heap, |_| true, &dir);
         // Delete a subset through the maintenance path.
         let mut survivors: Vec<(Rid, Vec<Value>)> = Vec::new();
         for (rid, row) in heap.iter() {
             if delete_mask[rid.0 as usize % delete_mask.len()] {
-                prop_assert!(maintained.delete(row, rid, &dir));
+                prop_assert!(maintained.delete(&row, rid, &dir));
             } else {
                 survivors.push((rid, row.to_vec()));
             }
@@ -241,9 +243,9 @@ proptest! {
         let heap = build_heap(&disk, &data);
         let dir = BucketDirectory::build(&heap, 0, 8);
         let fine = CorrelationMap::build(
-            "f", CmSpec::new(vec![CmAttr::pow2(1, 1)]), heap.iter(), &dir);
+            "f", CmSpec::new(vec![CmAttr::pow2(1, 1)]), &heap, |_| true, &dir);
         let coarse = CorrelationMap::build(
-            "c", CmSpec::new(vec![CmAttr::pow2(1, 5)]), heap.iter(), &dir);
+            "c", CmSpec::new(vec![CmAttr::pow2(1, 5)]), &heap, |_| true, &dir);
         let q = AttrConstraint::Range(Value::Int(qlo), Value::Int(qlo + qspan));
         let fine_b = fine.lookup(std::slice::from_ref(&q));
         let coarse_b = coarse.lookup(std::slice::from_ref(&q));
@@ -279,13 +281,13 @@ proptest! {
             CmSpec::new(vec![CmAttr::pow2(1, level), CmAttr::raw(2)]),
         ];
         for spec in specs {
-            let mut cm = CorrelationMap::build("u_cm", spec.clone(), heap.iter(), &dir);
+            let mut cm = CorrelationMap::build("u_cm", spec.clone(), &heap, |_| true, &dir);
             // Deletes retract keys; the IN list names some of the
             // deleted values, now absent (or still held by a survivor).
             let mut vs: Vec<Value> = picks.iter().copied().map(probe_value).collect();
             for (rid, row) in heap.iter() {
                 if delete_mask[rid.0 as usize % delete_mask.len()] {
-                    prop_assert!(cm.delete(row, rid, &dir));
+                    prop_assert!(cm.delete(&row, rid, &dir));
                     if rid.0 % 5 == 0 {
                         vs.push(row[1].clone());
                     }

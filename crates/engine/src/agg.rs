@@ -11,9 +11,9 @@
 
 use crate::engine::Engine;
 use crate::read::{LegOpts, LegOutcome, LegPath};
-use crate::error::EngineError;
+use crate::error::{check_cols, check_query};
 use crate::Result;
-use cm_query::{AggFunc, AggSpec, AggState, Query, RunResult};
+use cm_query::{AggFunc, AggSpec, AggState, BatchAgg, Query, RunResult};
 use cm_storage::Row;
 use std::sync::atomic::Ordering;
 
@@ -62,38 +62,21 @@ impl Engine {
     pub fn aggregate(&self, table: &str, q: &Query, spec: &AggSpec) -> Result<AggOutcome> {
         let entry = self.entry(table)?;
         let arity = entry.schema.arity();
-        for &col in &spec.group_by {
-            if col >= arity {
-                return Err(EngineError::BadColumn { table: table.into(), col });
-            }
-        }
-        for f in &spec.aggs {
-            if let Some(col) = f.col() {
-                if col >= arity {
-                    return Err(EngineError::BadColumn { table: table.into(), col });
-                }
-            }
-        }
+        check_query(table, arity, q)?;
+        check_cols(table, arity, spec.group_by.iter().copied())?;
+        check_cols(table, arity, spec.aggs.iter().filter_map(AggFunc::col))?;
 
         let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);
         let snap = self.mvcc.as_ref().map(|mv| mv.begin());
-        // The fold reads its keys and its inputs, nothing else.
-        let reads: Vec<usize> = spec
-            .group_by
-            .iter()
-            .copied()
-            .chain(spec.aggs.iter().filter_map(AggFunc::col))
-            .collect();
-        let how =
-            LegOpts { path: LegPath::Planned, cold: false, snap: snap.as_ref(), reads: Some(&reads) };
+        let how = LegOpts { path: LegPath::Planned, cold: false, snap: snap.as_ref() };
         let folded = self.fan_out(self.route(lt, q), true, |leg| {
-            let mut state = AggState::new(spec);
+            let mut fold = BatchAgg::new(spec);
             let (path, run) =
-                self.run_leg(&self.read_locked(&lt.parts[leg.shard]), leg, &how, |_, row| {
-                    state.observe(row)
+                self.run_leg(&self.read_locked(&lt.parts[leg.shard]), leg, &how, |page, sel| {
+                    fold.fold(page, sel)
                 })?;
-            Ok((path, run, state))
+            Ok((path, run, fold.finish()))
         })?;
         let mut merged = AggState::new(spec);
         for state in &folded.outs {

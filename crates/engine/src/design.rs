@@ -18,7 +18,7 @@
 
 use crate::catalog::LoadedTable;
 use crate::engine::Engine;
-use crate::error::EngineError;
+use crate::error::check_cols;
 use crate::Result;
 use cm_advisor::{
     recommend_for_workload, DesignSet, Structure, WorkloadAdvisorConfig, WorkloadProfile,
@@ -123,14 +123,6 @@ impl StructureSet {
     }
 }
 
-/// [`EngineError::BadColumn`] for the first of `cols` past `arity`.
-fn check_cols(table: &str, arity: usize, cols: &[usize]) -> Result<()> {
-    match cols.iter().find(|&&c| c >= arity) {
-        Some(&col) => Err(EngineError::BadColumn { table: table.to_string(), col }),
-        None => Ok(()),
-    }
-}
-
 /// What [`Engine::apply_design`] changed (per shard; every shard gets
 /// the same set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +176,7 @@ impl Engine {
         count: impl Fn(&Table) -> usize,
     ) -> Result<usize> {
         let entry = self.entry(table)?;
-        check_cols(&entry.name, entry.schema.arity(), &set.key_cols())?;
+        check_cols(&entry.name, entry.schema.arity(), set.key_cols())?;
         let lt = entry.loaded()?;
         let _serialized = self.design_lock.lock();
         self.install_structures(lt, &set, false)?;
@@ -274,7 +266,7 @@ impl Engine {
         }
         let mut cols: Vec<usize> = design.columns.iter().map(|c| c.col).collect();
         cols.extend(set.key_cols());
-        check_cols(&entry.name, entry.schema.arity(), &cols)?;
+        check_cols(&entry.name, entry.schema.arity(), cols.iter().copied())?;
         let lt = entry.loaded()?;
         let _serialized = self.design_lock.lock();
         let dropped = {

@@ -88,6 +88,72 @@ fn bad_columns_rejected() {
 }
 
 #[test]
+fn load_rejects_a_mistyped_row_anywhere() {
+    let engine = Engine::new(EngineConfig::default());
+    let schema = Arc::new(Schema::new(vec![
+        Column::new("a", ValueType::Int),
+        Column::new("b", ValueType::Int),
+    ]));
+    engine.create_table("t", schema, 0, 20, 100).unwrap();
+    let mut rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    rows[50][1] = Value::str("x");
+    assert!(matches!(
+        engine.load("t", rows.clone()),
+        Err(EngineError::Storage(cm_storage::StorageError::SchemaMismatch { .. }))
+    ));
+    // Nothing was published: the table is still unloaded, and a clean
+    // load goes through.
+    assert!(matches!(engine.execute("t", &Query::default()), Err(EngineError::NotLoaded(_))));
+    rows[50][1] = Value::Int(50);
+    assert_eq!(engine.load("t", rows).unwrap(), 100);
+    assert!(engine.insert("t", vec![Value::Int(1), Value::str("x")]).is_err());
+}
+
+/// A predicate on column 7 of the two-column demo table.
+fn past_arity() -> Query {
+    Query::single(Pred::eq(7, 1i64))
+}
+
+fn is_bad_col_7<T>(r: Result<T>) -> bool {
+    matches!(r, Err(EngineError::BadColumn { col: 7, .. }))
+}
+
+#[test]
+fn execute_rejects_a_predicate_past_the_arity() {
+    assert!(is_bad_col_7(demo_engine().execute("items", &past_arity())));
+}
+
+#[test]
+fn execute_collect_rejects_a_predicate_past_the_arity() {
+    assert!(is_bad_col_7(demo_engine().execute_collect("items", &past_arity())));
+}
+
+#[test]
+fn delete_where_rejects_a_predicate_past_the_arity() {
+    let engine = demo_engine();
+    assert!(is_bad_col_7(engine.delete_where("items", &past_arity())));
+    assert_eq!(engine.table_info("items").unwrap().rows, 5000, "nothing deleted");
+}
+
+#[test]
+fn aggregate_rejects_a_filter_past_the_arity() {
+    let spec = AggSpec::new(vec![0], vec![AggFunc::Count]);
+    assert!(is_bad_col_7(demo_engine().aggregate("items", &past_arity(), &spec)));
+}
+
+#[test]
+fn join_rejects_a_left_filter_past_the_arity() {
+    let jq = cm_query::JoinQuery::on(0, 0).filter_left(past_arity());
+    assert!(is_bad_col_7(demo_engine().join("items", "items", &jq)));
+}
+
+#[test]
+fn join_rejects_a_right_filter_past_the_arity() {
+    let jq = cm_query::JoinQuery::on(0, 0).filter_right(past_arity());
+    assert!(is_bad_col_7(demo_engine().join("items", "items", &jq)));
+}
+
+#[test]
 fn cost_based_routing_prefers_cm_for_selective_predicate() {
     let engine = demo_engine();
     engine.create_cm("items", "price_cm", CmSpec::single_pow2(1, 4)).unwrap();

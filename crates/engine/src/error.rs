@@ -1,6 +1,6 @@
 //! Engine error type.
 
-use cm_query::QueryError;
+use cm_query::{Query, QueryError};
 use cm_storage::StorageError;
 use std::fmt;
 
@@ -109,4 +109,22 @@ impl From<QueryError> for EngineError {
     fn from(e: QueryError) -> Self {
         EngineError::Query(e)
     }
+}
+
+/// [`EngineError::BadColumn`] for the first of `cols` past `arity`.
+pub(crate) fn check_cols(
+    table: &str,
+    arity: usize,
+    cols: impl IntoIterator<Item = usize>,
+) -> crate::Result<()> {
+    match cols.into_iter().find(|&c| c >= arity) {
+        Some(col) => Err(EngineError::BadColumn { table: table.to_string(), col }),
+        None => Ok(()),
+    }
+}
+
+/// [`EngineError::BadColumn`] for a predicate of `q` past `arity` —
+/// checked before a query is planned, so no leg ever compiles it.
+pub(crate) fn check_query(table: &str, arity: usize, q: &Query) -> crate::Result<()> {
+    check_cols(table, arity, q.preds.iter().map(|p| p.col))
 }

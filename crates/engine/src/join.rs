@@ -27,13 +27,13 @@
 use crate::catalog::LoadedTable;
 use crate::engine::Engine;
 use crate::read::{LegOpts, LegOutcome, LegPath};
-use crate::error::EngineError;
+use crate::error::{check_cols, check_query, EngineError};
 use crate::Result;
 use cm_advisor::WorkloadProfile;
 use cm_cost::CostParams;
 use cm_query::exec::clamp_constraints;
 use cm_query::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy, RunResult, ShardLeg};
-use cm_storage::{Row, Value};
+use cm_storage::{PageRef, Row, Value};
 use std::sync::atomic::Ordering;
 
 /// How many build keys feed the probe column's distinct-queried sketch
@@ -169,12 +169,11 @@ impl Engine {
     ) -> Result<JoinOutcome> {
         let left_entry = self.entry(left)?;
         let right_entry = self.entry(right)?;
-        if jq.left_col >= left_entry.schema.arity() {
-            return Err(EngineError::BadColumn { table: left.into(), col: jq.left_col });
-        }
-        if jq.right_col >= right_entry.schema.arity() {
-            return Err(EngineError::BadColumn { table: right.into(), col: jq.right_col });
-        }
+        let (left_arity, right_arity) = (left_entry.schema.arity(), right_entry.schema.arity());
+        check_cols(left, left_arity, [jq.left_col])?;
+        check_cols(right, right_arity, [jq.right_col])?;
+        check_query(left, left_arity, &jq.left_filter)?;
+        check_query(right, right_arity, &jq.right_filter)?;
 
         let self_join = std::sync::Arc::ptr_eq(&left_entry, &right_entry);
         let left_lt = left_entry.loaded()?;
@@ -209,8 +208,7 @@ impl Engine {
         };
 
         // ---- build phase -----------------------------------------------
-        let build_how =
-            LegOpts { path: LegPath::Planned, cold: false, snap: snap_ref, reads: None };
+        let build_how = LegOpts { path: LegPath::Planned, cold: false, snap: snap_ref };
         let built = self.fan_out(self.route(build_lt, build_filter), forced.is_none(), |leg| {
             self.collect_leg(build_lt, leg, &build_how, true)
         })?;
@@ -279,34 +277,34 @@ impl Engine {
             },
             cold: false,
             snap: snap_ref,
-            // The probe reads the join column of every row and the rest
-            // only of the (usually few) rows that find a partner.
-            reads: Some(std::slice::from_ref(&probe_col)),
         };
         // An empty hash table can match nothing; skip the probe sweep.
         let probe_legs = if ht.is_empty() { Vec::new() } else { probe_plan.legs };
         let probed = self.fan_out(probe_legs, forced.is_none(), |leg| {
             let mut out: Vec<Row> = Vec::new();
             let mut pairs = 0u64;
-            let emit = |_, probe_row: &[Value]| {
-                for &idx in ht.probe(&probe_row[probe_col]) {
-                    pairs += 1;
-                    if collect {
-                        let build_row = ht.row(idx);
-                        let mut row = match build_side {
-                            JoinSide::Left => build_row.clone(),
-                            JoinSide::Right => probe_row.to_vec(),
-                        };
-                        match build_side {
-                            JoinSide::Left => row.extend_from_slice(probe_row),
-                            JoinSide::Right => row.extend_from_slice(build_row),
-                        }
-                        out.push(row);
+            let t = self.read_locked(&probe_lt.parts[leg.shard]);
+            // The build keys in this shard's representation of the probe
+            // column: the probe reads that column of every row, and the
+            // rest only of rows that find a partner.
+            let keys = ht.key_probe(t.heap(), probe_col);
+            let emit = |page: PageRef<'_>, sel: &[u32]| {
+                keys.probe(page, sel, |slot, partners| {
+                    pairs += partners.len() as u64;
+                    if !collect {
+                        return;
                     }
-                }
+                    let probe_row = page.row(slot as usize);
+                    for &idx in partners {
+                        let build_row = ht.row(idx);
+                        out.push(match build_side {
+                            JoinSide::Left => [build_row.as_slice(), &probe_row].concat(),
+                            JoinSide::Right => [probe_row.as_slice(), build_row].concat(),
+                        });
+                    }
+                });
             };
-            let (path, run) =
-                self.run_leg(&self.read_locked(&probe_lt.parts[leg.shard]), leg, &probe_how, emit)?;
+            let (path, run) = self.run_leg(&t, leg, &probe_how, emit)?;
             Ok((path, run, (out, pairs)))
         })?;
         let mut matched = 0u64;

@@ -6,8 +6,8 @@
 //! shard, carrying the shard-restricted predicate), *lock* (each leg
 //! takes its shard lock once), *plan* (under that hold the leg's access
 //! path is chosen against the shard's own statistics, or a forced one
-//! validated), *execute* (one rid-aware dispatch,
-//! [`Table::exec_visit`]), and *merge* (leg results in
+//! validated), *execute* (one page-batch dispatch,
+//! [`Table::exec_batches`]), and *merge* (leg results in
 //! [`ShardLeg::merge_key`] order, never completion order). Legs fan out
 //! on the engine's shared [`Executor`](crate::Executor) worker pool,
 //! each against its own shard backend. [`Engine::explain`] runs route
@@ -15,6 +15,7 @@
 
 use crate::catalog::{LoadedTable, TableEntry};
 use crate::engine::Engine;
+use crate::error::check_query;
 use crate::executor::scheduled_makespan;
 use crate::join::Clamp;
 use crate::Result;
@@ -23,7 +24,7 @@ use cm_query::{
     restrict_to_shard, AccessPath, ExecContext, PlanChoice, Planner, PredOp, Query, QueryPlan,
     RunResult, ShardLeg, Table,
 };
-use cm_storage::{Rid, Row, Snapshot, Value};
+use cm_storage::{PageRef, Row, Snapshot};
 use parking_lot::RwLock;
 use std::sync::atomic::Ordering;
 use std::sync::RwLockReadGuard;
@@ -89,8 +90,6 @@ pub(crate) struct LegOpts<'a> {
     pub(crate) cold: bool,
     /// The MVCC snapshot the leg reads at.
     pub(crate) snap: Option<&'a Snapshot>,
-    /// [`ExecContext::reads`]: the columns the leg's visitor reads.
-    pub(crate) reads: Option<&'a [usize]>,
 }
 
 /// One leg's result before the merge: the path to tally as its routing
@@ -206,14 +205,15 @@ impl Engine {
     /// path instead. The choice lands in `leg.choice`; a forced path
     /// keeps the planner's estimate for it, or NaN when the planner
     /// could not cost it (no statistics, or no predicate on the index's
-    /// leading column). Every match goes to `visit` with its local RID.
+    /// leading column). The matches go to `visit` a page at a time, as
+    /// the page and its selected slots ([`Table::exec_batches`]).
     /// Returns the path to tally and the run.
     pub(crate) fn run_leg(
         &self,
         t: &Table,
         leg: &mut ShardLeg,
         how: &LegOpts<'_>,
-        visit: impl FnMut(Rid, &[Value]),
+        visit: impl FnMut(PageRef<'_>, &[u32]),
     ) -> Result<(AccessPath, RunResult)> {
         let backend = &self.backends[leg.shard];
         let mut ctx = if how.cold {
@@ -222,7 +222,6 @@ impl Engine {
             ExecContext::through(backend.disk(), backend.pool())
         };
         ctx.snap = how.snap;
-        ctx.reads = how.reads;
         leg.choice = self.planner.choose(t, &leg.query);
         let path = match how.path {
             LegPath::Planned => leg.choice.path,
@@ -237,12 +236,13 @@ impl Engine {
                 p
             }
             LegPath::Clamp(c) if c.cm_id < t.cms().len() => {
-                let run = t.exec_cm_clamp(&ctx, c.cm_id, &leg.query, c.col, c.keys, visit)?;
+                let run =
+                    t.exec_cm_clamp_batches(&ctx, c.cm_id, &leg.query, c.col, c.keys, visit)?;
                 return Ok((AccessPath::CmScan(c.cm_id), run));
             }
             LegPath::Clamp(_) => leg.choice.path,
         };
-        Ok((path, t.exec_visit(&ctx, path, &leg.query, visit)?))
+        Ok((path, t.exec_batches(&ctx, path, &leg.query, visit)?))
     }
 
     /// A read leg under its shard's read lock, gathering a copy of every
@@ -256,9 +256,9 @@ impl Engine {
     ) -> Result<LegDone<Vec<Row>>> {
         let mut rows: Vec<Row> = Vec::new();
         let (path, run) =
-            self.run_leg(&self.read_locked(&lt.parts[leg.shard]), leg, how, |_, row| {
+            self.run_leg(&self.read_locked(&lt.parts[leg.shard]), leg, how, |page, sel| {
                 if collect {
-                    rows.push(row.to_vec());
+                    rows.extend(sel.iter().map(|&s| page.row(s as usize)));
                 }
             })?;
         Ok((path, run, rows))
@@ -362,6 +362,7 @@ impl Engine {
         cold: bool,
     ) -> Result<QueryOutcome> {
         let entry = self.entry(table)?;
+        check_query(table, entry.schema.arity(), q)?;
         let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);
 
@@ -375,8 +376,6 @@ impl Engine {
             path: forced.map_or(LegPath::Planned, LegPath::Forced),
             cold,
             snap: snap.as_ref(),
-            // A collected row is copied whole; a counted one is not read.
-            reads: if collect { None } else { Some(&[]) },
         };
         let Merged { run, legs, outs, parallel_ms } = self.fan_out(
             self.route(lt, q),

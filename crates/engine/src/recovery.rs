@@ -178,7 +178,7 @@ impl Engine {
                 // (uncommitted inserts) are current; undo removes them
                 // if the transaction never commits.
                 let slots =
-                    t.heap().iter().map(|(rid, r)| t.is_current(rid).then(|| r.to_vec())).collect();
+                    t.heap().iter().map(|(rid, r)| t.is_current(rid).then_some(r)).collect();
                 shards.push(ShardImage { slots, base_len: lt.base_lens[i] });
             }
             let structures = StructureSet::of(&lt.parts[0].read());

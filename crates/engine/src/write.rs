@@ -8,7 +8,7 @@
 
 use crate::catalog::{LoadedTable, TableEntry};
 use crate::engine::Engine;
-use crate::error::EngineError;
+use crate::error::{check_query, EngineError};
 use crate::read::{LegDone, LegOpts, LegPath};
 use crate::Result;
 use cm_query::{Query, ShardLeg, Table};
@@ -244,9 +244,10 @@ impl Engine {
         let part = &lt.parts[leg.shard];
         let mut victims: Vec<Rid> = Vec::new();
         let mut find = |t: &Table, snap: Option<&Snapshot>| {
-            // A delete reads no column beyond its predicate.
-            let how = LegOpts { path: LegPath::Planned, cold: false, snap, reads: Some(&[]) };
-            self.run_leg(t, leg, &how, |rid, _| victims.push(rid))
+            let how = LegOpts { path: LegPath::Planned, cold: false, snap };
+            self.run_leg(t, leg, &how, |page, sel| {
+                victims.extend(sel.iter().map(|&s| page.rid(s)));
+            })
         };
         let (mut t, (path, run)) = match &self.mvcc {
             Some(mv) => {
@@ -306,6 +307,7 @@ impl Engine {
         // (invisible as deletes) and recovery rolls the log records back.
         // Legs that succeeded have already counted their victims.
         let entry = self.entry(table)?;
+        check_query(table, entry.schema.arity(), q)?;
         let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);
         let (txn, implicit) = match &self.mvcc {

@@ -16,7 +16,7 @@
 
 use cm_engine::{Engine, EngineConfig};
 use cm_query::{Pred, Query};
-use cm_storage::{Column, Row, Schema, Value, ValueType, LIVE_TS};
+use cm_storage::{Column, Rid, Row, Schema, Value, ValueType, LIVE_TS};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -197,7 +197,7 @@ proptest! {
         let mut seen = 0i64;
         engine
             .with_each_shard("items", |_, t| {
-                for (rid, _) in t.heap().iter() {
+                for rid in (0..t.heap().len()).map(Rid) {
                     let (b, e) = t.stamp_of(rid);
                     if pin.sees(b, e) {
                         assert!(
@@ -217,7 +217,7 @@ proptest! {
         let mut dead = 0u64;
         engine
             .with_each_shard("items", |_, t| {
-                for (rid, _) in t.heap().iter() {
+                for rid in (0..t.heap().len()).map(Rid) {
                     let (_, e) = t.stamp_of(rid);
                     if e != LIVE_TS && !t.is_tombstone(rid).unwrap() {
                         dead += 1;

@@ -8,7 +8,7 @@
 //! charges per clustered value reached through a correlation (§4.1).
 
 use crate::btree::BPlusTree;
-use cm_storage::{FileId, PageAccessor, Rid, Value};
+use cm_storage::{FileId, HeapFile, PageAccessor, Rid, Value};
 use std::ops::Bound;
 
 /// Sparse index: one entry per distinct clustered value.
@@ -20,31 +20,32 @@ pub struct ClusteredIndex {
 }
 
 impl ClusteredIndex {
-    /// Build over the live rows of a heap, in RID order (`rows`; dead
-    /// slots are simply absent), `heap_len` slots long. Each distinct
-    /// value is indexed at the first RID it appears at, NULL included:
-    /// for a heap bulk-loaded clustered on `col` that is the start of
-    /// the value's run, and a value first seen in the appended tail
-    /// starts where [`ClusteredIndex::note_append`] put it. A run that
-    /// lost its first rows to deletes starts at its first surviving
-    /// row, so a scan may cover a few dead slots more, which hold no row.
-    pub fn build<'a>(
-        rows: impl IntoIterator<Item = (Rid, &'a [Value])>,
+    /// Build over the slots of `heap` that `live` admits, in RID order,
+    /// reading only column `col`. Each distinct value is indexed at the
+    /// first live RID it appears at, NULL included: for a heap
+    /// bulk-loaded clustered on `col` that is the start of the value's
+    /// run, and a value first seen in the appended tail starts where
+    /// [`ClusteredIndex::note_append`] put it. A run that lost its first
+    /// rows to deletes starts at its first surviving row, so a scan may
+    /// cover a few dead slots more, which hold no row.
+    pub fn build(
+        heap: &HeapFile,
         col: usize,
-        heap_len: u64,
+        live: impl Fn(Rid) -> bool,
         file: FileId,
         order: usize,
     ) -> Self {
-        let mut idx = ClusteredIndex { col, tree: BPlusTree::new(order), file, heap_len };
-        let mut last: Option<&Value> = None;
-        for (rid, row) in rows {
+        let mut idx =
+            ClusteredIndex { col, tree: BPlusTree::new(order), file, heap_len: heap.len() };
+        let mut last: Option<Value> = None;
+        heap.scan_cols(&[col], |rid, row| {
             let v = &row[col];
             // The rest of a run repeats its value: no tree probe.
-            if last != Some(v) {
+            if live(rid) && last.as_ref() != Some(v) {
                 idx.note_append(v, rid);
-                last = Some(v);
+                last = Some(v.clone());
             }
-        }
+        });
         idx
     }
 
@@ -154,12 +155,12 @@ impl ClusteredIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_storage::{Column, DiskSim, HeapFile, Schema, ValueType};
+    use cm_storage::{Column, DiskSim, Schema, ValueType};
     use std::sync::Arc;
 
     /// The index over every slot of `heap`.
     fn build(heap: &HeapFile, disk: &DiskSim, order: usize) -> ClusteredIndex {
-        ClusteredIndex::build(heap.iter(), 0, heap.len(), disk.alloc_file(), order)
+        ClusteredIndex::build(heap, 0, |_| true, disk.alloc_file(), order)
     }
 
     fn clustered_heap(disk: &DiskSim) -> HeapFile {
@@ -284,8 +285,8 @@ mod tests {
                 .collect();
         let heap = HeapFile::bulk_load(&disk, schema, rows, 4).unwrap();
         let dead = [3, 4, 5, 11];
-        let live = heap.iter().filter(|(rid, _)| !dead.contains(&rid.0));
-        let idx = ClusteredIndex::build(live, 0, heap.len(), disk.alloc_file(), 4);
+        let live = |rid: Rid| !dead.contains(&rid.0);
+        let idx = ClusteredIndex::build(&heap, 0, live, disk.alloc_file(), 4);
         // MA unchanged; NH starts at its first *surviving* row; dead
         // slots are never indexed; the tail value is.
         assert_eq!(idx.rid_range_uncharged(&Value::str("MA"), &Value::str("MA")), Some((0, 6)));

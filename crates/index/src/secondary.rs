@@ -9,7 +9,7 @@
 
 use crate::btree::BPlusTree;
 use crate::key::IndexKey;
-use cm_storage::{FileId, PageAccessor, Rid, Value};
+use cm_storage::{FileId, HeapFile, PageAccessor, Rid, Value};
 use std::ops::Bound;
 
 /// PostgreSQL-like leaf fill factor used by the size model.
@@ -45,19 +45,24 @@ impl SecondaryIndex {
         }
     }
 
-    /// Bulk-build from `(rid, row)` pairs without charging I/O (structure
-    /// construction happens outside the measured window, as in the paper).
-    pub fn build<'a>(
+    /// Bulk-build over the heap's slots that `live` admits, reading only
+    /// the key columns, without charging I/O (structure construction
+    /// happens outside the measured window, as in the paper).
+    pub fn build(
         name: impl Into<String>,
         cols: Vec<usize>,
         file: FileId,
         order: usize,
-        rows: impl Iterator<Item = (Rid, &'a [Value])>,
+        heap: &HeapFile,
+        live: impl Fn(Rid) -> bool,
     ) -> Self {
         let mut idx = Self::new(name, cols, file, order);
-        for (rid, row) in rows {
-            idx.insert_unlogged(row, rid);
-        }
+        let cols = idx.cols.clone();
+        heap.scan_cols(&cols, |rid, row| {
+            if live(rid) {
+                idx.insert_unlogged(row, rid);
+            }
+        });
         idx
     }
 
@@ -246,7 +251,8 @@ impl SecondaryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_storage::DiskSim;
+    use cm_storage::{Column, DiskSim, Schema, ValueType};
+    use std::sync::Arc;
 
     fn sample_rows() -> Vec<Vec<Value>> {
         // (id, city, state)
@@ -263,14 +269,23 @@ mod tests {
         .collect()
     }
 
+    fn sample_heap(disk: &DiskSim) -> HeapFile {
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("id", ValueType::Int),
+            Column::new("city", ValueType::Str),
+            Column::new("state", ValueType::Str),
+        ]));
+        HeapFile::bulk_load(disk, schema, sample_rows(), 4).unwrap()
+    }
+
     fn build_city_index(disk: &DiskSim) -> SecondaryIndex {
-        let rows = sample_rows();
         SecondaryIndex::build(
             "city_idx",
             vec![1],
             disk.alloc_file(),
             4,
-            rows.iter().enumerate().map(|(i, r)| (Rid(i as u64), r.as_slice())),
+            &sample_heap(disk),
+            |_| true,
         )
     }
 
@@ -348,13 +363,13 @@ mod tests {
     #[test]
     fn composite_keys_and_prefix_range() {
         let disk = DiskSim::with_defaults();
-        let rows = sample_rows();
         let idx = SecondaryIndex::build(
             "city_state",
             vec![1, 2],
             disk.alloc_file(),
             4,
-            rows.iter().enumerate().map(|(i, r)| (Rid(i as u64), r.as_slice())),
+            &sample_heap(&disk),
+            |_| true,
         );
         // All boston rows regardless of state, via prefix bounds.
         let lo = IndexKey::prefix_lower(&[Value::str("boston")]);

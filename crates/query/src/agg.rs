@@ -13,7 +13,7 @@
 //! key-sorted group list, so a limited result is always a stable prefix
 //! of the unlimited one ("LIMIT-stability").
 
-use cm_storage::{FxBuildHasher, Row, Value};
+use cm_storage::{null_bit, ColumnSlice, FxBuildHasher, PageRef, Row, Value};
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One aggregate function over a column (or over whole rows for
@@ -80,14 +80,82 @@ impl AggSpec {
     }
 }
 
+/// A running `SUM`. `Int` and `Date` inputs add as `i64`; a float, or
+/// an `i64` overflow, promotes an integer running sum to `f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sum {
+    /// No non-NULL input yet.
+    Empty,
+    Int(i64),
+    Float(f64),
+}
+
+impl Sum {
+    /// Add one value (NULLs skipped).
+    fn add_value(&mut self, v: &Value) {
+        match v {
+            Value::Null => {}
+            Value::Int(i) => self.add_int(*i),
+            Value::Date(d) => self.add_int(i64::from(*d)),
+            Value::Float(f) => self.add_float(f.0),
+            Value::Str(_) => panic!("SUM over a numeric column"),
+        }
+    }
+
+    #[inline]
+    fn add_int(&mut self, i: i64) {
+        *self = match *self {
+            Sum::Empty => Sum::Int(i),
+            Sum::Int(s) => int_sum(s, i),
+            Sum::Float(s) => Sum::Float(s + i as f64),
+        };
+    }
+
+    #[inline]
+    fn add_float(&mut self, x: f64) {
+        *self = match *self {
+            Sum::Empty => Sum::Float(x),
+            Sum::Int(s) => Sum::Float(s as f64 + x),
+            Sum::Float(s) => Sum::Float(s + x),
+        };
+    }
+
+    /// This sum followed by another leg's.
+    fn merge(self, other: Sum) -> Sum {
+        match (self, other) {
+            (a, Sum::Empty) => a,
+            (Sum::Empty, b) => b,
+            (Sum::Int(a), Sum::Int(b)) => int_sum(a, b),
+            (Sum::Int(a), Sum::Float(b)) => Sum::Float(a as f64 + b),
+            (Sum::Float(a), Sum::Int(b)) => Sum::Float(a + b as f64),
+            (Sum::Float(a), Sum::Float(b)) => Sum::Float(a + b),
+        }
+    }
+}
+
+/// `a + b` as an integer sum, widened to a float sum if it overflows
+/// `i64`.
+fn int_sum(a: i64, b: i64) -> Sum {
+    a.checked_add(b).map_or(Sum::Float(a as f64 + b as f64), Sum::Int)
+}
+
+/// Keep `v` in `m` if it beats the running minimum or maximum (`f`
+/// says which); NULLs are skipped.
+fn min_max(m: &mut Option<Value>, f: &AggFunc, v: &Value) {
+    let beats = |cur: &Value| match f {
+        AggFunc::Min(_) => v < cur,
+        _ => v > cur,
+    };
+    if !v.is_null() && m.as_ref().is_none_or(beats) {
+        *m = Some(v.clone());
+    }
+}
+
 /// One aggregate's running value.
 #[derive(Debug, Clone, PartialEq)]
 enum Acc {
     Count(u64),
-    /// No non-NULL input yet.
-    SumEmpty,
-    SumInt(i64),
-    SumFloat(f64),
+    Sum(Sum),
     MinMax(Option<Value>),
 }
 
@@ -95,54 +163,18 @@ impl Acc {
     fn fresh(f: &AggFunc) -> Acc {
         match f {
             AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum(_) => Acc::SumEmpty,
+            AggFunc::Sum(_) => Acc::Sum(Sum::Empty),
             AggFunc::Min(_) | AggFunc::Max(_) => Acc::MinMax(None),
         }
     }
 
     fn observe(&mut self, f: &AggFunc, row: &[Value]) {
-        match (self, f) {
+        match (self, *f) {
             (Acc::Count(n), AggFunc::Count) => *n += 1,
-            (acc @ (Acc::SumEmpty | Acc::SumInt(_) | Acc::SumFloat(_)), AggFunc::Sum(col)) => {
-                acc.add_value(&row[*col]);
-            }
-            (Acc::MinMax(m), AggFunc::Min(col)) => {
-                let v = &row[*col];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (Acc::MinMax(m), AggFunc::Max(col)) => {
-                let v = &row[*col];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
-                }
-            }
+            (Acc::Sum(s), AggFunc::Sum(col)) => s.add_value(&row[col]),
+            (Acc::MinMax(m), AggFunc::Min(col) | AggFunc::Max(col)) => min_max(m, f, &row[col]),
             _ => unreachable!("accumulator matches its function"),
         }
-    }
-
-    /// Add one value into a sum accumulator (NULLs skipped). `Int` and
-    /// `Date` inputs add as `i64`; a float, or an `i64` overflow,
-    /// promotes an integer running sum to `f64`.
-    fn add_value(&mut self, v: &Value) {
-        let num = match v {
-            Value::Null => return,
-            v => v.as_numeric().expect("SUM over a numeric column"),
-        };
-        let int = match v {
-            Value::Int(i) => Some(*i),
-            Value::Date(d) => Some(i64::from(*d)),
-            _ => None,
-        };
-        *self = match (&*self, int) {
-            (Acc::SumEmpty, Some(i)) => Acc::SumInt(i),
-            (Acc::SumInt(s), Some(i)) => int_sum(*s, i),
-            (Acc::SumEmpty, None) => Acc::SumFloat(num),
-            (Acc::SumInt(s), None) => Acc::SumFloat(*s as f64 + num),
-            (Acc::SumFloat(s), _) => Acc::SumFloat(s + num),
-            _ => unreachable!("sum accumulator"),
-        };
     }
 
     /// Fold another leg's accumulator for the same function with this
@@ -153,24 +185,14 @@ impl Acc {
     fn merge_with(&self, f: &AggFunc, other: &Acc) -> Acc {
         match (self, other) {
             (Acc::Count(a), Acc::Count(b)) => Acc::Count(a + b),
-            (a, Acc::SumEmpty) => a.clone(),
-            (Acc::SumEmpty, b) => b.clone(),
-            (Acc::SumInt(a), Acc::SumInt(b)) => int_sum(*a, *b),
-            (Acc::SumInt(a), Acc::SumFloat(b)) => Acc::SumFloat(*a as f64 + b),
-            (Acc::SumFloat(a), Acc::SumInt(b)) => Acc::SumFloat(a + *b as f64),
-            (Acc::SumFloat(a), Acc::SumFloat(b)) => Acc::SumFloat(a + b),
-            (Acc::MinMax(a), Acc::MinMax(b)) => Acc::MinMax(match (a, b) {
-                (Some(av), Some(bv)) => {
-                    let take_b = match f {
-                        AggFunc::Min(_) => bv < av,
-                        AggFunc::Max(_) => bv > av,
-                        _ => unreachable!("min/max accumulator"),
-                    };
-                    Some(if take_b { bv.clone() } else { av.clone() })
+            (Acc::Sum(a), Acc::Sum(b)) => Acc::Sum(a.merge(*b)),
+            (Acc::MinMax(a), Acc::MinMax(b)) => {
+                let mut m = a.clone();
+                if let Some(v) = b {
+                    min_max(&mut m, f, v);
                 }
-                (Some(v), None) | (None, Some(v)) => Some(v.clone()),
-                (None, None) => None,
-            }),
+                Acc::MinMax(m)
+            }
             _ => unreachable!("accumulators merge like with like"),
         }
     }
@@ -178,61 +200,33 @@ impl Acc {
     fn finish(&self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(*n as i64),
-            Acc::SumEmpty => Value::Null,
-            Acc::SumInt(s) => Value::Int(*s),
-            Acc::SumFloat(s) => Value::float(*s),
+            Acc::Sum(Sum::Empty) => Value::Null,
+            Acc::Sum(Sum::Int(s)) => Value::Int(*s),
+            Acc::Sum(Sum::Float(s)) => Value::float(*s),
             Acc::MinMax(m) => m.clone().unwrap_or(Value::Null),
         }
     }
 }
 
-/// `a + b` as an integer sum, widened to a float sum if it overflows
-/// `i64`.
-fn int_sum(a: i64, b: i64) -> Acc {
-    a.checked_add(b).map_or(Acc::SumFloat(a as f64 + b as f64), Acc::SumInt)
-}
-
-/// Slots in [`GroupKeys`]' memo: a power of two.
-const MEMO_SLOTS: usize = 256;
-
-/// [`GroupKeys`] consults its memo only while it holds at most this many
-/// groups. A quarter of the slots keeps collisions rare; past it a row's
-/// key is less likely to sit in its slot, and a miss costs the memo
-/// check on top of the probe it falls back to.
-const MEMO_MAX_GROUPS: usize = MEMO_SLOTS / 4;
-
-/// The distinct group keys seen so far, in arrival order: `width` values
-/// per group in one flat array behind an open-addressing index. A row
-/// finds its group by hashing and comparing its group-by columns where
-/// they lie, so nothing is cloned or allocated unless the group is new.
-/// Keys hash with [`cm_storage::FxHasher`], whose avalanching `finish`
-/// keeps the low bits the index masks well spread.
-///
-/// While there are few groups — the low-cardinality attributes soft
-/// dependencies are found on — a direct-mapped **memo** sits in front of
-/// the index. Its slot comes from an O(1) [`fingerprint`] of the key
-/// values, and it remembers the last group seen there. A row whose key
-/// equals that group's (`Value::eq`, a pointer compare for shared
-/// strings) skips hashing and probing; any other row takes the index
-/// path and then claims the slot. Fingerprints may collide: the equality
-/// check, not the fingerprint, decides the group. Above
-/// [`MEMO_MAX_GROUPS`] groups the memo is skipped. Group numbers, and so
-/// results, do not depend on it.
+/// The distinct group keys seen so far, in arrival order: `width`
+/// key parts per group in one flat array behind an open-addressing
+/// index. A row finds its group by hashing and comparing its key parts
+/// where they lie, so nothing is cloned or allocated unless the group is
+/// new. Keys hash with [`cm_storage::FxHasher`], whose avalanching
+/// `finish` keeps the low bits the index masks well spread. The parts
+/// are [`Value`]s for [`AggState`] and key words for [`BatchAgg`].
 #[derive(Debug, Clone)]
-struct GroupKeys {
+struct GroupKeys<K> {
     width: usize,
     hasher: FxBuildHasher,
     /// `index[hash & mask]`, probed linearly: a group number + 1, or 0
     /// for empty. Power-of-two length, at most half full.
     index: Vec<u32>,
     hashes: Vec<u64>,
-    keys: Vec<Value>,
-    /// `memo[slot]`: the last group whose key fingerprinted to `slot`,
-    /// plus one, or 0 for empty.
-    memo: Box<[u32; MEMO_SLOTS]>,
+    keys: Vec<K>,
 }
 
-impl GroupKeys {
+impl<K: Hash + Eq + Clone> GroupKeys<K> {
     fn new(width: usize) -> Self {
         GroupKeys {
             width,
@@ -240,7 +234,6 @@ impl GroupKeys {
             index: vec![0; 16],
             hashes: Vec::new(),
             keys: Vec::new(),
-            memo: Box::new([0; MEMO_SLOTS]),
         }
     }
 
@@ -248,15 +241,18 @@ impl GroupKeys {
         self.hashes.len()
     }
 
-    fn key(&self, g: usize) -> &[Value] {
+    fn key(&self, g: usize) -> &[K] {
         &self.keys[g * self.width..(g + 1) * self.width]
     }
 
     /// Whether group `g`'s key is `key(0), key(1), …`. Forced inline:
-    /// called out of line from the probe loop, it made grouping past the
-    /// memo's cutoff ~15 % slower than a loop that compares in place.
+    /// called out of line from the probe loop, it made grouping ~15 %
+    /// slower than a loop that compares in place.
     #[inline(always)]
-    fn key_is<'a>(&self, g: usize, key: impl Fn(usize) -> &'a Value) -> bool {
+    fn key_is<'a>(&self, g: usize, key: impl Fn(usize) -> &'a K) -> bool
+    where
+        K: 'a,
+    {
         for (i, k) in self.key(g).iter().enumerate() {
             if k != key(i) {
                 return false;
@@ -267,22 +263,10 @@ impl GroupKeys {
 
     /// The group whose key is `key(0), key(1), …`, and whether this call
     /// created it.
-    fn find_or_insert<'a>(&mut self, key: impl Fn(usize) -> &'a Value) -> (usize, bool) {
-        let slot = (self.len() <= MEMO_MAX_GROUPS).then(|| memo_slot((0..self.width).map(&key)));
-        if let Some(g) = slot.and_then(|s| self.memo[s].checked_sub(1)) {
-            if self.key_is(g as usize, &key) {
-                return (g as usize, false);
-            }
-        }
-        let found = self.probe(key);
-        if let Some(s) = slot {
-            self.memo[s] = found.0 as u32 + 1;
-        }
-        found
-    }
-
-    /// `find_or_insert` through the index alone.
-    fn probe<'a>(&mut self, key: impl Fn(usize) -> &'a Value) -> (usize, bool) {
+    fn find_or_insert<'a>(&mut self, key: impl Fn(usize) -> &'a K) -> (usize, bool)
+    where
+        K: 'a,
+    {
         let mut h = self.hasher.build_hasher();
         (0..self.width).for_each(|i| key(i).hash(&mut h));
         let hash = h.finish();
@@ -320,48 +304,16 @@ impl GroupKeys {
     }
 }
 
-/// An O(1) summary of one key value that depends only on its content:
-/// the payload bits of an `Int`, `Date` or `Float`, a constant for
-/// `Null`, and a string's length with its first and last byte (so
-/// `"AIR"` and `"ASR"` share one). It never reads a string's other bytes
-/// or its address, so memo hits do not depend on whether equal strings
-/// share an allocation.
-fn fingerprint(v: &Value) -> u64 {
-    match v {
-        Value::Null => 0x6E75_6C6C,
-        Value::Int(i) => *i as u64,
-        Value::Date(d) => *d as u64,
-        Value::Float(f) => f.0.to_bits(),
-        Value::Str(s) => match s.as_bytes() {
-            [] => 0,
-            [first, .., last] | [first @ last] => {
-                s.len() as u64 | u64::from(*first) << 40 | u64::from(*last) << 48
-            }
-        },
-    }
-}
-
-/// The memo slot of a key: its values' fingerprints folded together,
-/// then Fibonacci-hashed (the top bits of a multiply by 2^64/φ) down to
-/// [`MEMO_SLOTS`].
-fn memo_slot<'a>(key: impl Iterator<Item = &'a Value>) -> usize {
-    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-    let folded = key.fold(0u64, |acc, v| (acc ^ fingerprint(v)).wrapping_mul(PHI));
-    (folded >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
-}
-
 /// A mergeable grouped-aggregation accumulator. Feed it rows with
-/// [`AggState::observe`], merge per-leg states with [`AggState::merge`]
-/// (in explicit merge-key order), and read the key-sorted result rows
-/// with [`AggState::finish`]. Groups are kept in arrival order; key
-/// order is restored once, by the sort in `finish`. A row finds its group
-/// through a small key-fingerprint memo while the state holds few groups
-/// and through a hash index otherwise; both find the same group, so
-/// results never depend on which one did.
+/// [`AggState::observe`] (or build a leg's with [`BatchAgg`]), merge
+/// per-leg states with [`AggState::merge`] (in explicit merge-key
+/// order), and read the key-sorted result rows with
+/// [`AggState::finish`]. Groups are kept in arrival order; key order is
+/// restored once, by the sort in `finish`.
 #[derive(Debug, Clone)]
 pub struct AggState {
     spec: AggSpec,
-    groups: GroupKeys,
+    groups: GroupKeys<Value>,
     /// `spec.aggs.len()` accumulators per group, in group order.
     accs: Vec<Acc>,
 }
@@ -432,7 +384,7 @@ impl AggState {
 /// The accumulators of the group keyed `key(0), key(1), …` — fresh ones
 /// if the group is new.
 fn accs_of<'s, 'a>(
-    groups: &mut GroupKeys,
+    groups: &mut GroupKeys<Value>,
     accs: &'s mut Vec<Acc>,
     aggs: &[AggFunc],
     key: impl Fn(usize) -> &'a Value,
@@ -442,6 +394,232 @@ fn accs_of<'s, 'a>(
         accs.extend(aggs.iter().map(Acc::fresh));
     }
     &mut accs[g * aggs.len()..(g + 1) * aggs.len()]
+}
+
+/// Most slots [`BatchAgg`]'s direct group index may take: a string key
+/// whose code combinations (NULL included) number more is grouped by
+/// hash instead. 4 096 slots are 16 KiB, a few L1 lines for the
+/// low-cardinality keys soft dependencies are found on.
+const DIRECT_SLOTS: usize = 1 << 12;
+
+/// How a [`BatchAgg`] finds a row's group.
+#[derive(Debug)]
+enum GroupIndex {
+    /// By the key words, hashed ([`GroupKeys`]).
+    Hash(GroupKeys<u64>),
+    /// Every group-by column holds strings: by the dictionary codes
+    /// directly, as digits base `radix` (the dictionary's size plus one,
+    /// the top digit standing for NULL). `slots[key]` is the group + 1,
+    /// or 0 before the key's first row.
+    Direct { radix: u64, slots: Vec<u32>, groups: usize },
+}
+
+/// One aggregate's accumulators in a [`BatchAgg`], one per group.
+#[derive(Debug)]
+enum Accs {
+    Count(Vec<u64>),
+    Sum(Vec<Sum>),
+    MinMax(Vec<Option<Value>>),
+}
+
+/// One shard leg's grouped fold over `(page, selection)` batches of a
+/// single heap. A group is found by its **key words** — per group-by
+/// column the value's [`cm_storage::key_bits`] (an `Int`'s or `Date`'s
+/// payload, a `Float`'s order key, a `Str`'s dictionary code; 0 for
+/// NULL), then a NULL mask — or, when every group-by column holds
+/// strings and their codes are few, by the codes as an index into a
+/// direct table. Either way the fold never materialises a value except
+/// each new group's first key, and each aggregate runs one typed loop
+/// over its column. Words and codes identify values exactly as
+/// [`Value`]'s equality does, so the groups are the ones
+/// [`AggState::observe`] would form. [`BatchAgg::finish`] turns the
+/// leg's groups back into `Value` keys: the [`AggState`] it returns
+/// merges and finishes like any other. Codes are per heap, so one
+/// `BatchAgg` folds one leg.
+#[derive(Debug)]
+pub struct BatchAgg {
+    spec: AggSpec,
+    /// Chosen at the first batch, from the key columns' types and the
+    /// dictionary's size.
+    index: Option<GroupIndex>,
+    /// Each group's key as first seen, `group_by.len()` values a group.
+    keys: Vec<Value>,
+    /// Per aggregate, in spec order.
+    accs: Vec<Accs>,
+    /// Reused batch to batch: its key words (or direct slots) and groups.
+    words: Vec<u64>,
+    gids: Vec<usize>,
+}
+
+impl BatchAgg {
+    /// An empty fold for `spec`.
+    pub fn new(spec: &AggSpec) -> Self {
+        let accs = spec
+            .aggs
+            .iter()
+            .map(|f| match f {
+                AggFunc::Count => Accs::Count(Vec::new()),
+                AggFunc::Sum(_) => Accs::Sum(Vec::new()),
+                AggFunc::Min(_) | AggFunc::Max(_) => Accs::MinMax(Vec::new()),
+            })
+            .collect();
+        BatchAgg {
+            spec: spec.clone(),
+            index: None,
+            keys: Vec::new(),
+            accs,
+            words: Vec::new(),
+            gids: Vec::new(),
+        }
+    }
+
+    /// The group index for the heap `page` belongs to.
+    fn index_for(group_by: &[usize], page: PageRef<'_>) -> GroupIndex {
+        let radix = page.dict().len() as u64 + 1;
+        let all_str = group_by.iter().all(|&c| matches!(page.column(c), ColumnSlice::Str(_)));
+        let slots = u32::try_from(group_by.len())
+            .ok()
+            .and_then(|n| radix.checked_pow(n))
+            .filter(|&n| n as usize <= DIRECT_SLOTS);
+        match slots {
+            Some(n) if all_str => {
+                GroupIndex::Direct { radix, slots: vec![0; n as usize], groups: 0 }
+            }
+            _ => {
+                let n = group_by.len();
+                GroupIndex::Hash(GroupKeys::new(n + n.div_ceil(64)))
+            }
+        }
+    }
+
+    /// Fold the slots `sel` of `page` (already filtered and visible).
+    pub fn fold(&mut self, page: PageRef<'_>, sel: &[u32]) {
+        let group_by = &self.spec.group_by;
+        let index = self.index.get_or_insert_with(|| Self::index_for(group_by, page));
+        let (words, gids) = (&mut self.words, &mut self.gids);
+        gids.clear();
+        let first_seen = |k: usize, keys: &mut Vec<Value>, accs: &mut [Accs]| {
+            let s = sel[k] as usize;
+            keys.extend(group_by.iter().map(|&c| page.value(s, c)));
+            for acc in accs.iter_mut() {
+                match acc {
+                    Accs::Count(v) => v.push(0),
+                    Accs::Sum(v) => v.push(Sum::Empty),
+                    Accs::MinMax(v) => v.push(None),
+                }
+            }
+        };
+        match index {
+            GroupIndex::Hash(groups) => {
+                key_words(words, groups.width, group_by, page, sel);
+                let width = groups.width;
+                for k in 0..sel.len() {
+                    let key = &words[k * width..(k + 1) * width];
+                    let (g, new) = groups.find_or_insert(|i| &key[i]);
+                    if new {
+                        first_seen(k, &mut self.keys, &mut self.accs);
+                    }
+                    gids.push(g);
+                }
+            }
+            GroupIndex::Direct { radix, slots, groups } => {
+                direct_slots(words, *radix, group_by, page, sel);
+                for (k, &slot) in words.iter().enumerate() {
+                    let entry = &mut slots[slot as usize];
+                    if *entry == 0 {
+                        *groups += 1;
+                        *entry = *groups as u32;
+                        first_seen(k, &mut self.keys, &mut self.accs);
+                    }
+                    gids.push(*entry as usize - 1);
+                }
+            }
+        }
+        for (f, acc) in self.spec.aggs.iter().zip(&mut self.accs) {
+            let rows = gids.iter().copied().zip(sel.iter().map(|&s| s as usize));
+            let Some(col) = f.col() else {
+                let Accs::Count(counts) = acc else { unreachable!("count accumulators") };
+                rows.for_each(|(g, _)| counts[g] += 1);
+                continue;
+            };
+            let nulls = page.nulls(col);
+            let rows = rows.filter(|&(_, s)| !nulls.is_some_and(|n| null_bit(n, s)));
+            match (acc, page.column(col)) {
+                (Accs::Sum(sums), ColumnSlice::Int(v)) => {
+                    rows.for_each(|(g, s)| sums[g].add_int(v[s]));
+                }
+                (Accs::Sum(sums), ColumnSlice::Date(v)) => {
+                    rows.for_each(|(g, s)| sums[g].add_int(i64::from(v[s])));
+                }
+                (Accs::Sum(sums), ColumnSlice::Float(v)) => {
+                    rows.for_each(|(g, s)| sums[g].add_float(v[s]));
+                }
+                (Accs::Sum(_), ColumnSlice::Str(_)) => {
+                    assert!(rows.count() == 0, "SUM over a numeric column");
+                }
+                (Accs::MinMax(ms), _) => {
+                    rows.for_each(|(g, s)| min_max(&mut ms[g], f, &page.value(s, col)));
+                }
+                (Accs::Count(_), _) => unreachable!("COUNT(*) reads no column"),
+            }
+        }
+    }
+
+    /// The leg's state with `Value` group keys, ready to merge.
+    pub fn finish(self) -> AggState {
+        let n = self.spec.group_by.len();
+        let groups = match self.index {
+            Some(GroupIndex::Hash(g)) => g.len(),
+            Some(GroupIndex::Direct { groups, .. }) => groups,
+            None => 0,
+        };
+        let mut keys = GroupKeys::new(n);
+        let mut accs = Vec::with_capacity(groups * self.accs.len());
+        for g in 0..groups {
+            keys.find_or_insert(|i| &self.keys[g * n + i]);
+            accs.extend(self.accs.iter().map(|a| match a {
+                Accs::Count(v) => Acc::Count(v[g]),
+                Accs::Sum(v) => Acc::Sum(v[g]),
+                Accs::MinMax(v) => Acc::MinMax(v[g].clone()),
+            }));
+        }
+        AggState { spec: self.spec, groups: keys, accs }
+    }
+}
+
+/// Fill `words` with each selected slot's key words, `width` a slot:
+/// the group-by columns' [`cm_storage::key_bits`] (0 for NULL), then
+/// one NULL-mask word per 64 columns.
+fn key_words(words: &mut Vec<u64>, width: usize, group_by: &[usize], page: PageRef<'_>, sel: &[u32]) {
+    words.clear();
+    words.resize(sel.len() * width, 0);
+    for (i, &c) in group_by.iter().enumerate() {
+        page.column(c).for_each_word(sel, |k, word| words[k * width + i] = word);
+        if let Some(nulls) = page.nulls(c) {
+            let mask = group_by.len() + i / 64;
+            for (k, &s) in sel.iter().enumerate() {
+                if null_bit(nulls, s as usize) {
+                    words[k * width + mask] |= 1 << (i % 64);
+                }
+            }
+        }
+    }
+}
+
+/// Fill `slots` with each selected slot's direct-index slot: its string
+/// columns' codes as digits base `radix`, `radix - 1` for NULL.
+fn direct_slots(slots: &mut Vec<u64>, radix: u64, group_by: &[usize], page: PageRef<'_>, sel: &[u32]) {
+    slots.clear();
+    slots.resize(sel.len(), 0);
+    let mut scale = 1;
+    for &c in group_by {
+        let nulls = page.nulls(c);
+        page.column(c).for_each_word(sel, |k, code| {
+            let null = nulls.is_some_and(|n| null_bit(n, sel[k] as usize));
+            slots[k] += if null { radix - 1 } else { code } * scale;
+        });
+        scale *= radix;
+    }
 }
 
 #[cfg(test)]
@@ -540,7 +718,7 @@ mod tests {
 
     /// The most slots one `find_or_insert` of a stored key probes: its
     /// distance from its home slot `hash & mask`, plus one.
-    fn longest_probe(groups: &GroupKeys) -> usize {
+    fn longest_probe<K>(groups: &GroupKeys<K>) -> usize {
         let mask = groups.index.len() - 1;
         (0..groups.index.len())
             .filter(|&at| groups.index[at] != 0)
@@ -552,7 +730,7 @@ mod tests {
             .unwrap_or(0)
     }
 
-    fn keys_of(values: impl Iterator<Item = Value>) -> GroupKeys {
+    fn keys_of(values: impl Iterator<Item = Value>) -> GroupKeys<Value> {
         let mut groups = GroupKeys::new(1);
         for v in values {
             groups.find_or_insert(|_| &v);
@@ -621,13 +799,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_checks_keys_whose_fingerprints_collide() {
-        let (air, asr) = (Value::str("AIR"), Value::str("ASR"));
-        assert_eq!(fingerprint(&air), fingerprint(&asr));
+    fn group_keys_compare_values_not_summaries() {
         let keys = [
-            (air.clone(), (0, true)),
-            (asr, (1, true)),
-            (air, (0, false)),
+            (Value::str("AIR"), (0, true)),
+            (Value::str("ASR"), (1, true)),
+            (Value::str("AIR"), (0, false)),
             (Value::str("ASR"), (1, false)),
             (Value::float(2.0), (2, true)),
             (Value::Int(2), (3, true)),
@@ -640,19 +816,59 @@ mod tests {
         }
     }
 
+    /// A heap of every column type, NULLs in each, over several pages.
+    fn typed_heap(disk: &cm_storage::DiskSim) -> cm_storage::HeapFile {
+        use cm_storage::{Column, Schema, ValueType};
+        let schema = std::sync::Arc::new(Schema::new(vec![
+            Column::new("s", ValueType::Str),
+            Column::new("i", ValueType::Int),
+            Column::new("d", ValueType::Date),
+            Column::new("f", ValueType::Float),
+        ]));
+        let floats = [0.5, -0.0, 0.0, f64::NAN, 2.25];
+        let rows = (0..300i64)
+            .map(|i| {
+                let null = |k: i64| (i / k) % 7 == 3;
+                vec![
+                    if null(1) { Value::Null } else { Value::str(["x", "y", "z"][i as usize % 3]) },
+                    if null(2) { Value::Null } else { Value::Int(i % 5 - 2) },
+                    if null(3) { Value::Null } else { Value::Date((i % 4) as i32) },
+                    if null(5) { Value::Null } else { Value::float(floats[i as usize % 5]) },
+                ]
+            })
+            .collect();
+        cm_storage::HeapFile::bulk_load(disk, schema, rows, 37).unwrap()
+    }
+
     #[test]
-    fn memo_is_bypassed_past_its_cutoff() {
-        let mut groups = GroupKeys::new(1);
-        let keys: Vec<Value> = (0..2 * MEMO_MAX_GROUPS as i64).map(Value::Int).collect();
-        for (g, k) in keys.iter().enumerate() {
-            assert_eq!(groups.find_or_insert(|_| k), (g, true));
+    fn batch_fold_equals_row_fold() {
+        let disk = cm_storage::DiskSim::with_defaults();
+        let heap = typed_heap(&disk);
+        let specs = [
+            AggSpec::new(vec![0, 1], vec![AggFunc::Count, AggFunc::Sum(3), AggFunc::Min(0)]),
+            AggSpec::new(vec![3], vec![AggFunc::Sum(1), AggFunc::Sum(2), AggFunc::Max(3)]),
+            AggSpec::new(vec![2, 0, 3], vec![AggFunc::Min(1), AggFunc::Max(0)]),
+            AggSpec::new(vec![], vec![AggFunc::Count, AggFunc::Sum(1), AggFunc::Max(2)]),
+            // String keys only: the direct index.
+            AggSpec::new(vec![0], vec![AggFunc::Count, AggFunc::Sum(3), AggFunc::Max(0)]),
+        ];
+        for spec in &specs {
+            let mut rows = AggState::new(spec);
+            heap.iter().for_each(|(_, row)| rows.observe(&row));
+            let mut batch = BatchAgg::new(spec);
+            let last = heap.num_pages() - 1;
+            heap.read_run_visit(disk.as_ref(), 0, last, |page| {
+                // Every other slot, so selections are sparse.
+                let sel: Vec<u32> = (0..page.len() as u32).filter(|s| s % 2 == 0).collect();
+                batch.fold(page, &sel);
+            })
+            .unwrap();
+            let mut even = AggState::new(spec);
+            heap.iter().filter(|(rid, _)| rid.0 % 37 % 2 == 0).for_each(|(_, r)| even.observe(&r));
+            let (want, got) = (even.finish(), batch.finish().finish());
+            assert_eq!(format!("{want:?}"), format!("{got:?}"), "{spec:?}");
+            assert!(!rows.finish().is_empty());
         }
-        let memo = groups.memo.clone();
-        for (g, k) in keys.iter().enumerate().rev() {
-            assert_eq!(groups.find_or_insert(|_| k), (g, false));
-        }
-        assert_eq!(groups.memo, memo, "no memo writes above the cutoff");
-        assert!(memo.iter().all(|&m| m as usize <= MEMO_MAX_GROUPS + 1));
     }
 
     #[test]

@@ -26,6 +26,11 @@ pub enum QueryError {
         /// The CM id the path named.
         id: usize,
     },
+    /// A predicate named a column past the table's arity.
+    BadColumn {
+        /// The column position the predicate named.
+        col: usize,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -37,6 +42,7 @@ impl fmt::Display for QueryError {
             ),
             QueryError::UnknownIndex { id } => write!(f, "no secondary index with id {id}"),
             QueryError::UnknownCm { id } => write!(f, "no correlation map with id {id}"),
+            QueryError::BadColumn { col } => write!(f, "predicate on column {col}, past the table's arity"),
         }
     }
 }

@@ -7,12 +7,13 @@
 //! [`cm_storage::DiskSim`].
 
 use crate::error::QueryError;
+use crate::kernel::PageFilter;
 use crate::plan::AccessPath;
 use crate::predicate::{PredOp, Query};
 use crate::table::Table;
 use cm_core::AttrConstraint;
 use cm_index::IndexKey;
-use cm_storage::{DiskSim, IoStats, PageAccessor, ReadCache, Rid, Snapshot, Value};
+use cm_storage::{DiskSim, IoStats, PageAccessor, PageRef, ReadCache, Rid, Snapshot, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -29,24 +30,17 @@ pub struct ExecContext<'a> {
     /// everything the heap holds — the pre-MVCC behaviour, where
     /// exclusion is the shard lock's job.
     pub snap: Option<&'a Snapshot>,
-    /// The columns the visitor reads of a matching row, when the caller
-    /// knows them (an aggregate's keys and inputs, a join's key; empty
-    /// for a count); `None` means any. A hint for the heap's prefetch —
-    /// a sweep fetches these and the predicate's columns ahead of itself
-    /// instead of whole rows — never a projection: the visitor still
-    /// gets whole rows.
-    pub reads: Option<&'a [usize]>,
 }
 
 impl<'a> ExecContext<'a> {
     /// Charge straight to the disk (cold cache).
     pub fn cold(disk: &'a Arc<DiskSim>) -> Self {
-        ExecContext { disk, io: disk, snap: None, reads: None }
+        ExecContext { disk, io: disk, snap: None }
     }
 
     /// Charge through an arbitrary accessor (e.g. a buffer pool).
     pub fn through(disk: &'a Arc<DiskSim>, io: &'a dyn PageAccessor) -> Self {
-        ExecContext { disk, io, snap: None, reads: None }
+        ExecContext { disk, io, snap: None }
     }
 
     /// Read at an MVCC snapshot: rows whose version is not visible to
@@ -76,31 +70,37 @@ impl RunResult {
 }
 
 impl Table {
-    /// Run access path `path` for `q`, handing every match visible at
-    /// `ctx.snap` to `on_match` with its RID — the one dispatch every
-    /// engine leg executes through (the `exec_*_visit` methods below are
-    /// thin wrappers over it). A path naming a secondary index or CM this
-    /// table does not have, or a secondary path with no predicate on the
-    /// index's first key column, is a [`QueryError`], not a panic.
+    /// Run access path `path` for `q`, handing the matches visible at
+    /// `ctx.snap` to `on_batch` a page at a time: the page and the slots
+    /// selected on it, in slot order. This is the one dispatch every
+    /// engine leg executes through. `q` is compiled once into column
+    /// kernels ([`PageFilter`]); each swept page's selection vector comes
+    /// from the kernels, then the slot stamps filter it. A page with no
+    /// match is not handed on. A path naming a secondary index or CM
+    /// this table does not have, a secondary path with no predicate on
+    /// the index's first key column, or a predicate past the table's
+    /// arity is a [`QueryError`], not a panic.
     ///
     /// The scan-shaped paths (full, sorted, CM) sweep their pages as
     /// vectored runs; the pipelined path deliberately keeps per-fetch
-    /// charging (the paper's §3.1 model).
-    pub fn exec_visit(
+    /// charging (the paper's §3.1 model), handing each fetched match on
+    /// as a one-slot selection.
+    pub fn exec_batches(
         &self,
         ctx: &ExecContext<'_>,
         path: AccessPath,
         q: &Query,
-        mut on_match: impl FnMut(Rid, &[Value]),
+        mut on_batch: impl FnMut(PageRef<'_>, &[u32]),
     ) -> Result<RunResult, QueryError> {
         let before = ctx.disk.stats();
+        let mut filter = PageFilter::compile(q, self.heap())?;
         let mut matched = 0u64;
-        let mut visit = |rid: Rid, row: &[Value]| {
-            matched += 1;
-            on_match(rid, row);
+        let mut visit = |page: PageRef<'_>, sel: &[u32]| {
+            matched += sel.len() as u64;
+            on_batch(page, sel);
         };
         let mut sweep = |lo: u64, hi: u64| {
-            self.sweep_run(ctx.io, ctx.snap, q, ctx.reads, lo, hi, &mut visit)
+            self.sweep_run(ctx.io, ctx.snap, &mut filter, lo, hi, &mut visit)
                 .expect("swept pages in range")
         };
         let examined = match path {
@@ -128,10 +128,15 @@ impl Table {
                 // Pipelined probes are deliberately uncached: the paper's
                 // model charges every lookup a full descent (§3.1).
                 let rids = self.secondary_rids(ctx.io, id, q)?;
+                let mut sel = Vec::with_capacity(1);
                 for &rid in &rids {
-                    let row = self.heap().fetch(ctx.io, rid).expect("index rid valid");
-                    if q.matches(row) && self.visible_at(ctx.snap, rid) {
-                        visit(rid, row);
+                    let (page, slot) = self.heap().fetch_page(ctx.io, rid).expect("index rid valid");
+                    sel.clear();
+                    sel.push(slot);
+                    filter.narrow(page, &mut sel);
+                    self.retain_visible(ctx.snap, page, &mut sel);
+                    if !sel.is_empty() {
+                        visit(page, &sel);
                     }
                 }
                 rids.len() as u64
@@ -146,8 +151,22 @@ impl Table {
         Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })
     }
 
+    /// [`Table::exec_batches`] handing each match on as a row with its
+    /// RID — the materialising wrapper the `exec_*_visit` methods and
+    /// row-at-a-time callers use. One row buffer serves the whole run.
+    pub fn exec_visit(
+        &self,
+        ctx: &ExecContext<'_>,
+        path: AccessPath,
+        q: &Query,
+        on_match: impl FnMut(Rid, &[Value]),
+    ) -> Result<RunResult, QueryError> {
+        self.exec_batches(ctx, path, q, rows_of(on_match))
+    }
+
     /// Access path 1: full sequential scan (§3), with a visitor over
-    /// matching rows.
+    /// matching rows. Panics on a predicate past the table's arity
+    /// ([`Table::exec_visit`] reports it).
     pub fn exec_full_scan_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -283,12 +302,25 @@ impl Table {
         let index_io = ReadCache::new(io);
         for &b in buckets {
             let (start, _) = self.dir().rid_range(b);
-            let key = &self.heap().peek(Rid(start)).expect("bucket start valid")
-                [self.clustered_col()];
-            self.clustered().charge_probe(&index_io, key);
+            let key = self.heap().value(Rid(start), self.clustered_col());
+            self.clustered().charge_probe(&index_io, &key.expect("bucket start valid"));
         }
         // Adjacent buckets share boundary pages.
         merge_page_ranges(buckets.iter().map(|&b| self.dir().page_range(b)).collect())
+    }
+}
+
+/// A batch visitor that hands each selected slot on as a row with its
+/// RID, built into one reused buffer.
+pub(crate) fn rows_of(
+    mut on_match: impl FnMut(Rid, &[Value]),
+) -> impl FnMut(PageRef<'_>, &[u32]) {
+    let mut row = Vec::new();
+    move |page, sel| {
+        for &s in sel {
+            page.row_into(s as usize, &mut row);
+            on_match(page.rid(s), &row);
+        }
     }
 }
 

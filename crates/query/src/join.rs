@@ -17,10 +17,11 @@
 //! picks per query.
 
 use crate::error::QueryError;
-use crate::exec::{clamp_constraints, ExecContext, RunResult};
-use crate::predicate::Query;
+use crate::exec::{clamp_constraints, rows_of, ExecContext, RunResult};
+use crate::kernel::PageFilter;
+use crate::predicate::{Pred, Query};
 use crate::table::Table;
-use cm_storage::{FxHashMap, FxHashSet, Rid, Row, Value};
+use cm_storage::{null_bit, FxHashMap, HeapFile, PageRef, Row, Value};
 use std::fmt;
 
 /// A single-column equi-join between two tables, each side optionally
@@ -166,6 +167,21 @@ impl JoinHashTable {
         keys.sort();
         keys
     }
+
+    /// The build keys translated once into column `col` of `heap` —
+    /// payloads, float order keys or dictionary codes
+    /// ([`cm_storage::key_bits`]) — so a probe leg matches that heap's
+    /// pages without materialising a probe value. Keys of another type,
+    /// and strings the heap never stored, can match nothing and drop out.
+    pub fn key_probe(&self, heap: &HeapFile, col: usize) -> KeyProbe<'_> {
+        let map: FxHashMap<u64, &[u32]> = self
+            .map
+            .iter()
+            .filter_map(|(k, rows)| Some((heap.key_bits_of(col, k)?, rows.as_slice())))
+            .collect();
+        let present = map.keys().fold(0, |bits, &w| bits | 1 << filter_bit(w));
+        KeyProbe { col, map, present }
+    }
 }
 
 /// Record build row `idx` under `key`, cloning the key only when it is
@@ -176,6 +192,44 @@ fn post(map: &mut FxHashMap<Value, Vec<u32>>, key: &Value, idx: u32) {
         None => {
             map.insert(key.clone(), vec![idx]);
         }
+    }
+}
+
+/// A [`JoinHashTable`]'s keys in one probe column's representation
+/// ([`JoinHashTable::key_probe`]), probed a page batch at a time.
+pub struct KeyProbe<'a> {
+    col: usize,
+    map: FxHashMap<u64, &'a [u32]>,
+    /// A one-word Bloom filter over the keys: bit [`filter_bit`] of each
+    /// is set, so most probe rows of a small build side are turned away
+    /// by one multiply and one mask instead of a hash lookup.
+    present: u64,
+}
+
+/// Which of [`KeyProbe::present`]'s 64 bits a key word sets: the top six
+/// bits of a Fibonacci hash.
+#[inline(always)]
+fn filter_bit(word: u64) -> u32 {
+    (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u32
+}
+
+impl KeyProbe<'_> {
+    /// For each slot of `sel` (on `page`) whose join key has build
+    /// partners, in slot order, call `emit(slot, partner row indices)`.
+    /// A NULL key never joins.
+    pub fn probe(&self, page: PageRef<'_>, sel: &[u32], mut emit: impl FnMut(u32, &[u32])) {
+        let nulls = page.nulls(self.col);
+        page.column(self.col).for_each_word(sel, |k, word| {
+            let s = sel[k];
+            if self.present >> filter_bit(word) & 1 == 0
+                || nulls.is_some_and(|n| null_bit(n, s as usize))
+            {
+                return;
+            }
+            if let Some(rows) = self.map.get(&word) {
+                emit(s, rows);
+            }
+        });
     }
 }
 
@@ -190,13 +244,47 @@ impl Table {
     ///    the merged bucket page ranges as vectored runs (identical I/O
     ///    shape and pricing to [`Table::exec_cm_scan_visit`]).
     /// 3. Re-filter every visible row against `q` **and** exact key
-    ///    membership — bucketing introduces false positives, never false
-    ///    negatives — and hand survivors to `on_match` (the engine's
-    ///    hash-table probe, now guaranteed to hit).
+    ///    membership (`probe_col IN keys`, one more kernel) — bucketing
+    ///    introduces false positives, never false negatives — and hand
+    ///    each page's survivors to `on_batch` (the engine's hash-table
+    ///    probe, now guaranteed to hit).
     ///
     /// `matched` counts probe rows that passed both filters (each may
     /// join with several build rows; output cardinality is the caller's
-    /// business).
+    /// business). A CM id the table does not have, or a column past its
+    /// arity, is a [`QueryError`].
+    pub fn exec_cm_clamp_batches(
+        &self,
+        ctx: &ExecContext<'_>,
+        cm_id: usize,
+        q: &Query,
+        probe_col: usize,
+        keys: &[Value],
+        mut on_batch: impl FnMut(PageRef<'_>, &[u32]),
+    ) -> Result<RunResult, QueryError> {
+        let before = ctx.disk.stats();
+        let mut clamped = q.clone();
+        clamped.preds.push(Pred::is_in(probe_col, keys.to_vec()));
+        let mut filter = PageFilter::compile(&clamped, self.heap())?;
+        let cm = self.cms().get(cm_id).ok_or(QueryError::UnknownCm { id: cm_id })?;
+        let buckets = cm.lookup(&clamp_constraints(cm.spec(), q, probe_col, keys));
+
+        let mut matched = 0u64;
+        let mut examined = 0u64;
+        let mut visit = |page: PageRef<'_>, sel: &[u32]| {
+            matched += sel.len() as u64;
+            on_batch(page, sel);
+        };
+        for (lo, hi) in self.cm_bucket_runs(ctx.io, &buckets) {
+            examined += self
+                .sweep_run(ctx.io, ctx.snap, &mut filter, lo, hi, &mut visit)
+                .expect("bucket pages in range");
+        }
+        Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })
+    }
+
+    /// [`Table::exec_cm_clamp_batches`] handing each match on as a row.
+    /// Panics on a CM id the table does not have.
     pub fn exec_cm_clamp_visit(
         &self,
         ctx: &ExecContext<'_>,
@@ -206,40 +294,9 @@ impl Table {
         keys: &[Value],
         mut on_match: impl FnMut(&[Value]),
     ) -> RunResult {
-        self.exec_cm_clamp(ctx, cm_id, q, probe_col, keys, |_, row| on_match(row))
+        let visit = rows_of(|_, row: &[Value]| on_match(row));
+        self.exec_cm_clamp_batches(ctx, cm_id, q, probe_col, keys, visit)
             .expect("CM id in range")
-    }
-
-    /// [`Table::exec_cm_clamp_visit`] handing each match's RID along,
-    /// with a CM id the table does not have reported as a
-    /// [`QueryError`] instead of a panic.
-    pub fn exec_cm_clamp(
-        &self,
-        ctx: &ExecContext<'_>,
-        cm_id: usize,
-        q: &Query,
-        probe_col: usize,
-        keys: &[Value],
-        mut on_match: impl FnMut(Rid, &[Value]),
-    ) -> Result<RunResult, QueryError> {
-        let before = ctx.disk.stats();
-        let cm = self.cms().get(cm_id).ok_or(QueryError::UnknownCm { id: cm_id })?;
-        let buckets = cm.lookup(&clamp_constraints(cm.spec(), q, probe_col, keys));
-
-        let key_set: FxHashSet<&Value> = keys.iter().collect();
-        let mut matched = 0u64;
-        let mut examined = 0u64;
-        for (lo, hi) in self.cm_bucket_runs(ctx.io, &buckets) {
-            examined += self
-                .sweep_run(ctx.io, ctx.snap, q, ctx.reads, lo, hi, |rid, row| {
-                    if key_set.contains(&row[probe_col]) {
-                        matched += 1;
-                        on_match(rid, row);
-                    }
-                })
-                .expect("bucket pages in range");
-        }
-        Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })
     }
 
     /// The id of a CM usable for clamping a probe on `col` — one whose
@@ -265,7 +322,7 @@ mod tests {
     use super::*;
     use crate::predicate::Pred;
     use cm_core::CmSpec;
-    use cm_storage::{Column, DiskSim, Schema, ValueType};
+    use cm_storage::{Column, DiskSim, FxHashSet, Schema, ValueType};
     use std::sync::Arc;
 
     /// catid-clustered table with price correlated to catid.
@@ -331,6 +388,37 @@ mod tests {
             r.io.pages(),
             full.io.pages()
         );
+    }
+
+    #[test]
+    fn key_probe_matches_value_equality() {
+        let disk = DiskSim::with_defaults();
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("f", ValueType::Float),
+            Column::new("s", ValueType::Str),
+        ]));
+        let rows: Vec<Row> = [(0.0, "a"), (-0.0, "b"), (f64::NAN, "a"), (1.5, "c")]
+            .iter()
+            .map(|&(f, s)| vec![Value::float(f), Value::str(s)])
+            .chain([vec![Value::Null, Value::Null]])
+            .collect();
+        let heap = cm_storage::HeapFile::bulk_load(&disk, schema, rows.clone(), 8).unwrap();
+        let mut ht = JoinHashTable::new();
+        for key in [Value::float(-0.0), Value::float(f64::NAN), Value::Int(1), Value::str("c")] {
+            ht.insert(&key, vec![key.clone()]);
+        }
+        ht.insert(&Value::str("zz"), vec![]);
+        let page = heap.read_page(disk.as_ref(), 0).unwrap();
+        let sel: Vec<u32> = (0..5).collect();
+        for col in [0, 1] {
+            let mut got = Vec::new();
+            ht.key_probe(&heap, col).probe(page, &sel, |s, idx| got.push((s, idx.to_vec())));
+            let want: Vec<(u32, Vec<u32>)> = (0..5u32)
+                .map(|s| (s, ht.probe(&rows[s as usize][col]).to_vec()))
+                .filter(|(_, idx)| !idx.is_empty())
+                .collect();
+            assert_eq!(got, want, "column {col}");
+        }
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! [`Table`] composes the substrates (heap, clustered index, bucket
 //! directory, secondary indexes, CMs) and owns the INSERT/DELETE
 //! maintenance paths measured in Experiment 3. [`Planner`] chooses among
-//! the paths with the paper's cost model.
+//! the paths with the paper's cost model. Every scan-shaped path runs a
+//! page at a time: the query is compiled once per leg into column
+//! [`kernel`]s whose selection vectors the stamps then filter, and the
+//! consumers — the visitor wrappers, [`BatchAgg`], the join's
+//! [`KeyProbe`] — read those `(page, selection)` batches.
 //!
 //! Multi-table execution builds on the same paths: [`join`] defines the
 //! equi-join vocabulary plus the CM-clamped probe scan, and [`agg`] the
@@ -27,16 +31,18 @@ pub mod agg;
 pub mod error;
 pub mod exec;
 pub mod join;
+pub mod kernel;
 pub mod leg;
 pub mod plan;
 pub mod predicate;
 pub mod shard;
 pub mod table;
 
-pub use agg::{AggFunc, AggSpec, AggState};
+pub use agg::{AggFunc, AggSpec, AggState, BatchAgg};
 pub use error::QueryError;
 pub use exec::{merge_page_ranges, ExecContext, RunResult};
-pub use join::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy};
+pub use join::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy, KeyProbe};
+pub use kernel::PageFilter;
 pub use leg::{QueryPlan, ShardLeg};
 pub use plan::{AccessPath, PlanChoice, Planner};
 pub use predicate::{Pred, PredOp, Query};

@@ -17,6 +17,19 @@ pub enum PredOp {
     Between(Value, Value),
 }
 
+impl PredOp {
+    /// Does a value satisfy this restriction? `Eq` and `In` use
+    /// [`Value`]'s equality (type-strict; `NULL = NULL` holds), `Between`
+    /// its total order (NULL first, `Int` and `Float` numerically).
+    pub fn matches(&self, v: &Value) -> bool {
+        match self {
+            PredOp::Eq(x) => v == x,
+            PredOp::In(xs) => xs.contains(v),
+            PredOp::Between(lo, hi) => v >= lo && v <= hi,
+        }
+    }
+}
+
 /// A predicate on one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pred {
@@ -44,12 +57,7 @@ impl Pred {
 
     /// Does a row satisfy this predicate?
     pub fn matches(&self, row: &[Value]) -> bool {
-        let v = &row[self.col];
-        match &self.op {
-            PredOp::Eq(x) => v == x,
-            PredOp::In(xs) => xs.contains(v),
-            PredOp::Between(lo, hi) => v >= lo && v <= hi,
-        }
+        self.op.matches(&row[self.col])
     }
 
     /// Number of distinct point lookups this predicate implies for an

@@ -8,12 +8,12 @@
 //! (charged page I/O through the buffer pool) + every CM update (pure
 //! memory) + WAL records for all of them.
 
-use crate::predicate::Query;
+use crate::kernel::PageFilter;
 use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
 use cm_stats::{correlation_stats, CorrelationStats};
 use cm_storage::{
-    is_pending, DiskSim, HeapFile, LogWrite, PageAccessor, Rid, Row, Schema, Snapshot,
+    is_pending, DiskSim, HeapFile, LogWrite, PageAccessor, PageRef, Rid, Row, Schema, Snapshot,
     StorageError, Value, LIVE_TS,
 };
 use std::collections::HashSet;
@@ -111,13 +111,8 @@ impl Table {
         let rows = slots.into_iter().map(|slot| slot.unwrap_or_else(|| vec![Value::Null; arity]));
         let heap = HeapFile::bulk_load(disk, schema, rows.collect(), tups_per_page)?;
         let live = |rid: Rid| stamps[rid.0 as usize] != DEAD;
-        let clustered = ClusteredIndex::build(
-            heap.iter().filter(|&(rid, _)| live(rid)),
-            clustered_col,
-            heap.len(),
-            disk.alloc_file(),
-            DEFAULT_TREE_ORDER,
-        );
+        let clustered =
+            ClusteredIndex::build(&heap, clustered_col, live, disk.alloc_file(), DEFAULT_TREE_ORDER);
         let dir = BucketDirectory::restore(&heap, clustered_col, bucket_target, sorted_len, live);
         Ok(Table {
             heap,
@@ -172,31 +167,29 @@ impl Table {
     }
 
     /// Build (but do not install) a dense secondary B+Tree on `cols`
-    /// from the current heap's rows, tombstones skipped — the build
+    /// from the current heap's rows, reading only `cols` — the build
     /// phase of a design change, callable under a shard *read* lock.
-    /// Pair with [`Table::install_access_structures`].
+    /// Pair with [`Table::install_access_structures`]. Dead slots are
+    /// skipped, as [`Table::insert_row`] and [`Table::delete_row`] keep
+    /// them out of the maintained structures; an MVCC version that has
+    /// ended but is not yet vacuumed still holds its row and is included
+    /// — older snapshots reach it through the structures.
     pub fn build_secondary(
         &self,
         disk: &DiskSim,
         name: impl Into<String>,
         cols: Vec<usize>,
     ) -> SecondaryIndex {
-        SecondaryIndex::build(name, cols, disk.alloc_file(), DEFAULT_TREE_ORDER, self.live_rows())
+        let file = disk.alloc_file();
+        SecondaryIndex::build(name, cols, file, DEFAULT_TREE_ORDER, &self.heap, |rid| {
+            self.holds_row(rid)
+        })
     }
 
     /// Build (but do not install) a Correlation Map — see
     /// [`Table::build_secondary`].
     pub fn build_cm(&self, name: impl Into<String>, spec: CmSpec) -> CorrelationMap {
-        CorrelationMap::build(name, spec, self.live_rows(), &self.dir)
-    }
-
-    /// Every heap slot that holds a row: dead slots are skipped, as
-    /// [`Table::insert_row`] and [`Table::delete_row`] keep them out of
-    /// the maintained structures. An MVCC version that has ended but is
-    /// not yet vacuumed still holds its row and is included — older
-    /// snapshots reach it through the structures.
-    fn live_rows(&self) -> impl Iterator<Item = (Rid, &[Value])> {
-        self.heap.iter().filter(|&(rid, _)| self.holds_row(rid))
+        CorrelationMap::build(name, spec, &self.heap, |rid| self.holds_row(rid), &self.dir)
     }
 
     /// Whether slot `rid` holds a row (its stamp is not [`DEAD`]).
@@ -248,23 +241,22 @@ impl Table {
     /// the paper's statistics scan.
     pub fn analyze_cols(&mut self, cols: &[usize]) {
         for &col in cols {
-            let corr = correlation_stats(
-                self.heap.iter().map(|(_, row)| (&row[col], &row[self.clustered_col])),
-            );
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            for (_, row) in self.heap.iter() {
-                let v = &row[col];
-                if v.is_null() {
-                    continue;
+            let mut pairs: Vec<(Value, Value)> = Vec::with_capacity(self.heap.len() as usize);
+            self.heap.scan_cols(&[col, self.clustered_col], |_, row| {
+                pairs.push((row[col].clone(), row[self.clustered_col].clone()));
+            });
+            let corr = correlation_stats(pairs.iter().map(|(u, c)| (u, c)));
+            let mut min: Option<&Value> = None;
+            let mut max: Option<&Value> = None;
+            for (v, _) in pairs.iter().filter(|(v, _)| !v.is_null()) {
+                if min.is_none_or(|m| v < m) {
+                    min = Some(v);
                 }
-                if min.as_ref().is_none_or(|m| v < m) {
-                    min = Some(v.clone());
-                }
-                if max.as_ref().is_none_or(|m| v > m) {
-                    max = Some(v.clone());
+                if max.is_none_or(|m| v > m) {
+                    max = Some(v);
                 }
             }
+            let (min, max) = (min.cloned(), max.cloned());
             self.stats[col] = Some(ColumnStats { col, min, max, corr });
         }
     }
@@ -278,13 +270,13 @@ impl Table {
     /// exactly (used by experiments; the planner uses the estimate from
     /// [`ColumnStats`]).
     pub fn distinct_in_range(&self, col: usize, lo: &Value, hi: &Value) -> u64 {
-        let mut seen: HashSet<&Value> = HashSet::new();
-        for (_, row) in self.heap.iter() {
+        let mut seen: HashSet<Value> = HashSet::new();
+        self.heap.scan_cols(&[col], |_, row| {
             let v = &row[col];
-            if v >= lo && v <= hi {
-                seen.insert(v);
+            if v >= lo && v <= hi && !seen.contains(v) {
+                seen.insert(v.clone());
             }
-        }
+        });
         seen.len() as u64
     }
 
@@ -305,10 +297,10 @@ impl Table {
         wal: Option<&mut dyn LogWrite>,
         row: Row,
     ) -> Result<Rid, StorageError> {
-        let rid = self.heap.append(io, row)?;
+        let rid = self.heap.append_row(io, &row)?;
         self.stamps.push(LIVE);
         self.dir.note_append(rid);
-        self.learn_row(io, wal, rid)?;
+        self.learn_row(io, wal, rid, &row);
         Ok(rid)
     }
 
@@ -351,21 +343,22 @@ impl Table {
         row: Row,
     ) -> Result<(), StorageError> {
         debug_assert!(self.is_tombstone(rid).unwrap_or(true), "reinstating over a live row");
-        self.heap.restore_row(io, rid, row)?;
+        self.heap.restore_row(io, rid, &row)?;
         self.stamps[rid.0 as usize] = LIVE;
-        self.learn_row(io, None, rid)
+        self.learn_row(io, None, rid, &row);
+        Ok(())
     }
 
-    /// Teach the clustered index and every secondary index and CM the
-    /// row now stored in slot `rid`, logging each structure's
+    /// Teach the clustered index and every secondary index and CM
+    /// `row`, now stored in slot `rid`, logging each structure's
     /// maintenance volume to `wal` if provided.
     fn learn_row(
         &mut self,
         io: &dyn PageAccessor,
         mut wal: Option<&mut dyn LogWrite>,
         rid: Rid,
-    ) -> Result<(), StorageError> {
-        let row = self.heap.peek(rid)?;
+        row: &[Value],
+    ) {
         self.clustered.note_append(&row[self.clustered_col], rid);
         for sec in &mut self.secondaries {
             sec.insert(io, row, rid);
@@ -379,7 +372,6 @@ impl Table {
                 w.append_sized(cm.wal_record_bytes(row));
             }
         }
-        Ok(())
     }
 
     /// Append a dead placeholder slot, keeping the directory and
@@ -423,61 +415,63 @@ impl Table {
         for rid in (from..self.heap.len()).map(Rid).filter(|&rid| self.holds_row(rid)) {
             let row = self.heap.peek(rid)?;
             for sec in secondaries.iter_mut() {
-                sec.insert(io, row, rid);
+                sec.insert(io, &row, rid);
             }
             for cm in cms.iter_mut() {
-                cm.insert(row, rid, &self.dir);
+                cm.insert(&row, rid, &self.dir);
             }
         }
         Ok(())
     }
 
     /// Sweep the page run `lo..=hi` as one vectored read charged to `io`
-    /// and hand every row that is visible at `snap` (every row when
-    /// `None`) and satisfies `q` to `on_match`, with its RID. Returns the
-    /// rows examined. Every scan — the access paths (and through them
-    /// `delete_where`'s victim search) and the clamped join probe — goes
-    /// through here.
-    ///
-    /// `reads` names the columns `on_match` reads of a row (`None`: any
-    /// of them); with the predicate's own columns it tells the heap what
-    /// to prefetch ahead of the sweep.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep_run(
+    /// and hand each page's matches to `on_batch`: `filter` selects the
+    /// slots satisfying the query, then the stamps keep those visible at
+    /// `snap` (every slot holding a row when `None`). Returns the slots
+    /// examined.
+    /// Every scan — the access paths (and through them `delete_where`'s
+    /// victim search) and the clamped join probe — goes through here.
+    pub(crate) fn sweep_run(
         &self,
         io: &dyn PageAccessor,
         snap: Option<&Snapshot>,
-        q: &Query,
-        reads: Option<&[usize]>,
+        filter: &mut PageFilter,
         lo: u64,
         hi: u64,
-        mut on_match: impl FnMut(Rid, &[Value]),
+        on_batch: &mut impl FnMut(PageRef<'_>, &[u32]),
     ) -> Result<u64, StorageError> {
-        let touch: Option<Vec<usize>> =
-            reads.map(|cols| cols.iter().copied().chain(q.predicated_cols()).collect());
-        self.heap.read_run_visit(io, lo, hi, touch.as_deref(), |rid, row| {
+        self.heap.read_run_visit(io, lo, hi, |page| {
             // The predicate first: only a matching row needs its
             // stamps read (and, if one is pending, resolved).
-            if q.matches(row) && self.visible_at(snap, rid) {
-                on_match(rid, row);
+            let sel = filter.select(page);
+            self.retain_visible(snap, page, sel);
+            if !sel.is_empty() {
+                on_batch(page, sel);
             }
         })
     }
 
-    // ------------------------------------------------------------- MVCC
-
-    /// Is the version in slot `rid` visible at `snap`? Without a
-    /// snapshot (the non-MVCC engine mode) every slot that holds a row
-    /// is — the pre-MVCC behaviour, where exclusion is the shard lock's
-    /// job.
-    #[inline]
-    pub(crate) fn visible_at(&self, snap: Option<&Snapshot>, rid: Rid) -> bool {
-        let (begin, end) = self.stamp_of(rid);
+    /// Keep the slots of `sel` (on `page`) whose version is visible at
+    /// `snap`. Without a snapshot (the non-MVCC engine mode) every slot
+    /// that holds a row is — the pre-MVCC behaviour, where exclusion is
+    /// the shard lock's job.
+    pub(crate) fn retain_visible(
+        &self,
+        snap: Option<&Snapshot>,
+        page: PageRef<'_>,
+        sel: &mut Vec<u32>,
+    ) {
+        let stamps = &self.stamps[page.first_rid().0 as usize..];
         match snap {
-            Some(s) => s.sees(begin, end),
-            None => (begin, end) != DEAD,
+            Some(s) => sel.retain(|&i| {
+                let (begin, end) = stamps[i as usize];
+                s.sees(begin, end)
+            }),
+            None => sel.retain(|&i| stamps[i as usize] != DEAD),
         }
     }
+
+    // ------------------------------------------------------------- MVCC
 
     /// The `(begin, end)` stamp pair of a slot.
     pub fn stamp_of(&self, rid: Rid) -> (u64, u64) {
@@ -503,7 +497,7 @@ impl Table {
         rid: Rid,
         end: u64,
     ) -> Result<Row, StorageError> {
-        let row = self.heap.peek(rid)?.to_vec();
+        let row = self.heap.peek(rid)?;
         self.stamps[rid.0 as usize].1 = end;
         io.write(self.heap.file_id(), self.heap.page_of(rid));
         Ok(row)

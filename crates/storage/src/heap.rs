@@ -7,64 +7,389 @@
 //! top. Appends go to the tail, which is exactly how a clustered-once table
 //! degrades under inserts in PostgreSQL.
 //!
-//! Each page is one contiguous `Vec<Value>` of `tups_per_page × arity`
-//! values (the tail page may be shorter), so a page run is a sequential
-//! walk over a few allocations and readers get `&[Value]` row slices.
-//! Because the walk knows where the next rows lie, a run visit asks the
-//! cache for them [`PREFETCH_ROWS`] rows ahead of the visitor.
-//! String values pass through a per-heap dictionary on their way in, so
-//! a categorical column holds one `Arc<str>` allocation per distinct
-//! value however the rows were produced.
+//! # Page layout
+//!
+//! A page is column-major (PAX): one typed vector per column plus a null
+//! bitmap, `tups_per_page` slots long (the tail page may be shorter).
+//! `Int` columns hold `i64`s, `Date` columns `i32`s, `Float` columns the
+//! `f64` bit patterns as stored (compared in [`OrdF64`] order), and `Str`
+//! columns `u32` codes into the heap's string [`Dictionary`], which holds
+//! each distinct text once, with no cap. A NULL slot sets its bitmap bit
+//! and leaves a zero filler in the typed vector. A column's page vectors
+//! lie end to end in one allocation, and its bitmaps in another, so a
+//! page run is a sequential read of each column a reader touches — no
+//! pointer to chase per page, nothing for the hardware prefetchers to
+//! lose track of. A slot's RID, the page a RID lives on and every I/O
+//! charge are those of a row-major page: the layout only changes what a
+//! reader touches once a page is charged.
+//!
+//! # Where rows are materialised
+//!
+//! Readers that can work on columns get a [`PageRef`] — typed slices,
+//! null bitmaps and the dictionary — and a selection of slots; the query
+//! layer's kernels, folds and join probes run on those. An owned [`Row`]
+//! of [`Value`]s is built only where a row must leave the page: [`peek`],
+//! [`PageRef::row`] (collected results, WAL before-images,
+//! the `&[Value]` visitor wrappers), [`iter`] (checkpoint images) and
+//! [`delete`]. Structure builds read just their key columns through
+//! [`scan_cols`].
+//!
+//! [`peek`]: HeapFile::peek
+//! [`iter`]: HeapFile::iter
+//! [`delete`]: HeapFile::delete
+//! [`scan_cols`]: HeapFile::scan_cols
 
 use crate::disk::{DiskSim, FileId, PageAccessor};
 use crate::error::StorageError;
-use crate::hash::FxHashSet;
+use crate::hash::FxHashMap;
 use crate::rid::Rid;
-use crate::schema::{Row, Schema};
-use crate::value::Value;
+use crate::schema::{Row, Schema, ValueType};
+use crate::value::{OrdF64, Value};
 use crate::Result;
 use std::sync::Arc;
 
-/// Most distinct strings one heap's dictionary holds. Categorical
-/// columns are far below it; a column of unique strings fills it once
-/// and every later string keeps its own allocation, at the price of one
-/// failed lookup per value. A constant, not a knob: it only caps the
-/// memory a dictionary that is not paying off can take.
-pub const DICT_MAX_STRINGS: usize = 4096;
+/// The distinct strings of one heap, each stored once and named by a
+/// dense `u32` code in arrival order. Codes are stable for the heap's
+/// life (a deleted row's string keeps its code), so a string predicate
+/// or join key is resolved to codes once and then matched by integer
+/// compare. Codes carry no order: string ranges compare the texts.
+#[derive(Debug, Default)]
+pub struct Dictionary {
+    strings: Vec<Arc<str>>,
+    codes: FxHashMap<Arc<str>, u32>,
+}
 
-/// How many rows ahead of the visitor [`HeapFile::read_run_visit`]
-/// prefetches. A row is a few hundred bytes and a visitor spends tens of
-/// nanoseconds on it, so without this every row starts with a cache
-/// miss the hardware prefetchers do not cover (they follow neither a
-/// 300-byte stride far enough nor a run across page allocations), and a
-/// resident scan's time follows memory latency — which on a shared host
-/// moves by half from one minute to the next — instead of its own work.
-/// Sixteen rows is about a microsecond of lead.
-pub const PREFETCH_ROWS: usize = 16;
+impl Dictionary {
+    /// Number of distinct strings.
+    pub fn len(&self) -> usize {
+        self.strings.len()
+    }
 
-/// Byte offsets one row's prefetch touches, at most: every cache line of
-/// a ~1 KiB row, or both ends of ten values.
-const MAX_TOUCH: usize = 20;
+    /// Whether the heap has stored no string.
+    pub fn is_empty(&self) -> bool {
+        self.strings.is_empty()
+    }
 
-/// The rows of one page, each a `&[Value]` of the schema's arity.
-pub type PageRows<'a> = std::slice::ChunksExact<'a, Value>;
+    /// The text of `code`.
+    ///
+    /// # Panics
+    /// Panics on a code this dictionary never issued.
+    #[inline]
+    pub fn get(&self, code: u32) -> &Arc<str> {
+        &self.strings[code as usize]
+    }
 
-/// A paged, append-only heap of rows.
+    /// The code of `s`, if the heap has ever stored it.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.codes.get(s).copied()
+    }
+
+    /// The code of `s`, issuing the next one if it is new.
+    fn intern(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&code) = self.codes.get(&**s) {
+            return code;
+        }
+        let code = u32::try_from(self.strings.len()).expect("fewer than 2^32 strings");
+        self.strings.push(s.clone());
+        self.codes.insert(s.clone(), code);
+        code
+    }
+}
+
+/// One column's values for every slot of the heap, in RID order, typed
+/// by the schema.
+#[derive(Debug)]
+enum ColumnData {
+    Int(Vec<i64>),
+    Date(Vec<i32>),
+    Float(Vec<f64>),
+    Str(Vec<u32>),
+}
+
+/// One column of the heap: its typed values, page after page, and per
+/// page a null bitmap.
+#[derive(Debug)]
+struct ColumnStore {
+    data: ColumnData,
+    /// `words` words per page: bit `s % 64` of a page's word `s / 64` is
+    /// set when slot `s` is NULL.
+    nulls: Vec<u64>,
+}
+
+impl ColumnStore {
+    fn new(ty: ValueType, slots: usize) -> Self {
+        let data = match ty {
+            ValueType::Int => ColumnData::Int(Vec::with_capacity(slots)),
+            ValueType::Date => ColumnData::Date(Vec::with_capacity(slots)),
+            ValueType::Float => ColumnData::Float(Vec::with_capacity(slots)),
+            ValueType::Str => ColumnData::Str(Vec::with_capacity(slots)),
+        };
+        ColumnStore { data, nulls: Vec::new() }
+    }
+
+    /// Store `v` (of the column's type, or NULL) at `at`: the next slot
+    /// when `at` is the column's length, else overwriting. `nulls` is
+    /// the page's NULL count for this column.
+    fn put(&mut self, at: Slot, v: &Value, dict: &mut Dictionary, nulls: &mut u32) {
+        fn store<T>(vals: &mut Vec<T>, rid: usize, x: T) {
+            if rid == vals.len() {
+                vals.push(x);
+            } else {
+                vals[rid] = x;
+            }
+        }
+        let (word, bit) = (at.page * at.words + at.slot / 64, 1u64 << (at.slot % 64));
+        if word == self.nulls.len() {
+            // The first slot of a new page opens its bitmap.
+            self.nulls.resize(word + at.words, 0);
+        }
+        let (null, was) = (v.is_null(), self.nulls[word] & bit != 0);
+        if null != was {
+            self.nulls[word] ^= bit;
+            *nulls = if null { *nulls + 1 } else { *nulls - 1 };
+        }
+        let rid = at.rid;
+        match (&mut self.data, v) {
+            (ColumnData::Int(d), Value::Int(x)) => store(d, rid, *x),
+            (ColumnData::Date(d), Value::Date(x)) => store(d, rid, *x),
+            (ColumnData::Float(d), Value::Float(x)) => store(d, rid, x.0),
+            (ColumnData::Str(d), Value::Str(s)) => store(d, rid, dict.intern(s)),
+            (ColumnData::Int(d), Value::Null) => store(d, rid, 0),
+            (ColumnData::Date(d), Value::Null) => store(d, rid, 0),
+            (ColumnData::Float(d), Value::Null) => store(d, rid, 0.0),
+            (ColumnData::Str(d), Value::Null) => store(d, rid, 0),
+            (_, v) => unreachable!("a validated row stores {v:?} in a column of its type"),
+        }
+    }
+}
+
+/// Where a slot lives: its RID, page, place on the page, and the
+/// bitmap words a page takes.
+#[derive(Clone, Copy)]
+struct Slot {
+    rid: usize,
+    page: usize,
+    slot: usize,
+    words: usize,
+}
+
+/// One page column as a reader sees it: the typed values of every slot
+/// (a NULL slot holds a zero filler; see [`PageRef::nulls`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnSlice<'a> {
+    /// An `Int` column.
+    Int(&'a [i64]),
+    /// A `Date` column (days since epoch).
+    Date(&'a [i32]),
+    /// A `Float` column, bit patterns as stored.
+    Float(&'a [f64]),
+    /// A `Str` column: codes into [`PageRef::dict`].
+    Str(&'a [u32]),
+}
+
+impl ColumnSlice<'_> {
+    /// Call `f(k, word)` for each slot `sel[k]` with the slot's
+    /// [`key_bits`] word — 0 for a NULL slot, the word of its zero
+    /// filler: one tight loop per column type.
+    #[inline]
+    pub fn for_each_word(self, sel: &[u32], mut f: impl FnMut(usize, u64)) {
+        #[inline(always)]
+        fn each<T: Copy>(
+            vals: &[T],
+            sel: &[u32],
+            word: impl Fn(T) -> u64,
+            f: &mut impl FnMut(usize, u64),
+        ) {
+            for (k, &s) in sel.iter().enumerate() {
+                f(k, word(vals[s as usize]));
+            }
+        }
+        match self {
+            ColumnSlice::Int(v) => each(v, sel, |x| x as u64, &mut f),
+            ColumnSlice::Date(v) => each(v, sel, |x| x as u64, &mut f),
+            ColumnSlice::Float(v) => each(v, sel, |x| OrdF64(x).order_key() as u64, &mut f),
+            ColumnSlice::Str(v) => each(v, sel, u64::from, &mut f),
+        }
+    }
+}
+
+/// Whether slot `slot` is set in a null bitmap.
+#[inline(always)]
+pub fn null_bit(nulls: &[u64], slot: usize) -> bool {
+    nulls[slot / 64] >> (slot % 64) & 1 != 0
+}
+
+/// A read view of one page: its typed columns, their null bitmaps, the
+/// heap's dictionary, and where its slots sit in RID space.
+#[derive(Clone, Copy)]
+pub struct PageRef<'a> {
+    cols: &'a [ColumnStore],
+    /// Per column, how many of this page's slots are NULL.
+    null_counts: &'a [u32],
+    dict: &'a Dictionary,
+    page: usize,
+    first: usize,
+    len: usize,
+    words: usize,
+}
+
+impl<'a> PageRef<'a> {
+    /// Slots on the page (rows and dead slots alike).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the page has no slot (never true of a stored page).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The RID of slot 0.
+    #[inline]
+    pub fn first_rid(&self) -> Rid {
+        Rid(self.first as u64)
+    }
+
+    /// The RID of `slot`.
+    #[inline]
+    pub fn rid(&self, slot: u32) -> Rid {
+        Rid((self.first + slot as usize) as u64)
+    }
+
+    /// Column `col`'s typed values.
+    #[inline]
+    pub fn column(&self, col: usize) -> ColumnSlice<'a> {
+        let on_page = self.first..self.first + self.len;
+        match &self.cols[col].data {
+            ColumnData::Int(d) => ColumnSlice::Int(&d[on_page]),
+            ColumnData::Date(d) => ColumnSlice::Date(&d[on_page]),
+            ColumnData::Float(d) => ColumnSlice::Float(&d[on_page]),
+            ColumnData::Str(d) => ColumnSlice::Str(&d[on_page]),
+        }
+    }
+
+    /// Column `col`'s null bitmap (test it with [`null_bit`]), or `None`
+    /// when no slot of the column is NULL on this page — kernels then
+    /// skip the test.
+    #[inline]
+    pub fn nulls(&self, col: usize) -> Option<&'a [u64]> {
+        let words = self.page * self.words..(self.page + 1) * self.words;
+        (self.null_counts[col] > 0).then(|| &self.cols[col].nulls[words])
+    }
+
+    /// Whether `slot`'s value in `col` is NULL.
+    #[inline]
+    pub fn is_null(&self, slot: usize, col: usize) -> bool {
+        self.nulls(col).is_some_and(|n| null_bit(n, slot))
+    }
+
+    /// The heap's string dictionary.
+    pub fn dict(&self) -> &'a Dictionary {
+        self.dict
+    }
+
+    /// `slot`'s value in `col`, materialised.
+    #[inline]
+    pub fn value(&self, slot: usize, col: usize) -> Value {
+        self.value_of(&self.cols[col], self.null_counts[col], slot)
+    }
+
+    #[inline]
+    fn value_of(&self, col: &ColumnStore, nulls: u32, slot: usize) -> Value {
+        self.decode(col, self.value_or_code(col, nulls, slot))
+    }
+
+    /// `slot`'s value in `col`, a string left as its code in a
+    /// `Value::Int` ([`PageRef::decode`] finishes it).
+    #[inline]
+    fn value_or_code(&self, col: &ColumnStore, nulls: u32, slot: usize) -> Value {
+        debug_assert!(slot < self.len, "slot on the page");
+        if nulls > 0 && null_bit(&col.nulls[self.page * self.words..], slot) {
+            return Value::Null;
+        }
+        let at = self.first + slot;
+        match &col.data {
+            ColumnData::Int(d) => Value::Int(d[at]),
+            ColumnData::Date(d) => Value::Date(d[at]),
+            ColumnData::Float(d) => Value::Float(OrdF64(d[at])),
+            ColumnData::Str(d) => Value::Int(i64::from(d[at])),
+        }
+    }
+
+    /// Swap a string column's code for the dictionary's text.
+    #[inline]
+    fn decode(&self, col: &ColumnStore, v: Value) -> Value {
+        match (&col.data, v) {
+            (ColumnData::Str(_), Value::Int(code)) => Value::Str(self.dict.get(code as u32).clone()),
+            (_, v) => v,
+        }
+    }
+
+    /// `slot` as an owned row.
+    pub fn row(&self, slot: usize) -> Row {
+        let mut row = Vec::with_capacity(self.cols.len());
+        self.row_into(slot, &mut row);
+        row
+    }
+
+    /// `slot` as a row, written over `buf` (a visitor's reused buffer).
+    ///
+    /// Two passes: every column's value is loaded first, a string as its
+    /// code, and only then are the codes swapped for the dictionary's
+    /// `Arc<str>`. Cloning one is an atomic increment, which on x86 lets
+    /// no later load start early, so interleaved with the column loads it
+    /// would make a random row's cache misses wait for one another.
+    pub fn row_into(&self, slot: usize, buf: &mut Row) {
+        buf.clear();
+        let cols = self.cols.iter().zip(self.null_counts);
+        buf.extend(cols.map(|(c, &nulls)| self.value_or_code(c, nulls, slot)));
+        for (v, c) in buf.iter_mut().zip(self.cols) {
+            *v = self.decode(c, std::mem::replace(v, Value::Null));
+        }
+    }
+}
+
+/// The word a non-NULL value of a column is identified by under
+/// [`Value`]'s equality, given the column's dictionary: an `Int`'s or
+/// `Date`'s payload, a `Float`'s [`OrdF64::order_key`], a `Str`'s code.
+/// Two values of one column are equal exactly when their words are; the
+/// words of different columns are not comparable. `None` for NULL, for
+/// a value of another type (which never equals the column's values) and
+/// for a string the dictionary lacks.
+pub fn key_bits(ty: ValueType, dict: &Dictionary, v: &Value) -> Option<u64> {
+    match (ty, v) {
+        (ValueType::Int, Value::Int(x)) => Some(*x as u64),
+        (ValueType::Date, Value::Date(x)) => Some(*x as u64),
+        (ValueType::Float, Value::Float(x)) => Some(x.order_key() as u64),
+        (ValueType::Str, Value::Str(s)) => dict.code_of(s).map(u64::from),
+        _ => None,
+    }
+}
+
+/// A paged, append-only heap of rows, stored column-major per page.
 pub struct HeapFile {
     schema: Arc<Schema>,
     file: FileId,
-    /// `pages[p]` holds the values of rows `p * tups_per_page ..`, row
-    /// after row; every page but the last is full.
-    pages: Vec<Vec<Value>>,
+    /// One per schema column; page `p` is slots `p * tups_per_page ..`
+    /// of each, and every page but the last is full.
+    columns: Vec<ColumnStore>,
+    /// Page-major, one per column: how many of the page's slots are NULL
+    /// in that column. Readers skip a bitmap, and the memory it lives
+    /// in, when its count is 0; a row read finds every column's count on
+    /// one cache line.
+    null_counts: Vec<u32>,
     len: usize,
-    arity: usize,
     tups_per_page: usize,
-    dict: StrDict,
+    /// Null-bitmap words a page takes per column.
+    words: usize,
+    dict: Dictionary,
 }
 
 impl HeapFile {
     /// Bulk-load a heap file. The caller controls clustering by sorting
     /// `rows` before loading (see [`HeapFile::bulk_load_clustered`]).
+    /// Every row is checked against the schema, arity and types.
     ///
     /// No I/O is charged for the load itself; the experiments measure query
     /// and maintenance cost, not initial load (the paper's tables are built
@@ -76,29 +401,23 @@ impl HeapFile {
         tups_per_page: usize,
     ) -> Result<Self> {
         assert!(tups_per_page > 0, "tups_per_page must be positive");
-        let arity = schema.arity();
-        assert!(arity > 0, "a heap row has at least one column");
-        if let Some(row) = rows.first() {
-            schema.validate(row)?;
-        }
+        assert!(schema.arity() > 0, "a heap row has at least one column");
+        let columns = schema.columns().iter().map(|c| ColumnStore::new(c.ty, rows.len())).collect();
         let mut heap = HeapFile {
             schema,
             file: disk.alloc_file(),
-            pages: Vec::with_capacity(rows.len().div_ceil(tups_per_page)),
+            columns,
+            null_counts: Vec::new(),
             len: 0,
-            arity,
             tups_per_page,
-            dict: StrDict::default(),
+            words: tups_per_page.div_ceil(64),
+            dict: Dictionary::default(),
         };
         // Rows move into their page one at a time, each freeing its own
         // allocation as it goes: the load never holds two copies.
         for row in rows {
-            if row.len() != arity {
-                return Err(StorageError::SchemaMismatch {
-                    detail: format!("arity {} != {arity}", row.len()),
-                });
-            }
-            heap.push_row(row);
+            heap.schema.validate(&row)?;
+            heap.push_row(&row);
         }
         Ok(heap)
     }
@@ -117,33 +436,67 @@ impl HeapFile {
         Self::bulk_load(disk, schema, rows, tups_per_page)
     }
 
-    /// Move a validated row onto the tail page, opening a new page when
-    /// the tail is full.
-    fn push_row(&mut self, row: Row) {
-        if self.len.is_multiple_of(self.tups_per_page) {
-            self.pages.push(Vec::with_capacity(self.tups_per_page * self.arity));
+    /// Move a validated row into the next slot (the tail page, or a new
+    /// one when the tail is full).
+    fn push_row(&mut self, row: &[Value]) {
+        let at = self.locate(self.len);
+        if at.slot == 0 {
+            self.null_counts.resize(self.null_counts.len() + row.len(), 0);
         }
-        let tail = self.pages.last_mut().expect("tail page opened above");
-        for mut v in row {
-            self.dict.share(&mut v);
-            tail.push(v);
-        }
+        self.put_row(at, row);
         self.len += 1;
     }
 
-    /// The value range of a slot inside its page.
-    fn slot(&self, rid: Rid) -> Result<(usize, std::ops::Range<usize>)> {
+    /// Store a validated row's values at `at`.
+    fn put_row(&mut self, at: Slot, row: &[Value]) {
+        let arity = self.columns.len();
+        let counts = &mut self.null_counts[at.page * arity..(at.page + 1) * arity];
+        for ((col, v), nulls) in self.columns.iter_mut().zip(row).zip(counts) {
+            col.put(at, v, &mut self.dict, nulls);
+        }
+    }
+
+    fn locate(&self, rid: usize) -> Slot {
+        let tpp = self.tups_per_page;
+        Slot { rid, page: rid / tpp, slot: rid % tpp, words: self.words }
+    }
+
+    /// Where a stored RID lives.
+    fn slot(&self, rid: Rid) -> Result<Slot> {
         let i = rid.0 as usize;
         if i >= self.len {
             return Err(StorageError::RidOutOfRange { rid: rid.0, len: self.len as u64 });
         }
-        let start = i % self.tups_per_page * self.arity;
-        Ok((i / self.tups_per_page, start..start + self.arity))
+        Ok(self.locate(i))
+    }
+
+    fn page_ref(&self, page: usize) -> PageRef<'_> {
+        let first = page * self.tups_per_page;
+        let arity = self.columns.len();
+        PageRef {
+            cols: &self.columns,
+            null_counts: &self.null_counts[page * arity..(page + 1) * arity],
+            dict: &self.dict,
+            page,
+            first,
+            len: self.tups_per_page.min(self.len - first),
+            words: self.words,
+        }
     }
 
     /// The table schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
+    }
+
+    /// The heap's string dictionary.
+    pub fn dict(&self) -> &Dictionary {
+        &self.dict
+    }
+
+    /// [`key_bits`] of `v` in column `col`'s representation.
+    pub fn key_bits_of(&self, col: usize, v: &Value) -> Option<u64> {
+        key_bits(self.schema.columns()[col].ty, &self.dict, v)
     }
 
     /// The simulated file this heap is charged against.
@@ -168,7 +521,7 @@ impl HeapFile {
 
     /// Number of pages (`ceil(len / tups_per_page)`).
     pub fn num_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.len.div_ceil(self.tups_per_page) as u64
     }
 
     /// Page number of a RID.
@@ -176,47 +529,48 @@ impl HeapFile {
         rid.page(self.tups_per_page)
     }
 
-    /// Fetch one row by RID, charging a read of its page.
-    pub fn fetch(&self, io: &dyn PageAccessor, rid: Rid) -> Result<&[Value]> {
-        let row = self.peek(rid)?;
-        io.read(self.file, self.page_of(rid));
-        Ok(row)
+    /// The page holding `rid`, and `rid`'s slot on it, charging a read of
+    /// the page — a point fetch that leaves the row on its page.
+    pub fn fetch_page(&self, io: &dyn PageAccessor, rid: Rid) -> Result<(PageRef<'_>, u32)> {
+        let at = self.slot(rid)?;
+        io.read(self.file, at.page as u64);
+        Ok((self.page_ref(at.page), at.slot as u32))
     }
 
     /// Read one row without charging I/O (for building statistics and
     /// structures outside the measured window).
-    pub fn peek(&self, rid: Rid) -> Result<&[Value]> {
-        let (page, range) = self.slot(rid)?;
-        Ok(&self.pages[page][range])
+    pub fn peek(&self, rid: Rid) -> Result<Row> {
+        let at = self.slot(rid)?;
+        Ok(self.page_ref(at.page).row(at.slot))
     }
 
-    /// The rows on one page, charging a read of that page.
-    pub fn read_page(&self, io: &dyn PageAccessor, page: u64) -> Result<PageRows<'_>> {
+    /// One value of one row, uncharged.
+    pub fn value(&self, rid: Rid, col: usize) -> Result<Value> {
+        let at = self.slot(rid)?;
+        Ok(self.page_ref(at.page).value(at.slot, col))
+    }
+
+    /// One page, charging a read of it.
+    pub fn read_page(&self, io: &dyn PageAccessor, page: u64) -> Result<PageRef<'_>> {
         if page >= self.num_pages() {
             return Err(StorageError::PageOutOfRange { page, pages: self.num_pages() });
         }
         io.read(self.file, page);
-        Ok(self.pages[page as usize].chunks_exact(self.arity))
+        Ok(self.page_ref(page as usize))
     }
 
-    /// Visit the rows of the contiguous page run `lo..=hi`, charging the
+    /// Visit the pages of the contiguous run `lo..=hi`, charging the
     /// whole run as **one** vectored read (one seek plus sequential
     /// pages, atomic against concurrent sessions on the same device).
-    /// The visitor receives each row with its RID, in heap order, and the
-    /// number of rows visited is returned. An empty run (`lo > hi`) is a
-    /// free no-op.
-    ///
-    /// `touch` names the columns the visitor reads — `None` when it may
-    /// read all of them — and only steers the prefetch
-    /// ([`PREFETCH_ROWS`]): asking for three columns of a wide row moves
-    /// a third of the bytes asking for the row does.
+    /// The visitor receives each page in heap order, and the number of
+    /// slots visited is returned. An empty run (`lo > hi`) is a free
+    /// no-op.
     pub fn read_run_visit(
         &self,
         io: &dyn PageAccessor,
         lo: u64,
         hi: u64,
-        touch: Option<&[usize]>,
-        mut visit: impl FnMut(Rid, &[Value]),
+        mut visit: impl FnMut(PageRef<'_>),
     ) -> Result<u64> {
         if lo > hi {
             return Ok(0);
@@ -225,61 +579,13 @@ impl HeapFile {
             return Err(StorageError::PageOutOfRange { page: hi, pages: self.num_pages() });
         }
         io.read_run(self.file, lo, hi);
-        let mut offsets = [0usize; MAX_TOUCH];
-        let offsets = self.touch_offsets(touch, &mut offsets);
-        let ahead = PREFETCH_ROWS * self.arity;
-        let mut rid = lo * self.tups_per_page as u64;
+        let mut slots = 0;
         for page in lo as usize..=hi as usize {
-            let values = &self.pages[page][..];
-            // Only the tail page is short, and nothing follows it.
-            let next = if page < hi as usize { &self.pages[page + 1][..] } else { &[] };
-            for (i, row) in values.chunks_exact(self.arity).enumerate() {
-                let at = i * self.arity + ahead;
-                let later = match values.get(at..) {
-                    Some(rest) if !rest.is_empty() => rest,
-                    _ => next.get(at - values.len()..).unwrap_or(&[]),
-                };
-                if !later.is_empty() {
-                    prefetch(later, offsets);
-                }
-                visit(Rid(rid), row);
-                rid += 1;
-            }
+            let page = self.page_ref(page);
+            slots += page.len() as u64;
+            visit(page);
         }
-        Ok(rid - lo * self.tups_per_page as u64)
-    }
-
-    /// The byte offsets into a row that cover `touch`: both ends of each
-    /// named value (a 24-byte value can straddle a line), or one per
-    /// cache line of the whole row. A hint, so a list too long for `buf`
-    /// is cut short.
-    fn touch_offsets<'b>(
-        &self,
-        touch: Option<&[usize]>,
-        buf: &'b mut [usize; MAX_TOUCH],
-    ) -> &'b [usize] {
-        const VALUE: usize = std::mem::size_of::<Value>();
-        let mut n = 0;
-        let mut put = |off: usize| {
-            if n < MAX_TOUCH {
-                buf[n] = off;
-                n += 1;
-            }
-        };
-        match touch {
-            Some(cols) => {
-                for &c in cols.iter().filter(|&&c| c < self.arity) {
-                    put(c * VALUE);
-                    put(c * VALUE + VALUE - 1);
-                }
-            }
-            None => {
-                let row = self.arity * VALUE;
-                (0..row).step_by(64).for_each(&mut put);
-                put(row - 1);
-            }
-        }
-        &buf[..n]
+        Ok(slots)
     }
 
     /// RID range `[lo, hi)` of the rows stored on `page`.
@@ -289,21 +595,43 @@ impl HeapFile {
         (Rid(lo), Rid(hi))
     }
 
-    /// Iterate all rows with their RIDs, charging nothing (structure
-    /// construction). Use [`HeapFile::read_page`] in measured code.
-    pub fn iter(&self) -> impl Iterator<Item = (Rid, &[Value])> {
-        self.pages
-            .iter()
-            .flat_map(|page| page.chunks_exact(self.arity))
-            .enumerate()
-            .map(|(i, r)| (Rid(i as u64), r))
+    /// Iterate all rows, materialised, with their RIDs, charging nothing
+    /// (checkpoint images, tests). Use [`HeapFile::read_run_visit`] in
+    /// measured code and [`HeapFile::scan_cols`] to read a few columns.
+    pub fn iter(&self) -> impl Iterator<Item = (Rid, Row)> + '_ {
+        (0..self.num_pages() as usize).flat_map(move |p| {
+            let page = self.page_ref(p);
+            (0..page.len()).map(move |s| (page.rid(s as u32), page.row(s)))
+        })
+    }
+
+    /// Visit every slot, in RID order and uncharged, as a row holding
+    /// only the values of `cols` — every other column reads NULL. One
+    /// buffer serves the whole scan: what a structure build reads of
+    /// the heap, its key columns and nothing else.
+    pub fn scan_cols(&self, cols: &[usize], mut visit: impl FnMut(Rid, &[Value])) {
+        let mut row = vec![Value::Null; self.schema.arity()];
+        for p in 0..self.num_pages() as usize {
+            let page = self.page_ref(p);
+            for slot in 0..page.len() {
+                for &c in cols {
+                    row[c] = page.value(slot, c);
+                }
+                visit(page.rid(slot as u32), &row);
+            }
+        }
     }
 
     /// Append a row to the tail, charging a write of the tail page, and
     /// return its RID. This is the INSERT path of the maintenance
     /// experiments (Experiment 3).
     pub fn append(&mut self, io: &dyn PageAccessor, row: Row) -> Result<Rid> {
-        self.schema.validate(&row)?;
+        self.append_row(io, &row)
+    }
+
+    /// [`HeapFile::append`] of a row the caller keeps (to index it).
+    pub fn append_row(&mut self, io: &dyn PageAccessor, row: &[Value]) -> Result<Rid> {
+        self.schema.validate(row)?;
         let rid = Rid(self.len as u64);
         self.push_row(row);
         io.write(self.file, self.page_of(rid));
@@ -316,7 +644,7 @@ impl HeapFile {
     /// not know which slots are live; its owner records that.
     pub fn append_tombstone(&mut self) -> Rid {
         let rid = Rid(self.len as u64);
-        self.push_row(vec![Value::Null; self.arity]);
+        self.push_row(&vec![Value::Null; self.schema.arity()]);
         rid
     }
 
@@ -325,72 +653,31 @@ impl HeapFile {
     /// and undo of an uncommitted delete. Errors if the slot is out of
     /// range. The caller checks that the slot is dead: recovery must
     /// never clobber a row that survived.
-    pub fn restore_row(&mut self, io: &dyn PageAccessor, rid: Rid, row: Row) -> Result<()> {
-        self.schema.validate(&row)?;
-        let (page, range) = self.slot(rid)?;
-        for (slot, mut v) in self.pages[page][range].iter_mut().zip(row) {
-            self.dict.share(&mut v);
-            *slot = v;
-        }
-        io.write(self.file, rid.page(self.tups_per_page));
+    pub fn restore_row(&mut self, io: &dyn PageAccessor, rid: Rid, row: &[Value]) -> Result<()> {
+        self.schema.validate(row)?;
+        let at = self.slot(rid)?;
+        self.put_row(at, row);
+        io.write(self.file, at.page as u64);
         Ok(())
     }
 
-    /// Remove a row by RID. The slot's values are cleared to NULL (which
-    /// frees them) rather than compacted, as in a real heap; the caller
-    /// unindexes the row and records the slot as dead. Charges a write
-    /// of the page.
+    /// Remove a row by RID. The slot's values are cleared to NULL rather
+    /// than compacted, as in a real heap; the caller unindexes the row
+    /// and records the slot as dead. Returns the removed row and charges
+    /// a write of the page.
     pub fn delete(&mut self, io: &dyn PageAccessor, rid: Rid) -> Result<Row> {
-        let (page, range) = self.slot(rid)?;
-        let old = self.pages[page][range]
-            .iter_mut()
-            .map(|v| std::mem::replace(v, Value::Null))
-            .collect();
-        io.write(self.file, rid.page(self.tups_per_page));
+        let at = self.slot(rid)?;
+        let old = self.page_ref(at.page).row(at.slot);
+        self.put_row(at, &vec![Value::Null; self.columns.len()]);
+        io.write(self.file, at.page as u64);
         Ok(old)
-    }
-}
-
-/// Ask the cache for the bytes at `offsets` (all within one row) past
-/// the start of `rows`, the rest of a page from some row on.
-#[inline(always)]
-fn prefetch(rows: &[Value], offsets: &[usize]) {
-    #[cfg(target_arch = "x86_64")]
-    for &off in offsets {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: `_mm_prefetch` is a hint: it dereferences nothing and
-        // is defined for any address; SSE is baseline on x86_64.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(rows.as_ptr().cast::<i8>().wrapping_add(off)) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (rows, offsets);
-}
-
-/// The strings a heap shares: at most [`DICT_MAX_STRINGS`] distinct texts,
-/// one allocation each.
-#[derive(Default)]
-struct StrDict(FxHashSet<Arc<str>>);
-
-impl StrDict {
-    /// Swap a string the dictionary already holds for the shared
-    /// allocation; remember a new one while there is room.
-    fn share(&mut self, v: &mut Value) {
-        let Value::Str(s) = v else { return };
-        match self.0.get(&**s) {
-            Some(shared) if Arc::ptr_eq(shared, s) => {}
-            Some(shared) => *s = shared.clone(),
-            None if self.0.len() < DICT_MAX_STRINGS => {
-                self.0.insert(s.clone());
-            }
-            None => {}
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, ValueType};
+    use crate::schema::Column;
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![
@@ -421,12 +708,16 @@ mod tests {
     fn fetch_charges_page_read() {
         let disk = DiskSim::with_defaults();
         let h = HeapFile::bulk_load(&disk, schema(), rows(10), 4).unwrap();
-        let row = h.fetch(disk.as_ref(), Rid(5)).unwrap();
-        assert_eq!(row[0], Value::Int(5));
+        let (page, slot) = h.fetch_page(disk.as_ref(), Rid(5)).unwrap();
+        assert_eq!(page.value(slot as usize, 0), Value::Int(5));
         assert_eq!(disk.stats().seeks, 1);
         // Peek does not charge.
         let _ = h.peek(Rid(6)).unwrap();
+        assert_eq!(h.value(Rid(6), 1).unwrap(), Value::str("r6"));
         assert_eq!(disk.stats().pages(), 1);
+        let (page, slot) = h.fetch_page(disk.as_ref(), Rid(9)).unwrap();
+        assert_eq!((page.first_rid(), slot, page.len()), (Rid(8), 1, 2));
+        assert_eq!(disk.stats().pages(), 2);
     }
 
     #[test]
@@ -436,6 +727,8 @@ mod tests {
         assert_eq!(h.read_page(disk.as_ref(), 0).unwrap().len(), 4);
         assert_eq!(h.read_page(disk.as_ref(), 2).unwrap().len(), 2);
         assert!(h.read_page(disk.as_ref(), 3).is_err());
+        // A page without a NULL reports no bitmap.
+        assert!(h.read_page(disk.as_ref(), 0).unwrap().nulls(1).is_none());
     }
 
     #[test]
@@ -443,9 +736,12 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let h = HeapFile::bulk_load(&disk, schema(), rows(10), 4).unwrap();
         let mut seen: Vec<u64> = Vec::new();
-        let n = h.read_run_visit(disk.as_ref(), 0, 2, None, |rid, row| {
-            assert_eq!(row[0], Value::Int(rid.0 as i64));
-            seen.push(rid.0);
+        let n = h.read_run_visit(disk.as_ref(), 0, 2, |page| {
+            for slot in 0..page.len() {
+                let rid = page.rid(slot as u32);
+                assert_eq!(page.value(slot, 0), Value::Int(rid.0 as i64));
+                seen.push(rid.0);
+            }
         });
         assert_eq!(n.unwrap(), 10);
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
@@ -454,40 +750,93 @@ mod tests {
         assert_eq!(s.seq_reads, 2);
         // A run that starts past page 0 starts at that page's first RID.
         let mut first = None;
-        h.read_run_visit(disk.as_ref(), 1, 1, None, |rid, _| first = first.or(Some(rid))).unwrap();
+        h.read_run_visit(disk.as_ref(), 1, 1, |p| first = first.or(Some(p.first_rid()))).unwrap();
         assert_eq!(first, Some(Rid(4)));
         // Out-of-range and empty runs.
-        assert!(h.read_run_visit(disk.as_ref(), 0, 3, None, |_, _| {}).is_err());
+        assert!(h.read_run_visit(disk.as_ref(), 0, 3, |_| {}).is_err());
         let before = disk.stats();
         let n = h
-            .read_run_visit(disk.as_ref(), 2, 1, None, |_, _| panic!("empty run visits nothing"))
+            .read_run_visit(disk.as_ref(), 2, 1, |_| panic!("empty run visits nothing"))
             .unwrap();
         assert_eq!(n, 0);
         assert_eq!(disk.stats(), before);
     }
 
     #[test]
-    fn prefetch_hint_never_changes_what_is_visited() {
-        // Pages longer and shorter than the prefetch distance, a short
-        // tail page, and every kind of hint — including columns the
-        // schema lacks and more of them than the offset buffer holds.
+    fn typed_columns_and_null_bitmaps_hold_each_type() {
         let disk = DiskSim::with_defaults();
-        let many: Vec<usize> = (0..2 * MAX_TOUCH).map(|c| c % 2).collect();
-        let hints: [Option<&[usize]>; 5] =
-            [None, Some(&[]), Some(&[1]), Some(&[0, 7]), Some(&many)];
-        for tpp in [3, PREFETCH_ROWS, 3 * PREFETCH_ROWS + 1] {
-            let n = 5 * tpp as i64 + 2;
-            let h = HeapFile::bulk_load(&disk, schema(), rows(n), tpp).unwrap();
-            let last = h.num_pages() - 1;
-            for hint in hints {
-                let mut next = 0;
-                let visited = h.read_run_visit(disk.as_ref(), 0, last, hint, |rid, row| {
-                    assert_eq!((rid.0 as i64, &row[0]), (next, &Value::Int(next)));
-                    next += 1;
-                });
-                assert_eq!((visited.unwrap() as i64, next), (n, n));
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("i", ValueType::Int),
+            Column::new("d", ValueType::Date),
+            Column::new("f", ValueType::Float),
+            Column::new("s", ValueType::Str),
+        ]));
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let input: Vec<Row> = (0..70)
+            .map(|i| match i % 3 {
+                0 => vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                1 => vec![Value::Int(-i), Value::Date(i as i32), Value::float(-0.0), Value::str("a")],
+                _ => vec![Value::Int(i), Value::Date(-7), Value::float(nan), Value::str("b")],
+            })
+            .collect();
+        let h = HeapFile::bulk_load(&disk, schema, input.clone(), 67).unwrap();
+        for (rid, row) in h.iter() {
+            assert_eq!(row, input[rid.0 as usize]);
+            if let Value::Float(f) = &row[2] {
+                // The stored bits, not a canonical float, come back.
+                let want = input[rid.0 as usize][2].as_float().unwrap();
+                assert_eq!(f.0.to_bits(), want.to_bits());
             }
         }
+        let page = h.read_page(disk.as_ref(), 0).unwrap();
+        assert!(matches!(page.column(0), ColumnSlice::Int(v) if v.len() == 67));
+        assert!(matches!(page.column(1), ColumnSlice::Date(_)));
+        assert!(matches!(page.column(2), ColumnSlice::Float(_)));
+        assert!(matches!(page.column(3), ColumnSlice::Str(_)));
+        // A 67-slot page needs two bitmap words; slot 66 is NULL (66 % 3 == 0).
+        let nulls = page.nulls(3).unwrap();
+        assert_eq!(nulls.len(), 2);
+        assert!(null_bit(nulls, 66) && !null_bit(nulls, 65));
+        assert_eq!(h.dict().len(), 2);
+        let tail = h.read_page(disk.as_ref(), 1).unwrap();
+        assert_eq!(tail.len(), 3);
+        assert!(tail.nulls(0).is_some(), "slot 69 is NULL");
+        assert_eq!(h.key_bits_of(0, &tail.value(1, 0)), Some(68));
+        assert_eq!(h.key_bits_of(0, &tail.value(2, 0)), None);
+        assert_eq!(h.key_bits_of(3, &tail.value(0, 3)), Some(u64::from(h.dict().code_of("a").unwrap())));
+    }
+
+    #[test]
+    fn key_bits_identify_values_as_value_eq_does() {
+        let dict = {
+            let mut d = Dictionary::default();
+            d.intern(&Arc::from("x"));
+            d
+        };
+        let bits = |ty, v: Value| key_bits(ty, &dict, &v);
+        assert_eq!(bits(ValueType::Float, Value::float(-0.0)), bits(ValueType::Float, Value::float(0.0)));
+        assert_eq!(
+            bits(ValueType::Float, Value::float(f64::NAN)),
+            bits(ValueType::Float, Value::float(-f64::NAN))
+        );
+        assert_eq!(bits(ValueType::Int, Value::float(2.0)), None, "Int(2) != Float(2.0)");
+        assert_eq!(bits(ValueType::Int, Value::Null), None);
+        assert_eq!(bits(ValueType::Str, Value::str("x")), Some(0));
+        assert_eq!(bits(ValueType::Str, Value::str("y")), None, "not in the dictionary");
+        assert_eq!(bits(ValueType::Date, Value::Int(3)), None);
+    }
+
+    #[test]
+    fn scan_cols_reads_only_the_named_columns() {
+        let disk = DiskSim::with_defaults();
+        let h = HeapFile::bulk_load(&disk, schema(), rows(9), 4).unwrap();
+        let mut seen = Vec::new();
+        h.scan_cols(&[0], |rid, row| {
+            assert_eq!(row, [Value::Int(rid.0 as i64), Value::Null]);
+            seen.push(rid.0);
+        });
+        assert_eq!(seen, (0..9).collect::<Vec<_>>());
+        h.scan_cols(&[1], |rid, row| assert_eq!(row[1], Value::str(format!("r{}", rid.0))));
     }
 
     #[test]
@@ -543,7 +892,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let mut h = HeapFile::bulk_load(&disk, schema(), rows(3), 4).unwrap();
         let old = h.delete(disk.as_ref(), Rid(1)).unwrap();
-        assert_eq!(old[0], Value::Int(1));
+        assert_eq!(old, vec![Value::Int(1), Value::str("r1")]);
         assert!(h.peek(Rid(1)).unwrap()[0].is_null());
         assert_eq!(h.len(), 3, "tombstone keeps slots stable");
         assert!(h.delete(disk.as_ref(), Rid(9)).is_err());
@@ -559,10 +908,10 @@ mod tests {
         assert!(h.peek(rid).unwrap().iter().all(|v| v.is_null()));
         assert_eq!(disk.stats(), before, "placeholder growth is uncharged");
         let row = vec![Value::Int(42), Value::str("back")];
-        h.restore_row(disk.as_ref(), rid, row.clone()).unwrap();
+        h.restore_row(disk.as_ref(), rid, &row).unwrap();
         assert_eq!(h.peek(rid).unwrap(), row);
         assert_eq!(disk.stats().page_writes, before.page_writes + 1);
-        assert!(h.restore_row(disk.as_ref(), Rid(9), row).is_err());
+        assert!(h.restore_row(disk.as_ref(), Rid(9), &row).is_err());
     }
 
     fn shared(a: &Value, b: &Value) -> bool {
@@ -582,7 +931,7 @@ mod tests {
         let mut h = HeapFile::bulk_load(&disk, schema(), input, 4).unwrap();
         let appended = h.append(disk.as_ref(), vec![Value::Int(10), Value::str("x")]).unwrap();
         let slot = h.append_tombstone();
-        h.restore_row(disk.as_ref(), slot, vec![Value::Int(11), Value::str("y")]).unwrap();
+        h.restore_row(disk.as_ref(), slot, &[Value::Int(11), Value::str("y")]).unwrap();
         let x = h.peek(Rid(0)).unwrap()[1].clone();
         let y = h.peek(Rid(1)).unwrap()[1].clone();
         assert!(!shared(&x, &y));
@@ -591,27 +940,28 @@ mod tests {
             assert!(shared(&row[1], want), "{rid:?} shares its string");
         }
         assert_eq!(h.peek(appended).unwrap()[1], Value::str("x"));
-        assert_eq!(h.dict.0.len(), 2);
+        assert_eq!(h.dict().len(), 2);
     }
 
     #[test]
-    fn dictionary_stops_at_its_bound_and_unique_strings_round_trip() {
+    fn unique_strings_each_get_a_code_and_round_trip() {
         let disk = DiskSim::with_defaults();
-        let n = DICT_MAX_STRINGS as i64 + 50;
+        // Far more distinct strings than a categorical column holds: the
+        // dictionary has no cap.
+        let n = 5000;
         let mut h = HeapFile::bulk_load(&disk, schema(), rows(n), 64).unwrap();
-        assert_eq!(h.dict.0.len(), DICT_MAX_STRINGS);
+        assert_eq!(h.dict().len(), n as usize);
         for (rid, row) in h.iter() {
             assert_eq!(row[1], Value::str(format!("r{}", rid.0)));
         }
-        // A string that made it in is still shared; one that did not
-        // keeps its own allocation and its text.
-        let early = h.append(disk.as_ref(), vec![Value::Int(0), Value::str("r0")]).unwrap();
-        let late = h.append(disk.as_ref(), vec![Value::Int(0), Value::str(format!("r{}", n - 1))]);
-        let late = late.unwrap();
-        assert!(shared(&h.peek(early).unwrap()[1], &h.peek(Rid(0)).unwrap()[1]));
-        assert!(!shared(&h.peek(late).unwrap()[1], &h.peek(Rid(n as u64 - 1)).unwrap()[1]));
-        assert_eq!(h.peek(late).unwrap()[1], h.peek(Rid(n as u64 - 1)).unwrap()[1]);
-        assert_eq!(h.dict.0.len(), DICT_MAX_STRINGS);
+        // A deleted row's string keeps its code; a re-stored one reuses it.
+        let code = h.dict().code_of("r7").unwrap();
+        h.delete(disk.as_ref(), Rid(7)).unwrap();
+        let again = h.append(disk.as_ref(), vec![Value::Int(7), Value::str("r7")]).unwrap();
+        assert_eq!(h.dict().code_of("r7"), Some(code));
+        let stored = h.peek(again).unwrap()[1].clone();
+        assert!(matches!(&stored, Value::Str(s) if Arc::ptr_eq(s, h.dict().get(code))));
+        assert_eq!(h.dict().len(), n as usize);
     }
 
     #[test]
@@ -620,6 +970,21 @@ mod tests {
         let mut input = rows(3);
         input[2].pop();
         assert!(HeapFile::bulk_load(&disk, schema(), input, 4).is_err());
+    }
+
+    #[test]
+    fn bulk_load_rejects_a_mistyped_row_past_the_first() {
+        let disk = DiskSim::with_defaults();
+        let two_ints = Arc::new(Schema::new(vec![
+            Column::new("a", ValueType::Int),
+            Column::new("b", ValueType::Int),
+        ]));
+        let mut input: Vec<Row> = (0..100).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+        input[50][1] = Value::str("x");
+        assert!(matches!(
+            HeapFile::bulk_load(&disk, two_ints, input, 8),
+            Err(StorageError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   sessions cannot interleave into the middle of a sweep and shatter
 //!   its sequential pricing ([`PerPageIo`] restores the page-at-a-time
 //!   baseline for comparison).
-//! * [`HeapFile`] — a paged heap of rows, one contiguous value array per
-//!   page, with a per-heap string dictionary; clustering is achieved by
-//!   bulk loading rows sorted on the clustered attribute.
+//! * [`HeapFile`] — a paged heap of rows, each page one typed vector per
+//!   column plus a null bitmap, strings as codes into a per-heap
+//!   [`Dictionary`]; readers get [`PageRef`] column views, and rows are
+//!   materialised only where one must leave the page. Clustering is
+//!   achieved by bulk loading rows sorted on the clustered attribute.
 //! * [`BufferPool`] — a capacity-bounded page cache with dirty write-back,
 //!   reproducing the mechanism behind the paper's Experiment 3 (index
 //!   maintenance pressure on the buffer pool).
@@ -43,7 +45,7 @@
 //!   concurrent committers share one tail flush.
 //! * [`FxHasher`] — one fixed-seed, avalanching multiply-rotate hasher
 //!   for the engine's per-row hash tables (join build keys, group keys,
-//!   pool frames, the heap dictionary); see the [`hash`] module docs.
+//!   pool frames, the heap dictionary, typed page keys); see the [`hash`] module docs.
 //! * [`MvccState`] / [`Snapshot`] — the multi-version commit clock,
 //!   commit table, and registered read snapshots that let the engine
 //!   serve readers under shard *read* locks while writers stamp new
@@ -77,7 +79,7 @@ pub use error::StorageError;
 pub use filedisk::{FileDisk, TempDir};
 pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use heap::{HeapFile, PageRows, DICT_MAX_STRINGS};
+pub use heap::{key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, PageRef};
 pub use logrec::{
     crc32, decode_stream, encode_frame, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
     FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,

@@ -246,6 +246,7 @@ impl Snapshot {
 
     /// Did `stamp` commit at or before this snapshot? Pending stamps go
     /// through the commit table; unresolvable means "no".
+    #[inline]
     pub fn committed_before(&self, stamp: u64) -> bool {
         if is_pending(stamp) {
             match self.state.resolve(stamp) {
@@ -260,6 +261,7 @@ impl Snapshot {
     /// Is a row version with this stamp pair visible to the snapshot?
     /// Visible iff its begin committed at or before `ts` and its end
     /// (if any) did not.
+    #[inline]
     pub fn sees(&self, begin: u64, end: u64) -> bool {
         self.committed_before(begin) && !self.committed_before(end)
     }

@@ -99,7 +99,7 @@ impl Schema {
     }
 
     /// Check that a row matches this schema (arity and types).
-    pub fn validate(&self, row: &Row) -> Result<()> {
+    pub fn validate(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(StorageError::SchemaMismatch {
                 detail: format!("arity {} != {}", row.len(), self.columns.len()),
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn validate_rejects_bad_arity_and_types() {
         let s = demo_schema();
-        assert!(s.validate(&vec![Value::Int(1)]).is_err());
+        assert!(s.validate(&[Value::Int(1)]).is_err());
         let row = vec![
             Value::str("oops"),
             Value::str("Boston"),

@@ -38,6 +38,16 @@ impl OrdF64 {
             self.0.to_bits()
         }
     }
+
+    /// A signed key whose integer order is this type's order: equal keys
+    /// are equal values (`-0.0` and `0.0`, every NaN), and NaN's key is
+    /// the largest. What typed column kernels compare and group by.
+    #[inline]
+    pub fn order_key(self) -> i64 {
+        let bits = self.canonical_bits() as i64;
+        // `f64::total_cmp`'s mapping: flip the magnitude of negatives.
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
 }
 
 impl PartialEq for OrdF64 {
@@ -60,7 +70,7 @@ impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> Ordering {
         // Compare canonicalized bit patterns so that `-0.0 == 0.0` and all
         // NaNs are one value, keeping Ord consistent with Eq and Hash.
-        f64::from_bits(self.canonical_bits()).total_cmp(&f64::from_bits(other.canonical_bits()))
+        self.order_key().cmp(&other.order_key())
     }
 }
 
@@ -270,6 +280,18 @@ mod tests {
         assert_eq!(nan.cmp(&one), Ordering::Greater);
         assert_eq!(OrdF64(0.0), OrdF64(-0.0));
         assert_eq!(hash_of(&OrdF64(0.0)), hash_of(&OrdF64(-0.0)));
+    }
+
+    #[test]
+    fn order_key_orders_like_ord() {
+        let xs = [f64::NEG_INFINITY, -2.5, -0.0, 0.0, 1e-300, 3.0, f64::INFINITY, f64::NAN, -f64::NAN];
+        for a in xs {
+            for b in xs {
+                let (a, b) = (OrdF64(a), OrdF64(b));
+                assert_eq!(a.order_key().cmp(&b.order_key()), a.cmp(&b), "{a:?} {b:?}");
+            }
+        }
+        assert_eq!(OrdF64(-0.0).order_key(), OrdF64(0.0).order_key());
     }
 
     #[test]

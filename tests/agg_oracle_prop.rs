@@ -14,12 +14,12 @@
 //! legs.
 //!
 //! `AggState` itself is also checked on its own against a `BTreeMap`
-//! keyed by exact value identity, on keys picked to trip the group memo
-//! in front of its hash index: equal strings in shared and in separate
-//! allocations, different strings with one memo fingerprint, `0.0` and
-//! `-0.0`, NaNs with different payloads, `Int(2)` beside `Float(2.0)`,
-//! NULLs, group counts that cross the memo's cutoff mid-fold, and folds
-//! split at random points and merged back.
+//! keyed by exact value identity, on keys picked to be easy to confuse:
+//! equal strings in shared and in separate allocations, different
+//! strings of one length and first and last byte, `0.0` and `-0.0`, NaNs
+//! with different payloads, `Int(2)` beside `Float(2.0)`, NULLs, a few
+//! groups to a few hundred, and folds split at random points and merged
+//! back.
 //!
 //! Case count is `AGG_PROP_CASES` (default 64) so CI smoke jobs can run
 //! a reduced sweep.
@@ -198,16 +198,16 @@ fn bits(v: &Value) -> (Ident, u64) {
     (ident(v), v.as_float().map_or(0, f64::to_bits))
 }
 
-/// Strings in pairs that share a length, first and last byte — one memo
-/// fingerprint — but not their text.
+/// Strings in pairs that share a length, first and last byte, but not
+/// their text.
 const LOOKALIKES: [&str; 6] = ["AIR", "ASR", "MAIL", "MALL", "REG AIR", "RAG AIR"];
 
 /// Group-key value number `code`. Codes below 16 are the awkward cases:
 /// lookalike strings, each either cloned from `shared` or in a fresh
 /// allocation of its own, NULL, signed zeros, NaN payloads, and `2` as
 /// an `Int`, a `Float` and a `Date`. Higher codes are distinct `Int`s,
-/// so a wide code range folds well past the memo's cutoff.
-fn memo_key(code: u32, shared: &[Value]) -> Value {
+/// so a wide code range folds into hundreds of groups.
+fn awkward_key(code: u32, shared: &[Value]) -> Value {
     let lookalike = (code / 16) as usize % LOOKALIKES.len();
     match code % 16 {
         0 => Value::Null,
@@ -227,7 +227,7 @@ fn memo_key(code: u32, shared: &[Value]) -> Value {
 /// Rows `(key0, key1, x)` over a code range of 16 to 4 000, so a fold
 /// meets anywhere from a few groups to a few hundred, plus up to four
 /// cut points that split the fold into states merged back in order.
-fn memo_rows_strategy() -> impl Strategy<Value = (Vec<Row>, Vec<usize>)> {
+fn identity_rows_strategy() -> impl Strategy<Value = (Vec<Row>, Vec<usize>)> {
     let raw = prop::collection::vec((0u32..1 << 20, 0u32..1 << 20, -50i64..50), 1..600);
     let cuts = prop::collection::vec(any::<u32>(), 0..5);
     (16u32..4_000, raw, cuts).prop_map(|(span, raw, cuts)| {
@@ -235,7 +235,7 @@ fn memo_rows_strategy() -> impl Strategy<Value = (Vec<Row>, Vec<usize>)> {
         let rows: Vec<Row> = raw
             .into_iter()
             .map(|(a, b, x)| {
-                vec![memo_key(a % span, &shared), memo_key(b % 64, &shared), Value::Int(x)]
+                vec![awkward_key(a % span, &shared), awkward_key(b % 64, &shared), Value::Int(x)]
             })
             .collect();
         let cuts = cuts.into_iter().map(|c| c as usize % (rows.len() + 1)).collect();
@@ -348,10 +348,10 @@ proptest! {
 
     /// `AggState` keeps exactly the groups `Value::eq` tells apart, keyed
     /// by the first value seen, with exact aggregates, in ascending key
-    /// order — through its group memo, past the memo's cutoff, and when
-    /// the fold is split into states merged back in order.
+    /// order — with few groups and many, and when the fold is split into
+    /// states merged back in order.
     #[test]
-    fn agg_state_groups_by_value_identity(input in memo_rows_strategy()) {
+    fn agg_state_groups_by_value_identity(input in identity_rows_strategy()) {
         let (rows, mut cuts) = input;
         cuts.push(0);
         cuts.push(rows.len());

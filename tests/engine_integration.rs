@@ -164,7 +164,7 @@ fn inserts_and_deletes_keep_cm_routed_results_consistent() {
             );
             for (rid, row) in t.heap().iter() {
                 if !row[tpch::COL_SHIPDATE].is_null() {
-                    rebuilt.insert(row, rid, t.dir());
+                    rebuilt.insert(&row, rid, t.dir());
                 }
             }
             let maintained = t.cm(0);

@@ -79,7 +79,7 @@ fn maintained_cm_equals_rebuilt_cm_through_table_api() {
     let mut rebuilt = CorrelationMap::new("rebuilt", CmSpec::single_pow2(ebay::COL_PRICE, 12));
     for (rid, row) in t.heap().iter() {
         if !row[ebay::COL_PRICE].is_null() {
-            rebuilt.insert(row, rid, t.dir());
+            rebuilt.insert(&row, rid, t.dir());
         }
     }
     let maintained = t.cm(cm);
