@@ -9,11 +9,10 @@
 //! clustering — the decision procedure behind the paper's Figure 2 sweep,
 //! packaged as a library API.
 
-use crate::discovery::DiscoveryConfig;
+use crate::sample::Sample;
 use cm_cost::CostParams;
-use cm_query::{PredOp, Query, Table};
-use cm_stats::{estimate_distinct, EstimatorKind, FreqTable, ReservoirSampler};
-use cm_storage::{DiskConfig, Rid};
+use cm_query::{PredOp, Query};
+use cm_storage::DiskConfig;
 
 /// One candidate clustering with its modeled workload cost.
 #[derive(Debug, Clone)]
@@ -27,7 +26,8 @@ pub struct ClusteringChoice {
     pub accelerated: usize,
 }
 
-/// Rank candidate clustered attributes for a workload.
+/// Rank candidate clustered attributes for a workload over `sample`'s
+/// table.
 ///
 /// For every candidate clustering and every query, the query's cost is
 /// `min(cost_scan, cost_sorted)` where the sorted-scan estimate uses the
@@ -35,56 +35,27 @@ pub struct ClusteringChoice {
 /// candidate clustering (`c_per_u = D(pred, cand) / D(pred)`); the
 /// cheapest candidate comes first.
 pub fn recommend_clustering(
-    table: &Table,
+    sample: &Sample<'_>,
     disk: &DiskConfig,
     workload: &[Query],
     candidates: &[usize],
-    config: &DiscoveryConfig,
 ) -> Vec<ClusteringChoice> {
-    // One shared sample of row ids.
-    let mut reservoir = ReservoirSampler::new(config.sample_size, config.seed);
-    for rid in (0..table.heap().len()).map(Rid) {
-        reservoir.observe(rid);
-    }
-    let sample: Vec<Rid> = reservoir.into_sample();
-    let n_total = table.heap().len();
-    let r = sample.len() as u64;
-    let hash_col = |col: usize| -> Vec<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        sample
-            .iter()
-            .map(|&rid| {
-                let mut h = DefaultHasher::new();
-                table.heap().value(rid, col).expect("sampled rid valid").hash(&mut h);
-                h.finish()
-            })
-            .collect()
-    };
-
+    let table = sample.table();
     // All columns any query predicates.
     let mut pred_cols: Vec<usize> =
         workload.iter().flat_map(Query::predicated_cols).collect();
     pred_cols.sort_unstable();
     pred_cols.dedup();
     let pred_hashes: Vec<(usize, Vec<u64>)> =
-        pred_cols.iter().map(|&c| (c, hash_col(c))).collect();
+        pred_cols.iter().map(|&c| (c, sample.column(c))).collect();
 
-    let estimate = |hashes: &[u64]| -> f64 {
-        let mut t = FreqTable::new();
-        for &h in hashes {
-            t.observe(h);
-        }
-        estimate_distinct(EstimatorKind::Adaptive, n_total, r, &t.freq_of_freq()).max(1.0)
-    };
-
-    let params = CostParams::new(disk, table.heap().tups_per_page(), n_total, 3);
+    let params = CostParams::new(disk, table.heap().tups_per_page(), table.heap().len(), 3);
     let scan = params.cost_scan();
     let mut out = Vec::with_capacity(candidates.len());
     for &cand in candidates {
-        let cand_hashes = hash_col(cand);
-        let d_cand = estimate(&cand_hashes);
-        let c_tups = n_total as f64 / d_cand;
+        let cand_hashes = sample.column(cand);
+        let d_cand = sample.distinct(&cand_hashes);
+        let c_tups = sample.population() as f64 / d_cand;
         let mut workload_ms = 0.0;
         let mut accelerated = 0;
         for q in workload {
@@ -98,25 +69,13 @@ pub fn recommend_clustering(
                 if pred.col == cand {
                     // Clustered-attribute predicate: a direct clustered
                     // range scan.
-                    let frac = 1.0 / estimate(ph);
+                    let frac = 1.0 / sample.distinct(ph);
                     best = best.min(params.seek_ms * 3.0 + scan * frac);
                     continue;
                 }
                 // Correlation between the predicated column and the
                 // candidate clustering.
-                let d_pred = estimate(ph);
-                let mut pairs = FreqTable::new();
-                for i in 0..ph.len() {
-                    pairs.observe(ph[i] ^ cand_hashes[i].wrapping_mul(0x9E3779B97F4A7C15));
-                }
-                let d_pairs = estimate_distinct(
-                    EstimatorKind::Adaptive,
-                    n_total,
-                    r,
-                    &pairs.freq_of_freq(),
-                )
-                .max(d_pred);
-                let c_per_u = d_pairs / d_pred;
+                let (c_per_u, d_pred) = sample.strength(&[ph], &cand_hashes);
                 let n_lookups = match &pred.op {
                     PredOp::Eq(_) => 1.0,
                     PredOp::In(vs) => vs.len() as f64,
@@ -138,7 +97,7 @@ pub fn recommend_clustering(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_query::Pred;
+    use cm_query::{Pred, Table};
     use cm_storage::{Column, DiskSim, Schema, Value, ValueType};
     use std::sync::Arc;
 
@@ -168,8 +127,8 @@ mod tests {
         let t = demo(&disk);
         let workload: Vec<Query> =
             (0..10).map(|i| Query::single(Pred::eq(1, (i * 147) as i64))).collect();
-        let cfg = DiscoveryConfig { sample_size: 5_000, ..Default::default() };
-        let ranked = recommend_clustering(&t, &disk.config(), &workload, &[0, 2], &cfg);
+        let sample = Sample::live(&t, 5_000);
+        let ranked = recommend_clustering(&sample, &disk.config(), &workload, &[0, 2]);
         assert_eq!(ranked[0].col, 0, "a (correlated with b) beats z: {ranked:?}");
         assert!(ranked[0].workload_ms < ranked[1].workload_ms);
     }
@@ -180,8 +139,8 @@ mod tests {
         let t = demo(&disk);
         let workload: Vec<Query> =
             (0..10).map(|i| Query::single(Pred::eq(2, (i * 31) as i64))).collect();
-        let cfg = DiscoveryConfig { sample_size: 5_000, ..Default::default() };
-        let ranked = recommend_clustering(&t, &disk.config(), &workload, &[0, 2], &cfg);
+        let sample = Sample::live(&t, 5_000);
+        let ranked = recommend_clustering(&sample, &disk.config(), &workload, &[0, 2]);
         assert_eq!(ranked[0].col, 2, "{ranked:?}");
         assert!(ranked[0].accelerated >= 8);
     }
@@ -194,8 +153,8 @@ mod tests {
         let mut workload: Vec<Query> =
             (0..5).map(|i| Query::single(Pred::eq(1, (i * 147) as i64))).collect();
         workload.extend((0..5).map(|i| Query::single(Pred::eq(2, (i * 31) as i64))));
-        let cfg = DiscoveryConfig { sample_size: 5_000, ..Default::default() };
-        let ranked = recommend_clustering(&t, &disk.config(), &workload, &[0], &cfg);
+        let sample = Sample::live(&t, 5_000);
+        let ranked = recommend_clustering(&sample, &disk.config(), &workload, &[0]);
         assert!(
             (4..=6).contains(&ranked[0].accelerated),
             "only the b-queries accelerate: {ranked:?}"

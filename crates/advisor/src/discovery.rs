@@ -17,9 +17,19 @@
 //! useless (`c_tups` must be a small fraction of the table — the §5.3
 //! gender caveat).
 
-use cm_query::Table;
-use cm_stats::{estimate_distinct, EstimatorKind, FreqTable, ReservoirSampler};
-use cm_storage::Rid;
+use crate::sample::Sample;
+
+/// A dependency is reported when its `c_per_u` is at most this.
+const STRENGTH_THRESHOLD: f64 = 8.0;
+
+/// Trivial determinants are pruned: a column with fewer distinct values
+/// than this cannot usefully localize access (the §5.3 gender caveat,
+/// applied to the determinant side).
+const MIN_DETERMINANT_DISTINCT: f64 = 8.0;
+
+/// A pair is only reported when it tightens its best single attribute by
+/// at least this factor (otherwise the single FD suffices).
+const MIN_PAIR_GAIN: f64 = 4.0;
 
 /// One discovered soft functional dependency `determinant → dependent`.
 #[derive(Debug, Clone)]
@@ -54,104 +64,32 @@ impl SoftFd {
     }
 }
 
-/// Discovery tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct DiscoveryConfig {
-    /// Sample size for the estimators (paper/CORDS: ~30k).
-    pub sample_size: usize,
-    /// A dependency is reported when `c_per_u <= strength_threshold`.
-    pub strength_threshold: f64,
-    /// Prune trivial determinants: a column whose distinct count is below
-    /// this cannot usefully localize access (the §5.3 gender caveat,
-    /// applied to the determinant side).
-    pub min_determinant_distinct: f64,
-    /// A pair is only reported when it tightens the best single attribute
-    /// by at least this factor (otherwise the single FD suffices).
-    pub min_pair_gain: f64,
-    /// Sampling seed.
-    pub seed: u64,
-}
-
-impl Default for DiscoveryConfig {
-    fn default() -> Self {
-        DiscoveryConfig {
-            sample_size: 30_000,
-            strength_threshold: 8.0,
-            min_determinant_distinct: 8.0,
-            min_pair_gain: 4.0,
-            seed: 0xD15C,
-        }
-    }
-}
-
-/// Search for soft FDs `determinant ⊆ candidates → dependent`.
+/// Search for soft FDs `determinant ⊆ candidates → dependent` over
+/// `sample`'s table.
 ///
 /// Considers every single candidate column and every candidate pair,
-/// estimating strengths from one shared sample. Results are sorted by
+/// estimating strengths from the one sample. Results are sorted by
 /// strength (tightest first); pairs appear only when they beat their best
-/// constituent by [`DiscoveryConfig::min_pair_gain`].
+/// constituent by a factor of at least 4.
 pub fn discover_soft_fds(
-    table: &Table,
+    sample: &Sample<'_>,
     candidates: &[usize],
     dependent: usize,
-    config: &DiscoveryConfig,
 ) -> Vec<SoftFd> {
-    // Shared sample.
-    let mut reservoir = ReservoirSampler::new(config.sample_size, config.seed);
-    for rid in (0..table.heap().len()).map(Rid) {
-        reservoir.observe(rid);
-    }
-    let sample: Vec<Rid> = reservoir.into_sample();
-    let n_total = table.heap().len();
-    let r = sample.len() as u64;
-
-    // Pre-hash each candidate column and the dependent over the sample.
-    let hash_col = |col: usize| -> Vec<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        sample
-            .iter()
-            .map(|&rid| {
-                let mut h = DefaultHasher::new();
-                table.heap().value(rid, col).expect("sampled rid valid").hash(&mut h);
-                h.finish()
-            })
-            .collect()
-    };
-    let dep_hashes = hash_col(dependent);
-    let cand_hashes: Vec<Vec<u64>> = candidates.iter().map(|&c| hash_col(c)).collect();
-
-    // Strength of an arbitrary determinant given its per-row hashes.
-    let strength = |det: &[&Vec<u64>]| -> (f64, f64) {
-        let mut keys = FreqTable::new();
-        let mut pairs = FreqTable::new();
-        for i in 0..dep_hashes.len() {
-            let mut h = 0xcbf29ce484222325u64;
-            for part in det {
-                h ^= part[i];
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            keys.observe(h);
-            pairs.observe(h ^ dep_hashes[i].wrapping_mul(0x9E3779B97F4A7C15));
-        }
-        let d_keys =
-            estimate_distinct(EstimatorKind::Adaptive, n_total, r, &keys.freq_of_freq()).max(1.0);
-        let d_pairs =
-            estimate_distinct(EstimatorKind::Adaptive, n_total, r, &pairs.freq_of_freq())
-                .max(d_keys);
-        (d_pairs / d_keys, d_keys)
-    };
+    let dep_hashes = sample.column(dependent);
+    let cand_hashes: Vec<Vec<u64>> = candidates.iter().map(|&c| sample.column(c)).collect();
+    let strength = |det: &[&[u64]]| sample.strength(det, &dep_hashes);
 
     let mut out: Vec<SoftFd> = Vec::new();
-    let mut single_strength: Vec<(f64, f64)> = Vec::with_capacity(candidates.len());
+    let mut single_strength: Vec<f64> = Vec::with_capacity(candidates.len());
     for (i, &col) in candidates.iter().enumerate() {
         if col == dependent {
-            single_strength.push((f64::INFINITY, 0.0));
+            single_strength.push(f64::INFINITY);
             continue;
         }
         let (c_per_u, d_keys) = strength(&[&cand_hashes[i]]);
-        single_strength.push((c_per_u, d_keys));
-        if c_per_u <= config.strength_threshold && d_keys >= config.min_determinant_distinct {
+        single_strength.push(c_per_u);
+        if c_per_u <= STRENGTH_THRESHOLD && d_keys >= MIN_DETERMINANT_DISTINCT {
             out.push(SoftFd {
                 determinant: vec![col],
                 dependent,
@@ -168,16 +106,16 @@ pub fn discover_soft_fds(
             if candidates[i] == dependent || candidates[j] == dependent {
                 continue;
             }
-            let best_single = single_strength[i].0.min(single_strength[j].0);
-            if best_single <= config.strength_threshold {
+            let best_single = single_strength[i].min(single_strength[j]);
+            if best_single <= STRENGTH_THRESHOLD {
                 // A good single FD exists; the pair adds bookkeeping only.
                 continue;
             }
             let (c_per_u, d_keys) = strength(&[&cand_hashes[i], &cand_hashes[j]]);
             let gain = best_single / c_per_u.max(1e-9);
-            if c_per_u <= config.strength_threshold
-                && gain >= config.min_pair_gain
-                && d_keys >= config.min_determinant_distinct
+            if c_per_u <= STRENGTH_THRESHOLD
+                && gain >= MIN_PAIR_GAIN
+                && d_keys >= MIN_DETERMINANT_DISTINCT
             {
                 out.push(SoftFd {
                     determinant: vec![candidates[i], candidates[j]],
@@ -196,16 +134,18 @@ pub fn discover_soft_fds(
 /// Convenience: discover FDs from every non-clustered column (and their
 /// pairs) to the table's clustered attribute — the exploitable direction
 /// for CMs.
-pub fn discover_for_clustered(table: &Table, config: &DiscoveryConfig) -> Vec<SoftFd> {
+pub fn discover_for_clustered(sample: &Sample<'_>) -> Vec<SoftFd> {
+    let table = sample.table();
     let dep = table.clustered_col();
     let candidates: Vec<usize> =
         (0..table.heap().schema().arity()).filter(|&c| c != dep).collect();
-    discover_soft_fds(table, &candidates, dep, config)
+    discover_soft_fds(sample, &candidates, dep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm_query::Table;
     use cm_storage::{Column, DiskSim, Schema, Value, ValueType};
     use std::sync::Arc;
 
@@ -233,15 +173,15 @@ mod tests {
         Table::build(disk, schema, rows, 50, 0, 100).unwrap()
     }
 
-    fn config() -> DiscoveryConfig {
-        DiscoveryConfig { sample_size: 8_000, ..DiscoveryConfig::default() }
+    fn sample(t: &Table) -> Sample<'_> {
+        Sample::live(t, 8_000)
     }
 
     #[test]
     fn finds_strong_single_fd() {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
-        let fds = discover_soft_fds(&t, &[1, 4], 0, &config());
+        let fds = discover_soft_fds(&sample(&t), &[1, 4], 0);
         assert!(
             fds.iter().any(|f| f.determinant == vec![1] && f.c_per_u < 2.0),
             "u1 -> c must be discovered: {fds:?}"
@@ -256,7 +196,7 @@ mod tests {
     fn finds_multi_attribute_fd_where_singles_fail() {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
-        let fds = discover_soft_fds(&t, &[2, 3], 0, &config());
+        let fds = discover_soft_fds(&sample(&t), &[2, 3], 0);
         // Neither x nor y alone qualifies (each maps to 30 c values)...
         assert!(!fds.iter().any(|f| f.determinant.len() == 1), "{fds:?}");
         // ...but the pair does, with a large gain.
@@ -272,7 +212,7 @@ mod tests {
     fn pairs_not_reported_when_single_suffices() {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
-        let fds = discover_soft_fds(&t, &[1, 2], 0, &config());
+        let fds = discover_soft_fds(&sample(&t), &[1, 2], 0);
         // u1 alone is strong, so (u1, x) must not be emitted.
         assert!(fds.iter().all(|f| f.determinant.len() == 1), "{fds:?}");
     }
@@ -281,7 +221,7 @@ mod tests {
     fn results_sorted_by_strength() {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
-        let fds = discover_for_clustered(&t, &config());
+        let fds = discover_for_clustered(&sample(&t));
         for w in fds.windows(2) {
             assert!(w[0].c_per_u <= w[1].c_per_u);
         }
@@ -292,7 +232,7 @@ mod tests {
     fn describe_renders() {
         let disk = DiskSim::with_defaults();
         let t = demo(&disk);
-        let fds = discover_soft_fds(&t, &[2, 3], 0, &config());
+        let fds = discover_soft_fds(&sample(&t), &[2, 3], 0);
         let s = fds[0].describe(t.heap().schema());
         assert!(s.contains("(x, y) -> c"), "{s}");
     }
@@ -310,7 +250,7 @@ mod tests {
             .map(|i| vec![Value::Int(i % 2), Value::Int(i % 2)])
             .collect();
         let t = Table::build(&disk, schema, rows, 50, 0, 100).unwrap();
-        let fds = discover_soft_fds(&t, &[1], 0, &config());
+        let fds = discover_soft_fds(&sample(&t), &[1], 0);
         assert!(fds.is_empty(), "{fds:?}");
     }
 }

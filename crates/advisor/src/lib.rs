@@ -27,8 +27,12 @@
 //! scan-cost formulas *plus* a per-write maintenance model, returning
 //! the [`DesignSet`] the engine can apply with `Engine::apply_design`.
 //!
+//! Every advisor estimates soft-FD strength the same way: one
+//! [`Sample`] of the table's live rows, drawn once with a fixed seed,
+//! and [`Sample::strength`] over it.
+//!
 //! ```
-//! use cm_advisor::{recommend_for_workload, WorkloadAdvisorConfig, WorkloadProfile};
+//! use cm_advisor::{recommend_for_workload, Sample, WorkloadProfile};
 //! use cm_query::Table;
 //! use cm_storage::{Column, DiskSim, Schema, Value, ValueType};
 //! use std::sync::Arc;
@@ -55,14 +59,8 @@
 //!     profile.note_write();
 //! }
 //!
-//! let rec = recommend_for_workload(
-//!     &table,
-//!     &disk.config(),
-//!     table.heap().len(),
-//!     256,
-//!     &profile,
-//!     &WorkloadAdvisorConfig::default(),
-//! );
+//! let sample = Sample::live(&table, 2_000);
+//! let rec = recommend_for_workload(&sample, &disk.config(), table.heap().len(), 256, &profile);
 //! // Maintenance-free CMs win a 10/90 mix: no B+Tree in the best set.
 //! assert_eq!(rec.best.btrees(), 0);
 //! ```
@@ -74,14 +72,16 @@ pub mod clustering;
 pub mod design;
 pub mod discovery;
 pub mod recommend;
+pub mod sample;
 pub mod workload;
 
 pub use candidates::{bucketing_candidates, AttrCandidates};
 pub use clustering::{recommend_clustering, ClusteringChoice};
 pub use design::{CmDesign, DesignEstimate};
-pub use discovery::{discover_for_clustered, discover_soft_fds, DiscoveryConfig, SoftFd};
-pub use recommend::{Advisor, AdvisorConfig, Recommendation};
+pub use discovery::{discover_for_clustered, discover_soft_fds, SoftFd};
+pub use recommend::{Advisor, Recommendation};
+pub use sample::Sample;
 pub use workload::{
-    recommend_for_workload, ColumnAccess, ColumnDesign, DesignSet, Structure,
-    WorkloadAdvisorConfig, WorkloadProfile, WorkloadRecommendation,
+    recommend_for_workload, ColumnAccess, ColumnDesign, DesignSet, Structure, WorkloadProfile,
+    WorkloadRecommendation,
 };

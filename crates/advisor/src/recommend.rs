@@ -15,38 +15,22 @@
 
 use crate::candidates::{bucketing_candidates, AttrCandidates};
 use crate::design::{CmDesign, DesignEstimate};
+use crate::sample::Sample;
 use cm_core::{BucketSpec, CmAttr};
 use cm_cost::CostParams;
-use cm_query::{Pred, PredOp, Query, Table};
-use cm_stats::{estimate_distinct, EstimatorKind, FreqTable, ReservoirSampler};
-use cm_storage::{DiskConfig, Rid};
+use cm_query::{Planner, Pred, PredOp, Query, Table};
+use cm_storage::DiskConfig;
 
-/// Advisor tuning knobs (paper defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct AdvisorConfig {
-    /// Random sample size (paper: 30,000; "similar sample size was chosen
-    /// in CORDS").
-    pub sample_size: usize,
-    /// Prune predicates whose estimated selectivity exceeds this (paper:
-    /// 0.5).
-    pub selectivity_threshold: f64,
-    /// Hard cap on enumerated designs (safety valve; the paper's queries
-    /// stay well below it).
-    pub max_designs: usize,
-    /// Sampling seed.
-    pub seed: u64,
-}
+/// Predicates whose estimated selectivity exceeds this are pruned
+/// (paper: 0.5).
+const SELECTIVITY_THRESHOLD: f64 = 0.5;
 
-impl Default for AdvisorConfig {
-    fn default() -> Self {
-        AdvisorConfig {
-            sample_size: 30_000,
-            selectivity_threshold: 0.5,
-            max_designs: 8192,
-            seed: 0xAD71,
-        }
-    }
-}
+/// Hard cap on enumerated designs (a safety valve; the paper's queries
+/// stay well below it).
+const MAX_DESIGNS: usize = 8192;
+
+/// Rows the dense B+Tree size model averages key widths over.
+const KEY_WIDTH_ROWS: usize = 256;
 
 /// The advisor's output for one training query.
 #[derive(Debug)]
@@ -95,21 +79,9 @@ impl Recommendation {
 }
 
 /// The CM Advisor.
-pub struct Advisor {
-    config: AdvisorConfig,
-}
+pub struct Advisor;
 
 impl Advisor {
-    /// An advisor with the given knobs.
-    pub fn new(config: AdvisorConfig) -> Self {
-        Advisor { config }
-    }
-
-    /// An advisor with paper defaults.
-    pub fn with_defaults() -> Self {
-        Self::new(AdvisorConfig::default())
-    }
-
     /// Estimated selectivity of one predicate, used for pruning.
     fn selectivity(table: &Table, pred: &Pred) -> f64 {
         let Some(st) = table.col_stats(pred.col) else { return 1.0 };
@@ -117,12 +89,13 @@ impl Advisor {
             PredOp::Eq(_) => 1.0 / st.corr.distinct_u.max(1) as f64,
             PredOp::In(vs) => vs.len() as f64 / st.corr.distinct_u.max(1) as f64,
             PredOp::Between(lo, hi) => {
-                cm_query::Planner::range_fraction(table, pred.col, lo, hi).unwrap_or(1.0)
+                Planner::range_fraction(table, pred.col, lo, hi).unwrap_or(1.0)
             }
         }
     }
 
-    /// Run the full pipeline for one training query.
+    /// Run the full pipeline for one training query over `sample`'s
+    /// table.
     ///
     /// `slowdown_threshold` is the user's tolerance (e.g. `0.10` accepts
     /// designs up to 10% slower than the best candidate; the paper's
@@ -130,12 +103,12 @@ impl Advisor {
     ///
     /// Requires [`Table::analyze_cols`] on the query's predicated columns.
     pub fn recommend(
-        &self,
-        table: &Table,
+        sample: &Sample<'_>,
         disk: &DiskConfig,
         query: &Query,
         slowdown_threshold: f64,
     ) -> Recommendation {
+        let table = sample.table();
         // 1. Candidate attributes: predicated and selective enough.
         let attrs: Vec<usize> = query
             .predicated_cols()
@@ -143,69 +116,48 @@ impl Advisor {
             .filter(|&c| {
                 query
                     .pred_on(c)
-                    .map(|p| Self::selectivity(table, p) <= self.config.selectivity_threshold)
-                    .unwrap_or(false)
+                    .is_some_and(|p| Self::selectivity(table, p) <= SELECTIVITY_THRESHOLD)
             })
             .collect();
         let candidates: Vec<AttrCandidates> =
             attrs.iter().map(|&c| bucketing_candidates(table, c)).collect();
 
-        // 2. One shared random sample of RIDs.
-        let mut reservoir = ReservoirSampler::new(self.config.sample_size, self.config.seed);
-        for rid in (0..table.heap().len()).map(Rid) {
-            reservoir.observe(rid);
-        }
-        let sample: Vec<Rid> = reservoir.into_sample();
-        let n_total = table.heap().len();
-        let r_sample = sample.len() as u64;
+        // Per (attribute, spec), the bucketed key-part hash of every
+        // sampled row, so each design's composite key is a cheap fold
+        // (this is what makes ~5 ms/candidate feasible, §6.1.3).
+        let parts: Vec<Vec<Vec<u64>>> = candidates
+            .iter()
+            .map(|c| c.specs.iter().map(|spec| sample.key_parts(c.col, spec)).collect())
+            .collect();
+        let cbuckets = sample.clustered_buckets();
 
-        // Precompute, per (attribute, spec), the bucketed key-part hash of
-        // every sampled row, so each design's composite key hashes are a
-        // cheap fold (this is what makes ~5 ms/candidate feasible, §6.1.3).
-        let mut part_hashes: Vec<Vec<u64>> = Vec::new(); // flat over (attr, spec)
-        let mut spec_offset: Vec<usize> = Vec::with_capacity(candidates.len());
-        {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            for cand in &candidates {
-                spec_offset.push(part_hashes.len());
-                for spec in &cand.specs {
-                    let mut v = Vec::with_capacity(sample.len());
-                    for &rid in &sample {
-                        let value = table.heap().value(rid, cand.col).expect("sampled rid valid");
-                        let part = spec.key_part(&value);
-                        let mut h = DefaultHasher::new();
-                        part.hash(&mut h);
-                        v.push(h.finish());
-                    }
-                    part_hashes.push(v);
-                }
-            }
-        }
-        let cbuckets: Vec<u32> =
-            sample.iter().map(|&rid| table.dir().bucket_of(rid)).collect();
-
-        // 3. Enumerate subsets × bucketings.
+        // 2. Enumerate subsets × bucketings: `choice[i]` is 0 when
+        // attribute `i` is left out, `k` when it is keyed on its
+        // `(k-1)`-th bucketing; the last attribute turns fastest.
         let mut designs: Vec<DesignEstimate> = Vec::new();
-        let mut stack: Vec<Option<usize>> = vec![None; candidates.len()];
-        self.enumerate(
-            table,
-            disk,
-            query,
-            &candidates,
-            &spec_offset,
-            &part_hashes,
-            &cbuckets,
-            n_total,
-            r_sample,
-            0,
-            &mut stack,
-            &mut designs,
-        );
+        let mut choice = vec![0usize; candidates.len()];
+        while designs.len() < MAX_DESIGNS {
+            let Some(i) = (0..choice.len()).rev().find(|&i| choice[i] < candidates[i].specs.len())
+            else {
+                break;
+            };
+            choice[i] += 1;
+            choice[i + 1..].fill(0);
+            let chosen: Vec<(usize, usize)> =
+                (0..choice.len()).filter(|&i| choice[i] > 0).map(|i| (i, choice[i] - 1)).collect();
+            let key: Vec<&[u64]> = chosen.iter().map(|&(i, s)| parts[i][s].as_slice()).collect();
+            let (c_per_u, d_keys) = sample.strength(&key, &cbuckets);
+            let key_attrs = chosen.iter().map(|&(i, s)| CmAttr {
+                col: candidates[i].col,
+                bucket: candidates[i].specs[s].clone(),
+            });
+            let design = CmDesign { attrs: key_attrs.collect() };
+            designs.push(Self::estimate(table, disk, query, design, c_per_u, d_keys));
+        }
 
-        // 4. Rank and choose.
+        // 3. Rank and choose.
         designs.sort_by(|a, b| a.cost_ms.total_cmp(&b.cost_ms));
-        let btree_size_bytes = self.btree_size(table, &attrs);
+        let btree_size_bytes = Self::btree_size(sample, &attrs);
         if let Some(best) = designs.first().map(|d| d.cost_ms) {
             for d in &mut designs {
                 d.slowdown = if best > 0.0 { d.cost_ms / best - 1.0 } else { 0.0 };
@@ -221,138 +173,41 @@ impl Advisor {
         Recommendation { candidates, designs, chosen, btree_size_bytes }
     }
 
-    /// Modeled dense B+Tree size over `attrs` (one posting per tuple).
-    fn btree_size(&self, table: &Table, attrs: &[usize]) -> f64 {
+    /// Modeled dense B+Tree size over `attrs` (one posting per live
+    /// row), with key widths averaged over the first live rows.
+    fn btree_size(sample: &Sample<'_>, attrs: &[usize]) -> f64 {
+        let table = sample.table();
         let mut key_bytes = 0.0;
-        for rid in (0..table.heap().len().min(256)).map(Rid) {
+        let mut rows = 0usize;
+        for rid in table.live_rids(0).take(KEY_WIDTH_ROWS) {
+            rows += 1;
             for &c in attrs {
-                key_bytes += table.heap().value(rid, c).expect("rid in range").size_bytes() as f64;
+                key_bytes += table.heap().value(rid, c).expect("live rid").size_bytes() as f64;
             }
         }
-        let avg_key = if attrs.is_empty() { 8.0 } else { key_bytes / 256.0 };
-        table.heap().len() as f64 * (avg_key + 16.0) / 0.9
+        let avg_key = if attrs.is_empty() { 8.0 } else { key_bytes / rows.max(1) as f64 };
+        sample.population() as f64 * (avg_key + 16.0) / 0.9
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate(
-        &self,
-        table: &Table,
-        disk: &DiskConfig,
-        query: &Query,
-        candidates: &[AttrCandidates],
-        spec_offset: &[usize],
-        part_hashes: &[Vec<u64>],
-        cbuckets: &[u32],
-        n_total: u64,
-        r_sample: u64,
-        depth: usize,
-        stack: &mut Vec<Option<usize>>,
-        out: &mut Vec<DesignEstimate>,
-    ) {
-        if out.len() >= self.config.max_designs {
-            return;
-        }
-        if depth == candidates.len() {
-            if stack.iter().all(Option::is_none) {
-                return; // the empty design
-            }
-            out.push(self.estimate(
-                table,
-                disk,
-                query,
-                candidates,
-                spec_offset,
-                part_hashes,
-                cbuckets,
-                n_total,
-                r_sample,
-                stack,
-            ));
-            return;
-        }
-        // Option: exclude this attribute.
-        stack[depth] = None;
-        self.enumerate(
-            table, disk, query, candidates, spec_offset, part_hashes, cbuckets, n_total,
-            r_sample, depth + 1, stack, out,
-        );
-        // Option: include with each bucketing.
-        for spec_idx in 0..candidates[depth].specs.len() {
-            stack[depth] = Some(spec_idx);
-            self.enumerate(
-                table, disk, query, candidates, spec_offset, part_hashes, cbuckets, n_total,
-                r_sample, depth + 1, stack, out,
-            );
-        }
-        stack[depth] = None;
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Price one design from its sampled strength: size model plus the
+    /// training query's cost through it.
     fn estimate(
-        &self,
         table: &Table,
         disk: &DiskConfig,
         query: &Query,
-        candidates: &[AttrCandidates],
-        spec_offset: &[usize],
-        part_hashes: &[Vec<u64>],
-        cbuckets: &[u32],
-        n_total: u64,
-        r_sample: u64,
-        stack: &[Option<usize>],
+        design: CmDesign,
+        c_per_u: f64,
+        d_keys: f64,
     ) -> DesignEstimate {
-        // Composite key hash per sampled row: mix the chosen parts.
-        let chosen: Vec<&Vec<u64>> = stack
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|spec_idx| &part_hashes[spec_offset[i] + spec_idx]))
-            .collect();
-        let mut keys = FreqTable::new();
-        let mut pairs = FreqTable::new();
-        for row_i in 0..cbuckets.len() {
-            let mut h = 0xcbf29ce484222325u64;
-            for part in &chosen {
-                h ^= part[row_i];
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            keys.observe(h);
-            pairs.observe(h ^ (u64::from(cbuckets[row_i]).wrapping_mul(0x9E3779B97F4A7C15)));
-        }
-        let d_keys = estimate_distinct(
-            EstimatorKind::Adaptive,
-            n_total,
-            r_sample,
-            &keys.freq_of_freq(),
-        )
-        .max(1.0);
-        let d_pairs = estimate_distinct(
-            EstimatorKind::Adaptive,
-            n_total,
-            r_sample,
-            &pairs.freq_of_freq(),
-        )
-        .max(d_keys);
-        let c_per_u = d_pairs / d_keys;
-
-        // Design attrs + size model.
-        let attrs: Vec<CmAttr> = stack
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.map(|spec_idx| CmAttr {
-                    col: candidates[i].col,
-                    bucket: candidates[i].specs[spec_idx].clone(),
-                })
-            })
-            .collect();
+        let d_pairs = c_per_u * d_keys;
         // Every key part is modeled at 8 bytes (raw values in these
         // schemas are ints/floats/short strings; buckets store an i64
         // lower bound).
-        let key_bytes: f64 = attrs.len() as f64 * 8.0;
+        let key_bytes: f64 = design.attrs.len() as f64 * 8.0;
         let size_bytes = d_pairs * (key_bytes + 16.0);
 
         // Training-query cost through this design.
-        let n_keys_selected = self.keys_selected(table, query, &attrs, d_keys);
+        let n_keys_selected = Self::keys_selected(table, query, &design.attrs, d_keys);
         let params = CostParams::new(
             disk,
             table.heap().tups_per_page(),
@@ -366,7 +221,7 @@ impl Advisor {
             table.clustered().height() as f64,
         );
         DesignEstimate {
-            design: CmDesign { attrs },
+            design,
             c_per_u,
             keys: d_keys,
             pairs: d_pairs,
@@ -381,7 +236,6 @@ impl Advisor {
     /// under a design: the product over key attributes of the per-
     /// attribute selected-key counts, capped by the design's total keys.
     fn keys_selected(
-        &self,
         table: &Table,
         query: &Query,
         attrs: &[CmAttr],
@@ -410,11 +264,8 @@ impl Advisor {
                             _ => 1.0,
                         }
                     }
-                    BucketSpec::None => {
-                        let frac = cm_query::Planner::range_fraction(table, a.col, lo, hi)
-                            .unwrap_or(1.0);
-                        (frac * st.map(|s| s.corr.distinct_u as f64).unwrap_or(1.0)).max(1.0)
-                    }
+                    BucketSpec::None => Planner::range_keys(table, a.col, lo, hi)
+                        .unwrap_or_else(|| all_keys(st)),
                 },
                 // Unpredicated attribute: every one of its key values may
                 // be selected.
@@ -429,13 +280,19 @@ impl Advisor {
                         }
                     }
                     BucketSpec::EquiDepth { bounds } => bounds.len() as f64 + 1.0,
-                    BucketSpec::None => st.map(|s| s.corr.distinct_u as f64).unwrap_or(1.0),
+                    BucketSpec::None => all_keys(st),
                 },
             };
             product *= factor.max(1.0);
         }
         product.min(d_keys).max(1.0)
     }
+}
+
+/// Every key of an unbucketed attribute: its distinct count, or one
+/// without statistics.
+fn all_keys(st: Option<&cm_query::ColumnStats>) -> f64 {
+    st.map(|s| s.corr.distinct_u as f64).unwrap_or(1.0)
 }
 
 #[cfg(test)]
@@ -466,8 +323,8 @@ mod tests {
         t
     }
 
-    fn advisor() -> Advisor {
-        Advisor::new(AdvisorConfig { sample_size: 5_000, ..AdvisorConfig::default() })
+    fn recommend(t: &Table, disk: &DiskSim, q: &Query, threshold: f64) -> Recommendation {
+        Advisor::recommend(&Sample::live(t, 5_000), &disk.config(), q, threshold)
     }
 
     #[test]
@@ -475,7 +332,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk);
         let q = Query::single(Pred::between(1, 100_000i64, 101_000i64));
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.10);
+        let rec = recommend(&t, &disk, &q, 0.10);
         assert!(!rec.designs.is_empty());
         let chosen = rec.chosen_design().expect("a design qualifies");
         assert!(chosen.slowdown <= 0.10 + 1e-9);
@@ -494,7 +351,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk);
         let q = Query::single(Pred::between(1, 100_000i64, 101_000i64));
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.5);
+        let rec = recommend(&t, &disk, &q, 0.5);
         // Among single-attribute price designs, size must decrease as
         // width grows.
         let mut price_designs: Vec<(f64, f64)> = rec
@@ -525,7 +382,7 @@ mod tests {
             Pred::eq(1, 100_123i64),
             Pred::between(2, 0i64, 900i64),
         ]);
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.10);
+        let rec = recommend(&t, &disk, &q, 0.10);
         assert_eq!(rec.candidates.len(), 1);
         assert_eq!(rec.candidates[0].col, 1);
     }
@@ -538,7 +395,7 @@ mod tests {
             Pred::eq(1, 100_123i64),
             Pred::eq(2, 5i64), // selective: 1/1000
         ]);
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.10);
+        let rec = recommend(&t, &disk, &q, 0.10);
         let expected: usize =
             rec.candidates.iter().map(|c| c.specs.len() + 1).product::<usize>() - 1;
         assert_eq!(rec.designs.len(), expected, "∏(bucketings+1) − 1 (§6.1.3)");
@@ -549,7 +406,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk);
         let q = Query::single(Pred::eq(1, 100_123i64));
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.10);
+        let rec = recommend(&t, &disk, &q, 0.10);
         let t4 = rec.table4();
         assert!(t4.contains("price"));
         let t5 = rec.table5(t.heap().schema(), 5);
@@ -562,7 +419,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk);
         let q = Query::single(Pred::eq(1, 100_123i64));
-        let rec = advisor().recommend(&t, &disk.config(), &q, 0.5);
+        let rec = recommend(&t, &disk, &q, 0.5);
         // The raw price design: price → catid is (nearly) functional, and
         // each catid spans ~2 buckets at target 60/bucket ⇒ c_per_u small.
         let raw = rec

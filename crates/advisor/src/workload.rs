@@ -33,16 +33,31 @@
 //! (a warm pool absorbs part of the B+Tree descent).
 
 use crate::candidates::bucketing_candidates;
+use crate::sample::Sample;
 use cm_core::{BucketSpec, CmAttr, CmSpec};
 use cm_cost::CostParams;
-use cm_query::{Table, DEFAULT_TREE_ORDER};
-use cm_stats::{estimate_distinct, DistinctSampler, EstimatorKind, FreqTable, ReservoirSampler};
-use cm_storage::{DiskConfig, Rid, Schema};
+use cm_query::DEFAULT_TREE_ORDER;
+use cm_stats::DistinctSampler;
+use cm_storage::{DiskConfig, Schema};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Bounded size of the per-column distinct-queried-values sketch.
 const DISTINCT_SKETCH_CAP: usize = 2048;
+
+/// Floor on the modeled pool-miss fraction: even a fully resident
+/// working set pays this share of cold reads (first touches, eviction
+/// churn from concurrent writes).
+const MISS_FLOOR: f64 = 0.05;
+
+/// Cap on enumerated design sets; beyond it the advisor falls back to
+/// independent per-column choices (still optimal when the pool discount
+/// does not couple the columns).
+const MAX_SETS: usize = 4096;
+
+/// CM bucketing candidates evaluated per column (evenly spaced over the
+/// Table 4 sweep).
+const MAX_CM_SPECS: usize = 4;
 
 /// Per-structure tie-break penalty (ms): with equal estimated cost the
 /// advisor prefers the design with fewer structures.
@@ -298,49 +313,13 @@ impl DesignSet {
     }
 }
 
-/// Workload-advisor tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadAdvisorConfig {
-    /// Random heap sample used to estimate bucketed `c_per_u` per CM
-    /// candidate (the §4.2 Adaptive Estimator over one shared sample).
-    pub sample_size: usize,
-    /// Columns read fewer times than this get no structure at all.
-    pub min_reads: u64,
-    /// Floor on the modeled pool-miss fraction: even a fully resident
-    /// working set pays this share of cold reads (first touches,
-    /// eviction churn from concurrent writes).
-    pub miss_floor: f64,
-    /// Cap on enumerated design sets; beyond it the advisor falls back
-    /// to independent per-column choices (still optimal when the pool
-    /// discount does not couple the columns).
-    pub max_sets: usize,
-    /// CM bucketing candidates evaluated per column (evenly spaced over
-    /// the Table 4 sweep).
-    pub max_cm_specs: usize,
-    /// Sampling seed.
-    pub seed: u64,
-}
-
-impl Default for WorkloadAdvisorConfig {
-    fn default() -> Self {
-        WorkloadAdvisorConfig {
-            sample_size: 10_000,
-            min_reads: 1,
-            miss_floor: 0.05,
-            max_sets: 4096,
-            max_cm_specs: 4,
-            seed: 0x00AD_7177,
-        }
-    }
-}
-
 /// The advisor's output for one profiled workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadRecommendation {
     /// The cheapest design set.
     pub best: DesignSet,
-    /// Every enumerated set, ascending by estimated total cost (capped
-    /// at the config's `max_sets`).
+    /// Every enumerated set, ascending by estimated total cost (one set
+    /// when the columns' option product is too large to enumerate).
     pub sets: Vec<DesignSet>,
     /// The profile snapshot the recommendation was computed from.
     pub profile: WorkloadProfile,
@@ -397,47 +376,16 @@ fn est_btree_height(entries: u64) -> usize {
     height
 }
 
-/// Estimate the bucketed `c_per_u` of `(col, spec)` — distinct clustered
-/// buckets per distinct bucketed key — from one shared random sample,
-/// with the §4.2 Adaptive Estimator (exactly the offline advisor's
-/// method, [`crate::Advisor`]).
-fn bucketed_c_per_u(
-    table: &Table,
-    col: usize,
-    spec: &BucketSpec,
-    sample: &[Rid],
-    cbuckets: &[u32],
-) -> f64 {
-    let mut keys = FreqTable::new();
-    let mut pairs = FreqTable::new();
-    for (i, &rid) in sample.iter().enumerate() {
-        let v = table.heap().value(rid, col).expect("sampled rid valid");
-        let mut h = DefaultHasher::new();
-        spec.key_part(&v).hash(&mut h);
-        let kh = h.finish();
-        keys.observe(kh);
-        pairs.observe(kh ^ (u64::from(cbuckets[i]).wrapping_mul(0x9E3779B97F4A7C15)));
-    }
-    let n_total = table.heap().len();
-    let r_sample = sample.len() as u64;
-    let d_keys =
-        estimate_distinct(EstimatorKind::Adaptive, n_total, r_sample, &keys.freq_of_freq())
-            .max(1.0);
-    let d_pairs =
-        estimate_distinct(EstimatorKind::Adaptive, n_total, r_sample, &pairs.freq_of_freq())
-            .max(d_keys);
-    d_pairs / d_keys
-}
-
 /// Recommend the per-column structure set for a profiled workload.
 ///
-/// `table` supplies statistics and the sampling substrate (on a sharded
-/// engine: the largest partition); `total_rows` is the table-wide row
-/// count so scan and tree-height estimates price the whole table;
-/// `pool_pages` bounds the buffer pool the read working set competes
-/// for. Candidate columns are the profiled read columns (minus the
-/// clustered column, which the clustered index already serves) that
-/// have statistics — run [`Table::analyze_cols`] on them first.
+/// `sample`'s table supplies statistics, and the sample each CM
+/// candidate's bucketed `c_per_u` (on a sharded engine: the largest
+/// partition); `total_rows` is the table-wide row count so scan and
+/// tree-height estimates price the whole table; `pool_pages` bounds the
+/// buffer pool the read working set competes for. Candidate columns are
+/// the profiled read columns (minus the clustered column, which the
+/// clustered index already serves) that have statistics — run
+/// [`cm_query::Table::analyze_cols`] on them first.
 ///
 /// Every candidate set's cost is
 /// `Σ_col reads(col) · read_ms(col, structure) · miss + writes · Σ maintenance`,
@@ -445,13 +393,25 @@ fn bucketed_c_per_u(
 /// working footprint — the coupling that makes this a set enumeration
 /// rather than independent per-column picks.
 pub fn recommend_for_workload(
-    table: &Table,
+    sample: &Sample<'_>,
     disk: &DiskConfig,
     total_rows: u64,
     pool_pages: usize,
     profile: &WorkloadProfile,
-    cfg: &WorkloadAdvisorConfig,
 ) -> WorkloadRecommendation {
+    recommend_within(sample, disk, total_rows, pool_pages, profile, MAX_SETS)
+}
+
+/// [`recommend_for_workload`] enumerating at most `max_sets` design sets.
+fn recommend_within(
+    sample: &Sample<'_>,
+    disk: &DiskConfig,
+    total_rows: u64,
+    pool_pages: usize,
+    profile: &WorkloadProfile,
+    max_sets: usize,
+) -> WorkloadRecommendation {
+    let table = sample.table();
     let tpp = table.heap().tups_per_page();
     let clustered_height = table.clustered().height();
     let sec_height = est_btree_height(total_rows);
@@ -465,26 +425,9 @@ pub fn recommend_for_workload(
     let candidates: Vec<&ColumnAccess> = profile
         .cols()
         .iter()
-        .filter(|c| {
-            c.reads >= cfg.min_reads.max(1)
-                && c.col != table.clustered_col()
-                && table.col_stats(c.col).is_some()
-        })
+        .filter(|c| c.col != table.clustered_col() && table.col_stats(c.col).is_some())
         .collect();
-
-    // One shared random sample for every CM candidate's c_per_u.
-    let (sample, cbuckets) = if candidates.is_empty() {
-        (Vec::new(), Vec::new())
-    } else {
-        let mut reservoir = ReservoirSampler::new(cfg.sample_size, cfg.seed);
-        for rid in (0..table.heap().len()).map(Rid) {
-            reservoir.observe(rid);
-        }
-        let sample: Vec<Rid> = reservoir.into_sample();
-        let cbuckets: Vec<u32> =
-            sample.iter().map(|&rid| table.dir().bucket_of(rid)).collect();
-        (sample, cbuckets)
-    };
+    let cbuckets = sample.clustered_buckets();
 
     // Per-column structure options.
     let mut cols: Vec<ColOptions> = Vec::with_capacity(candidates.len());
@@ -518,11 +461,11 @@ pub fn recommend_for_workload(
 
         // CM: the cheapest of a few bucketings from the Table 4 sweep.
         let cand = bucketing_candidates(table, col);
-        let specs = spaced(&cand.specs, cfg.max_cm_specs);
+        let specs = spaced(&cand.specs, MAX_CM_SPECS);
         let cm_params = CostParams::new(disk, tpp, total_rows, clustered_height);
         let mut best_cm: Option<(BucketSpec, f64, f64)> = None;
         for spec in specs {
-            let cpu = bucketed_c_per_u(table, col, &spec, &sample, &cbuckets);
+            let (cpu, _) = sample.strength(&[&sample.key_parts(col, &spec)], &cbuckets);
             let cost = cm_params
                 .cost_cm_unbounded(n, cpu, pages_per_bucket, clustered_height as f64)
                 .min(scan_ms);
@@ -553,9 +496,9 @@ pub fn recommend_for_workload(
             .map(|(&o, c)| c.options[o].ws_pages)
             .sum();
         let miss = if ws > 0.0 {
-            (1.0 - pool_pages as f64 / ws).clamp(cfg.miss_floor, 1.0)
+            (1.0 - pool_pages as f64 / ws).clamp(MISS_FLOOR, 1.0)
         } else {
-            cfg.miss_floor
+            MISS_FLOOR
         };
         let mut read_ms = 0.0;
         let mut write_ms = 0.0;
@@ -583,7 +526,7 @@ pub fn recommend_for_workload(
     let mut sets: Vec<DesignSet> = Vec::new();
     if cols.is_empty() {
         sets.push(price(&[]));
-    } else if n_sets <= cfg.max_sets {
+    } else if n_sets <= max_sets {
         let mut choice = vec![0usize; cols.len()];
         loop {
             sets.push(price(&choice));
@@ -651,6 +594,7 @@ fn spaced(specs: &[BucketSpec], n: usize) -> Vec<BucketSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm_query::Table;
     use cm_storage::{Column, DiskSim, Schema, Value, ValueType};
     use std::sync::Arc;
 
@@ -691,8 +635,8 @@ mod tests {
         p
     }
 
-    fn cfg() -> WorkloadAdvisorConfig {
-        WorkloadAdvisorConfig { sample_size: 5_000, ..WorkloadAdvisorConfig::default() }
+    fn recommend(t: &Table, disk: &DiskSim, p: &WorkloadProfile) -> WorkloadRecommendation {
+        recommend_within(&Sample::live(t, 5_000), &disk.config(), t.heap().len(), 256, p, MAX_SETS)
     }
 
     #[test]
@@ -741,7 +685,7 @@ mod tests {
         let t = table(&disk, 60);
         // 10/90: B+Tree maintenance dwarfs its read advantage.
         let p = profile(&[(1, 100)], 900);
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         assert_eq!(rec.best.btrees(), 0, "best: {:?}", rec.best);
         // The read column still deserves a free-to-maintain CM.
         assert_eq!(rec.best.cms(), 1);
@@ -755,7 +699,7 @@ mod tests {
         // working set, the B+Tree's tight postings fit the pool.
         let t = table(&disk, 600);
         let p = profile(&[(1, 900)], 100);
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         assert_eq!(
             rec.best.btrees(),
             1,
@@ -770,7 +714,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk, 60);
         let p = profile(&[(1, 10)], 10);
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         // Only the read column appears in the set; noise was never read.
         assert_eq!(rec.best.columns.len(), 1);
         assert_eq!(rec.best.columns[0].col, 1);
@@ -781,7 +725,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk, 60);
         let p = WorkloadProfile::new();
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         assert!(rec.best.columns.is_empty());
         assert_eq!(rec.best.total_ms, 0.0);
     }
@@ -791,7 +735,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk, 60);
         let p = profile(&[(1, 50), (2, 50)], 50);
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         // Two candidate columns, three options each.
         assert_eq!(rec.sets.len(), 9);
         let costs: Vec<f64> = rec.sets.iter().map(|s| s.total_ms).collect();
@@ -807,10 +751,9 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let t = table(&disk, 60);
         let p = profile(&[(1, 200), (2, 200)], 100);
-        let full = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
-        let greedy_cfg = WorkloadAdvisorConfig { max_sets: 1, ..cfg() };
-        let greedy =
-            recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &greedy_cfg);
+        let full = recommend(&t, &disk, &p);
+        let sample = Sample::live(&t, 5_000);
+        let greedy = recommend_within(&sample, &disk.config(), t.heap().len(), 256, &p, 1);
         assert_eq!(greedy.sets.len(), 1);
         assert_eq!(
             greedy.best.label(t.heap().schema()),
@@ -834,7 +777,7 @@ mod tests {
         for _ in 0..1000 {
             p.note_write();
         }
-        let rec = recommend_for_workload(&t, &disk.config(), t.heap().len(), 256, &p, &cfg());
+        let rec = recommend(&t, &disk, &p);
         assert_eq!(rec.best.btrees(), 0);
     }
 

@@ -11,7 +11,7 @@ use cm_core::{AttrConstraint, BucketDirectory, BucketSpec, CmAttr, CmSpec, Corre
 use cm_datagen::tpch;
 use cm_index::BPlusTree;
 use cm_query::{AggFunc, AggSpec, BatchAgg, JoinHashTable, PageFilter, Pred, Query};
-use cm_stats::{estimate_distinct, DistinctSampler, EstimatorKind, FreqTable};
+use cm_stats::{estimate_distinct, DistinctSampler, FreqTable};
 use cm_storage::{Column, DiskSim, HeapFile, MvccState, PageRef, Rid, Schema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -173,12 +173,7 @@ fn bench_estimators(c: &mut Criterion) {
     let profile = freq.freq_of_freq();
     c.bench_function("adaptive_estimator", |b| {
         b.iter(|| {
-            black_box(estimate_distinct(
-                EstimatorKind::Adaptive,
-                1_000_000,
-                30_000,
-                &profile,
-            ))
+            black_box(estimate_distinct(1_000_000, 30_000, &profile))
         })
     });
 }

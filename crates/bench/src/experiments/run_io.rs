@@ -25,7 +25,7 @@ use crate::report::Report;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID};
 use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
-use cm_storage::{DiskSim, FileId, IoStats, PageAccessor, PerPageIo};
+use cm_storage::{DiskSim, FileId, IoStats, PageAccessor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -122,6 +122,27 @@ impl PageAccessor for SessionIo<'_> {
         self.arbiter
             .with_turn(self.id, || self.inner.write_run(file, lo, hi));
     }
+}
+
+/// Adapter that deliberately degrades vectored run I/O back to
+/// page-at-a-time charging against the inner accessor.
+///
+/// This is the *per-page baseline* of this benchmark and of the run-I/O
+/// oracle tests: run converted code through a `PerPageIo` and it behaves
+/// exactly like the pre-vectored engine — every page of a run is a
+/// separate charge, so concurrent sessions interleave at page
+/// granularity and shatter sequential sweeps into seeks.
+pub struct PerPageIo<'a>(pub &'a dyn PageAccessor);
+
+impl PageAccessor for PerPageIo<'_> {
+    fn read(&self, file: FileId, page: u64) {
+        self.0.read(file, page);
+    }
+    fn write(&self, file: FileId, page: u64) {
+        self.0.write(file, page);
+    }
+    // read_run / write_run intentionally NOT overridden: the trait
+    // defaults forward page by page, which is the whole point.
 }
 
 /// Clustered CATID ranges from ~1/16 to ~1/2 of the table, sliding start
@@ -287,4 +308,33 @@ pub fn run(scale: BenchScale) -> Report {
          cheaper cost model), and both modes touch identical page counts"
     );
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn per_page_adapter_degrades_runs() {
+        let vectored = DiskSim::with_defaults();
+        let plain = DiskSim::with_defaults();
+        let fv = vectored.alloc_file();
+        let fp = plain.alloc_file();
+        let adapter = PerPageIo(plain.as_ref());
+        adapter.read_run(fp, 0, 9);
+        vectored.read_run(fv, 0, 9);
+        // Same pages and, single-threaded, the same pricing — the adapter
+        // differs only in issuing 10 separate charges a concurrent
+        // session could interleave between (which the vectored path
+        // forbids; see this benchmark for that effect). Elapsed time is
+        // equal up to float-summation order.
+        let (p, v) = (plain.stats(), vectored.stats());
+        assert_eq!(
+            (p.seeks, p.seq_reads, p.page_writes, p.write_seeks),
+            (v.seeks, v.seq_reads, v.page_writes, v.write_seeks)
+        );
+        assert!((p.elapsed_ms - v.elapsed_ms).abs() < 1e-9, "{p:?} vs {v:?}");
+        adapter.write_run(fp, 20, 22);
+        assert_eq!(plain.stats().page_writes, 3);
+    }
 }

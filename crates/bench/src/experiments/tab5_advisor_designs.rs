@@ -10,7 +10,7 @@
 
 use crate::datasets::{sdss_data, sdss_table, BenchScale};
 use crate::report::{bytes, Report};
-use cm_advisor::{Advisor, AdvisorConfig};
+use cm_advisor::{Advisor, Sample};
 use cm_datagen::sdss::{COL_FIELDID, COL_MODE, COL_OBJID, COL_PSFMAG_G, COL_TYPE};
 use cm_query::{Pred, Query};
 use cm_storage::{DiskSim, Value};
@@ -33,11 +33,8 @@ pub fn run(scale: BenchScale) -> Report {
     let mut table = sdss_table(&disk, &data, COL_OBJID);
     table.analyze_cols(&[COL_FIELDID, COL_MODE, COL_TYPE, COL_PSFMAG_G]);
 
-    let advisor = Advisor::new(AdvisorConfig {
-        sample_size: scale.n(30_000, 2_000),
-        ..AdvisorConfig::default()
-    });
-    let rec = advisor.recommend(&table, &disk.config(), &sx6_query(), 0.10);
+    let sample = Sample::live(&table, scale.n(30_000, 2_000));
+    let rec = Advisor::recommend(&sample, &disk.config(), &sx6_query(), 0.10);
 
     let mut report = Report::new(
         "tab5",

@@ -13,7 +13,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::shard::{partition_rows, RangeRouter};
 use crate::Result;
-use cm_advisor::{WorkloadAdvisorConfig, WorkloadProfile};
+use cm_advisor::WorkloadProfile;
 use cm_query::Table;
 use cm_storage::{Backend, DiskConfig, GroupCommitConfig, Row, Schema};
 use parking_lot::{Mutex, RwLock};
@@ -44,9 +44,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// WAL group-commit batching knobs.
     pub group_commit: GroupCommitConfig,
-    /// Workload-aware design-advisor knobs ([`Engine::advise_design`]
-    /// uses these defaults; `advise_design_with` overrides per call).
-    pub advisor: WorkloadAdvisorConfig,
     /// Appended WAL records between automatic fuzzy checkpoints: when a
     /// [`Engine::commit`] observes at least this many records since the
     /// last checkpoint, it runs [`Engine::checkpoint`] before returning
@@ -80,7 +77,6 @@ impl Default for EngineConfig {
             shards: 1,
             workers: 1,
             group_commit: GroupCommitConfig::default(),
-            advisor: WorkloadAdvisorConfig::default(),
             checkpoint_every: 0,
             mvcc: false,
             gc_every: 0,

@@ -21,12 +21,15 @@ use crate::engine::Engine;
 use crate::error::check_cols;
 use crate::Result;
 use cm_advisor::{
-    recommend_for_workload, DesignSet, Structure, WorkloadAdvisorConfig, WorkloadProfile,
-    WorkloadRecommendation,
+    recommend_for_workload, DesignSet, Sample, Structure, WorkloadProfile, WorkloadRecommendation,
 };
 use cm_core::CmSpec;
 use cm_query::Table;
 use cm_storage::{LogPayload, AUTOCOMMIT_TXN};
+
+/// Live rows [`Engine::advise_design`] samples to estimate each CM
+/// candidate's bucketed `c_per_u`.
+const ADVISOR_SAMPLE_ROWS: usize = 10_000;
 
 /// A table's secondary access-structure set by definition — what every
 /// shard carries, what a `DesignChange` record logs, and what a
@@ -199,23 +202,12 @@ impl Engine {
     }
 
     /// Recommend the per-column structure set for the table's profiled
-    /// workload, with the engine's configured advisor knobs
-    /// (`EngineConfig::advisor`). See [`Engine::advise_design_with`].
-    pub fn advise_design(&self, table: &str) -> Result<WorkloadRecommendation> {
-        self.advise_design_with(table, &self.config.advisor)
-    }
-
-    /// [`Engine::advise_design`] with explicit knobs: harvest the
-    /// table's [`WorkloadProfile`], refresh statistics for the profiled
-    /// read columns, and run
-    /// [`cm_advisor::recommend_for_workload`] against the largest
-    /// partition's statistics (table-wide row count, engine-wide pool
+    /// workload: harvest the table's [`WorkloadProfile`], refresh
+    /// statistics for the profiled read columns, and run
+    /// [`cm_advisor::recommend_for_workload`] over a 10 000-row sample
+    /// of the largest partition (table-wide row count, engine-wide pool
     /// budget). Apply the result with [`Engine::apply_design`].
-    pub fn advise_design_with(
-        &self,
-        table: &str,
-        cfg: &WorkloadAdvisorConfig,
-    ) -> Result<WorkloadRecommendation> {
+    pub fn advise_design(&self, table: &str) -> Result<WorkloadRecommendation> {
         let entry = self.entry(table)?;
         let profile = entry.profile.lock().clone();
         let arity = entry.schema.arity();
@@ -235,12 +227,11 @@ impl Engine {
             .expect("loaded tables have at least one partition");
         let part = lt.parts[largest].read();
         Ok(recommend_for_workload(
-            &part,
+            &Sample::live(&part, ADVISOR_SAMPLE_ROWS),
             &self.config.disk,
             total,
             self.config.pool_pages,
             &profile,
-            cfg,
         ))
     }
 

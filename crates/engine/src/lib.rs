@@ -167,8 +167,7 @@ pub use cm_query::{AggFunc, AggSpec, JoinQuery, JoinSide, JoinStrategy};
 // The workload-aware advisor vocabulary, re-exported so engine callers
 // can advise/apply without naming cm-advisor directly.
 pub use cm_advisor::{
-    ColumnDesign, DesignSet, Structure, WorkloadAdvisorConfig, WorkloadProfile,
-    WorkloadRecommendation,
+    ColumnDesign, DesignSet, Structure, WorkloadProfile, WorkloadRecommendation,
 };
 
 /// Crate-wide result alias.

@@ -334,12 +334,7 @@ impl Engine {
                 ),
                 PredOp::Between(lo, hi) => {
                     let t0 = t0.get_or_insert_with(|| lt.parts[0].read());
-                    let keys = Planner::range_fraction(t0, col, lo, hi)
-                        .and_then(|f| {
-                            t0.col_stats(col)
-                                .map(|s| (f * s.corr.distinct_u as f64).max(1.0))
-                        })
-                        .unwrap_or(1.0);
+                    let keys = Planner::range_keys(t0, col, lo, hi).unwrap_or(1.0);
                     (keys, vec![WorkloadProfile::hash_value(&(lo, hi))])
                 }
             };

@@ -65,17 +65,7 @@ impl Planner {
         match op {
             PredOp::Eq(_) => Some(1.0),
             PredOp::In(vs) => Some(vs.len() as f64),
-            PredOp::Between(lo, hi) => {
-                let st = table.col_stats(col)?;
-                let (min, max) = (st.min.as_ref()?, st.max.as_ref()?);
-                let (min, max) = (min.as_numeric()?, max.as_numeric()?);
-                let (lo, hi) = (lo.as_numeric()?, hi.as_numeric()?);
-                if max <= min {
-                    return Some(1.0);
-                }
-                let frac = ((hi.min(max) - lo.max(min)) / (max - min)).clamp(0.0, 1.0);
-                Some((frac * st.corr.distinct_u as f64).max(1.0))
-            }
+            PredOp::Between(lo, hi) => Self::range_keys(table, col, lo, hi),
         }
     }
 
@@ -143,6 +133,19 @@ impl Planner {
             return Some(1.0);
         }
         Some(((hi.as_numeric()?.min(max) - lo.as_numeric()?.max(min)) / (max - min)).clamp(0.0, 1.0))
+    }
+
+    /// Estimated distinct keys a range predicate selects: the range
+    /// fraction of the column's distinct values, at least one (a
+    /// single-valued domain has exactly one). `None` without numeric
+    /// statistics for the column.
+    pub fn range_keys(table: &Table, col: usize, lo: &Value, hi: &Value) -> Option<f64> {
+        let frac = Self::range_fraction(table, col, lo, hi)?;
+        let st = table.col_stats(col)?;
+        if st.max <= st.min {
+            return Some(1.0);
+        }
+        Some((frac * st.corr.distinct_u as f64).max(1.0))
     }
 }
 

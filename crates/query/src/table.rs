@@ -237,13 +237,15 @@ impl Table {
     }
 
     /// Compute (or refresh) per-column statistics vs. the clustered
-    /// column for the given columns — one uncharged pass per call, like
-    /// the paper's statistics scan.
+    /// column for the given columns over the slots that hold a row — one
+    /// uncharged pass per call, like the paper's statistics scan.
     pub fn analyze_cols(&mut self, cols: &[usize]) {
         for &col in cols {
             let mut pairs: Vec<(Value, Value)> = Vec::with_capacity(self.heap.len() as usize);
-            self.heap.scan_cols(&[col, self.clustered_col], |_, row| {
-                pairs.push((row[col].clone(), row[self.clustered_col].clone()));
+            self.heap.scan_cols(&[col, self.clustered_col], |rid, row| {
+                if self.holds_row(rid) {
+                    pairs.push((row[col].clone(), row[self.clustered_col].clone()));
+                }
             });
             let corr = correlation_stats(pairs.iter().map(|(u, c)| (u, c)));
             let mut min: Option<&Value> = None;
@@ -271,13 +273,20 @@ impl Table {
     /// [`ColumnStats`]).
     pub fn distinct_in_range(&self, col: usize, lo: &Value, hi: &Value) -> u64 {
         let mut seen: HashSet<Value> = HashSet::new();
-        self.heap.scan_cols(&[col], |_, row| {
+        self.heap.scan_cols(&[col], |rid, row| {
             let v = &row[col];
-            if v >= lo && v <= hi && !seen.contains(v) {
+            if self.holds_row(rid) && v >= lo && v <= hi && !seen.contains(v) {
                 seen.insert(v.clone());
             }
         });
         seen.len() as u64
+    }
+
+    /// The slots at or after `from` that hold a row, in RID order — what
+    /// a catch-up and an advisor sample walk. The full statistics scans
+    /// read page by page and skip the same slots.
+    pub fn live_rids(&self, from: u64) -> impl Iterator<Item = Rid> + '_ {
+        (from..self.heap.len()).map(Rid).filter(|&rid| self.holds_row(rid))
     }
 
     /// INSERT one row, maintaining every access structure and logging to
@@ -412,7 +421,7 @@ impl Table {
         secondaries: &mut [SecondaryIndex],
         cms: &mut [CorrelationMap],
     ) -> Result<(), StorageError> {
-        for rid in (from..self.heap.len()).map(Rid).filter(|&rid| self.holds_row(rid)) {
+        for rid in self.live_rids(from) {
             let row = self.heap.peek(rid)?;
             for sec in secondaries.iter_mut() {
                 sec.insert(io, &row, rid);
@@ -829,6 +838,40 @@ mod tests {
         }
         assert_eq!(restored.dir().heap_len(), live.dir().heap_len());
         assert_eq!(restored.dir().num_buckets(), live.dir().num_buckets());
+    }
+
+    #[test]
+    fn statistics_scans_skip_deleted_slots() {
+        let disk = DiskSim::with_defaults();
+        let mut t = demo_table(&disk);
+        // Delete every row of catid 10..15 and every seventh row.
+        let doomed: Vec<Rid> = t
+            .heap()
+            .iter()
+            .filter(|(rid, row)| {
+                matches!(row[0], Value::Int(c) if (10..15).contains(&c)) || rid.0 % 7 == 0
+            })
+            .map(|(rid, _)| rid)
+            .collect();
+        for &rid in &doomed {
+            t.delete_row(disk.as_ref(), None, rid).unwrap();
+        }
+        let survivors: Vec<Row> =
+            t.live_rids(0).map(|rid| t.heap().peek(rid).unwrap()).collect();
+        assert_eq!(survivors.len() + doomed.len(), 1000);
+        assert!(t.live_rids(0).all(|rid| !t.is_tombstone(rid).unwrap()));
+        let schema = t.heap().schema().clone();
+        let mut fresh = Table::build(&disk, schema, survivors, 20, 0, 40).unwrap();
+        t.analyze_cols(&[1, 2]);
+        fresh.analyze_cols(&[1, 2]);
+        for col in [1, 2] {
+            let (got, want) = (t.col_stats(col).unwrap(), fresh.col_stats(col).unwrap());
+            assert_eq!(got.corr, want.corr, "col {col}");
+            assert_eq!((&got.min, &got.max), (&want.min, &want.max), "col {col}");
+        }
+        let (lo, hi) = (Value::Null, Value::Int(19));
+        assert_eq!(t.distinct_in_range(0, &lo, &hi), fresh.distinct_in_range(0, &lo, &hi));
+        assert_eq!(t.distinct_in_range(0, &lo, &hi), 15, "catids 0..10 and 15..20, no NULL");
     }
 
     #[test]

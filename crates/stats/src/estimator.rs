@@ -11,24 +11,11 @@
 //! two classical estimators it is built from and blend them by measured
 //! sample skew: **GEE** (`sqrt(n/r)·f1 + Σ_{j≥2} f_j`, the
 //! error-guaranteed baseline from the same paper) and **Shlosser**'s
-//! skew-adaptive estimator. [`estimate_distinct`] with
-//! [`EstimatorKind::Adaptive`] takes the conservative minimum of the two
-//! (each overestimates in the regime where the other is reliable). The
-//! advisor only needs composite cardinalities accurate to within tens of
-//! percent to rank bucketings; the blend comfortably achieves that (see
-//! tests).
-
-/// Which estimator to apply to a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
-    /// Guaranteed-Error Estimator: `sqrt(n/r) * f1 + sum_{j>=2} f_j`.
-    Gee,
-    /// Shlosser's estimator (skew-adaptive).
-    Shlosser,
-    /// Blend: Shlosser under skew, GEE otherwise — stands in for the
-    /// paper's AE.
-    Adaptive,
-}
+//! skew-adaptive estimator. [`estimate_distinct`] — the stand-in for
+//! AE — takes the conservative minimum of the two (each overestimates in
+//! the regime where the other is reliable). The advisor only needs
+//! composite cardinalities accurate to within tens of percent to rank
+//! bucketings; the blend comfortably achieves that (see tests).
 
 /// GEE estimator of the number of distinct values in a population of `n`
 /// rows, from a uniform random sample of `r` rows whose frequency-of-
@@ -74,24 +61,18 @@ pub fn shlosser(n: u64, r: u64, f: &[u64]) -> f64 {
     d as f64 + f1 * num / den
 }
 
-/// Estimate the population distinct count from a sample profile, clamped
-/// to the feasible interval `[d, n]`.
-pub fn estimate_distinct(kind: EstimatorKind, n: u64, r: u64, f: &[u64]) -> f64 {
+/// Estimate the population distinct count from a sample profile — the
+/// smaller of [`gee`] and [`shlosser`] — clamped to the feasible
+/// interval `[d, n]`.
+///
+/// GEE overestimates under high skew with many rare values; Shlosser
+/// overestimates under low skew. Each is reliable in the other's weak
+/// regime, so the conservative combination takes the smaller of the two
+/// (the clamp below by the observed sample distinct count keeps
+/// "smaller" from collapsing to nonsense).
+pub fn estimate_distinct(n: u64, r: u64, f: &[u64]) -> f64 {
     let d: u64 = f.iter().sum();
-    let raw = match kind {
-        EstimatorKind::Gee => gee(n, r, f),
-        EstimatorKind::Shlosser => shlosser(n, r, f),
-        EstimatorKind::Adaptive => {
-            // GEE overestimates under high skew with many rare values;
-            // Shlosser overestimates under low skew. Each is reliable in
-            // the other's weak regime, so the conservative combination
-            // takes the smaller of the two (both are clamped below by the
-            // observed sample distinct count, so "smaller" cannot
-            // collapse to nonsense).
-            gee(n, r, f).min(shlosser(n, r, f))
-        }
-    };
-    raw.clamp(d as f64, n as f64)
+    gee(n, r, f).min(shlosser(n, r, f)).clamp(d as f64, n as f64)
 }
 
 #[cfg(test)]
@@ -120,16 +101,27 @@ mod tests {
     fn exhaustive_sample_is_exact() {
         // Sample = population: every estimator must return d.
         let f = vec![0, 0, 100]; // 100 keys seen 3 times, r = 300, n = 300
-        for kind in [EstimatorKind::Gee, EstimatorKind::Shlosser, EstimatorKind::Adaptive] {
-            assert_eq!(estimate_distinct(kind, 300, 300, &f), 100.0);
-        }
+        assert_eq!(gee(300, 300, &f), 100.0);
+        assert_eq!(shlosser(300, 300, &f), 100.0);
+        assert_eq!(estimate_distinct(300, 300, &f), 100.0);
+    }
+
+    #[test]
+    fn gee_and_shlosser_collapse_to_the_observed_count_on_a_full_sample() {
+        // r = n: every key's whole population is in the sample, so both
+        // estimators must report the sample distinct count, skewed or not.
+        let f = vec![7, 3, 0, 2, 0, 0, 0, 0, 0, 1]; // 13 keys, 7 + 6 + 8 + 10 = 31 rows
+        let (n, d) = (31, 13.0);
+        assert_eq!(gee(n, n, &f), d);
+        assert_eq!(shlosser(n, n, &f), d);
+        assert_eq!(estimate_distinct(n, n, &f), d);
     }
 
     #[test]
     fn empty_sample_returns_zero() {
-        for kind in [EstimatorKind::Gee, EstimatorKind::Shlosser, EstimatorKind::Adaptive] {
-            assert_eq!(estimate_distinct(kind, 1000, 0, &[]), 0.0);
-        }
+        assert_eq!(gee(1000, 0, &[]), 0.0);
+        assert_eq!(shlosser(1000, 0, &[]), 0.0);
+        assert_eq!(estimate_distinct(1000, 0, &[]), 0.0);
     }
 
     #[test]
@@ -138,7 +130,7 @@ mod tests {
         let n = 1_000_000u64;
         let pop: Vec<u64> = (0..n).map(|i| i % 1000).collect();
         let f = sample_profile(&pop, 30_000, 42);
-        let est = estimate_distinct(EstimatorKind::Adaptive, n, 30_000, &f);
+        let est = estimate_distinct(n, 30_000, &f);
         assert!(rel_err(est, 1000.0) < 0.05, "est {est}");
     }
 
@@ -154,7 +146,7 @@ mod tests {
         }
         let truth = 10_100.0;
         let f = sample_profile(&pop, 30_000, 7);
-        let est = estimate_distinct(EstimatorKind::Adaptive, pop.len() as u64, 30_000, &f);
+        let est = estimate_distinct(pop.len() as u64, 30_000, &f);
         assert!(rel_err(est, truth) < 0.6, "est {est} vs {truth}");
         // The adaptive estimate must beat raw sample distinct count.
         let d: u64 = f.iter().sum();
@@ -166,7 +158,7 @@ mod tests {
         // Nearly unique column: 200k rows, 100k distinct.
         let pop: Vec<u64> = (0..200_000u64).map(|i| i / 2).collect();
         let f = sample_profile(&pop, 30_000, 11);
-        let est = estimate_distinct(EstimatorKind::Adaptive, 200_000, 30_000, &f);
+        let est = estimate_distinct(200_000, 30_000, &f);
         assert!(rel_err(est, 100_000.0) < 0.5, "est {est}");
     }
 
@@ -174,7 +166,8 @@ mod tests {
     fn estimates_are_clamped_to_feasible_interval() {
         // Pathological profile: force GEE above n.
         let f = vec![100]; // all singletons
-        let est = estimate_distinct(EstimatorKind::Gee, 120, 1, &f);
+        assert!(gee(120, 1, &f) > 120.0);
+        let est = estimate_distinct(120, 1, &f);
         assert!(est <= 120.0);
         assert!(est >= 100.0);
     }
@@ -186,18 +179,8 @@ mod tests {
         let n = 500_000u64;
         let fine: Vec<u64> = (0..n).map(|i| i % 50_000).collect();
         let coarse: Vec<u64> = (0..n).map(|i| (i % 50_000) / 64).collect();
-        let ef = estimate_distinct(
-            EstimatorKind::Adaptive,
-            n,
-            30_000,
-            &sample_profile(&fine, 30_000, 3),
-        );
-        let ec = estimate_distinct(
-            EstimatorKind::Adaptive,
-            n,
-            30_000,
-            &sample_profile(&coarse, 30_000, 3),
-        );
+        let ef = estimate_distinct(n, 30_000, &sample_profile(&fine, 30_000, 3));
+        let ec = estimate_distinct(n, 30_000, &sample_profile(&coarse, 30_000, 3));
         assert!(ec < ef, "coarse {ec} must rank below fine {ef}");
     }
 

@@ -9,12 +9,11 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct FreqTable<K: Eq + Hash> {
     counts: HashMap<K, u64>,
-    total: u64,
 }
 
 impl<K: Eq + Hash> Default for FreqTable<K> {
     fn default() -> Self {
-        FreqTable { counts: HashMap::new(), total: 0 }
+        FreqTable { counts: HashMap::new() }
     }
 }
 
@@ -27,22 +26,6 @@ impl<K: Eq + Hash> FreqTable<K> {
     /// Count one observation.
     pub fn observe(&mut self, key: K) {
         *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of distinct keys in the sample (`d`).
-    pub fn distinct(&self) -> u64 {
-        self.counts.len() as u64
-    }
-
-    /// Number of keys observed exactly once (`f_1`).
-    pub fn f1(&self) -> u64 {
-        self.counts.values().filter(|&&c| c == 1).count() as u64
     }
 
     /// Frequency-of-frequency profile: `result[j]` = number of keys seen
@@ -54,11 +37,6 @@ impl<K: Eq + Hash> FreqTable<K> {
             f[c as usize - 1] += 1;
         }
         f
-    }
-
-    /// Raw per-key counts (read-only).
-    pub fn counts(&self) -> &HashMap<K, u64> {
-        &self.counts
     }
 }
 
@@ -72,19 +50,13 @@ mod tests {
         for k in ["a", "b", "a", "c", "a", "b"] {
             t.observe(k);
         }
-        assert_eq!(t.total(), 6);
-        assert_eq!(t.distinct(), 3);
-        assert_eq!(t.f1(), 1); // only "c"
-        // f_1 = 1 ("c"), f_2 = 1 ("b"), f_3 = 1 ("a")
+        // f_1 = 1 ("c"), f_2 = 1 ("b"), f_3 = 1 ("a"): 3 keys, 6 rows.
         assert_eq!(t.freq_of_freq(), vec![1, 1, 1]);
     }
 
     #[test]
     fn empty_table() {
         let t: FreqTable<u32> = FreqTable::new();
-        assert_eq!(t.total(), 0);
-        assert_eq!(t.distinct(), 0);
-        assert_eq!(t.f1(), 0);
         assert!(t.freq_of_freq().is_empty());
     }
 
@@ -94,7 +66,6 @@ mod tests {
         for i in 0..10u32 {
             t.observe(i);
         }
-        assert_eq!(t.f1(), 10);
-        assert_eq!(t.freq_of_freq(), vec![10]);
+        assert_eq!(t.freq_of_freq(), vec![10], "ten singletons");
     }
 }

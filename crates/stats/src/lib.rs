@@ -25,7 +25,7 @@ pub mod reservoir;
 pub mod tablestats;
 
 pub use distinct::DistinctSampler;
-pub use estimator::{estimate_distinct, gee, shlosser, EstimatorKind};
+pub use estimator::{estimate_distinct, gee, shlosser};
 pub use freq::FreqTable;
 pub use reservoir::ReservoirSampler;
 pub use tablestats::{composite_correlation_stats, correlation_stats, CorrelationStats};

@@ -181,27 +181,6 @@ pub fn for_each_page_run(pages: &[u64], mut f: impl FnMut(u64, u64)) {
     }
 }
 
-/// Compatibility adapter that deliberately degrades vectored run I/O back
-/// to page-at-a-time charging against the inner accessor.
-///
-/// This is the *per-page baseline* for benchmarks and oracle tests: run
-/// converted code through a `PerPageIo` and it behaves exactly like the
-/// pre-vectored engine — every page of a run is a separate charge, so
-/// concurrent sessions interleave at page granularity and shatter
-/// sequential sweeps into seeks.
-pub struct PerPageIo<'a>(pub &'a dyn PageAccessor);
-
-impl PageAccessor for PerPageIo<'_> {
-    fn read(&self, file: FileId, page: u64) {
-        self.0.read(file, page);
-    }
-    fn write(&self, file: FileId, page: u64) {
-        self.0.write(file, page);
-    }
-    // read_run / write_run intentionally NOT overridden: the trait
-    // defaults forward page by page, which is the whole point.
-}
-
 /// The simulated disk.
 ///
 /// Thread-safe; experiments that drive queries in parallel each use their
@@ -610,24 +589,6 @@ mod tests {
         // A single scattered write is a write seek too.
         disk.write(f, 5000);
         assert_eq!(disk.stats().write_seeks, 2);
-    }
-
-    #[test]
-    fn per_page_adapter_degrades_runs() {
-        let vectored = DiskSim::with_defaults();
-        let plain = DiskSim::with_defaults();
-        let fv = vectored.alloc_file();
-        let fp = plain.alloc_file();
-        let adapter = PerPageIo(plain.as_ref());
-        adapter.read_run(fp, 0, 9);
-        vectored.read_run(fv, 0, 9);
-        // Same pages and, single-threaded, the same pricing — the adapter
-        // differs only in issuing 10 separate charges a concurrent
-        // session could interleave between (which the vectored path
-        // forbids; see `run_io`'s benchmark for that effect).
-        assert!(stats_equivalent(&plain.stats(), &vectored.stats()));
-        adapter.write_run(fp, 20, 22);
-        assert_eq!(plain.stats().page_writes, 3);
     }
 
     #[test]

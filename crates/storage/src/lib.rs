@@ -17,8 +17,7 @@
 //!   `read_run`/`write_run` charge a whole contiguous page run atomically
 //!   under one lock — one seek plus sequential pages — so concurrent
 //!   sessions cannot interleave into the middle of a sweep and shatter
-//!   its sequential pricing ([`PerPageIo`] restores the page-at-a-time
-//!   baseline for comparison).
+//!   its sequential pricing.
 //! * [`HeapFile`] — a paged heap of rows, each page one typed vector per
 //!   column plus a null bitmap, strings as codes into a per-heap
 //!   [`Dictionary`]; readers get [`PageRef`] column views, and rows are
@@ -74,7 +73,7 @@ pub mod wal;
 
 pub use bufferpool::{BufferPool, PoolStats};
 pub use cache::ReadCache;
-pub use disk::{for_each_page_run, DiskConfig, DiskSim, FileId, IoStats, PageAccessor, PerPageIo};
+pub use disk::{for_each_page_run, DiskConfig, DiskSim, FileId, IoStats, PageAccessor};
 pub use error::StorageError;
 pub use filedisk::{FileDisk, TempDir};
 pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};

@@ -11,7 +11,7 @@
 //! cargo run --release -p examples-host --example ebay_catalog
 //! ```
 
-use cm_advisor::{Advisor, AdvisorConfig};
+use cm_advisor::{Advisor, Sample};
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID, COL_PRICE};
 use cm_engine::{Engine, EngineConfig};
@@ -34,11 +34,10 @@ fn main() {
     // ---- 2. Ask the advisor for a CM design ----------------------------
     engine.analyze("items", &[COL_PRICE]).expect("stats scan");
     let training = Query::single(Pred::between(COL_PRICE, 100_000i64, 101_000i64));
-    let advisor = Advisor::new(AdvisorConfig { sample_size: 10_000, ..Default::default() });
     let disk_cfg = engine.disk().config();
     let chosen = engine
         .with_table("items", |items| {
-            let rec = advisor.recommend(items, &disk_cfg, &training, 0.10);
+            let rec = Advisor::recommend(&Sample::live(items, 10_000), &disk_cfg, &training, 0.10);
             let chosen = rec.chosen_design().expect("a design qualifies").clone();
             println!(
                 "\nadvisor recommends: [{}] — est. {:.1} clustered buckets per key, ~{} bytes \

@@ -3,15 +3,15 @@
 //! training query correctly, beats the advisor's own size bound, and its
 //! estimated statistics track the materialized structure.
 
-use cm_advisor::{Advisor, AdvisorConfig};
+use cm_advisor::{Advisor, Recommendation, Sample};
 use cm_core::CmSpec;
 use cm_datagen::ebay::{self, ebay, EbayConfig};
 use cm_datagen::sdss;
 use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 
-fn advisor() -> Advisor {
-    Advisor::new(AdvisorConfig { sample_size: 5_000, ..AdvisorConfig::default() })
+fn recommend(t: &Table, disk: &DiskSim, q: &Query, threshold: f64) -> Recommendation {
+    Advisor::recommend(&Sample::live(t, 5_000), &disk.config(), q, threshold)
 }
 
 #[test]
@@ -22,7 +22,7 @@ fn recommended_design_materializes_and_answers_correctly() {
         .unwrap();
     t.analyze_cols(&[ebay::COL_PRICE]);
     let q = Query::single(Pred::between(ebay::COL_PRICE, 200_000i64, 205_000i64));
-    let rec = advisor().recommend(&t, &disk.config(), &q, 0.25);
+    let rec = recommend(&t, &disk, &q, 0.25);
     let chosen = rec.chosen_design().expect("qualifying design").clone();
 
     let cm = t.add_cm("advisor_cm", CmSpec::new(chosen.design.attrs.clone()));
@@ -49,7 +49,7 @@ fn estimated_c_per_u_tracks_materialized_cm() {
         .unwrap();
     t.analyze_cols(&[ebay::COL_PRICE]);
     let q = Query::single(Pred::eq(ebay::COL_PRICE, 123_456i64));
-    let rec = advisor().recommend(&t, &disk.config(), &q, 0.5);
+    let rec = recommend(&t, &disk, &q, 0.5);
     for est in rec.designs.iter().take(6) {
         let cm = t.add_cm("probe", CmSpec::new(est.design.attrs.clone()));
         let actual = t.cm(cm).avg_cbuckets_per_key();
@@ -76,7 +76,7 @@ fn advisor_prefers_composite_for_jointly_determining_attrs() {
         Pred::between(sdss::COL_RA, 100.0, 101.4),
         Pred::between(sdss::COL_DEC, 2.0, 2.144),
     ]);
-    let rec = advisor().recommend(&t, &disk.config(), &q, 0.10);
+    let rec = recommend(&t, &disk, &q, 0.10);
     // Among the cheapest few designs there must be a composite one, and
     // the single-attribute ra design must not be the best.
     let best = &rec.designs[0];
@@ -106,7 +106,7 @@ fn advisor_never_recommends_over_threshold() {
         Pred::eq(ebay::COL_CAT5, Value::str("L5-00003")),
     ]);
     for threshold in [0.01, 0.10, 0.50] {
-        let rec = advisor().recommend(&t, &disk.config(), &q, threshold);
+        let rec = recommend(&t, &disk, &q, threshold);
         if let Some(c) = rec.chosen_design() {
             assert!(c.slowdown <= threshold + 1e-9, "threshold {threshold}: {}", c.slowdown);
         }
@@ -125,8 +125,8 @@ fn tighter_thresholds_recommend_larger_faster_designs() {
         .unwrap();
     t.analyze_cols(&[ebay::COL_PRICE]);
     let q = Query::single(Pred::between(ebay::COL_PRICE, 300_000i64, 302_000i64));
-    let tight = advisor().recommend(&t, &disk.config(), &q, 0.02);
-    let loose = advisor().recommend(&t, &disk.config(), &q, 1.0);
+    let tight = recommend(&t, &disk, &q, 0.02);
+    let loose = recommend(&t, &disk, &q, 1.0);
     let (Some(tc), Some(lc)) = (tight.chosen_design(), loose.chosen_design()) else {
         panic!("both thresholds should yield a recommendation");
     };

@@ -1,13 +1,13 @@
 //! Integration: soft-FD discovery and the clustering designer find the
 //! correlations the generated datasets were built to contain.
 
-use cm_advisor::{discover_soft_fds, recommend_clustering, DiscoveryConfig};
+use cm_advisor::{discover_soft_fds, recommend_clustering, Sample};
 use cm_datagen::{sdss, tpch};
 use cm_query::{Pred, Query, Table};
 use cm_storage::{DiskSim, Value};
 
-fn cfg() -> DiscoveryConfig {
-    DiscoveryConfig { sample_size: 8_000, ..DiscoveryConfig::default() }
+fn sample(t: &Table) -> Sample<'_> {
+    Sample::live(t, 8_000)
 }
 
 #[test]
@@ -29,10 +29,9 @@ fn tpch_shipdate_receiptdate_fd_is_discovered() {
     )
     .unwrap();
     let fds = discover_soft_fds(
-        &t,
+        &sample(&t),
         &[tpch::COL_SHIPDATE, tpch::COL_SHIPMODE, tpch::COL_QUANTITY],
         tpch::COL_RECEIPTDATE,
-        &cfg(),
     );
     let ship = fds
         .iter()
@@ -63,7 +62,7 @@ fn tpch_partkey_suppkey_fd_is_discovered() {
         600,
     )
     .unwrap();
-    let fds = discover_soft_fds(&t, &[tpch::COL_PARTKEY], tpch::COL_SUPPKEY, &cfg());
+    let fds = discover_soft_fds(&sample(&t), &[tpch::COL_PARTKEY], tpch::COL_SUPPKEY);
     let part = fds.first().expect("partkey -> suppkey discovered");
     assert!(part.c_per_u <= 4.5, "each part has at most 4 suppliers: {}", part.c_per_u);
 }
@@ -89,12 +88,7 @@ fn sdss_ra_dec_pair_fd_is_discovered() {
     let t = Table::build(&disk, schema, rows, 25, block_col, 250).unwrap();
 
     // Discretize ra/dec as the advisor's bucketings would.
-    let fds = discover_soft_fds(
-        &t,
-        &[sdss::COL_FIELDID, sdss::COL_MODE],
-        block_col,
-        &cfg(),
-    );
+    let fds = discover_soft_fds(&sample(&t), &[sdss::COL_FIELDID, sdss::COL_MODE], block_col);
     let field = fds
         .iter()
         .find(|f| f.determinant == vec![sdss::COL_FIELDID])
@@ -125,7 +119,7 @@ fn clustering_designer_picks_position_attr_for_position_workload() {
     // Candidates: a position-family attribute vs an independent one.
     let mjd = t.heap().schema().col_index("mjd").unwrap();
     let status = t.heap().schema().col_index("status").unwrap();
-    let ranked = recommend_clustering(&t, &disk.config(), &workload, &[mjd, status], &cfg());
+    let ranked = recommend_clustering(&sample(&t), &disk.config(), &workload, &[mjd, status]);
     assert_eq!(ranked[0].col, mjd, "position attr wins: {ranked:?}");
     assert!(ranked[0].workload_ms < ranked[1].workload_ms);
     assert!(

@@ -1,16 +1,17 @@
 //! Property tests for vectored run I/O: for arbitrary data, queries, and
 //! pool capacities, the run-based full-scan / sorted / CM sweeps return
 //! row-for-row identical results and touch identical page *counts* to
-//! the per-page oracle ([`cm_storage::PerPageIo`] restores the
+//! the per-page oracle (`run_io`'s [`PerPageIo`] restores the
 //! page-at-a-time charging the engine used before vectoring). Only the
 //! seek/sequential pricing under concurrency may differ — which is the
 //! entire point of the conversion.
 
+use cm_bench::experiments::run_io::PerPageIo;
 use cm_core::CmSpec;
 use cm_query::{ExecContext, Pred, Query, Table};
 use cm_storage::{
-    BufferPool, Column, DiskConfig, DiskSim, FileDisk, IoStats, PageAccessor, PerPageIo,
-    Row, Schema, TempDir, Value, ValueType,
+    BufferPool, Column, DiskConfig, DiskSim, FileDisk, IoStats, PageAccessor, Row, Schema,
+    TempDir, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
