@@ -1,16 +1,17 @@
 //! Criterion microbenchmarks of the hot paths: CM build / lookup /
 //! maintenance, B+Tree operations, bucketing, and the cardinality
 //! estimators, the per-page layers every scan runs once its pages are
-//! resident (kernel selection, snapshot visibility, grouped fold, typed
-//! join probe) and the `Value` comparison under row-at-a-time code. These complement
-//! the experiment binaries (which reproduce the paper's tables/figures
-//! on the simulated disk) by measuring real CPU costs of the in-memory
-//! structures.
+//! resident (kernel selection, snapshot visibility per slot and per
+//! page, grouped fold and typed join probe on dense and sparse
+//! batches) and the `Value` comparison under row-at-a-time code. These
+//! complement the experiment binaries (which reproduce the paper's
+//! tables/figures on the simulated disk) by measuring real CPU costs of
+//! the in-memory structures.
 
 use cm_core::{AttrConstraint, BucketDirectory, BucketSpec, CmAttr, CmSpec, CorrelationMap};
 use cm_datagen::tpch;
 use cm_index::BPlusTree;
-use cm_query::{AggFunc, AggSpec, BatchAgg, JoinHashTable, PageFilter, Pred, Query};
+use cm_query::{AggFunc, AggSpec, BatchAgg, JoinHashTable, PageFilter, Pred, Query, Table};
 use cm_stats::{estimate_distinct, DistinctSampler, FreqTable};
 use cm_storage::{Column, DiskSim, HeapFile, MvccState, PageRef, Rid, Schema, Value, ValueType};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -187,16 +188,25 @@ fn bench_page_batches(c: &mut Criterion) {
     const ROWS: usize = 200_000;
     let data = tpch::tpch_lineitem(tpch::TpchConfig { rows: ROWS, ..Default::default() });
     let disk = DiskSim::with_defaults();
-    let heap =
-        HeapFile::bulk_load_clustered(&disk, data.schema, data.rows, 60, tpch::COL_RECEIPTDATE)
-            .unwrap();
+    let mut table = Table::build(
+        &disk,
+        data.schema,
+        data.rows,
+        60,
+        tpch::COL_RECEIPTDATE,
+        600,
+    )
+    .unwrap();
+    let heap = table.heap();
     let last = heap.num_pages() - 1;
-    // Every slot of every page, handed to `each` with a full selection.
-    let sweep = |each: &mut dyn FnMut(PageRef<'_>, &[u32])| {
+    // Every page, handed to `each` with a selection of every slot
+    // (`step` 1, the dense batches of a full scan) or of every other
+    // slot (`step` 2, a filtered scan's sparse ones).
+    let sweep = |step: u32, each: &mut dyn FnMut(PageRef<'_>, &[u32])| {
         let mut sel = Vec::new();
         heap.read_run_visit(disk.as_ref(), 0, last, |page| {
             sel.clear();
-            sel.extend(0..page.len() as u32);
+            sel.extend((0..page.len() as u32).step_by(step as usize));
             each(page, &sel);
         })
         .unwrap();
@@ -209,7 +219,7 @@ fn bench_page_batches(c: &mut Criterion) {
     ]);
     c.bench_function("page_select_200k", |b| {
         b.iter(|| {
-            let mut filter = PageFilter::compile(&q, &heap).unwrap();
+            let mut filter = PageFilter::compile(&q, heap).unwrap();
             let mut n = 0;
             heap.read_run_visit(disk.as_ref(), 0, last, |page| n += filter.select(page).len())
             .unwrap();
@@ -246,13 +256,15 @@ fn bench_page_batches(c: &mut Criterion) {
         vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
     );
     for (name, spec) in [("page_fold_str_keys_200k", &str_spec), ("page_fold_int_keys_200k", &int_spec)] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut fold = BatchAgg::new(spec);
-                sweep(&mut |page, sel| fold.fold(page, sel));
-                black_box(fold.finish().finish())
-            })
-        });
+        for (suffix, step) in [("", 1), ("_sparse", 2)] {
+            c.bench_function(&format!("{name}{suffix}"), |b| {
+                b.iter(|| {
+                    let mut fold = BatchAgg::new(spec);
+                    sweep(step, &mut |page, sel| fold.fold(page, sel));
+                    black_box(fold.finish().finish())
+                })
+            });
+        }
     }
 
     // `scan_warm`'s hash join probe: six partkeys, translated to the
@@ -261,13 +273,52 @@ fn bench_page_batches(c: &mut Criterion) {
     for i in 0..6i64 {
         ht.insert_keyed(0, vec![Value::Int((i * 157 + 11) % 10_000), Value::Int(i)]);
     }
-    c.bench_function("page_probe_partkey_200k", |b| {
-        b.iter(|| {
-            let keys = ht.key_probe(&heap, tpch::COL_PARTKEY);
-            let mut pairs = 0;
-            sweep(&mut |page, sel| keys.probe(page, sel, |_, rows| pairs += rows.len()));
-            black_box(pairs)
-        })
+    for (name, step) in [
+        ("page_probe_partkey_200k", 1),
+        ("page_probe_partkey_200k_sparse", 2),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let keys = ht.key_probe(heap, tpch::COL_PARTKEY);
+                let mut pairs = 0;
+                sweep(step, &mut |page, sel| {
+                    keys.probe(page, sel, |_, rows| pairs += rows.len())
+                });
+                black_box(pairs)
+            })
+        });
+    }
+
+    // `Table::retain_visible` over every page at one snapshot: first on
+    // the stamps a load leaves (every page all-visible, no stamp read),
+    // then churned as for `snapshot_sees_200k` (every tenth row ended
+    // before the snapshot and every tenth after it, so every page tests
+    // slot by slot).
+    let visible = |table: &Table| {
+        let (mut n, mut sel) = (0, Vec::new());
+        table
+            .heap()
+            .read_run_visit(disk.as_ref(), 0, last, |page| {
+                sel.clear();
+                sel.extend(0..page.len() as u32);
+                table.retain_visible(Some(&snap), page, &mut sel);
+                n += sel.len();
+            })
+            .unwrap();
+        n
+    };
+    c.bench_function("page_visible_200k_loaded", |b| {
+        b.iter(|| black_box(visible(&table)))
+    });
+    for i in 0..ROWS as u64 {
+        match i % 10 {
+            0 => table.end_version(disk.as_ref(), Rid(i), 50).unwrap(),
+            1 => table.end_version(disk.as_ref(), Rid(i), 1_000).unwrap(),
+            _ => continue,
+        };
+    }
+    c.bench_function("page_visible_200k_churned", |b| {
+        b.iter(|| black_box(visible(&table)))
     });
 }
 

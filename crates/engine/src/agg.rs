@@ -65,6 +65,7 @@ impl Engine {
         check_query(table, arity, q)?;
         check_cols(table, arity, spec.group_by.iter().copied())?;
         check_cols(table, arity, spec.aggs.iter().filter_map(AggFunc::col))?;
+        spec.check_types(&entry.schema)?;
 
         let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);

@@ -142,6 +142,51 @@ fn aggregate_rejects_a_filter_past_the_arity() {
 }
 
 #[test]
+fn sum_over_a_string_column_is_a_typed_error() {
+    // Both modes, on one shard and on several: the check runs before
+    // any leg, so no worker ever folds a string into a sum.
+    for (shards, mvcc) in [(1, false), (3, true)] {
+        let engine = Engine::new(EngineConfig {
+            shards,
+            mvcc,
+            ..EngineConfig::default()
+        });
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("id", ValueType::Int),
+            Column::new("name", ValueType::Str),
+        ]));
+        engine.create_table("t", schema, 0, 8, 16).unwrap();
+        let rows = (0..40i64)
+            .map(|i| vec![Value::Int(i), Value::str(format!("n{i}"))])
+            .collect();
+        engine.load("t", rows).unwrap();
+        let q = Query::default();
+        let sum = AggSpec::new(vec![], vec![AggFunc::Sum(1)]);
+        assert_eq!(
+            engine.aggregate("t", &q, &sum).unwrap_err(),
+            EngineError::Query(cm_query::QueryError::NonNumericSum { col: 1 })
+        );
+        let grouped = AggSpec::new(vec![1], vec![AggFunc::Count, AggFunc::Sum(1)]);
+        assert!(matches!(
+            engine.aggregate("t", &q, &grouped),
+            Err(EngineError::Query(cm_query::QueryError::NonNumericSum {
+                col: 1
+            }))
+        ));
+        // MIN, MAX and a numeric SUM over the same table still answer.
+        let ok = AggSpec::new(
+            vec![],
+            vec![AggFunc::Min(1), AggFunc::Max(1), AggFunc::Sum(0)],
+        );
+        let out = engine.aggregate("t", &q, &ok).unwrap();
+        assert_eq!(
+            out.rows,
+            vec![vec![Value::str("n0"), Value::str("n9"), Value::Int(780)]]
+        );
+    }
+}
+
+#[test]
 fn join_rejects_a_left_filter_past_the_arity() {
     let jq = cm_query::JoinQuery::on(0, 0).filter_left(past_arity());
     assert!(is_bad_col_7(demo_engine().join("items", "items", &jq)));

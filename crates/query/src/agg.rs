@@ -13,7 +13,9 @@
 //! key-sorted group list, so a limited result is always a stable prefix
 //! of the unlimited one ("LIMIT-stability").
 
-use cm_storage::{null_bit, ColumnSlice, FxBuildHasher, PageRef, Row, Value};
+use crate::error::QueryError;
+use crate::kernel::{Dense, Slots, Sparse};
+use cm_storage::{ColumnSlice, FxBuildHasher, PageRef, Row, Schema, Value, ValueType};
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One aggregate function over a column (or over whole rows for
@@ -30,7 +32,8 @@ pub enum AggFunc {
     /// becomes a `Float` and the fold goes on in `f64`. Like a float sum,
     /// a widened one can depend on how the rows were split over legs
     /// (never on worker scheduling). A group with no non-NULL input sums
-    /// to `Null` (SQL semantics).
+    /// to `Null` (SQL semantics). A `Str` column is rejected before a
+    /// scan runs ([`AggSpec::check_types`]).
     Sum(usize),
     /// `MIN(col)`, skipping NULLs; `Null` if no non-NULL input.
     Min(usize),
@@ -78,6 +81,20 @@ impl AggSpec {
         self.limit = Some(n);
         self
     }
+
+    /// Check that every aggregate can read its column of `schema`:
+    /// a `SUM` over a `Str` column is [`QueryError::NonNumericSum`].
+    /// Columns must be in range (the caller checks that first).
+    pub fn check_types(&self, schema: &Schema) -> Result<(), QueryError> {
+        let cols = schema.columns();
+        match self.aggs.iter().find_map(|f| match f {
+            AggFunc::Sum(col) if cols[*col].ty == ValueType::Str => Some(*col),
+            _ => None,
+        }) {
+            Some(col) => Err(QueryError::NonNumericSum { col }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A running `SUM`. `Int` and `Date` inputs add as `i64`; a float, or
@@ -98,7 +115,7 @@ impl Sum {
             Value::Int(i) => self.add_int(*i),
             Value::Date(d) => self.add_int(i64::from(*d)),
             Value::Float(f) => self.add_float(f.0),
-            Value::Str(_) => panic!("SUM over a numeric column"),
+            Value::Str(_) => panic!("SUM over a string: see AggSpec::check_types"),
         }
     }
 
@@ -448,7 +465,7 @@ pub struct BatchAgg {
     accs: Vec<Accs>,
     /// Reused batch to batch: its key words (or direct slots) and groups.
     words: Vec<u64>,
-    gids: Vec<usize>,
+    gids: Vec<u32>,
 }
 
 impl BatchAgg {
@@ -492,14 +509,25 @@ impl BatchAgg {
         }
     }
 
-    /// Fold the slots `sel` of `page` (already filtered and visible).
+    /// Fold the slots `sel` of `page` (already filtered and visible). A
+    /// selection that covers the whole page is folded densely, straight
+    /// off the column slices; the groups and each group's order of
+    /// addition are the same either way.
     pub fn fold(&mut self, page: PageRef<'_>, sel: &[u32]) {
+        if sel.len() == page.len() {
+            self.fold_slots(page, Dense(sel.len()));
+        } else {
+            self.fold_slots(page, Sparse(sel));
+        }
+    }
+
+    fn fold_slots(&mut self, page: PageRef<'_>, slots: impl Slots) {
         let group_by = &self.spec.group_by;
         let index = self.index.get_or_insert_with(|| Self::index_for(group_by, page));
         let (words, gids) = (&mut self.words, &mut self.gids);
         gids.clear();
         let first_seen = |k: usize, keys: &mut Vec<Value>, accs: &mut [Accs]| {
-            let s = sel[k] as usize;
+            let s = slots.slot(k);
             keys.extend(group_by.iter().map(|&c| page.value(s, c)));
             for acc in accs.iter_mut() {
                 match acc {
@@ -511,54 +539,61 @@ impl BatchAgg {
         };
         match index {
             GroupIndex::Hash(groups) => {
-                key_words(words, groups.width, group_by, page, sel);
+                key_words(words, groups.width, group_by, page, slots);
                 let width = groups.width;
-                for k in 0..sel.len() {
+                for k in 0..slots.len() {
                     let key = &words[k * width..(k + 1) * width];
                     let (g, new) = groups.find_or_insert(|i| &key[i]);
                     if new {
                         first_seen(k, &mut self.keys, &mut self.accs);
                     }
-                    gids.push(g);
+                    gids.push(g as u32);
                 }
             }
-            GroupIndex::Direct { radix, slots, groups } => {
-                direct_slots(words, *radix, group_by, page, sel);
-                for (k, &slot) in words.iter().enumerate() {
-                    let entry = &mut slots[slot as usize];
+            GroupIndex::Direct {
+                radix,
+                slots: table,
+                groups,
+            } => {
+                direct_slots(words, *radix, group_by, page, slots);
+                gids.resize(words.len(), 0);
+                for (k, (&slot, gid)) in words.iter().zip(gids.iter_mut()).enumerate() {
+                    let entry = &mut table[slot as usize];
                     if *entry == 0 {
                         *groups += 1;
                         *entry = *groups as u32;
                         first_seen(k, &mut self.keys, &mut self.accs);
                     }
-                    gids.push(*entry as usize - 1);
+                    *gid = *entry - 1;
                 }
             }
         }
         for (f, acc) in self.spec.aggs.iter().zip(&mut self.accs) {
-            let rows = gids.iter().copied().zip(sel.iter().map(|&s| s as usize));
             let Some(col) = f.col() else {
                 let Accs::Count(counts) = acc else { unreachable!("count accumulators") };
-                rows.for_each(|(g, _)| counts[g] += 1);
+                gids.iter().for_each(|&g| counts[g as usize] += 1);
                 continue;
             };
             let nulls = page.nulls(col);
-            let rows = rows.filter(|&(_, s)| !nulls.is_some_and(|n| null_bit(n, s)));
             match (acc, page.column(col)) {
                 (Accs::Sum(sums), ColumnSlice::Int(v)) => {
-                    rows.for_each(|(g, s)| sums[g].add_int(v[s]));
+                    slots.each_with(v, nulls, gids, |g, x| sums[g as usize].add_int(x));
                 }
                 (Accs::Sum(sums), ColumnSlice::Date(v)) => {
-                    rows.for_each(|(g, s)| sums[g].add_int(i64::from(v[s])));
+                    slots.each_with(v, nulls, gids, |g, x| {
+                        sums[g as usize].add_int(i64::from(x))
+                    });
                 }
                 (Accs::Sum(sums), ColumnSlice::Float(v)) => {
-                    rows.for_each(|(g, s)| sums[g].add_float(v[s]));
+                    slots.each_with(v, nulls, gids, |g, x| sums[g as usize].add_float(x));
                 }
                 (Accs::Sum(_), ColumnSlice::Str(_)) => {
-                    assert!(rows.count() == 0, "SUM over a numeric column");
+                    unreachable!("SUM's input type is checked before a leg runs")
                 }
                 (Accs::MinMax(ms), _) => {
-                    rows.for_each(|(g, s)| min_max(&mut ms[g], f, &page.value(s, col)));
+                    for (k, &g) in gids.iter().enumerate() {
+                        min_max(&mut ms[g as usize], f, &page.value(slots.slot(k), col));
+                    }
                 }
                 (Accs::Count(_), _) => unreachable!("COUNT(*) reads no column"),
             }
@@ -587,37 +622,48 @@ impl BatchAgg {
     }
 }
 
-/// Fill `words` with each selected slot's key words, `width` a slot:
-/// the group-by columns' [`cm_storage::key_bits`] (0 for NULL), then
-/// one NULL-mask word per 64 columns.
-fn key_words(words: &mut Vec<u64>, width: usize, group_by: &[usize], page: PageRef<'_>, sel: &[u32]) {
+/// Fill `words` with each batch slot's key words, `width` a slot: the
+/// group-by columns' [`cm_storage::key_bits`] (0 for NULL), then one
+/// NULL-mask word per 64 columns.
+fn key_words(
+    words: &mut Vec<u64>,
+    width: usize,
+    group_by: &[usize],
+    page: PageRef<'_>,
+    slots: impl Slots,
+) {
     words.clear();
-    words.resize(sel.len() * width, 0);
+    words.resize(slots.len() * width, 0);
     for (i, &c) in group_by.iter().enumerate() {
-        page.column(c).for_each_word(sel, |k, word| words[k * width + i] = word);
-        if let Some(nulls) = page.nulls(c) {
+        let nulls = page.nulls(c);
+        slots.words(page.column(c), nulls, |k, word| words[k * width + i] = word);
+        if let Some(nulls) = nulls {
             let mask = group_by.len() + i / 64;
-            for (k, &s) in sel.iter().enumerate() {
-                if null_bit(nulls, s as usize) {
-                    words[k * width + mask] |= 1 << (i % 64);
-                }
-            }
+            slots.each_null(nulls, |k| words[k * width + mask] |= 1 << (i % 64));
         }
     }
 }
 
-/// Fill `slots` with each selected slot's direct-index slot: its string
+/// Fill `out` with each batch slot's direct-index slot: its string
 /// columns' codes as digits base `radix`, `radix - 1` for NULL.
-fn direct_slots(slots: &mut Vec<u64>, radix: u64, group_by: &[usize], page: PageRef<'_>, sel: &[u32]) {
-    slots.clear();
-    slots.resize(sel.len(), 0);
+fn direct_slots(
+    out: &mut Vec<u64>,
+    radix: u64,
+    group_by: &[usize],
+    page: PageRef<'_>,
+    slots: impl Slots,
+) {
+    out.clear();
+    out.resize(slots.len(), 0);
     let mut scale = 1;
     for &c in group_by {
-        let nulls = page.nulls(c);
-        page.column(c).for_each_word(sel, |k, code| {
-            let null = nulls.is_some_and(|n| null_bit(n, sel[k] as usize));
-            slots[k] += if null { radix - 1 } else { code } * scale;
-        });
+        let ColumnSlice::Str(codes) = page.column(c) else {
+            unreachable!("direct keys are strings")
+        };
+        slots.zip(codes, out, |slot, code| *slot += u64::from(code) * scale);
+        if let Some(nulls) = page.nulls(c) {
+            slots.each_null(nulls, |k| out[k] += (radix - 1) * scale);
+        }
         scale *= radix;
     }
 }

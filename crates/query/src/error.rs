@@ -31,6 +31,12 @@ pub enum QueryError {
         /// The column position the predicate named.
         col: usize,
     },
+    /// A `SUM` named a column that does not hold numbers (`Int`, `Date`
+    /// or `Float`).
+    NonNumericSum {
+        /// The column position the `SUM` named.
+        col: usize,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -43,6 +49,7 @@ impl fmt::Display for QueryError {
             QueryError::UnknownIndex { id } => write!(f, "no secondary index with id {id}"),
             QueryError::UnknownCm { id } => write!(f, "no correlation map with id {id}"),
             QueryError::BadColumn { col } => write!(f, "predicate on column {col}, past the table's arity"),
+            QueryError::NonNumericSum { col } => write!(f, "SUM over column {col}, which holds no numbers"),
         }
     }
 }

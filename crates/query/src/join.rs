@@ -18,10 +18,10 @@
 
 use crate::error::QueryError;
 use crate::exec::{clamp_constraints, rows_of, ExecContext, RunResult};
-use crate::kernel::PageFilter;
+use crate::kernel::{Dense, PageFilter, Slots, Sparse};
 use crate::predicate::{Pred, Query};
 use crate::table::Table;
-use cm_storage::{null_bit, FxHashMap, HeapFile, PageRef, Row, Value};
+use cm_storage::{FxHashMap, HeapFile, PageRef, Row, Value};
 use std::fmt;
 
 /// A single-column equi-join between two tables, each side optionally
@@ -179,8 +179,8 @@ impl JoinHashTable {
             .iter()
             .filter_map(|(k, rows)| Some((heap.key_bits_of(col, k)?, rows.as_slice())))
             .collect();
-        let present = map.keys().fold(0, |bits, &w| bits | 1 << filter_bit(w));
-        KeyProbe { col, map, present }
+        let filter = KeyFilter::new(map.keys().copied(), map.len());
+        KeyProbe { col, map, filter }
     }
 }
 
@@ -200,34 +200,67 @@ fn post(map: &mut FxHashMap<Value, Vec<u32>>, key: &Value, idx: u32) {
 pub struct KeyProbe<'a> {
     col: usize,
     map: FxHashMap<u64, &'a [u32]>,
-    /// A one-word Bloom filter over the keys: bit [`filter_bit`] of each
-    /// is set, so most probe rows of a small build side are turned away
-    /// by one multiply and one mask instead of a hash lookup.
-    present: u64,
+    filter: KeyFilter,
 }
 
-/// Which of [`KeyProbe::present`]'s 64 bits a key word sets: the top six
-/// bits of a Fibonacci hash.
-#[inline(always)]
-fn filter_bit(word: u64) -> u32 {
-    (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u32
+/// A one-hash Bloom filter over a probe's key words, so most probe rows
+/// of a small build side are turned away by a multiply, a shift and one
+/// bit test instead of a hash lookup. 64 bits a key, at least 1 024 and
+/// at most 2^16: a handful of build keys take 128 bytes and let about
+/// one other word in 170 through.
+struct KeyFilter {
+    bits: Vec<u64>,
+    /// A word's bit is the top `64 - shift` bits of its Fibonacci hash.
+    shift: u32,
+}
+
+impl KeyFilter {
+    fn new(keys: impl Iterator<Item = u64>, n: usize) -> Self {
+        let len = (n * 64).next_power_of_two().clamp(1 << 10, 1 << 16);
+        let mut filter = KeyFilter {
+            bits: vec![0; len / 64],
+            shift: 64 - len.trailing_zeros(),
+        };
+        for word in keys {
+            let bit = filter.bit(word);
+            filter.bits[bit / 64] |= 1 << (bit % 64);
+        }
+        filter
+    }
+
+    #[inline(always)]
+    fn bit(&self, word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Whether `word` may be a key (false positives, no false negatives).
+    #[inline(always)]
+    fn may_hold(&self, word: u64) -> bool {
+        let bit = self.bit(word);
+        self.bits[bit / 64] >> (bit % 64) & 1 != 0
+    }
 }
 
 impl KeyProbe<'_> {
     /// For each slot of `sel` (on `page`) whose join key has build
     /// partners, in slot order, call `emit(slot, partner row indices)`.
-    /// A NULL key never joins.
-    pub fn probe(&self, page: PageRef<'_>, sel: &[u32], mut emit: impl FnMut(u32, &[u32])) {
-        let nulls = page.nulls(self.col);
-        page.column(self.col).for_each_word(sel, |k, word| {
-            let s = sel[k];
-            if self.present >> filter_bit(word) & 1 == 0
-                || nulls.is_some_and(|n| null_bit(n, s as usize))
-            {
+    /// A NULL key never joins. A selection that covers the whole page is
+    /// probed straight off the column slice.
+    pub fn probe(&self, page: PageRef<'_>, sel: &[u32], emit: impl FnMut(u32, &[u32])) {
+        if sel.len() == page.len() {
+            self.probe_slots(page, Dense(sel.len()), emit);
+        } else {
+            self.probe_slots(page, Sparse(sel), emit);
+        }
+    }
+
+    fn probe_slots(&self, page: PageRef<'_>, slots: impl Slots, mut emit: impl FnMut(u32, &[u32])) {
+        slots.words(page.column(self.col), page.nulls(self.col), |k, word| {
+            if !self.filter.may_hold(word) {
                 return;
             }
             if let Some(rows) = self.map.get(&word) {
-                emit(s, rows);
+                emit(slots.slot(k) as u32, rows);
             }
         });
     }

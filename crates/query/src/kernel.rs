@@ -247,6 +247,183 @@ fn typed<T: Copy + Ord>(
     }
 }
 
+/// The slots of one `(page, selection)` batch as the consumers of a scan
+/// — [`crate::BatchAgg`]'s fold and [`crate::KeyProbe`] — walk them.
+/// Selections are strictly ascending slots, so one as long as its page is
+/// the whole page: [`Dense`] then walks the column slices themselves,
+/// with no gather through the selection, and [`Sparse`] walks a filtered
+/// one. Both visit slots in ascending order, so a fold adds a group's
+/// values in the same order either way. Each walk takes the column's null
+/// bitmap and tests it only when the page column has a NULL.
+pub(crate) trait Slots: Copy {
+    /// Slots in the batch.
+    fn len(self) -> usize;
+
+    /// The page slot of the batch's `k`-th slot.
+    fn slot(self, k: usize) -> usize;
+
+    /// Call `f(k, vals[slot k])` for each non-NULL slot of the batch.
+    fn each<T: Copy>(self, vals: &[T], nulls: Option<&[u64]>, f: impl FnMut(usize, T));
+
+    /// Call `f(k)` for each slot of the batch that `nulls` marks NULL.
+    fn each_null(self, nulls: &[u64], f: impl FnMut(usize));
+
+    /// Call `f(&mut out[k], vals[slot k])` for every slot of the batch
+    /// (`out` is the batch's length).
+    fn zip<T: Copy, U>(self, vals: &[T], out: &mut [U], f: impl FnMut(&mut U, T));
+
+    /// Call `f(side[k], vals[slot k])` for each non-NULL slot of the
+    /// batch (`side` is the batch's length, a group id per slot, say).
+    fn each_with<T: Copy, U: Copy>(
+        self,
+        vals: &[T],
+        nulls: Option<&[u64]>,
+        side: &[U],
+        f: impl FnMut(U, T),
+    );
+
+    /// Call `f(k, word)` for each non-NULL slot of the batch with its
+    /// [`cm_storage::key_bits`] word — with no bitmap, for every slot, a
+    /// NULL one giving the word of its zero filler.
+    #[inline(always)]
+    fn words(self, col: ColumnSlice<'_>, nulls: Option<&[u64]>, mut f: impl FnMut(usize, u64)) {
+        match col {
+            ColumnSlice::Int(v) => self.each(v, nulls, |k, x| f(k, x as u64)),
+            ColumnSlice::Date(v) => self.each(v, nulls, |k, x| f(k, x as u64)),
+            ColumnSlice::Float(v) => self.each(v, nulls, |k, x| f(k, OrdF64(x).order_key() as u64)),
+            ColumnSlice::Str(v) => self.each(v, nulls, |k, x| f(k, u64::from(x))),
+        }
+    }
+}
+
+/// Every slot of a page: see [`Slots`].
+#[derive(Clone, Copy)]
+pub(crate) struct Dense(pub usize);
+
+/// The slots a selection names: see [`Slots`].
+#[derive(Clone, Copy)]
+pub(crate) struct Sparse<'a>(pub &'a [u32]);
+
+impl Slots for Dense {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0
+    }
+
+    #[inline(always)]
+    fn slot(self, k: usize) -> usize {
+        k
+    }
+
+    #[inline(always)]
+    fn each<T: Copy>(self, vals: &[T], nulls: Option<&[u64]>, mut f: impl FnMut(usize, T)) {
+        let vals = &vals[..self.0];
+        match nulls {
+            None => vals.iter().enumerate().for_each(|(k, &x)| f(k, x)),
+            Some(n) => vals.iter().enumerate().for_each(|(k, &x)| {
+                if !null_bit(n, k) {
+                    f(k, x)
+                }
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn zip<T: Copy, U>(self, vals: &[T], out: &mut [U], mut f: impl FnMut(&mut U, T)) {
+        out.iter_mut().zip(vals).for_each(|(o, &x)| f(o, x));
+    }
+
+    #[inline(always)]
+    fn each_with<T: Copy, U: Copy>(
+        self,
+        vals: &[T],
+        nulls: Option<&[u64]>,
+        side: &[U],
+        mut f: impl FnMut(U, T),
+    ) {
+        let pairs = side.iter().zip(vals);
+        match nulls {
+            None => pairs.for_each(|(&u, &x)| f(u, x)),
+            Some(n) => pairs.enumerate().for_each(|(k, (&u, &x))| {
+                if !null_bit(n, k) {
+                    f(u, x)
+                }
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn each_null(self, nulls: &[u64], mut f: impl FnMut(usize)) {
+        for (w, &word) in nulls.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+impl Slots for Sparse<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn slot(self, k: usize) -> usize {
+        self.0[k] as usize
+    }
+
+    #[inline(always)]
+    fn each<T: Copy>(self, vals: &[T], nulls: Option<&[u64]>, mut f: impl FnMut(usize, T)) {
+        let sel = self.0.iter().map(|&s| s as usize).enumerate();
+        match nulls {
+            None => sel.for_each(|(k, s)| f(k, vals[s])),
+            Some(n) => sel.for_each(|(k, s)| {
+                if !null_bit(n, s) {
+                    f(k, vals[s])
+                }
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn zip<T: Copy, U>(self, vals: &[T], out: &mut [U], mut f: impl FnMut(&mut U, T)) {
+        out.iter_mut()
+            .zip(self.0)
+            .for_each(|(o, &s)| f(o, vals[s as usize]));
+    }
+
+    #[inline(always)]
+    fn each_with<T: Copy, U: Copy>(
+        self,
+        vals: &[T],
+        nulls: Option<&[u64]>,
+        side: &[U],
+        mut f: impl FnMut(U, T),
+    ) {
+        let pairs = side.iter().zip(self.0).map(|(&u, &s)| (u, s as usize));
+        match nulls {
+            None => pairs.for_each(|(u, s)| f(u, vals[s])),
+            Some(n) => pairs.for_each(|(u, s)| {
+                if !null_bit(n, s) {
+                    f(u, vals[s])
+                }
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn each_null(self, nulls: &[u64], mut f: impl FnMut(usize)) {
+        for (k, &s) in self.0.iter().enumerate() {
+            if null_bit(nulls, s as usize) {
+                f(k);
+            }
+        }
+    }
+}
+
 /// Keep the slots of `sel` that `pass`, in order, compacting in place
 /// without a branch per slot.
 #[inline(always)]

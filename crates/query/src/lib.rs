@@ -47,4 +47,4 @@ pub use leg::{QueryPlan, ShardLeg};
 pub use plan::{AccessPath, PlanChoice, Planner};
 pub use predicate::{Pred, PredOp, Query};
 pub use shard::{restrict_to_shard, ShardRange};
-pub use table::{ColumnStats, Table, DEFAULT_TREE_ORDER};
+pub use table::{ColumnStats, Table, DEFAULT_TREE_ORDER, NOT_ALL_VISIBLE};

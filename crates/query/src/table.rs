@@ -17,6 +17,7 @@ use cm_storage::{
     StorageError, Value, LIVE_TS,
 };
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-column statistics against the table's clustered attribute,
@@ -45,6 +46,17 @@ pub struct ColumnStats {
 /// nothing infers a dead slot from its values (a row may be all NULL).
 /// Engines that run without MVCC pass no snapshot to the executors,
 /// which then only skip `(0, 0)` slots.
+///
+/// Beside the stamps, every heap page keeps a **visibility horizon**,
+/// PostgreSQL's all-visible bit with a timestamp: the largest begin
+/// stamp on the page when every slot holds a live, plainly committed,
+/// unended version, and [`NOT_ALL_VISIBLE`] (`u64::MAX`) otherwise.
+/// Every stamp write keeps it, and the invariant is one-sided: a
+/// horizon may over-state (a page that could be skipped is not) but
+/// never under-state. A snapshot at or past a page's horizon sees the
+/// whole page, so [`Table::retain_visible`] keeps its selection without
+/// reading a stamp, and vacuum passes over it: an all-visible page has
+/// no pending stamp and no ended version.
 pub struct Table {
     heap: HeapFile,
     clustered_col: usize,
@@ -54,6 +66,8 @@ pub struct Table {
     cms: Vec<CorrelationMap>,
     stats: Vec<Option<ColumnStats>>,
     stamps: Vec<(u64, u64)>,
+    /// One per heap page: see the type docs.
+    horizons: Vec<u64>,
 }
 
 /// Default B+Tree fanout for the indexes built on tables.
@@ -66,6 +80,26 @@ const DEAD: (u64, u64) = (0, 0);
 /// Stamp pair of a row live since the epoch: bulk-loaded, restored, or
 /// inserted (MVCC then overwrites the begin stamp).
 const LIVE: (u64, u64) = (1, LIVE_TS);
+
+/// The horizon of a page some slot of which a snapshot may not see:
+/// dead, pending, or ended.
+pub const NOT_ALL_VISIBLE: u64 = u64::MAX;
+
+/// The horizon one slot allows its page: its begin stamp when it holds
+/// a live, plainly committed, unended version, else [`NOT_ALL_VISIBLE`].
+#[inline]
+fn slot_horizon((begin, end): (u64, u64)) -> u64 {
+    if end == LIVE_TS && !is_pending(begin) {
+        begin
+    } else {
+        NOT_ALL_VISIBLE
+    }
+}
+
+/// The exact horizon of a page whose slots hold `stamps`.
+fn page_horizon(stamps: &[(u64, u64)]) -> u64 {
+    stamps.iter().map(|&s| slot_horizon(s)).max().unwrap_or(0)
+}
 
 impl Table {
     /// Build a table clustered on `clustered_col`, with a clustered index
@@ -110,6 +144,7 @@ impl Table {
             slots.iter().map(|slot| if slot.is_some() { LIVE } else { DEAD }).collect();
         let rows = slots.into_iter().map(|slot| slot.unwrap_or_else(|| vec![Value::Null; arity]));
         let heap = HeapFile::bulk_load(disk, schema, rows.collect(), tups_per_page)?;
+        let horizons = stamps.chunks(tups_per_page).map(page_horizon).collect();
         let live = |rid: Rid| stamps[rid.0 as usize] != DEAD;
         let clustered =
             ClusteredIndex::build(&heap, clustered_col, live, disk.alloc_file(), DEFAULT_TREE_ORDER);
@@ -123,6 +158,7 @@ impl Table {
             cms: Vec::new(),
             stats: vec![None; arity],
             stamps,
+            horizons,
         })
     }
 
@@ -307,7 +343,7 @@ impl Table {
         row: Row,
     ) -> Result<Rid, StorageError> {
         let rid = self.heap.append_row(io, &row)?;
-        self.stamps.push(LIVE);
+        self.push_stamp(LIVE);
         self.dir.note_append(rid);
         self.learn_row(io, wal, rid, &row);
         Ok(rid)
@@ -325,7 +361,7 @@ impl Table {
         rid: Rid,
     ) -> Result<Row, StorageError> {
         let row = self.heap.delete(io, rid)?;
-        self.stamps[rid.0 as usize] = DEAD;
+        self.set_stamp(rid, DEAD);
         for sec in &mut self.secondaries {
             sec.remove(io, &row, rid);
             if let Some(w) = wal.as_deref_mut() {
@@ -354,6 +390,8 @@ impl Table {
         debug_assert!(self.is_tombstone(rid).unwrap_or(true), "reinstating over a live row");
         self.heap.restore_row(io, rid, &row)?;
         self.stamps[rid.0 as usize] = LIVE;
+        // The one write that can lower a horizon: recompute the page.
+        self.settle(self.heap.page_of(rid) as usize);
         self.learn_row(io, None, rid, &row);
         Ok(())
     }
@@ -390,7 +428,7 @@ impl Table {
     /// written (and priced) before the crash.
     pub fn append_placeholder(&mut self) -> Rid {
         let rid = self.heap.append_tombstone();
-        self.stamps.push(DEAD);
+        self.push_stamp(DEAD);
         self.dir.note_append(rid);
         self.clustered.grow_to(rid.0 + 1);
         rid
@@ -463,14 +501,17 @@ impl Table {
     /// Keep the slots of `sel` (on `page`) whose version is visible at
     /// `snap`. Without a snapshot (the non-MVCC engine mode) every slot
     /// that holds a row is — the pre-MVCC behaviour, where exclusion is
-    /// the shard lock's job.
-    pub(crate) fn retain_visible(
-        &self,
-        snap: Option<&Snapshot>,
-        page: PageRef<'_>,
-        sel: &mut Vec<u32>,
-    ) {
-        let stamps = &self.stamps[page.first_rid().0 as usize..];
+    /// the shard lock's job. A page whose horizon the snapshot has
+    /// reached (without a snapshot: any all-visible page, which has no
+    /// dead slot) keeps its whole selection without a stamp being read;
+    /// only the other pages test slot by slot.
+    pub fn retain_visible(&self, snap: Option<&Snapshot>, page: PageRef<'_>, sel: &mut Vec<u32>) {
+        let first = page.first_rid().0 as usize;
+        let horizon = self.horizons[first / self.heap.tups_per_page()];
+        if horizon != NOT_ALL_VISIBLE && snap.is_none_or(|s| horizon <= s.ts()) {
+            return;
+        }
+        let stamps = &self.stamps[first..];
         match snap {
             Some(s) => sel.retain(|&i| {
                 let (begin, end) = stamps[i as usize];
@@ -478,6 +519,44 @@ impl Table {
             }),
             None => sel.retain(|&i| stamps[i as usize] != DEAD),
         }
+    }
+
+    /// Page `page`'s visibility horizon: the largest begin stamp on it
+    /// if every slot holds a live, plainly committed, unended version,
+    /// else [`NOT_ALL_VISIBLE`]. May over-state, never under-state.
+    pub fn horizon(&self, page: u64) -> u64 {
+        self.horizons[page as usize]
+    }
+
+    /// The slots of page `page`.
+    fn page_slots(&self, page: usize) -> Range<usize> {
+        let tpp = self.heap.tups_per_page();
+        page * tpp..((page + 1) * tpp).min(self.stamps.len())
+    }
+
+    /// Recompute page `page`'s horizon from its stamps, exactly.
+    fn settle(&mut self, page: usize) {
+        self.horizons[page] = page_horizon(&self.stamps[self.page_slots(page)]);
+    }
+
+    /// Append the stamp of the slot the heap just grew, opening its
+    /// page's horizon if the slot starts a page.
+    fn push_stamp(&mut self, stamp: (u64, u64)) {
+        if self.stamps.len().is_multiple_of(self.heap.tups_per_page()) {
+            self.horizons.push(0);
+        }
+        self.stamps.push(stamp);
+        let page = self.horizons.len() - 1;
+        self.horizons[page] = self.horizons[page].max(slot_horizon(stamp));
+    }
+
+    /// Overwrite `rid`'s stamp pair, raising its page's horizon to what
+    /// the new pair allows. Raising alone keeps the horizon an upper
+    /// bound of the page's true one, whatever the old pair was.
+    fn set_stamp(&mut self, rid: Rid, stamp: (u64, u64)) {
+        self.stamps[rid.0 as usize] = stamp;
+        let page = self.heap.page_of(rid) as usize;
+        self.horizons[page] = self.horizons[page].max(slot_horizon(stamp));
     }
 
     // ------------------------------------------------------------- MVCC
@@ -491,7 +570,7 @@ impl Table {
     /// the freshly appended row with its transaction marker or commit
     /// timestamp).
     pub fn set_begin_stamp(&mut self, rid: Rid, begin: u64) {
-        self.stamps[rid.0 as usize].0 = begin;
+        self.set_stamp(rid, (begin, self.stamps[rid.0 as usize].1));
     }
 
     /// MVCC delete: end the slot's current version by stamping `end`,
@@ -507,30 +586,35 @@ impl Table {
         end: u64,
     ) -> Result<Row, StorageError> {
         let row = self.heap.peek(rid)?;
-        self.stamps[rid.0 as usize].1 = end;
+        self.set_stamp(rid, (self.stamps[rid.0 as usize].0, end));
         io.write(self.heap.file_id(), self.heap.page_of(rid));
         Ok(row)
     }
 
     /// Rewrite every resolvable pending stamp to its plain commit
-    /// timestamp (vacuum's first pass; `resolve` is the commit table).
-    /// Returns how many stamps were rewritten. Must run under the
-    /// shard's write lock so no reader observes a half-rewritten pair.
+    /// timestamp (vacuum's first pass; `resolve` is the commit table),
+    /// and recompute the horizon of every page it visits. Only pages that
+    /// are not all-visible are visited: the others hold no pending stamp.
+    /// Returns how many stamps were rewritten. Must run under the shard's
+    /// write lock so no reader observes a half-rewritten pair.
     pub fn resolve_stamps(&mut self, resolve: impl Fn(u64) -> Option<u64>) -> u64 {
         let mut rewritten = 0;
-        for stamp in self.stamps.iter_mut() {
-            if is_pending(stamp.0) {
-                if let Some(ts) = resolve(stamp.0) {
-                    stamp.0 = ts;
-                    rewritten += 1;
+        for page in 0..self.horizons.len() {
+            if self.horizons[page] != NOT_ALL_VISIBLE {
+                continue;
+            }
+            let slots = self.page_slots(page);
+            for stamp in &mut self.stamps[slots] {
+                for half in [&mut stamp.0, &mut stamp.1] {
+                    if is_pending(*half) {
+                        if let Some(ts) = resolve(*half) {
+                            *half = ts;
+                            rewritten += 1;
+                        }
+                    }
                 }
             }
-            if is_pending(stamp.1) {
-                if let Some(ts) = resolve(stamp.1) {
-                    stamp.1 = ts;
-                    rewritten += 1;
-                }
-            }
+            self.settle(page);
         }
         rewritten
     }
@@ -554,11 +638,15 @@ impl Table {
     }
 
     /// Slots that hold a row whose version a delete has ended, with the
-    /// end stamp.
+    /// end stamp. All-visible pages hold none and are passed over.
     fn ended_versions(&self) -> impl Iterator<Item = (Rid, u64)> + '_ {
-        self.stamps.iter().enumerate().filter_map(|(i, &stamp)| {
-            (stamp != DEAD && stamp.1 != LIVE_TS).then_some((Rid(i as u64), stamp.1))
-        })
+        let unsettled = (0..self.horizons.len()).filter(|&p| self.horizons[p] == NOT_ALL_VISIBLE);
+        unsettled
+            .flat_map(|page| self.page_slots(page))
+            .filter_map(|i| {
+                let stamp = self.stamps[i];
+                (stamp != DEAD && stamp.1 != LIVE_TS).then_some((Rid(i as u64), stamp.1))
+            })
     }
 }
 
@@ -575,6 +663,7 @@ mod tests {
     use super::*;
     use cm_core::{AttrConstraint, CmAttr};
     use cm_storage::{BufferPool, Column, ValueType, Wal};
+    use std::sync::Arc;
 
     fn demo_table(disk: &DiskSim) -> Table {
         let schema = Arc::new(Schema::new(vec![
@@ -872,6 +961,124 @@ mod tests {
         let (lo, hi) = (Value::Null, Value::Int(19));
         assert_eq!(t.distinct_in_range(0, &lo, &hi), fresh.distinct_in_range(0, &lo, &hi));
         assert_eq!(t.distinct_in_range(0, &lo, &hi), 15, "catids 0..10 and 15..20, no NULL");
+    }
+
+    #[test]
+    fn horizons_follow_every_stamp_write() {
+        let disk = DiskSim::with_defaults();
+        let io = disk.as_ref();
+        let mut t = demo_table(&disk); // 1 000 rows, 20 a page
+        let pages = t.heap().num_pages();
+        assert!(
+            (0..pages).all(|p| t.horizon(p) == 1),
+            "a load is all-visible at the epoch"
+        );
+        // A committed end and a pending begin close their pages...
+        t.end_version(io, Rid(45), 7).unwrap();
+        let rid = t
+            .insert_row(
+                io,
+                None,
+                vec![Value::Int(49), Value::Int(1), Value::str("x")],
+            )
+            .unwrap();
+        assert_eq!(
+            t.horizon(t.heap().page_of(rid)),
+            1,
+            "a new page opens all-visible"
+        );
+        t.set_begin_stamp(rid, cm_storage::pending_stamp(3));
+        assert_eq!(t.horizon(2), NOT_ALL_VISIBLE);
+        assert_eq!(t.horizon(50), NOT_ALL_VISIBLE);
+        assert!((0..pages).filter(|&p| p != 2).all(|p| t.horizon(p) == 1));
+        // ...a plain begin raises one, and the rewrite settles the rest.
+        let late = t
+            .insert_row(
+                io,
+                None,
+                vec![Value::Int(49), Value::Int(2), Value::str("y")],
+            )
+            .unwrap();
+        t.set_begin_stamp(late, 9);
+        let asked = std::cell::RefCell::new(Vec::new());
+        let rewritten = t.resolve_stamps(|stamp| {
+            asked.borrow_mut().push(stamp);
+            Some(8)
+        });
+        assert_eq!(
+            (rewritten, asked.take()),
+            (1, vec![cm_storage::pending_stamp(3)])
+        );
+        assert_eq!(t.horizon(50), 9, "largest begin on the page");
+        assert_eq!(
+            t.horizon(2),
+            NOT_ALL_VISIBLE,
+            "an ended version keeps its page open"
+        );
+        assert_eq!((t.reclaimable(7), t.dead_versions()), (vec![Rid(45)], 1));
+        // Vacuum's reclaim leaves a dead slot; recovery's reinstate
+        // settles the page again.
+        t.delete_row(io, None, Rid(45)).unwrap();
+        assert_eq!(t.horizon(2), NOT_ALL_VISIBLE);
+        t.reinstate_row(
+            io,
+            Rid(45),
+            vec![Value::Int(2), Value::Int(2045), Value::str("z")],
+        )
+        .unwrap();
+        assert_eq!(t.horizon(2), 1);
+        t.append_placeholder();
+        assert_eq!(
+            t.horizon(50),
+            NOT_ALL_VISIBLE,
+            "a placeholder is a dead slot"
+        );
+    }
+
+    #[test]
+    fn retain_visible_skips_the_stamps_of_all_visible_pages_only() {
+        let disk = DiskSim::with_defaults();
+        let io = disk.as_ref();
+        let mut t = demo_table(&disk);
+        let mv = Arc::new(cm_storage::MvccState::new());
+        let early = mv.begin();
+        let ts = mv.next_ts();
+        let rid = t
+            .insert_row(
+                io,
+                None,
+                vec![Value::Int(49), Value::Int(1), Value::str("x")],
+            )
+            .unwrap();
+        t.set_begin_stamp(rid, ts);
+        t.end_version(io, Rid(3), mv.next_ts()).unwrap();
+        let late = mv.begin();
+        let visible = |t: &Table, snap: Option<&Snapshot>, page: u64| {
+            let page = t.heap().read_page(io, page).unwrap();
+            let mut sel: Vec<u32> = (0..page.len() as u32).collect();
+            t.retain_visible(snap, page, &mut sel);
+            sel.len()
+        };
+        // The tail page holds one row, begun after `early`.
+        assert_eq!(
+            (visible(&t, Some(&early), 50), visible(&t, Some(&late), 50)),
+            (0, 1)
+        );
+        // Page 0 lost row 3 at `late`; `early` still sees it.
+        assert_eq!(
+            (visible(&t, Some(&early), 0), visible(&t, Some(&late), 0)),
+            (20, 19)
+        );
+        assert_eq!(
+            (visible(&t, Some(&early), 1), visible(&t, None, 1)),
+            (20, 20)
+        );
+        t.delete_row(io, None, Rid(25)).unwrap();
+        assert_eq!(
+            visible(&t, None, 1),
+            19,
+            "without a snapshot only dead slots drop"
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! evictions force random page writes and throughput collapses (29
 //! tuples/s with 10 B+Trees vs. 900 with 10 CMs). CMs survive because they
 //! are small enough to stay resident. [`BufferPool`] reproduces exactly
-//! that mechanism: an LRU cache of `(file, page)` frames; hits are free,
-//! misses charge a disk read, and evicting a dirty frame charges a disk
-//! write.
+//! that mechanism: a cache of `(file, page)` frames evicted by a
+//! second-chance clock (a hit sets the frame's reference bit; the hand
+//! clears set bits and evicts the first clear frame it meets); hits are
+//! free, misses charge a disk read, and evicting a dirty frame charges a
+//! disk write.
 
 use crate::disk::{DiskSim, FileId, IoStats, PageAccessor};
 use crate::hash::FxHashMap;

@@ -187,32 +187,6 @@ pub enum ColumnSlice<'a> {
     Str(&'a [u32]),
 }
 
-impl ColumnSlice<'_> {
-    /// Call `f(k, word)` for each slot `sel[k]` with the slot's
-    /// [`key_bits`] word — 0 for a NULL slot, the word of its zero
-    /// filler: one tight loop per column type.
-    #[inline]
-    pub fn for_each_word(self, sel: &[u32], mut f: impl FnMut(usize, u64)) {
-        #[inline(always)]
-        fn each<T: Copy>(
-            vals: &[T],
-            sel: &[u32],
-            word: impl Fn(T) -> u64,
-            f: &mut impl FnMut(usize, u64),
-        ) {
-            for (k, &s) in sel.iter().enumerate() {
-                f(k, word(vals[s as usize]));
-            }
-        }
-        match self {
-            ColumnSlice::Int(v) => each(v, sel, |x| x as u64, &mut f),
-            ColumnSlice::Date(v) => each(v, sel, |x| x as u64, &mut f),
-            ColumnSlice::Float(v) => each(v, sel, |x| OrdF64(x).order_key() as u64, &mut f),
-            ColumnSlice::Str(v) => each(v, sel, u64::from, &mut f),
-        }
-    }
-}
-
 /// Whether slot `slot` is set in a null bitmap.
 #[inline(always)]
 pub fn null_bit(nulls: &[u64], slot: usize) -> bool {

@@ -21,12 +21,23 @@
 //! groups to a few hundred, and folds split at random points and merged
 //! back.
 //!
+//! Three engine cases in four first run a DML prelude ([`dml_prelude`]):
+//! committed deletes by RID and by `delete_where`, autocommit inserts,
+//! perhaps a vacuum, and an open session holding a pending insert and a
+//! pending delete. The reference is then computed over the rows a fresh
+//! snapshot sees (without MVCC: the rows the table holds), so the folds
+//! also run on pages that are not all-visible and on the sparse batches
+//! a full scan hands on from them.
+//!
 //! Case count is `AGG_PROP_CASES` (default 64) so CI smoke jobs can run
 //! a reduced sweep.
+
+mod dml_prelude;
 
 use cm_engine::{AggFunc, AggSpec, Engine, EngineConfig};
 use cm_query::{AggState, Pred, Query};
 use cm_storage::{Column, Row, Schema, Value, ValueType};
+use dml_prelude::Script;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -58,6 +69,41 @@ fn tag(n: i64) -> Value {
     }
 }
 
+/// One row from its drawn `(k, cat, x, tag)` numbers.
+fn agg_row((k, c, x, t): (i64, i64, i64, i64)) -> Row {
+    vec![Value::Int(k), Value::Int(c), Value::Int(x), tag(t)]
+}
+
+/// The numbers of one row of the test table.
+fn row_numbers() -> impl Strategy<Value = (i64, i64, i64, i64)> {
+    (0i64..40, 0i64..8, -50i64..50, 0i64..55)
+}
+
+/// A DML prelude three times in four: up to 60 inserted rows, deletes by
+/// RID of every first to third of them, a `delete_where` on `x` or on
+/// the clustered `k`, maybe a vacuum, and the open session's writes.
+fn script_strategy() -> impl Strategy<Value = Option<Script>> {
+    let inserts = prop::collection::vec(row_numbers(), 0..60);
+    let deletes = (0usize..4, 0u8..3, 0i64..40, 0i64..20);
+    let pending = (any::<bool>(), row_numbers(), any::<bool>());
+    (0u8..4, inserts, deletes, any::<bool>(), pending).prop_map(
+        |(on, inserts, (every, kind, lo, span), vacuum, (ins, pending_row, del))| {
+            (on > 0).then(|| Script {
+                inserts: inserts.into_iter().map(agg_row).collect(),
+                delete_every: every,
+                delete_where: match kind {
+                    0 => None,
+                    1 => Some(Query::single(Pred::between(2, lo - 50, lo - 50 + span))),
+                    _ => Some(Query::single(Pred::between(0, lo, lo + span / 4))),
+                },
+                vacuum,
+                pending_insert: ins.then(|| agg_row(pending_row)),
+                pending_delete: del,
+            })
+        },
+    )
+}
+
 /// Rows clustered on `k` (0..40): with up to 400 rows over 40 keys,
 /// duplicate clustered keys are guaranteed, so any shard split lands
 /// inside at least one group — the shard-boundary case the merge must
@@ -65,12 +111,9 @@ fn tag(n: i64) -> Value {
 /// a block of 1 100 distinct `(cat, k)` pairs, so the multi-column
 /// specs fold more than a thousand groups.
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    let base = prop::collection::vec((0i64..40, 0i64..8, -50i64..50, 0i64..55), 1..400);
+    let base = prop::collection::vec(row_numbers(), 1..400);
     (base, any::<bool>()).prop_map(|(v, many_groups)| {
-        let mut rows: Vec<Row> = v
-            .into_iter()
-            .map(|(k, c, x, t)| vec![Value::Int(k), Value::Int(c), Value::Int(x), tag(t)])
-            .collect();
+        let mut rows: Vec<Row> = v.into_iter().map(agg_row).collect();
         // Pin one duplicated clustered key so even minimal cases have a
         // group that a 2+-shard split can cut in half.
         let pinned = rows[0][0].clone();
@@ -276,7 +319,8 @@ proptest! {
 
     /// Engine aggregation equals the HashMap reference — identical rows
     /// in identical (ascending group-key) order — for every spec shape,
-    /// shard count, worker count, and MVCC mode.
+    /// shard count, worker count, and MVCC mode, on a fresh table and
+    /// after a DML prelude.
     #[test]
     fn engine_aggregate_equals_reference(
         rows in rows_strategy(),
@@ -284,12 +328,18 @@ proptest! {
         par in any::<bool>(),
         mvcc in any::<bool>(),
         f in (0u8..4, 0i64..40, 0i64..20),
+        script in script_strategy(),
     ) {
         let q = filter(f.0, f.1, f.2);
         let engine = build_engine(shards, if par { 4 } else { 1 }, mvcc, &rows);
+        let session = engine.session();
+        let visible = match &script {
+            Some(s) => dml_prelude::run(&engine, &session, "t", &rows, s, mvcc),
+            None => rows.clone(),
+        };
         for spec in specs() {
             let out = engine.aggregate("t", &q, &spec).unwrap();
-            let want = reference(&rows, &q, &spec);
+            let want = reference(&visible, &q, &spec);
             prop_assert_eq!(
                 &out.rows, &want,
                 "spec {:?} diverges (shards={}, q={:?})", &spec, shards, &q

@@ -8,13 +8,24 @@
 //! (probe phase must be skipped, not crash), self-joins (one table-level
 //! guard), and MVCC on/off at 1–8 shards.
 //!
+//! Three cases in four first run a DML prelude ([`dml_prelude`]) on
+//! each table — committed deletes by RID and by `delete_where`,
+//! autocommit inserts, perhaps a vacuum, and one open session holding a
+//! pending insert and a pending delete in both — and the oracle joins
+//! the rows a fresh snapshot sees (without MVCC: the rows the tables
+//! hold), so probes also run on pages that are not all-visible and on
+//! the sparse batches a full scan hands on from them.
+//!
 //! Case count is `JOIN_PROP_CASES` (default 48) so CI smoke jobs can run
 //! a reduced sweep.
+
+mod dml_prelude;
 
 use cm_core::CmSpec;
 use cm_engine::{Engine, EngineConfig, JoinQuery, JoinStrategy};
 use cm_query::{Pred, Query};
 use cm_storage::{Column, Row, Schema, Value, ValueType};
+use dml_prelude::Script;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -65,6 +76,58 @@ fn right_rows() -> impl Strategy<Value = Vec<Row>> {
             .map(|(k, w, t)| vec![Value::Int(k), Value::Int(w), Value::Int(t)])
             .collect()
     })
+}
+
+/// A DML prelude for one side three times in four: up to 40 inserted
+/// rows made by `row` from two numbers below 40, deletes by RID of every
+/// first to third of them, a `delete_where` on column 1, maybe a vacuum,
+/// and the open session's writes.
+fn script_strategy(row: fn(i64, i64) -> Row) -> impl Strategy<Value = Option<Script>> {
+    let inserts = prop::collection::vec((0i64..40, 0i64..40), 0..40);
+    let deletes = (0usize..4, any::<bool>(), 0i64..30, 0i64..10);
+    let pending = (any::<bool>(), (0i64..40, 0i64..40), any::<bool>());
+    (0u8..4, inserts, deletes, any::<bool>(), pending).prop_map(
+        move |(on, inserts, (every, del, lo, span), vacuum, (ins, (a, b), pending_delete))| {
+            (on > 0).then(|| Script {
+                inserts: inserts.into_iter().map(|(a, b)| row(a, b)).collect(),
+                delete_every: every,
+                delete_where: del.then(|| Query::single(Pred::between(1, lo, lo + span))),
+                vacuum,
+                pending_insert: ins.then(|| row(a, b)),
+                pending_delete,
+            })
+        },
+    )
+}
+
+fn left_row(k: i64, a: i64) -> Row {
+    vec![Value::Int(k % 30), Value::Int(a % 30)]
+}
+
+fn right_row(k: i64, w: i64) -> Row {
+    vec![Value::Int(k), Value::Int(w % 30), Value::Int((k + w) % 5)]
+}
+
+/// Run `script`, if any, on `table` (loaded with `loaded`): the rows a
+/// query then sees, and how many slots the table's heap holds.
+fn prelude(
+    engine: &Arc<Engine>,
+    session: &cm_engine::Session,
+    table: &str,
+    loaded: &[Row],
+    script: &Option<Script>,
+    mvcc: bool,
+) -> (Vec<Row>, usize) {
+    match script {
+        Some(s) => {
+            let appended = s.inserts.len() + usize::from(s.pending_insert.is_some());
+            (
+                dml_prelude::run(engine, session, table, loaded, s, mvcc),
+                loaded.len() + appended,
+            )
+        }
+        None => (loaded.to_vec(), loaded.len()),
+    }
 }
 
 /// A side filter: none, a satisfiable range, or an unsatisfiable range
@@ -124,7 +187,8 @@ proptest! {
 
     /// Planner-picked, forced-hash, and forced-clamp joins all equal the
     /// nested-loop oracle, rows and cardinality, across shard counts,
-    /// worker counts, and MVCC modes.
+    /// worker counts, and MVCC modes, on fresh tables and after DML
+    /// preludes.
     #[test]
     fn engine_join_equals_nested_loop_oracle(
         left in left_rows(),
@@ -132,21 +196,26 @@ proptest! {
         shards in 1usize..9,
         par in any::<bool>(),
         mvcc in any::<bool>(),
-        lcol in 0usize..2,
-        rcol in 0usize..2,
+        cols in (0usize..2, 0usize..2),
         lf in (0u8..3, 0i64..30, 0i64..15),
         rf in (0u8..3, 0i64..30, 0i64..15),
+        scripts in (script_strategy(left_row), script_strategy(right_row)),
     ) {
+        let (lcol, rcol) = cols;
         let jq = JoinQuery::on(lcol, rcol)
             .filter_left(side_filter(lf.0, 1, lf.1, lf.2))
             .filter_right(side_filter(rf.0, 1, rf.1, rf.2));
         let workers = if par { 4 } else { 1 };
         let (engine, lcm, rcm) = build_engine(shards, workers, mvcc, &left, &right, &jq);
-        let want = nested_loop(&left, &right, &jq);
+        let session = engine.session();
+        let (left_now, left_slots) = prelude(&engine, &session, "l", &left, &scripts.0, mvcc);
+        let (right_now, right_slots) = prelude(&engine, &session, "r", &right, &scripts.1, mvcc);
+        let want = nested_loop(&left_now, &right_now, &jq);
 
-        // The engine builds the smaller side (ties go left), so the
-        // probe table — whose CM a forced clamp must name — is the other.
-        let probe_cm = if left.len() <= right.len() { rcm } else { lcm };
+        // The engine builds the side with fewer heap slots (ties go
+        // left), so the probe table — whose CM a forced clamp must name —
+        // is the other.
+        let probe_cm = if left_slots <= right_slots { rcm } else { lcm };
         let auto = engine.join_collect("l", "r", &jq).unwrap();
         let hash = engine
             .join_via_collect("l", "r", &jq, JoinStrategy::Hash)

@@ -10,11 +10,20 @@
 //! strings the heap's dictionary lacks, and string ranges. `narrow` on a
 //! sparse pre-selection must agree too.
 //!
+//! The consumers of those selections are checked on the same heaps: each
+//! page is folded by a [`BatchAgg`] and probed by a [`KeyProbe`] once as
+//! a dense batch (every slot) and once as two sparse halves, and both
+//! must equal [`AggState::observe`] and [`JoinHashTable::probe`] on the
+//! page's materialised rows — groups, float sums to the bit, and every
+//! probe hit with its partners.
+//!
 //! Case count is `HEAP_PROP_CASES` (default 96), the heap property
 //! test's setting, so CI raises both together.
 
-use cm_query::{PageFilter, Pred, PredOp, Query};
-use cm_storage::{Column, DiskSim, HeapFile, Row, Schema, Value, ValueType};
+use cm_query::{
+    AggFunc, AggSpec, AggState, BatchAgg, JoinHashTable, PageFilter, Pred, PredOp, Query,
+};
+use cm_storage::{Column, DiskSim, HeapFile, PageRef, Row, Schema, Value, ValueType};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -104,6 +113,43 @@ impl Rng {
     }
 }
 
+/// Result rows with each `Float` as its exact bits: what a fold must
+/// reproduce, `-0.0` and NaN payloads included.
+fn exact(rows: Vec<Row>) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("F{:016x}", f.0.to_bits()),
+        v => format!("{v:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+}
+
+/// `page`'s slots as one dense batch and as two sparse halves.
+fn batches(page: PageRef<'_>) -> [Vec<Vec<u32>>; 2] {
+    let n = page.len() as u32;
+    [
+        vec![(0..n).collect()],
+        vec![(0..n / 2).collect(), (n / 2..n).collect()],
+    ]
+}
+
+/// A random aggregate over the heap's columns: up to three group-by
+/// columns; `COUNT`, `SUM` of a numeric column, `MIN` and `MAX`.
+fn random_spec(rng: &mut Rng, types: &[ValueType]) -> AggSpec {
+    let group_by = (0..rng.below(4)).map(|_| rng.below(types.len())).collect();
+    let numeric: Vec<usize> = (0..types.len())
+        .filter(|&c| types[c] != ValueType::Str)
+        .collect();
+    let aggs = (0..1 + rng.below(3))
+        .map(|_| match rng.below(4) {
+            0 => AggFunc::Count,
+            1 => AggFunc::Sum(numeric[rng.below(numeric.len())]),
+            2 => AggFunc::Min(rng.below(types.len())),
+            _ => AggFunc::Max(rng.below(types.len())),
+        })
+        .collect();
+    AggSpec::new(group_by, aggs)
+}
+
 proptest! {
     #![proptest_config(cases())]
 
@@ -151,6 +197,45 @@ proptest! {
                 filter.narrow(page, &mut sparse);
                 let odd: Vec<u32> = want.iter().copied().filter(|s| s % 2 == 1).collect();
                 prop_assert_eq!(&sparse, &odd, "{:?}", q);
+            }
+        }
+
+        // Four folds and four probes over the heap, each run on dense
+        // batches and on sparse halves.
+        for _ in 0..4 {
+            let spec = random_spec(&mut rng, &types);
+            let mut want = AggState::new(&spec);
+            heap.iter().for_each(|(_, row)| want.observe(&row));
+            let want = exact(want.finish());
+            for split in 0..2 {
+                let mut fold = BatchAgg::new(&spec);
+                for p in 0..heap.num_pages() {
+                    let page = heap.read_page(disk.as_ref(), p).unwrap();
+                    batches(page)[split].iter().for_each(|sel| fold.fold(page, sel));
+                }
+                let got = exact(fold.finish().finish());
+                prop_assert_eq!(&got, &want, "{:?}, split {}", &spec, split);
+            }
+
+            let col = rng.below(types.len());
+            let mut ht = JoinHashTable::new();
+            for i in 0..1 + rng.below(6) {
+                ht.insert(&rng.literal(types[col]), vec![Value::Int(i as i64)]);
+            }
+            let keys = ht.key_probe(&heap, col);
+            for p in 0..heap.num_pages() {
+                let page = heap.read_page(disk.as_ref(), p).unwrap();
+                let want: Vec<(u32, Vec<u32>)> = (0..page.len() as u32)
+                    .map(|s| (s, ht.probe(&page.value(s as usize, col)).to_vec()))
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .collect();
+                for sels in batches(page) {
+                    let mut got = Vec::new();
+                    for sel in &sels {
+                        keys.probe(page, sel, |s, rows| got.push((s, rows.to_vec())));
+                    }
+                    prop_assert_eq!(&got, &want, "column {} of {:?}", col, types[col]);
+                }
             }
         }
     }
