@@ -13,7 +13,7 @@ use crate::engine::Engine;
 use crate::read::{LegOpts, LegOutcome, LegPath};
 use crate::error::{check_cols, check_query};
 use crate::Result;
-use cm_query::{AggFunc, AggSpec, AggState, BatchAgg, Query, RunResult};
+use cm_query::{AggFunc, AggSpec, AggState, BatchAgg, Query, RunResult, ALL_PAGES};
 use cm_storage::Row;
 use std::sync::atomic::Ordering;
 
@@ -70,7 +70,8 @@ impl Engine {
         let lt = entry.loaded()?;
         self.profile_read(&entry, lt, q);
         let snap = self.mvcc.as_ref().map(|mv| mv.begin());
-        let how = LegOpts { path: LegPath::Planned, cold: false, snap: snap.as_ref() };
+        let how =
+            LegOpts { path: LegPath::Planned, cold: false, snap: snap.as_ref(), pages: ALL_PAGES };
         let folded = self.fan_out(self.route(lt, q), true, |leg| {
             let mut fold = BatchAgg::new(spec);
             let (path, run) =

@@ -1153,6 +1153,25 @@ fn mvcc_multi_shard_delete_where_flips_atomically() {
 }
 
 #[test]
+fn mvcc_full_scan_delete_where_covers_every_search_window() {
+    // 250 heap pages: an MVCC victim search by full scan reads them in
+    // four read-lock holds, and must find what one hold finds.
+    let locking = demo_engine();
+    let mvcc = mvcc_engine_with(EngineConfig::default());
+    // Every row of a category has one price: take every tenth category.
+    let prices = (0..100).step_by(10).map(|cat| Value::Int(cat * 100 + cat * 7 % 100)).collect();
+    let q = Query::single(Pred::is_in(1, prices));
+    assert_eq!(mvcc.explain("items", &q).unwrap().primary().path, AccessPath::FullScan);
+    let want = locking.delete_where("items", &q).unwrap();
+    assert_eq!(mvcc.delete_where("items", &q).unwrap(), want);
+    let last = want.last().unwrap().local().0;
+    assert_eq!(want.len(), 500, "ten categories of 50 rows");
+    assert!(last >= 3 * 64 * 20, "the last victim lies in the fourth window");
+    assert_eq!(mvcc.execute("items", &q).unwrap().run.matched, 0);
+    assert_eq!(mvcc.execute("items", &Query::default()).unwrap().run.matched, 4500);
+}
+
+#[test]
 fn mvcc_vacuum_reclaims_dead_versions() {
     let engine = mvcc_engine_with(EngineConfig::default());
     engine.delete_where("items", &Query::single(Pred::eq(0, 5i64))).unwrap();

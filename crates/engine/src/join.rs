@@ -32,7 +32,9 @@ use crate::Result;
 use cm_advisor::WorkloadProfile;
 use cm_cost::CostParams;
 use cm_query::exec::clamp_constraints;
-use cm_query::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy, RunResult, ShardLeg};
+use cm_query::{
+    JoinHashTable, JoinQuery, JoinSide, JoinStrategy, RunResult, ShardLeg, ALL_PAGES,
+};
 use cm_storage::{PageRef, Row, Value};
 use std::sync::atomic::Ordering;
 
@@ -208,7 +210,8 @@ impl Engine {
         };
 
         // ---- build phase -----------------------------------------------
-        let build_how = LegOpts { path: LegPath::Planned, cold: false, snap: snap_ref };
+        let build_how =
+            LegOpts { path: LegPath::Planned, cold: false, snap: snap_ref, pages: ALL_PAGES };
         let built = self.fan_out(self.route(build_lt, build_filter), forced.is_none(), |leg| {
             self.collect_leg(build_lt, leg, &build_how, true)
         })?;
@@ -277,6 +280,7 @@ impl Engine {
             },
             cold: false,
             snap: snap_ref,
+            pages: ALL_PAGES,
         };
         // An empty hash table can match nothing; skip the probe sweep.
         let probe_legs = if ht.is_empty() { Vec::new() } else { probe_plan.legs };

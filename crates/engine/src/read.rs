@@ -22,10 +22,11 @@ use crate::Result;
 use cm_advisor::WorkloadProfile;
 use cm_query::{
     restrict_to_shard, AccessPath, ExecContext, PlanChoice, Planner, PredOp, Query, QueryPlan,
-    RunResult, ShardLeg, Table,
+    RunResult, ShardLeg, Table, ALL_PAGES,
 };
 use cm_storage::{PageRef, Row, Snapshot};
 use parking_lot::RwLock;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::RwLockReadGuard;
 
@@ -82,7 +83,7 @@ pub(crate) enum LegPath<'a> {
 }
 
 /// How a leg reads its shard, beyond its predicate.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub(crate) struct LegOpts<'a> {
     /// The path to execute.
     pub(crate) path: LegPath<'a>,
@@ -90,6 +91,9 @@ pub(crate) struct LegOpts<'a> {
     pub(crate) cold: bool,
     /// The MVCC snapshot the leg reads at.
     pub(crate) snap: Option<&'a Snapshot>,
+    /// The heap pages the leg reads ([`ALL_PAGES`] but for a windowed
+    /// victim search).
+    pub(crate) pages: Range<u64>,
 }
 
 /// One leg's result before the merge: the path to tally as its routing
@@ -222,6 +226,7 @@ impl Engine {
             ExecContext::through(backend.disk(), backend.pool())
         };
         ctx.snap = how.snap;
+        ctx.pages = how.pages.clone();
         leg.choice = self.planner.choose(t, &leg.query);
         let path = match how.path {
             LegPath::Planned => leg.choice.path,
@@ -299,9 +304,7 @@ impl Engine {
         };
         for (l, r) in done {
             let (path, run, out) = r?;
-            m.run.matched += run.matched;
-            m.run.examined += run.examined;
-            m.run.io.add(&run.io);
+            m.run.add(&run);
             if tally {
                 self.note_route(path);
             }
@@ -371,6 +374,7 @@ impl Engine {
             path: forced.map_or(LegPath::Planned, LegPath::Forced),
             cold,
             snap: snap.as_ref(),
+            pages: ALL_PAGES,
         };
         let Merged { run, legs, outs, parallel_ms } = self.fan_out(
             self.route(lt, q),

@@ -11,7 +11,7 @@ use crate::engine::Engine;
 use crate::error::{check_query, EngineError};
 use crate::read::{LegDone, LegOpts, LegPath};
 use crate::Result;
-use cm_query::{Query, ShardLeg, Table};
+use cm_query::{AccessPath, Query, RunResult, ShardLeg, Table, ALL_PAGES};
 use cm_storage::{
     pending_stamp, IoStats, LogPayload, Rid, Row, Snapshot, WalBatch, AUTOCOMMIT_TXN,
 };
@@ -22,6 +22,13 @@ use std::sync::atomic::Ordering;
 /// a large batch into a single long exclusive hold that stalls every
 /// concurrent reader.
 const INSERT_CHUNK: usize = 128;
+
+/// Heap pages an MVCC victim search that scans its whole shard reads
+/// per shard read-lock hold. The shard lock queues a new reader behind
+/// a waiting writer, so a writer waiting out one whole-shard scan would
+/// hold every reader behind it for the rest of that scan; between
+/// windows the waiting writers, and then the readers, get in.
+const SEARCH_WINDOW: u64 = 64;
 
 impl Engine {
     /// INSERT one row, routed to the shard owning its clustered key and
@@ -229,7 +236,8 @@ impl Engine {
     /// leg pipeline, then run the remove step. Without MVCC the search
     /// runs under the shard write lock and the removal follows in the
     /// same hold. With MVCC it runs at a fresh snapshot under the read
-    /// lock (concurrent readers keep flowing), then a brief write lock
+    /// lock, a full scan [`SEARCH_WINDOW`] heap pages a hold (concurrent
+    /// readers and writers get in between windows), then a brief write lock
     /// end-stamps the victims with `txn`'s pending mark. Either way the
     /// leg's [`LogPayload::DeleteSet`] reaches the log before its write
     /// lock drops, victims in rid order: whichever path found them, the
@@ -243,20 +251,46 @@ impl Engine {
     ) -> Result<LegDone<Vec<Rid>>> {
         let part = &lt.parts[leg.shard];
         let mut victims: Vec<Rid> = Vec::new();
-        let mut find = |t: &Table, snap: Option<&Snapshot>| {
-            let how = LegOpts { path: LegPath::Planned, cold: false, snap };
+        let mut find = |t: &Table, leg: &mut ShardLeg, snap: Option<&Snapshot>, pages| {
+            let how = LegOpts { path: LegPath::Planned, cold: false, snap, pages };
             self.run_leg(t, leg, &how, |page, sel| {
                 victims.extend(sel.iter().map(|&s| page.rid(s)));
             })
         };
         let (mut t, (path, run)) = match &self.mvcc {
             Some(mv) => {
-                let found = find(&part.read(), Some(&mv.begin()))?;
-                (part.write(), found)
+                // The snapshot pins what the search sees: the versions it
+                // sees outlive vacuum, and pages appended after the first
+                // hold hold no row it sees. Index and CM paths read only
+                // near their matches and keep one hold; a full scan reads
+                // the whole shard, a window a hold. The runs add up; the
+                // path tallied is the last hold's, as `leg.choice` is.
+                let snap = mv.begin();
+                let (mut lo, mut step, mut end) = (0, u64::MAX, 0);
+                let mut found: Option<(AccessPath, RunResult)> = None;
+                loop {
+                    let t = part.read();
+                    if found.is_none() {
+                        end = t.heap().num_pages();
+                        if self.planner.choose(&t, &leg.query).path == AccessPath::FullScan {
+                            step = SEARCH_WINDOW;
+                        }
+                    }
+                    let (path, mut run) = find(&t, leg, Some(&snap), lo..lo.saturating_add(step))?;
+                    if let Some((_, before)) = &found {
+                        run.add(before);
+                    }
+                    found = Some((path, run));
+                    lo = lo.saturating_add(step);
+                    if lo >= end {
+                        break;
+                    }
+                }
+                (part.write(), found.expect("one hold at least"))
             }
             None => {
                 let t = part.write();
-                let found = find(&t, None)?;
+                let found = find(&t, leg, None, ALL_PAGES)?;
                 (t, found)
             }
         };

@@ -15,6 +15,7 @@ use cm_core::AttrConstraint;
 use cm_index::IndexKey;
 use cm_storage::{DiskSim, IoStats, PageAccessor, PageRef, ReadCache, Rid, Snapshot, Value};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where an execution charges I/O, reads its clock, and (under MVCC)
@@ -30,17 +31,24 @@ pub struct ExecContext<'a> {
     /// everything the heap holds — the pre-MVCC behaviour, where
     /// exclusion is the shard lock's job.
     pub snap: Option<&'a Snapshot>,
+    /// The heap pages the run may visit ([`ALL_PAGES`] by default): every
+    /// access path reads only its pages inside this window, so a search
+    /// can cover a large heap a window at a time.
+    pub pages: Range<u64>,
 }
+
+/// The page window that admits every heap page.
+pub const ALL_PAGES: Range<u64> = 0..u64::MAX;
 
 impl<'a> ExecContext<'a> {
     /// Charge straight to the disk (cold cache).
     pub fn cold(disk: &'a Arc<DiskSim>) -> Self {
-        ExecContext { disk, io: disk, snap: None }
+        ExecContext { disk, io: disk, snap: None, pages: ALL_PAGES }
     }
 
     /// Charge through an arbitrary accessor (e.g. a buffer pool).
     pub fn through(disk: &'a Arc<DiskSim>, io: &'a dyn PageAccessor) -> Self {
-        ExecContext { disk, io, snap: None }
+        ExecContext { disk, io, snap: None, pages: ALL_PAGES }
     }
 
     /// Read at an MVCC snapshot: rows whose version is not visible to
@@ -66,6 +74,13 @@ impl RunResult {
     /// Simulated elapsed milliseconds.
     pub fn ms(&self) -> f64 {
         self.io.elapsed_ms
+    }
+
+    /// Add `other`'s rows and I/O to this run.
+    pub fn add(&mut self, other: &RunResult) {
+        self.matched += other.matched;
+        self.examined += other.examined;
+        self.io.add(&other.io);
     }
 }
 
@@ -100,7 +115,7 @@ impl Table {
             on_batch(page, sel);
         };
         let mut sweep = |lo: u64, hi: u64| {
-            self.sweep_run(ctx.io, ctx.snap, &mut filter, lo, hi, &mut visit)
+            self.sweep_run(ctx, &mut filter, lo, hi, &mut visit)
                 .expect("swept pages in range")
         };
         let examined = match path {
@@ -127,7 +142,8 @@ impl Table {
             AccessPath::SecondaryPipelined(id) => {
                 // Pipelined probes are deliberately uncached: the paper's
                 // model charges every lookup a full descent (§3.1).
-                let rids = self.secondary_rids(ctx.io, id, q)?;
+                let mut rids = self.secondary_rids(ctx.io, id, q)?;
+                rids.retain(|&rid| ctx.pages.contains(&self.heap().page_of(rid)));
                 let mut sel = Vec::with_capacity(1);
                 for &rid in &rids {
                     let (page, slot) = self.heap().fetch_page(ctx.io, rid).expect("index rid valid");

@@ -310,7 +310,7 @@ impl Table {
         };
         for (lo, hi) in self.cm_bucket_runs(ctx.io, &buckets) {
             examined += self
-                .sweep_run(ctx.io, ctx.snap, &mut filter, lo, hi, &mut visit)
+                .sweep_run(ctx, &mut filter, lo, hi, &mut visit)
                 .expect("bucket pages in range");
         }
         Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })

@@ -40,11 +40,11 @@ pub mod table;
 
 pub use agg::{AggFunc, AggSpec, AggState, BatchAgg};
 pub use error::QueryError;
-pub use exec::{merge_page_ranges, ExecContext, RunResult};
+pub use exec::{merge_page_ranges, ExecContext, RunResult, ALL_PAGES};
 pub use join::{JoinHashTable, JoinQuery, JoinSide, JoinStrategy, KeyProbe};
 pub use kernel::PageFilter;
 pub use leg::{QueryPlan, ShardLeg};
 pub use plan::{AccessPath, PlanChoice, Planner};
 pub use predicate::{Pred, PredOp, Query};
 pub use shard::{restrict_to_shard, ShardRange};
-pub use table::{ColumnStats, Table, DEFAULT_TREE_ORDER, NOT_ALL_VISIBLE};
+pub use table::{ColumnStats, Table, DEFAULT_TREE_ORDER, HOLDS_FREE_SLOTS, NOT_ALL_VISIBLE};

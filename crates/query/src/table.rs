@@ -8,6 +8,7 @@
 //! (charged page I/O through the buffer pool) + every CM update (pure
 //! memory) + WAL records for all of them.
 
+use crate::exec::ExecContext;
 use crate::kernel::PageFilter;
 use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
@@ -50,13 +51,16 @@ pub struct ColumnStats {
 /// Beside the stamps, every heap page keeps a **visibility horizon**,
 /// PostgreSQL's all-visible bit with a timestamp: the largest begin
 /// stamp on the page when every slot holds a live, plainly committed,
-/// unended version, and [`NOT_ALL_VISIBLE`] (`u64::MAX`) otherwise.
-/// Every stamp write keeps it, and the invariant is one-sided: a
-/// horizon may over-state (a page that could be skipped is not) but
-/// never under-state. A snapshot at or past a page's horizon sees the
-/// whole page, so [`Table::retain_visible`] keeps its selection without
-/// reading a stamp, and vacuum passes over it: an all-visible page has
-/// no pending stamp and no ended version.
+/// unended version; [`HOLDS_FREE_SLOTS`] when some slots hold no row and
+/// the others are such versions; and [`NOT_ALL_VISIBLE`] (`u64::MAX`)
+/// when a slot holds a pending stamp or an ended version. Every stamp
+/// write keeps it, and the invariant is one-sided: a horizon may
+/// over-state (a page that could be skipped is not) but never
+/// under-state. A snapshot at or past a page's horizon sees the whole
+/// page, so [`Table::retain_visible`] keeps its selection without
+/// reading a stamp. Vacuum visits only [`NOT_ALL_VISIBLE`] pages: the
+/// others hold no pending stamp and no ended version, so the slots a
+/// churned heap has freed cost it nothing.
 pub struct Table {
     heap: HeapFile,
     clustered_col: usize,
@@ -81,15 +85,24 @@ const DEAD: (u64, u64) = (0, 0);
 /// inserted (MVCC then overwrites the begin stamp).
 const LIVE: (u64, u64) = (1, LIVE_TS);
 
-/// The horizon of a page some slot of which a snapshot may not see:
-/// dead, pending, or ended.
+/// The horizon of a page some slot of which holds a pending stamp or an
+/// ended version: vacuum has work there.
 pub const NOT_ALL_VISIBLE: u64 = u64::MAX;
 
+/// The horizon of a page some slot of which holds no row, and whose
+/// other slots hold live, plainly committed, unended versions: a scan
+/// must drop the free slots, but vacuum has nothing to do there.
+pub const HOLDS_FREE_SLOTS: u64 = u64::MAX - 1;
+
 /// The horizon one slot allows its page: its begin stamp when it holds
-/// a live, plainly committed, unended version, else [`NOT_ALL_VISIBLE`].
+/// a live, plainly committed, unended version, [`HOLDS_FREE_SLOTS`] when
+/// it holds no row, else [`NOT_ALL_VISIBLE`].
 #[inline]
-fn slot_horizon((begin, end): (u64, u64)) -> u64 {
-    if end == LIVE_TS && !is_pending(begin) {
+fn slot_horizon(stamp: (u64, u64)) -> u64 {
+    let (begin, end) = stamp;
+    if stamp == DEAD {
+        HOLDS_FREE_SLOTS
+    } else if end == LIVE_TS && !is_pending(begin) {
         begin
     } else {
         NOT_ALL_VISIBLE
@@ -471,27 +484,30 @@ impl Table {
         Ok(())
     }
 
-    /// Sweep the page run `lo..=hi` as one vectored read charged to `io`
-    /// and hand each page's matches to `on_batch`: `filter` selects the
-    /// slots satisfying the query, then the stamps keep those visible at
-    /// `snap` (every slot holding a row when `None`). Returns the slots
-    /// examined.
+    /// Sweep the pages of run `lo..=hi` inside `ctx.pages` as one
+    /// vectored read charged to `ctx.io` and hand each page's matches to
+    /// `on_batch`: `filter` selects the slots satisfying the query, then
+    /// the stamps keep those visible at `ctx.snap` (every slot holding a
+    /// row when `None`). Returns the slots examined.
     /// Every scan — the access paths (and through them `delete_where`'s
     /// victim search) and the clamped join probe — goes through here.
     pub(crate) fn sweep_run(
         &self,
-        io: &dyn PageAccessor,
-        snap: Option<&Snapshot>,
+        ctx: &ExecContext<'_>,
         filter: &mut PageFilter,
         lo: u64,
         hi: u64,
         on_batch: &mut impl FnMut(PageRef<'_>, &[u32]),
     ) -> Result<u64, StorageError> {
-        self.heap.read_run_visit(io, lo, hi, |page| {
+        if ctx.pages.is_empty() {
+            return Ok(0);
+        }
+        let (lo, hi) = (lo.max(ctx.pages.start), hi.min(ctx.pages.end - 1));
+        self.heap.read_run_visit(ctx.io, lo, hi, |page| {
             // The predicate first: only a matching row needs its
             // stamps read (and, if one is pending, resolved).
             let sel = filter.select(page);
-            self.retain_visible(snap, page, sel);
+            self.retain_visible(ctx.snap, page, sel);
             if !sel.is_empty() {
                 on_batch(page, sel);
             }
@@ -501,14 +517,14 @@ impl Table {
     /// Keep the slots of `sel` (on `page`) whose version is visible at
     /// `snap`. Without a snapshot (the non-MVCC engine mode) every slot
     /// that holds a row is — the pre-MVCC behaviour, where exclusion is
-    /// the shard lock's job. A page whose horizon the snapshot has
-    /// reached (without a snapshot: any all-visible page, which has no
-    /// dead slot) keeps its whole selection without a stamp being read;
-    /// only the other pages test slot by slot.
+    /// the shard lock's job. An all-visible page whose horizon the
+    /// snapshot has reached (without a snapshot: any all-visible page,
+    /// which has no dead slot) keeps its whole selection without a stamp
+    /// being read; only the other pages test slot by slot.
     pub fn retain_visible(&self, snap: Option<&Snapshot>, page: PageRef<'_>, sel: &mut Vec<u32>) {
         let first = page.first_rid().0 as usize;
         let horizon = self.horizons[first / self.heap.tups_per_page()];
-        if horizon != NOT_ALL_VISIBLE && snap.is_none_or(|s| horizon <= s.ts()) {
+        if horizon < HOLDS_FREE_SLOTS && snap.is_none_or(|s| horizon <= s.ts()) {
             return;
         }
         let stamps = &self.stamps[first..];
@@ -523,7 +539,9 @@ impl Table {
 
     /// Page `page`'s visibility horizon: the largest begin stamp on it
     /// if every slot holds a live, plainly committed, unended version,
-    /// else [`NOT_ALL_VISIBLE`]. May over-state, never under-state.
+    /// [`HOLDS_FREE_SLOTS`] if some slots hold no row and the others
+    /// hold such versions, else [`NOT_ALL_VISIBLE`]. May over-state,
+    /// never under-state.
     pub fn horizon(&self, page: u64) -> u64 {
         self.horizons[page as usize]
     }
@@ -593,8 +611,9 @@ impl Table {
 
     /// Rewrite every resolvable pending stamp to its plain commit
     /// timestamp (vacuum's first pass; `resolve` is the commit table),
-    /// and recompute the horizon of every page it visits. Only pages that
-    /// are not all-visible are visited: the others hold no pending stamp.
+    /// and recompute the horizon of every page it visits. Only
+    /// [`NOT_ALL_VISIBLE`] pages are visited: the others hold no pending
+    /// stamp.
     /// Returns how many stamps were rewritten. Must run under the shard's
     /// write lock so no reader observes a half-rewritten pair.
     pub fn resolve_stamps(&mut self, resolve: impl Fn(u64) -> Option<u64>) -> u64 {
@@ -638,7 +657,8 @@ impl Table {
     }
 
     /// Slots that hold a row whose version a delete has ended, with the
-    /// end stamp. All-visible pages hold none and are passed over.
+    /// end stamp. Only [`NOT_ALL_VISIBLE`] pages can hold one; the others
+    /// are passed over.
     fn ended_versions(&self) -> impl Iterator<Item = (Rid, u64)> + '_ {
         let unsettled = (0..self.horizons.len()).filter(|&p| self.horizons[p] == NOT_ALL_VISIBLE);
         unsettled
@@ -1016,10 +1036,14 @@ mod tests {
             "an ended version keeps its page open"
         );
         assert_eq!((t.reclaimable(7), t.dead_versions()), (vec![Rid(45)], 1));
-        // Vacuum's reclaim leaves a dead slot; recovery's reinstate
-        // settles the page again.
+        // Vacuum's reclaim leaves a dead slot, which its next pass
+        // settles to a page vacuum passes over; recovery's reinstate
+        // makes the page all-visible again.
         t.delete_row(io, None, Rid(45)).unwrap();
         assert_eq!(t.horizon(2), NOT_ALL_VISIBLE);
+        assert_eq!(t.resolve_stamps(|_| None), 0);
+        assert_eq!(t.horizon(2), HOLDS_FREE_SLOTS);
+        assert_eq!((t.reclaimable(u64::MAX - 2), t.dead_versions()), (vec![], 0));
         t.reinstate_row(
             io,
             Rid(45),
@@ -1030,7 +1054,7 @@ mod tests {
         t.append_placeholder();
         assert_eq!(
             t.horizon(50),
-            NOT_ALL_VISIBLE,
+            HOLDS_FREE_SLOTS,
             "a placeholder is a dead slot"
         );
     }

@@ -15,16 +15,19 @@
 //!   snapshot keeps exactly the slots `Snapshot::sees` (or "the stamp is
 //!   not `(0, 0)`") keeps;
 //! * a page whose horizon is not [`NOT_ALL_VISIBLE`] holds only live,
-//!   plainly committed, unended versions begun at or before it.
+//!   plainly committed, unended versions begun at or before it, and free
+//!   slots only if its horizon is [`HOLDS_FREE_SLOTS`].
 //!
 //! At the end every open transaction commits and `resolve_stamps` runs:
 //! on the quiescent table every page of live committed rows must then be
-//! all-visible, so a horizon stuck at [`NOT_ALL_VISIBLE`] fails too.
+//! all-visible, and every page of such rows and free slots must be one
+//! vacuum passes over, so a horizon stuck at [`NOT_ALL_VISIBLE`] fails
+//! too.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
 //! page-level property tests, so CI raises them together.
 
-use cm_query::{Table, NOT_ALL_VISIBLE};
+use cm_query::{Table, HOLDS_FREE_SLOTS, NOT_ALL_VISIBLE};
 use cm_storage::{
     is_pending, pending_stamp, Column, DiskSim, MvccState, Rid, Row, Schema, Snapshot, Value,
     ValueType, LIVE_TS,
@@ -94,8 +97,13 @@ fn check(t: &Table, disk: &DiskSim, snaps: &[Snapshot]) {
         if horizon != NOT_ALL_VISIBLE {
             for s in all {
                 let (begin, end) = stamp(s);
+                let settled = if (begin, end) == DEAD {
+                    horizon == HOLDS_FREE_SLOTS
+                } else {
+                    end == LIVE_TS && !is_pending(begin) && begin <= horizon
+                };
                 prop_assert!(
-                    end == LIVE_TS && !is_pending(begin) && begin <= horizon,
+                    settled,
                     "page {} horizon {} over slot {} stamped ({}, {})",
                     p,
                     horizon,
@@ -221,12 +229,14 @@ proptest! {
         check(&t, &disk, std::slice::from_ref(&now));
         for p in 0..t.heap().num_pages() {
             let (lo, hi) = t.heap().page_rid_range(p);
-            let settled = (lo.0..hi.0).all(|r| {
+            let live = |r: u64| {
                 let (begin, end) = t.stamp_of(Rid(r));
                 end == LIVE_TS && !is_pending(begin)
-            });
-            if settled {
+            };
+            if (lo.0..hi.0).all(live) {
                 prop_assert!(t.horizon(p) <= now.ts(), "page {} stuck at {}", p, t.horizon(p));
+            } else if (lo.0..hi.0).all(|r| live(r) || t.stamp_of(Rid(r)) == DEAD) {
+                prop_assert_eq!(t.horizon(p), HOLDS_FREE_SLOTS, "page {} left to vacuum", p);
             }
         }
     }
