@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the hot paths: CM build / lookup /
-//! maintenance, B+Tree operations, bucketing, and the cardinality
+//! maintenance, B+Tree operations, the statistics scan and structure
+//! builds a set-up runs, bucketing, and the cardinality
 //! estimators, the per-page layers every scan runs once its pages are
 //! resident (kernel selection, snapshot visibility per slot and per
 //! page, grouped fold and typed join probe on dense and sparse
@@ -134,6 +135,50 @@ fn bench_btree(c: &mut Criterion) {
                 .count(),
             )
         })
+    });
+}
+
+/// 300 k rows clustered on a 1 000-value `catid`, with a unique
+/// `itemid`, a 200-value string category and a float price — the shapes
+/// a set-up analyzes and indexes.
+fn items_table() -> (Arc<DiskSim>, Table) {
+    let disk = DiskSim::with_defaults();
+    let schema = Arc::new(Schema::new(vec![
+        Column::new("catid", ValueType::Int),
+        Column::new("itemid", ValueType::Int),
+        Column::new("cat", ValueType::Str),
+        Column::new("price", ValueType::Float),
+    ]));
+    let cats: Vec<Value> = (0..200).map(|i| Value::str(format!("category {i}"))).collect();
+    let rows = (0..300_000i64)
+        .map(|i| {
+            let catid = i * 7_919 % 1_000;
+            vec![
+                Value::Int(catid),
+                Value::Int(i),
+                cats[(catid % 200) as usize].clone(),
+                Value::float((i * 37 % 100_000) as f64 / 100.0),
+            ]
+        })
+        .collect();
+    let t = Table::build(&disk, schema, rows, 90, 0, 900).unwrap();
+    (disk, t)
+}
+
+/// The set-up side: the exact statistics scan per column type, and a CM
+/// and a B+Tree built over 300 k rows.
+fn bench_builds(c: &mut Criterion) {
+    let (disk, mut t) = items_table();
+    for (name, col) in [("int", 1), ("str", 2), ("float", 3)] {
+        c.bench_function(&format!("analyze_col_300k_{name}"), |b| {
+            b.iter(|| t.analyze_cols(&[col]))
+        });
+    }
+    c.bench_function("cm_build_300k", |b| {
+        b.iter(|| t.build_cm("bench", CmSpec::single_raw(2)))
+    });
+    c.bench_function("btree_build_300k", |b| {
+        b.iter(|| t.build_secondary(&disk, "bench", vec![1]))
     });
 }
 
@@ -363,6 +408,6 @@ fn bench_value_cmp(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_cm, bench_btree, bench_bucketing, bench_estimators, bench_page_batches, bench_join_probe, bench_value_cmp
+    targets = bench_cm, bench_btree, bench_builds, bench_bucketing, bench_estimators, bench_page_batches, bench_join_probe, bench_value_cmp
 );
 criterion_main!(benches);

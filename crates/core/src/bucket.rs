@@ -100,14 +100,17 @@ impl BucketSpec {
     /// Bucket ordinal of a numeric value (`None` for non-numeric input or
     /// an unbucketed spec).
     pub fn bucket_of(&self, v: &Value) -> Option<i64> {
-        match (self, v.as_numeric()) {
-            (BucketSpec::EquiWidth { origin, width }, Some(x)) => {
-                Some(((x - origin) / width).floor() as i64)
-            }
-            (BucketSpec::EquiDepth { bounds }, Some(x)) => {
-                Some(bounds.partition_point(|&b| b <= x) as i64)
-            }
-            _ => None,
+        v.as_numeric().and_then(|x| self.ordinal(x))
+    }
+
+    /// Bucket ordinal of a numeric value given as its `f64` (what
+    /// [`Value::as_numeric`] returns); `None` for an unbucketed spec.
+    #[inline]
+    pub fn ordinal(&self, x: f64) -> Option<i64> {
+        match self {
+            BucketSpec::None => None,
+            BucketSpec::EquiWidth { origin, width } => Some(((x - origin) / width).floor() as i64),
+            BucketSpec::EquiDepth { bounds } => Some(bounds.partition_point(|&b| b <= x) as i64),
         }
     }
 }

@@ -13,9 +13,11 @@
 
 use crate::bucket::{BucketSpec, CmKey, CmKeyPart};
 use crate::cdir::BucketDirectory;
-use crate::spec::CmSpec;
-use cm_storage::{HeapFile, Rid, Value};
+use crate::spec::{CmAttr, CmSpec};
+use cm_storage::{null_bit, ColumnSlice, FxHashMap, HeapFile, Rid, Value};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::ops::Bound;
 
 /// A predicate on one CM key attribute, aligned with the spec's attrs.
@@ -75,6 +77,83 @@ impl PartConstraint {
     }
 }
 
+/// The word a CM key part is identified by within its column: a
+/// bucketed numeric value's bucket ordinal, else the value's own word.
+/// Two non-NULL values of the column map to equal key parts exactly
+/// when their words are equal.
+#[inline]
+fn part_word(bucket: &BucketSpec, col: ColumnSlice<'_>, slot: usize) -> u64 {
+    let x = match col {
+        _ if !bucket.is_bucketed() => None,
+        ColumnSlice::Int(v) => Some(v[slot] as f64),
+        ColumnSlice::Date(v) => Some(f64::from(v[slot])),
+        ColumnSlice::Float(v) => Some(v[slot]),
+        ColumnSlice::Str(_) => None,
+    };
+    match x.and_then(|x| bucket.ordinal(x)) {
+        Some(ordinal) => ordinal as u64,
+        None => col.word(slot),
+    }
+}
+
+/// The scan of [`CorrelationMap::build`]: each live row's key words —
+/// its parts' [`part_word`]s, then a NULL mask — keyed by `make_key` and
+/// counted per clustered bucket, the bucket found by walking the
+/// directory in RID order. Each distinct tuple of words maps to its
+/// key, built from its first live row, and the key's bucket counts;
+/// distinct words are distinct keys.
+fn count_keys<K: Hash + Eq + Borrow<[u64]>>(
+    attrs: &[CmAttr],
+    heap: &HeapFile,
+    live: impl Fn(Rid) -> bool,
+    dir: &BucketDirectory,
+    make_key: impl Fn(&[u64]) -> K,
+) -> FxHashMap<K, (CmKey, BTreeMap<u32, u32>)> {
+    let k = attrs.len();
+    assert!(k < 64, "the NULL mask has a bit per key attribute");
+    let mut keys: FxHashMap<K, (CmKey, BTreeMap<u32, u32>)> = FxHashMap::default();
+    let mut words = vec![0u64; k + 1];
+    let (mut bucket, mut bucket_end) = (0u32, 0u64);
+    for page in heap.pages() {
+        let cols: Vec<_> = attrs.iter().map(|a| (page.column(a.col), page.nulls(a.col))).collect();
+        for slot in 0..page.len() {
+            let rid = page.rid(slot as u32);
+            if !live(rid) {
+                continue;
+            }
+            let mut nulls = 0u64;
+            for (i, (attr, &(col, col_nulls))) in attrs.iter().zip(&cols).enumerate() {
+                words[i] = if col_nulls.is_some_and(|n| null_bit(n, slot)) {
+                    nulls |= 1 << i;
+                    0
+                } else {
+                    part_word(&attr.bucket, col, slot)
+                };
+            }
+            words[k] = nulls;
+            if rid.0 >= bucket_end {
+                bucket = dir.bucket_of(rid);
+                bucket_end = dir.rid_range(bucket).1;
+            }
+            match keys.get_mut(words.as_slice()) {
+                // Buckets only grow along the scan: a key's current one
+                // is its last.
+                Some((_, counts)) => match counts.last_entry() {
+                    Some(mut last) if *last.key() == bucket => *last.get_mut() += 1,
+                    _ => {
+                        counts.insert(bucket, 1);
+                    }
+                },
+                None => {
+                    let key = attrs.iter().map(|a| a.bucket.key_part(&page.value(slot, a.col)));
+                    keys.insert(make_key(&words), (key.collect(), BTreeMap::from([(bucket, 1)])));
+                }
+            }
+        }
+    }
+    keys
+}
+
 /// A Correlation Map: `u → {(clustered bucket, co-occurrence count)}`.
 #[derive(Debug, Clone)]
 pub struct CorrelationMap {
@@ -95,7 +174,15 @@ impl CorrelationMap {
 
     /// Algorithm 1: scan the heap's slots that `live` admits, recording
     /// for every tuple the co-occurrence of its CM key with its clustered
-    /// bucket. The scan reads only the key's columns.
+    /// bucket. The scan reads only the key's columns, as words off the
+    /// page slices: a row's key is its parts' words (a bucketed numeric
+    /// value's bucket ordinal, else the value's
+    /// [`word`](cm_storage::ColumnSlice::word)) plus a NULL mask, and
+    /// distinct words are distinct keys. Rows are counted per words and
+    /// bucket, the bucket found by walking the directory in RID order,
+    /// and each distinct key is materialised once, from its first live
+    /// row. The map and pair count equal those of
+    /// [`CorrelationMap::insert`] row by row.
     ///
     /// The scan is uncharged: DDL-time construction is outside the
     /// measured window in every experiment, exactly as in the paper.
@@ -107,12 +194,14 @@ impl CorrelationMap {
         dir: &BucketDirectory,
     ) -> Self {
         let mut cm = Self::new(name, spec);
-        let cols = cm.spec.cols();
-        heap.scan_cols(&cols, |rid, row| {
-            if live(rid) {
-                cm.insert(row, rid, dir);
-            }
-        });
+        let attrs = cm.spec.attrs();
+        // A one-attribute key, the common case, hashes two inline words.
+        cm.map = if attrs.len() == 1 {
+            count_keys(attrs, heap, live, dir, |w| [w[0], w[1]]).into_values().collect()
+        } else {
+            count_keys(attrs, heap, live, dir, |w| Box::<[u64]>::from(w)).into_values().collect()
+        };
+        cm.pair_count = cm.map.values().map(|buckets| buckets.len() as u64).sum();
         cm
     }
 

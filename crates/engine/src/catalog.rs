@@ -10,7 +10,7 @@
 //! need.
 
 use crate::engine::Engine;
-use crate::error::EngineError;
+use crate::error::{check_cols, EngineError};
 use crate::shard::{partition_rows, RangeRouter};
 use crate::Result;
 use cm_advisor::WorkloadProfile;
@@ -242,11 +242,21 @@ impl Engine {
     }
 
     /// Refresh planner statistics for the given columns on every shard
-    /// (the paper's statistics scan; uncharged, as in the seed's
-    /// `Table`).
+    /// (the paper's statistics scan; uncharged). Each shard is scanned
+    /// under its read lock ([`Table::column_stats`]) and the result
+    /// installed in a short write hold, so readers never wait out a
+    /// scan; rows appended in between are not counted, as rows appended
+    /// after any analyze never are. A column past the table's arity is
+    /// [`EngineError::BadColumn`], before any lock is taken.
     pub fn analyze(&self, table: &str, cols: &[usize]) -> Result<()> {
-        for part in &self.entry(table)?.loaded()?.parts {
-            part.write().analyze_cols(cols);
+        let entry = self.entry(table)?;
+        check_cols(&entry.name, entry.schema.arity(), cols.iter().copied())?;
+        for part in &entry.loaded()?.parts {
+            let stats: Vec<_> = {
+                let t = part.read();
+                cols.iter().map(|&col| t.column_stats(col)).collect()
+            };
+            part.write().install_stats(stats);
         }
         Ok(())
     }

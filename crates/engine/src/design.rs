@@ -6,12 +6,14 @@
 //! [`Engine::create_btree`], [`Engine::create_cm`], and recovery's image
 //! restore and design-record redo — and every one goes through
 //! [`Engine::install_structures`]: per shard, build the target
-//! structures, catch up the rows appended since the build
-//! ([`Table::catch_up_structures`]), install them, and analyze their
-//! columns. The modes differ only in which lock the build holds, and
+//! structures and the statistics of their columns
+//! ([`Table::column_stats`]), catch up the rows appended since the build
+//! ([`Table::catch_up_structures`]), and install structures and
+//! statistics. The modes differ only in which lock the build holds, and
 //! delete semantics decide it. Under MVCC a delete only end-stamps — the
 //! row keeps its bytes, and its postings, until vacuum — so the build
-//! runs under the shard *read* lock while readers and writers proceed.
+//! and the statistics scan run under the shard *read* lock while readers
+//! and writers proceed.
 //! Without MVCC a delete removes the row, so a build racing it would
 //! keep postings to a vanished row, and the build runs under the shard
 //! *write* lock.
@@ -270,14 +272,17 @@ impl Engine {
     }
 
     /// The staged install step, shard by shard: build `set`'s structures
-    /// (under the read lock with MVCC, the write lock without — see the
-    /// module docs), then under the write lock catch up the rows
-    /// appended since the build, install the structures — as the whole
-    /// set when `replace`, appended after the existing ones otherwise —
-    /// and analyze the set's key columns. Each shard's pass holds
-    /// `vacuum_lock`, so no version the build indexed is reclaimed
-    /// before the install. Callers hold `design_lock` (or own the engine
-    /// outright, as recovery does) and do their own logging.
+    /// and compute the statistics of its key columns (under the read
+    /// lock with MVCC, the write lock without — see the module docs),
+    /// then under the write lock catch up the rows appended since the
+    /// build, install the structures — as the whole set when `replace`,
+    /// appended after the existing ones otherwise — and install the
+    /// statistics. Under MVCC the rows caught up are not in the
+    /// statistics, as rows appended after any analyze never are. Each
+    /// shard's pass holds `vacuum_lock`, so no version the build indexed
+    /// is reclaimed before the install. Callers hold `design_lock` (or
+    /// own the engine outright, as recovery does) and do their own
+    /// logging.
     pub(crate) fn install_structures(
         &self,
         lt: &LoadedTable,
@@ -299,9 +304,10 @@ impl Engine {
                     .iter()
                     .map(|(name, spec)| t.build_cm(name.clone(), spec.clone()))
                     .collect();
-                (t.heap().len(), secs, cms)
+                let stats: Vec<_> = cols.iter().map(|&col| t.column_stats(col)).collect();
+                (t.heap().len(), secs, cms, stats)
             };
-            let (mut t, (built_len, mut secs, mut cms)) = if self.mvcc.is_some() {
+            let (mut t, (built_len, mut secs, mut cms, stats)) = if self.mvcc.is_some() {
                 let staged = build(&part.read());
                 (part.write(), staged)
             } else {
@@ -311,9 +317,7 @@ impl Engine {
             };
             t.catch_up_structures(self.backends[i].pool(), built_len, &mut secs, &mut cms)?;
             t.install_access_structures(secs, cms, replace);
-            if !cols.is_empty() {
-                t.analyze_cols(&cols);
-            }
+            t.install_stats(stats);
         }
         Ok(())
     }

@@ -88,6 +88,25 @@ fn bad_columns_rejected() {
 }
 
 #[test]
+fn analyze_rejects_a_column_past_the_arity_and_keeps_the_shard_usable() {
+    let engine = demo_engine();
+    assert!(matches!(
+        engine.analyze("items", &[1, 2]),
+        Err(EngineError::BadColumn { col: 2, .. })
+    ));
+    // Nothing was analyzed, and no lock is left poisoned or held.
+    engine.with_each_shard("items", |_, t| assert!(t.col_stats(1).is_none())).unwrap();
+    engine.analyze("items", &[1]).unwrap();
+    engine
+        .with_each_shard("items", |_, t| {
+            let s = t.col_stats(1).expect("analyzed");
+            assert_eq!(s.corr.total_tups, 5000);
+            assert_eq!((s.min.clone(), s.max.clone()), (Some(Value::Int(0)), Some(Value::Int(9993))));
+        })
+        .unwrap();
+}
+
+#[test]
 fn load_rejects_a_mistyped_row_anywhere() {
     let engine = Engine::new(EngineConfig::default());
     let schema = Arc::new(Schema::new(vec![

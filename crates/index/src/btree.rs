@@ -32,9 +32,9 @@ enum Node<K, V> {
     },
 }
 
-/// What an insert into a subtree produced.
+/// What an insert into a node pushes up to its parent.
 enum InsertUp<K> {
-    /// Value replaced or plain insert; nothing to propagate.
+    /// No split; nothing to propagate.
     Done,
     /// The child split: push `sep` and the new right sibling up.
     Split { sep: K, right: NodeId },
@@ -153,14 +153,23 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         Q: Ord + ?Sized,
     {
         let mut path = Vec::with_capacity(self.height);
+        self.descend(key, |id| path.push(id));
+        path
+    }
+
+    /// The leaf `key` routes to, each node on the way handed to `visit`.
+    #[inline]
+    fn descend<Q>(&self, key: &Q, mut visit: impl FnMut(NodeId)) -> NodeId
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let mut id = self.root;
         loop {
-            path.push(id);
+            visit(id);
             match self.node(id) {
-                Node::Internal { keys, children } => {
-                    id = children[Self::child_slot(keys, key)];
-                }
-                Node::Leaf { .. } => return path,
+                Node::Internal { keys, children } => id = children[Self::child_slot(keys, key)],
+                Node::Leaf { .. } => return id,
             }
         }
     }
@@ -171,7 +180,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let leaf = *self.probe_path(key).last().expect("path is never empty");
+        let leaf = self.descend(key, |_| {});
         match self.node(leaf) {
             Node::Leaf { keys, values, .. } => keys
                 .binary_search_by(|k| k.borrow().cmp(key))
@@ -187,7 +196,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let leaf = *self.probe_path(key).last().expect("path is never empty");
+        let leaf = self.descend(key, |_| {});
         match self.node_mut(leaf) {
             Node::Leaf { keys, values, .. } => keys
                 .binary_search_by(|k| k.borrow().cmp(key))
@@ -200,8 +209,72 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Insert a key/value pair; returns the previous value if the key was
     /// present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let root = self.root;
-        let (old, up) = self.insert_rec(root, key, value);
+        let mut value = Some(value);
+        let (slot, new) = self.upsert(key, |_| {}, || value.take().expect("made once"));
+        (!new).then(|| std::mem::replace(slot, value.take().expect("not made")))
+    }
+
+    /// Find `key`'s entry in **one** descent, inserting `make()` when the
+    /// key is absent, and return the entry's value and whether it was
+    /// new. `visit` sees the descent's nodes root first — the ids
+    /// [`BPlusTree::probe_path`] returns just before the call, which is
+    /// what an index insert charges. An insert that overflows its leaf
+    /// walks the same path again to push the splits up; they happen in
+    /// the order they always have, so node ids and height do not depend
+    /// on which call grew the tree.
+    pub fn upsert(
+        &mut self,
+        key: K,
+        visit: impl FnMut(NodeId),
+        make: impl FnOnce() -> V,
+    ) -> (&mut V, bool) {
+        let leaf = self.descend(&key, visit);
+        let found = match self.node(leaf) {
+            Node::Leaf { keys, .. } => keys.binary_search(&key),
+            Node::Internal { .. } => unreachable!("a descent ends at a leaf"),
+        };
+        let (leaf, i) = match found {
+            Ok(i) => return (self.value_mut(leaf, i), false),
+            Err(i) => self.insert_at(leaf, i, key, make()),
+        };
+        self.len += 1;
+        (self.value_mut(leaf, i), true)
+    }
+
+    /// Insert `key` and `value` at index `i` of `leaf`, the leaf and
+    /// index the descent for `key` found, splitting up the tree as far as
+    /// nodes overflow; returns where the entry ends up.
+    fn insert_at(&mut self, leaf: NodeId, i: usize, key: K, value: V) -> (NodeId, usize) {
+        let order = self.order;
+        let Node::Leaf { keys, values, .. } = self.node_mut(leaf) else {
+            unreachable!("entries live in leaves")
+        };
+        keys.insert(i, key);
+        values.insert(i, value);
+        if keys.len() <= order {
+            return (leaf, i);
+        }
+        // `split_leaf` keeps the lower half, `mid` entries.
+        let mid = keys.len() / 2;
+        // The splits climb the descent's path, whose internal nodes still
+        // route the key as they did.
+        let key = keys[i].clone();
+        let path = self.probe_path(&key);
+        let mut up = self.split_leaf(leaf);
+        let at = match &up {
+            InsertUp::Split { right, .. } if i >= mid => (*right, i - mid),
+            _ => (leaf, i),
+        };
+        for &id in path.iter().rev().skip(1) {
+            let InsertUp::Split { sep, right } = up else { break };
+            let Node::Internal { keys, children } = self.node_mut(id) else {
+                unreachable!("a leaf's ancestors are internal")
+            };
+            let slot = Self::child_slot(keys, &key);
+            keys.insert(slot, sep);
+            children.insert(slot + 1, right);
+            up = if keys.len() > order { self.split_internal(id) } else { InsertUp::Done };
+        }
         if let InsertUp::Split { sep, right } = up {
             let new_root = self.alloc(Node::Internal {
                 keys: vec![sep],
@@ -210,50 +283,13 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             self.root = new_root;
             self.height += 1;
         }
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        at
     }
 
-    fn insert_rec(&mut self, id: NodeId, key: K, value: V) -> (Option<V>, InsertUp<K>) {
-        match self.node_mut(id) {
-            Node::Leaf { keys, values, .. } => {
-                match keys.binary_search(&key) {
-                    Ok(i) => {
-                        let old = std::mem::replace(&mut values[i], value);
-                        (Some(old), InsertUp::Done)
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        if keys.len() > self.order {
-                            let up = self.split_leaf(id);
-                            (None, up)
-                        } else {
-                            (None, InsertUp::Done)
-                        }
-                    }
-                }
-            }
-            Node::Internal { keys, children } => {
-                let slot = Self::child_slot(keys, &key);
-                let child = children[slot];
-                let (old, up) = self.insert_rec(child, key, value);
-                if let InsertUp::Split { sep, right } = up {
-                    match self.node_mut(id) {
-                        Node::Internal { keys, children } => {
-                            keys.insert(slot, sep);
-                            children.insert(slot + 1, right);
-                            if keys.len() > self.order {
-                                return (old, self.split_internal(id));
-                            }
-                        }
-                        Node::Leaf { .. } => unreachable!("id is internal"),
-                    }
-                }
-                (old, InsertUp::Done)
-            }
+    fn value_mut(&mut self, leaf: NodeId, i: usize) -> &mut V {
+        match self.node_mut(leaf) {
+            Node::Leaf { values, .. } => &mut values[i],
+            Node::Internal { .. } => unreachable!("entries live in leaves"),
         }
     }
 
@@ -400,7 +436,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         let leaf = match &lo {
             Bound::Unbounded => self.leftmost_leaf(),
             Bound::Included(k) | Bound::Excluded(k) => {
-                *self.probe_path::<K>(k).last().expect("non-empty path")
+                self.descend::<K>(k, |_| {})
             }
         };
         let mut it = RangeIter {

@@ -7,7 +7,7 @@
 //! orders of magnitude larger than the equivalent CM and why maintaining
 //! many of them floods the buffer pool in Experiment 3.
 
-use crate::btree::BPlusTree;
+use crate::btree::{BPlusTree, NodeId};
 use crate::key::IndexKey;
 use cm_storage::{FileId, HeapFile, PageAccessor, Rid, Value};
 use std::ops::Bound;
@@ -45,9 +45,12 @@ impl SecondaryIndex {
         }
     }
 
-    /// Bulk-build over the heap's slots that `live` admits, reading only
-    /// the key columns, without charging I/O (structure construction
-    /// happens outside the measured window, as in the paper).
+    /// Build over the heap's slots that `live` admits, one posting at a
+    /// time in RID order, reading only the key columns off the page
+    /// slices, without charging I/O (structure construction happens
+    /// outside the measured window, as in the paper). Each posting is
+    /// one tree descent ([`BPlusTree::upsert`]); the tree is the one
+    /// [`SecondaryIndex::insert`] would grow row by row.
     pub fn build(
         name: impl Into<String>,
         cols: Vec<usize>,
@@ -57,12 +60,15 @@ impl SecondaryIndex {
         live: impl Fn(Rid) -> bool,
     ) -> Self {
         let mut idx = Self::new(name, cols, file, order);
-        let cols = idx.cols.clone();
-        heap.scan_cols(&cols, |rid, row| {
-            if live(rid) {
-                idx.insert_unlogged(row, rid);
+        for page in heap.pages() {
+            for slot in 0..page.len() {
+                let rid = page.rid(slot as u32);
+                if live(rid) {
+                    let key = IndexKey::from_page(&page, slot, &idx.cols);
+                    idx.insert_posting(key, rid, |_| {});
+                }
             }
-        });
+        }
         idx
     }
 
@@ -94,6 +100,11 @@ impl SecondaryIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.tree.len()
+    }
+
+    /// The tree from key to posting list (diagnostics and tests).
+    pub fn tree(&self) -> &BPlusTree<IndexKey, Vec<Rid>> {
+        &self.tree
     }
 
     /// Modeled on-disk size in bytes: dense leaf entries (key + posting
@@ -190,35 +201,30 @@ impl SecondaryIndex {
     /// and a leaf write (plus one write per node created by splits).
     pub fn insert(&mut self, io: &dyn PageAccessor, row: &[Value], rid: Rid) {
         let key = self.key_of(row);
-        let path = self.tree.probe_path(&key);
-        for &node in &path {
-            io.read(self.file, node as u64);
-        }
-        io.write(self.file, *path.last().expect("non-empty path") as u64);
-        let nodes_before = self.tree.node_count();
-        self.insert_posting(key, rid);
+        let (file, nodes_before) = (self.file, self.tree.node_count());
+        let mut leaf = 0;
+        self.insert_posting(key, rid, |node| {
+            io.read(file, node as u64);
+            leaf = node;
+        });
+        io.write(file, leaf as u64);
         for _ in nodes_before..self.tree.node_count() {
             // Each split allocates a page that must be written out.
-            io.write(self.file, self.tree.root_id() as u64);
+            io.write(file, self.tree.root_id() as u64);
         }
     }
 
-    /// Insert without I/O charging (bulk build).
-    pub fn insert_unlogged(&mut self, row: &[Value], rid: Rid) {
-        let key = self.key_of(row);
-        self.insert_posting(key, rid);
-    }
-
-    fn insert_posting(&mut self, key: IndexKey, rid: Rid) {
+    /// Add `rid` to `key`'s posting list in one descent, whose nodes
+    /// `visit` sees root first.
+    fn insert_posting(&mut self, key: IndexKey, rid: Rid, visit: impl FnMut(NodeId)) {
         self.entries += 1;
         self.key_bytes += key.size_bytes() as u64;
-        if let Some(list) = self.tree.get_mut(&key) {
+        let (list, new) = self.tree.upsert(key, visit, || vec![rid]);
+        if !new {
             match list.binary_search(&rid) {
                 Ok(_) => {} // duplicate posting: idempotent
                 Err(pos) => list.insert(pos, rid),
             }
-        } else {
-            self.tree.insert(key, vec![rid]);
         }
     }
 
@@ -396,10 +402,10 @@ mod tests {
         let mut small = SecondaryIndex::new("s", vec![0], disk.alloc_file(), 64);
         let mut large = SecondaryIndex::new("l", vec![0], disk.alloc_file(), 64);
         for i in 0..100i64 {
-            small.insert_unlogged(&[Value::Int(i)], Rid(i as u64));
+            small.insert(disk.as_ref(), &[Value::Int(i)], Rid(i as u64));
         }
         for i in 0..10_000i64 {
-            large.insert_unlogged(&[Value::Int(i)], Rid(i as u64));
+            large.insert(disk.as_ref(), &[Value::Int(i)], Rid(i as u64));
         }
         let ratio = large.size_bytes() as f64 / small.size_bytes() as f64;
         assert!((50.0..200.0).contains(&ratio), "ratio {ratio}");
@@ -411,7 +417,7 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let mut idx = SecondaryIndex::new("dense", vec![0], disk.alloc_file(), 64);
         for i in 0..10_000i64 {
-            idx.insert_unlogged(&[Value::Int(i % 10)], Rid(i as u64));
+            idx.insert(disk.as_ref(), &[Value::Int(i % 10)], Rid(i as u64));
         }
         assert_eq!(idx.distinct_keys(), 10);
         assert_eq!(idx.entries(), 10_000);

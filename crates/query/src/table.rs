@@ -12,18 +12,19 @@ use crate::exec::ExecContext;
 use crate::kernel::PageFilter;
 use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
-use cm_stats::{correlation_stats, CorrelationStats};
+use cm_stats::CorrelationStats;
 use cm_storage::{
-    is_pending, DiskSim, HeapFile, LogWrite, PageAccessor, PageRef, Rid, Row, Schema, Snapshot,
-    StorageError, Value, LIVE_TS,
+    is_pending, null_bit, ColumnSlice, DiskSim, HeapFile, LogWrite, PageAccessor, PageRef, Rid,
+    Row, Schema, Snapshot, StorageError, Value, ValueType, LIVE_TS,
 };
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-column statistics against the table's clustered attribute,
-/// computed by [`Table::analyze_cols`] (the paper's statistics scan).
-#[derive(Debug, Clone)]
+/// computed by [`Table::column_stats`] (the paper's statistics scan) and
+/// installed by [`Table::analyze_cols`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Column position.
     pub col: usize,
@@ -112,6 +113,26 @@ fn slot_horizon(stamp: (u64, u64)) -> u64 {
 /// The exact horizon of a page whose slots hold `stamps`.
 fn page_horizon(stamps: &[(u64, u64)]) -> u64 {
     stamps.iter().map(|&s| slot_horizon(s)).max().unwrap_or(0)
+}
+
+/// Runs of equal `key` in `sorted`: its distinct keys.
+fn runs<T, K: PartialEq>(sorted: &[T], key: impl Fn(&T) -> K) -> u64 {
+    sorted.chunk_by(|a, b| key(a) == key(b)).count() as u64
+}
+
+/// Distinct words among `sorted`'s `key`s and `extra`, a NULL (`None`)
+/// in `extra` counting as one value of its own. `sorted` must be sorted
+/// on `key`.
+fn distinct_words(
+    sorted: &[(u64, u64)],
+    key: impl Fn(&(u64, u64)) -> u64,
+    extra: impl Iterator<Item = Option<u64>>,
+) -> u64 {
+    let mut extra: Vec<Option<u64>> = extra.collect();
+    extra.sort_unstable();
+    extra.dedup();
+    let new = |w: &Option<u64>| w.is_none_or(|w| sorted.binary_search_by_key(&w, &key).is_err());
+    runs(sorted, &key) + extra.iter().filter(|w| new(w)).count() as u64
 }
 
 impl Table {
@@ -286,30 +307,105 @@ impl Table {
     }
 
     /// Compute (or refresh) per-column statistics vs. the clustered
-    /// column for the given columns over the slots that hold a row — one
-    /// uncharged pass per call, like the paper's statistics scan.
+    /// column for the given columns: [`Table::column_stats`] of each,
+    /// installed — one uncharged pass per column, like the paper's
+    /// statistics scan.
     pub fn analyze_cols(&mut self, cols: &[usize]) {
-        for &col in cols {
-            let mut pairs: Vec<(Value, Value)> = Vec::with_capacity(self.heap.len() as usize);
-            self.heap.scan_cols(&[col, self.clustered_col], |rid, row| {
-                if self.holds_row(rid) {
-                    pairs.push((row[col].clone(), row[self.clustered_col].clone()));
+        let stats: Vec<ColumnStats> = cols.iter().map(|&col| self.column_stats(col)).collect();
+        self.install_stats(stats);
+    }
+
+    /// Install statistics computed by [`Table::column_stats`], each over
+    /// the column it names — the short exclusive half of an analyze
+    /// whose scan ran under a shared lock. Rows appended between that
+    /// scan and this install are not counted, as rows appended after
+    /// any analyze never are.
+    pub fn install_stats(&mut self, stats: impl IntoIterator<Item = ColumnStats>) {
+        for s in stats {
+            let col = s.col;
+            self.stats[col] = Some(s);
+        }
+    }
+
+    /// The exact statistics of column `col` against the clustered column
+    /// over the slots that hold a row, read off the page column slices
+    /// without materialising a [`Value`] per row.
+    ///
+    /// Each live row contributes its two columns' words
+    /// ([`ColumnSlice::word`](cm_storage::ColumnSlice::word)), under
+    /// which two values of a column are equal exactly when [`Value`]'s
+    /// `==` says so. Rows with neither value NULL go to one vector of
+    /// 16-byte `(u, c)` pairs that is sorted in place: `D(u, c)` and
+    /// `D(u)` are its runs, and re-sorted on `c` it gives `D(c)`. The
+    /// few rows with a NULL are counted beside it, NULL being a value of
+    /// its own as in [`cm_stats::correlation_stats`].
+    ///
+    /// `min` and `max` are those of `Value`'s order over the non-NULL
+    /// values, taken at their first live occurrence in RID order: an
+    /// `Int`, `Date` or `Float` column compares its words mapped to
+    /// order (a float's [`OrdF64::order_key`](cm_storage::OrdF64::order_key),
+    /// so the stored bits of the first `-0.0`/`0.0` or NaN are returned),
+    /// and a `Str` column compares the dictionary texts of its distinct
+    /// codes only.
+    pub fn column_stats(&self, col: usize) -> ColumnStats {
+        /// Maps a numeric word to an unsigned word of the same order.
+        const SIGN: u64 = 1 << 63;
+        let cc = self.clustered_col;
+        let numeric = self.heap.schema().columns()[col].ty != ValueType::Str;
+        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(self.heap.len() as usize);
+        let mut with_null: Vec<(Option<u64>, Option<u64>)> = Vec::new();
+        // Order word and RID of the first smallest / largest value.
+        let mut lo: Option<(u64, Rid)> = None;
+        let mut hi = lo;
+        for page in self.heap.pages() {
+            let (u, c) = (page.column(col), page.column(cc));
+            let (u_nulls, c_nulls) = (page.nulls(col), page.nulls(cc));
+            let first = page.first_rid().0 as usize;
+            for (slot, &stamp) in self.stamps[first..first + page.len()].iter().enumerate() {
+                if stamp == DEAD {
+                    continue;
                 }
-            });
-            let corr = correlation_stats(pairs.iter().map(|(u, c)| (u, c)));
-            let mut min: Option<&Value> = None;
-            let mut max: Option<&Value> = None;
-            for (v, _) in pairs.iter().filter(|(v, _)| !v.is_null()) {
-                if min.is_none_or(|m| v < m) {
-                    min = Some(v);
+                let word = |w: ColumnSlice<'_>, nulls: Option<&[u64]>| {
+                    (!nulls.is_some_and(|n| null_bit(n, slot))).then(|| w.word(slot))
+                };
+                let (uw, cw) = (word(u, u_nulls), word(c, c_nulls));
+                match (uw, cw) {
+                    (Some(uw), Some(cw)) => pairs.push((uw, cw)),
+                    _ => with_null.push((uw, cw)),
                 }
-                if max.is_none_or(|m| v > m) {
-                    max = Some(v);
+                if let (true, Some(w)) = (numeric, uw) {
+                    let (key, rid) = (w ^ SIGN, page.rid(slot as u32));
+                    if lo.is_none_or(|(k, _)| key < k) {
+                        lo = Some((key, rid));
+                    }
+                    if hi.is_none_or(|(k, _)| key > k) {
+                        hi = Some((key, rid));
+                    }
                 }
             }
-            let (min, max) = (min.cloned(), max.cloned());
-            self.stats[col] = Some(ColumnStats { col, min, max, corr });
         }
+        let total = (pairs.len() + with_null.len()) as u64;
+        pairs.sort_unstable();
+        with_null.sort_unstable();
+        with_null.dedup();
+        let duc = runs(&pairs, |p| *p) + with_null.len() as u64;
+        let du = distinct_words(&pairs, |p| p.0, with_null.iter().map(|p| p.0));
+        let (min, max) = if numeric {
+            let at = |end: Option<(u64, Rid)>| {
+                end.map(|(_, rid)| self.heap.value(rid, col).expect("a live slot"))
+            };
+            (at(lo), at(hi))
+        } else {
+            let dict = self.heap.dict();
+            let codes = pairs.chunk_by(|a, b| a.0 == b.0).map(|run| run[0].0);
+            let codes = codes.chain(with_null.iter().filter_map(|p| p.0));
+            let texts: Vec<&Arc<str>> = codes.map(|code| dict.get(code as u32)).collect();
+            let text = |s: Option<&&Arc<str>>| s.map(|s| Value::Str(Arc::clone(s)));
+            (text(texts.iter().min()), text(texts.iter().max()))
+        };
+        pairs.sort_unstable_by_key(|p| p.1);
+        let dc = distinct_words(&pairs, |p| p.1, with_null.iter().map(|p| p.1));
+        ColumnStats { col, min, max, corr: CorrelationStats::from_counts(total, du, dc, duc) }
     }
 
     /// Statistics for a column, if analyzed.

@@ -45,7 +45,7 @@ pub fn correlation_stats<'a>(
         cs.insert(c);
         ucs.insert((u, c));
     }
-    finish(total, us.len() as u64, cs.len() as u64, ucs.len() as u64)
+    CorrelationStats::from_counts(total, us.len() as u64, cs.len() as u64, ucs.len() as u64)
 }
 
 /// Compute exact correlation statistics where the "unclustered key" is a
@@ -69,18 +69,23 @@ pub fn composite_correlation_stats<K: std::hash::Hash + Eq>(
         ucs.insert((kh, c.clone()));
         cs.insert(c);
     }
-    finish(total, us.len() as u64, cs.len() as u64, ucs.len() as u64)
+    CorrelationStats::from_counts(total, us.len() as u64, cs.len() as u64, ucs.len() as u64)
 }
 
-fn finish(total: u64, du: u64, dc: u64, duc: u64) -> CorrelationStats {
-    CorrelationStats {
-        total_tups: total,
-        distinct_u: du,
-        distinct_c: dc,
-        distinct_uc: duc,
-        c_per_u: if du == 0 { 0.0 } else { duc as f64 / du as f64 },
-        u_tups: if du == 0 { 0.0 } else { total as f64 / du as f64 },
-        c_tups: if dc == 0 { 0.0 } else { total as f64 / dc as f64 },
+impl CorrelationStats {
+    /// The statistics of `total` tuples with `du` distinct `Au` values,
+    /// `dc` distinct `Ac` values and `duc` distinct `(Au, Ac)` pairs,
+    /// however they were counted.
+    pub fn from_counts(total: u64, du: u64, dc: u64, duc: u64) -> Self {
+        CorrelationStats {
+            total_tups: total,
+            distinct_u: du,
+            distinct_c: dc,
+            distinct_uc: duc,
+            c_per_u: if du == 0 { 0.0 } else { duc as f64 / du as f64 },
+            u_tups: if du == 0 { 0.0 } else { total as f64 / du as f64 },
+            c_tups: if dc == 0 { 0.0 } else { total as f64 / dc as f64 },
+        }
     }
 }
 

@@ -31,12 +31,16 @@
 //! of [`Value`]s is built only where a row must leave the page: [`peek`],
 //! [`PageRef::row`] (collected results, WAL before-images,
 //! the `&[Value]` visitor wrappers), [`iter`] (checkpoint images) and
-//! [`delete`]. Structure builds read just their key columns through
-//! [`scan_cols`].
+//! [`delete`]. The statistics scan and the structure builds walk
+//! [`pages`] uncharged; the statistics scan and the CM build read their
+//! columns as words ([`ColumnSlice::word`]) and materialise a value once
+//! per distinct key, not once per row. [`scan_cols`] serves the few
+//! builds that still want `&[Value]` rows.
 //!
 //! [`peek`]: HeapFile::peek
 //! [`iter`]: HeapFile::iter
 //! [`delete`]: HeapFile::delete
+//! [`pages`]: HeapFile::pages
 //! [`scan_cols`]: HeapFile::scan_cols
 
 use crate::disk::{DiskSim, FileId, PageAccessor};
@@ -185,6 +189,22 @@ pub enum ColumnSlice<'a> {
     Float(&'a [f64]),
     /// A `Str` column: codes into [`PageRef::dict`].
     Str(&'a [u32]),
+}
+
+impl ColumnSlice<'_> {
+    /// `slot`'s word as [`key_bits`] gives it for the value stored there:
+    /// two slots of one column hold equal values exactly when their
+    /// words are equal. A NULL slot's word is its filler's, so test the
+    /// null bitmap first.
+    #[inline]
+    pub fn word(&self, slot: usize) -> u64 {
+        match *self {
+            ColumnSlice::Int(v) => v[slot] as u64,
+            ColumnSlice::Date(v) => v[slot] as u64,
+            ColumnSlice::Float(v) => OrdF64(v[slot]).order_key() as u64,
+            ColumnSlice::Str(v) => u64::from(v[slot]),
+        }
+    }
 }
 
 /// Whether slot `slot` is set in a null bitmap.
@@ -596,6 +616,12 @@ impl HeapFile {
         }
     }
 
+    /// Every page in heap order, uncharged: what the statistics scan and
+    /// the structure builds read, a column slice at a time.
+    pub fn pages(&self) -> impl Iterator<Item = PageRef<'_>> + '_ {
+        (0..self.num_pages() as usize).map(move |p| self.page_ref(p))
+    }
+
     /// Append a row to the tail, charging a write of the tail page, and
     /// return its RID. This is the INSERT path of the maintenance
     /// experiments (Experiment 3).
@@ -798,6 +824,34 @@ mod tests {
         assert_eq!(bits(ValueType::Str, Value::str("x")), Some(0));
         assert_eq!(bits(ValueType::Str, Value::str("y")), None, "not in the dictionary");
         assert_eq!(bits(ValueType::Date, Value::Int(3)), None);
+    }
+
+    #[test]
+    fn pages_read_uncharged_words_that_match_key_bits() {
+        let disk = DiskSim::with_defaults();
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("f", ValueType::Float),
+            Column::new("s", ValueType::Str),
+        ]));
+        let floats = [-0.0, 0.0, f64::NAN, -1.5, 2.0];
+        let rows = floats
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| vec![Value::float(f), Value::str(["a", "b"][i % 2])])
+            .collect();
+        let h = HeapFile::bulk_load(&disk, schema.clone(), rows, 2).unwrap();
+        let mut slots = 0;
+        for page in h.pages() {
+            for s in 0..page.len() {
+                for (c, col) in schema.columns().iter().enumerate() {
+                    let want = key_bits(col.ty, h.dict(), &page.value(s, c));
+                    assert_eq!(Some(page.column(c).word(s)), want);
+                }
+                slots += 1;
+            }
+        }
+        assert_eq!(slots, floats.len());
+        assert_eq!(disk.stats().pages(), 0, "uncharged");
     }
 
     #[test]

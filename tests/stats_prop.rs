@@ -1,0 +1,322 @@
+//! Property test: the statistics scan and the structure builds that read
+//! page words compute exactly what their row-at-a-time models compute.
+//!
+//! Random typed heaps — `Int`, `Float`, `Str` and `Date` columns, NULLs
+//! in any column (the clustered one included), `-0.0`/`0.0` and NaNs of
+//! several payloads, `i64`/`i32` extremes, dead slots from the load
+//! image, from deletes and from placeholders, and an unsorted appended
+//! tail — are checked three ways:
+//!
+//! * [`Table::column_stats`] of every column equals
+//!   [`cm_stats::correlation_stats`] over the materialised live rows plus
+//!   a strict-`<` min/max over their non-NULL values (the first stored
+//!   occurrence of an extreme wins, float bits included), `c_per_u`,
+//!   `u_tups` and `c_tups` compared bit for bit;
+//! * [`CorrelationMap::build`] over raw, pow2, equi-width, equi-depth
+//!   and composite specs equals [`CorrelationMap::insert`] row by row:
+//!   keys (float bits included), bucket counts, pair count and size;
+//! * [`SecondaryIndex::build`] at small fanouts grows the tree that the
+//!   old `get_mut` + `insert` sequence grows — node count, height, the
+//!   probe path of every key and every posting list — and
+//!   [`SecondaryIndex::insert`] charges, page for page and in order, the
+//!   reads of the pre-insert probe path, the leaf write and one write
+//!   per split that the old sequence charged.
+//!
+//! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
+//! page-level property tests, so CI raises them together.
+
+use cm_core::{BucketSpec, CmAttr, CmKeyPart, CmSpec, CorrelationMap};
+use cm_index::{BPlusTree, IndexKey, SecondaryIndex};
+use cm_query::{ColumnStats, Table};
+use cm_stats::correlation_stats;
+use cm_storage::{Column, DiskSim, FileId, PageAccessor, Rid, Row, Schema, Value, ValueType};
+use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
+
+fn cases() -> ProptestConfig {
+    let cases = std::env::var("HEAP_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(96);
+    ProptestConfig::with_cases(cases)
+}
+
+/// SplitMix64: one seed drives a whole case.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len())]
+    }
+}
+
+const TYPES: [ValueType; 4] = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
+
+/// Floats whose `Value` equality and bits disagree: signed zeros and
+/// NaNs of several payloads, beside ordinary values.
+fn floats() -> [f64; 10] {
+    [
+        -0.0,
+        0.0,
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_0000_0001),
+        f64::from_bits(0xFFF8_0000_0000_0000),
+        1.5,
+        -1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        4096.25,
+    ]
+}
+
+/// One value of type `ty`: NULL one time in `null_every` (never when
+/// 0), else drawn from a domain about `spread` values wide.
+fn value(rng: &mut Rng, ty: ValueType, spread: usize, null_every: usize) -> Value {
+    if null_every > 0 && rng.below(null_every) == 0 {
+        return Value::Null;
+    }
+    let small = rng.below(spread) as i64 - (spread / 2) as i64;
+    let extreme = rng.below(16) == 0;
+    match ty {
+        ValueType::Int if extreme => Value::Int(rng.pick(&[i64::MIN, i64::MAX, -1, 0])),
+        ValueType::Int => Value::Int(small * 1000),
+        ValueType::Float if extreme || rng.below(2) == 0 => Value::float(rng.pick(&floats())),
+        ValueType::Float => Value::float(small as f64 / 4.0),
+        ValueType::Str => Value::str(format!("{}{}", rng.pick(&["", "a", "B", "é"]), small)),
+        ValueType::Date if extreme => Value::Date(rng.pick(&[i32::MIN, i32::MAX, -1])),
+        ValueType::Date => Value::Date(small as i32),
+    }
+}
+
+/// Whether two values are the same stored value: `==`, and for floats
+/// the same bits (`==` calls `-0.0` and `0.0`, and every NaN, equal).
+fn same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.0.to_bits() == y.0.to_bits(),
+        _ => a == b,
+    }
+}
+
+fn same_opt(a: &Option<Value>, b: &Option<Value>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => same(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// The row-at-a-time statistics scan: the model `column_stats` must
+/// match.
+fn model_stats(t: &Table, col: usize) -> ColumnStats {
+    let cc = t.clustered_col();
+    let rows: Vec<Row> = t.live_rids(0).map(|rid| t.heap().peek(rid).unwrap()).collect();
+    let corr = correlation_stats(rows.iter().map(|r| (&r[col], &r[cc])));
+    let (mut min, mut max): (Option<&Value>, Option<&Value>) = (None, None);
+    for v in rows.iter().map(|r| &r[col]).filter(|v| !v.is_null()) {
+        if min.is_none_or(|m| v < m) {
+            min = Some(v);
+        }
+        if max.is_none_or(|m| v > m) {
+            max = Some(v);
+        }
+    }
+    ColumnStats { col, min: min.cloned(), max: max.cloned(), corr }
+}
+
+/// A random CM key attribute over one of `t`'s `ncols` columns.
+fn attr(rng: &mut Rng, ncols: usize, t: &Table) -> CmAttr {
+    let col = rng.below(ncols);
+    let bucket = match rng.below(4) {
+        0 => BucketSpec::None,
+        1 => BucketSpec::pow2(rng.below(12) as u32),
+        2 => BucketSpec::EquiWidth {
+            origin: rng.pick(&[-1.5, 0.0, 2.25]),
+            width: rng.pick(&[0.25, 1.0, 3.0, 1e6]),
+        },
+        _ => {
+            let value = |rid| t.heap().value(rid, col).unwrap();
+            let sample: Vec<f64> =
+                t.live_rids(0).filter_map(|rid| value(rid).as_numeric()).collect();
+            BucketSpec::equi_depth_from_sample(&sample, 1 + rng.below(5) as u32)
+        }
+    };
+    CmAttr { col, bucket }
+}
+
+/// A page accessor that records every charge in order.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(bool, u64)>>);
+
+impl PageAccessor for Recorder {
+    fn read(&self, _: FileId, page: u64) {
+        self.0.lock().unwrap().push((false, page));
+    }
+    fn write(&self, _: FileId, page: u64) {
+        self.0.lock().unwrap().push((true, page));
+    }
+}
+
+/// A secondary index's tree: key to posting list.
+type Tree = BPlusTree<IndexKey, Vec<Rid>>;
+
+/// The old posting insert: look the key up, then insert it if absent —
+/// two descents — returning the charges the old runtime insert made.
+fn model_insert(tree: &mut Tree, key: IndexKey, rid: Rid) -> Vec<(bool, u64)> {
+    let path = tree.probe_path(&key);
+    let mut charges: Vec<(bool, u64)> = path.iter().map(|&n| (false, n as u64)).collect();
+    charges.push((true, *path.last().unwrap() as u64));
+    let before = tree.node_count();
+    if let Some(list) = tree.get_mut(&key) {
+        if let Err(pos) = list.binary_search(&rid) {
+            list.insert(pos, rid);
+        }
+    } else {
+        tree.insert(key, vec![rid]);
+    }
+    charges.extend((before..tree.node_count()).map(|_| (true, tree.root_id() as u64)));
+    charges
+}
+
+/// `got` grows the tree the model does.
+fn same_tree(got: &Tree, model: &Tree) {
+    prop_assert_eq!(
+        (got.node_count(), got.height(), got.len()),
+        (model.node_count(), model.height(), model.len())
+    );
+    for ((_, k, want), (_, gk, list)) in model.iter().zip(got.iter()) {
+        prop_assert_eq!(k, gk);
+        prop_assert_eq!(list, want, "postings of {}", k);
+        prop_assert_eq!(got.probe_path(k), model.probe_path(k), "path of {}", k);
+    }
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    #[test]
+    fn word_built_statistics_and_structures_match_their_row_models(
+        seed in any::<u64>(),
+        rows in 0usize..150,
+        tpp in 1usize..10,
+        spread in 1usize..40,
+        null_every in 0usize..6,
+    ) {
+        let mut rng = Rng(seed);
+        let disk = DiskSim::with_defaults();
+        let ncols = 2 + rng.below(3);
+        let types: Vec<ValueType> = (0..ncols).map(|_| rng.pick(&TYPES)).collect();
+        let schema = Arc::new(Schema::new(
+            types.iter().enumerate().map(|(i, &ty)| Column::new(format!("c{i}"), ty)).collect(),
+        ));
+        let cc = rng.below(ncols);
+        let row = |rng: &mut Rng| -> Row {
+            types.iter().map(|&ty| value(rng, ty, spread, null_every)).collect()
+        };
+        // A load image: a clustered prefix, then an unsorted tail, with
+        // slots that hold no row in both.
+        let sorted_len = rng.below(rows + 1);
+        let mut image: Vec<Row> = (0..rows).map(|_| row(&mut rng)).collect();
+        image[..sorted_len].sort_by(|a, b| a[cc].cmp(&b[cc]));
+        let slots = image.into_iter().map(|r| (rng.below(7) != 0).then_some(r)).collect();
+        let target = 1 + rng.below(8) as u64;
+        let sorted_len = sorted_len as u64;
+        let mut t = Table::restore(&disk, schema, slots, tpp, cc, target, sorted_len).unwrap();
+        for _ in 0..rng.below(20) {
+            match rng.below(3) {
+                0 if !t.heap().is_empty() => {
+                    let rid = Rid(rng.below(t.heap().len() as usize) as u64);
+                    if !t.is_tombstone(rid).unwrap() {
+                        t.delete_row(disk.as_ref(), None, rid).unwrap();
+                    }
+                }
+                1 => {
+                    t.append_placeholder();
+                }
+                _ => {
+                    t.insert_row(disk.as_ref(), None, row(&mut rng)).unwrap();
+                }
+            }
+        }
+
+        for (col, ty) in types.iter().enumerate() {
+            let (got, want) = (t.column_stats(col), model_stats(&t, col));
+            prop_assert_eq!(&got.corr, &want.corr, "column {} ({:?})", col, ty);
+            for (g, w) in [
+                (got.corr.c_per_u, want.corr.c_per_u),
+                (got.corr.u_tups, want.corr.u_tups),
+                (got.corr.c_tups, want.corr.c_tups),
+            ] {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+            prop_assert!(
+                same_opt(&got.min, &want.min) && same_opt(&got.max, &want.max),
+                "column {} min/max {:?}..{:?}, model {:?}..{:?}",
+                col,
+                got.min,
+                got.max,
+                want.min,
+                want.max
+            );
+        }
+
+        for _ in 0..3 {
+            let mut attrs = vec![attr(&mut rng, ncols, &t)];
+            if rng.below(3) == 0 {
+                attrs.push(attr(&mut rng, ncols, &t));
+            }
+            let spec = CmSpec::new(attrs);
+            let got = t.build_cm("cm", spec.clone());
+            let mut want = CorrelationMap::new("cm", spec.clone());
+            for rid in t.live_rids(0) {
+                want.insert(&t.heap().peek(rid).unwrap(), rid, t.dir());
+            }
+            prop_assert_eq!(
+                (got.num_keys(), got.num_pairs(), got.size_bytes()),
+                (want.num_keys(), want.num_pairs(), want.size_bytes()),
+                "{:?}",
+                spec
+            );
+            for ((gk, gb), (wk, wb)) in got.iter().zip(want.iter()) {
+                let same_key = gk.len() == wk.len()
+                    && gk.iter().zip(wk.iter()).all(|(g, w)| match (g, w) {
+                        (CmKeyPart::Raw(g), CmKeyPart::Raw(w)) => same(g, w),
+                        _ => g == w,
+                    });
+                prop_assert!(same_key, "key {:?}, model {:?} under {:?}", gk, wk, spec);
+                prop_assert_eq!(gb, wb, "buckets of {:?}", wk);
+            }
+        }
+
+        let order = 3 + rng.below(4);
+        let cols: Vec<usize> = (0..1 + rng.below(2)).map(|_| rng.below(ncols)).collect();
+        let live = |rid: Rid| !t.is_tombstone(rid).unwrap();
+        let file = disk.alloc_file();
+        let mut idx = SecondaryIndex::build("ix", cols.clone(), file, order, t.heap(), live);
+        let mut model: Tree = BPlusTree::new(order);
+        for rid in t.live_rids(0) {
+            model_insert(&mut model, IndexKey::from_row(&t.heap().peek(rid).unwrap(), &cols), rid);
+        }
+        same_tree(idx.tree(), &model);
+        // Runtime inserts charge what the old two-descent insert charged.
+        let next = t.heap().len();
+        for i in 0..rng.below(3 * order * order) as u64 {
+            let (r, rid) = (row(&mut rng), Rid(next + i));
+            let io = Recorder::default();
+            idx.insert(&io, &r, rid);
+            let want = model_insert(&mut model, IndexKey::from_row(&r, &cols), rid);
+            prop_assert_eq!(io.0.into_inner().unwrap(), want, "insert {}", i);
+        }
+        same_tree(idx.tree(), &model);
+    }
+}
