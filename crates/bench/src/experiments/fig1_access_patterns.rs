@@ -20,9 +20,9 @@ const STRIP_WIDTH: usize = 100;
 /// Pages touched by a lookup of `values` on `col`, plus contiguity stats.
 fn touched_pages(table: &Table, col: usize, values: &[Value]) -> BTreeSet<u64> {
     let mut pages = BTreeSet::new();
-    for (rid, row) in table.heap().iter() {
-        if values.contains(&row[col]) {
-            pages.insert(table.heap().page_of(rid));
+    for page in table.heap().pages() {
+        if (0..page.len()).any(|slot| values.contains(&page.value(slot, col))) {
+            pages.insert(table.heap().page_of(page.first_rid()));
         }
     }
     pages

@@ -15,7 +15,7 @@ use crate::shard::{partition_rows, RangeRouter};
 use crate::Result;
 use cm_advisor::WorkloadProfile;
 use cm_query::Table;
-use cm_storage::{Backend, DiskConfig, GroupCommitConfig, Row, Schema};
+use cm_storage::{Backend, DiskConfig, GroupCommitConfig, HeapFile, Row, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::sync::{Arc, OnceLock};
 
@@ -196,10 +196,13 @@ impl Engine {
             chunks.len(),
             "router addresses exactly the partitions built"
         );
-        // The rows arrive sorted: each chunk is a sorted image, all live.
-        let shards = chunks.into_iter().map(|chunk| {
-            let len = chunk.len() as u64;
-            (chunk.into_iter().map(Some).collect(), len)
+        // The rows arrive sorted: each chunk loads as a sorted heap, all
+        // live.
+        let shards = chunks.into_iter().enumerate().map(|(i, chunk)| {
+            let disk = self.backends[i].disk();
+            let heap = HeapFile::bulk_load(disk, entry.schema.clone(), chunk, entry.tups_per_page)?;
+            let len = heap.len();
+            Ok((heap, vec![u64::MAX; len.div_ceil(64) as usize], len))
         });
         // A racing second load loses here, however far its build got.
         let total = self.publish_parts(&entry, router, shards)?.base_lens.iter().sum();
@@ -211,28 +214,30 @@ impl Engine {
     }
 
     /// Build a table's partitions — shard `i` restored on backend `i`
-    /// from its slot image and sorted-prefix length ([`Table::restore`])
-    /// — and publish them behind `router` as the table's loaded state:
-    /// the one construction path of [`Engine::load`] and recovery. A
-    /// table already loaded is [`EngineError::AlreadyLoaded`].
+    /// from its heap, liveness bitmap and sorted-prefix length
+    /// ([`Table::restore`]) — and publish them behind `router` as the
+    /// table's loaded state: the one construction path of
+    /// [`Engine::load`] and recovery. Each shard's heap is made on its
+    /// backend as the iterator yields it, just before its table is
+    /// built. A table already loaded is [`EngineError::AlreadyLoaded`].
     pub(crate) fn publish_parts<'e>(
         &self,
         entry: &'e TableEntry,
         router: RangeRouter,
-        shards: impl IntoIterator<Item = (Vec<Option<Row>>, u64)>,
+        shards: impl IntoIterator<Item = Result<(HeapFile, Vec<u64>, u64)>>,
     ) -> Result<&'e LoadedTable> {
         let mut parts = Vec::new();
         let mut base_lens = Vec::new();
-        for (i, (slots, base_len)) in shards.into_iter().enumerate() {
+        for (i, shard) in shards.into_iter().enumerate() {
+            let (heap, live, base_len) = shard?;
             let t = Table::restore(
                 self.backends[i].disk(),
-                entry.schema.clone(),
-                slots,
-                entry.tups_per_page,
+                heap,
+                &live,
                 entry.clustered_col,
                 entry.bucket_target,
                 base_len,
-            )?;
+            );
             parts.push(RwLock::new(t));
             base_lens.push(base_len);
         }

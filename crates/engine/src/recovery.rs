@@ -43,8 +43,8 @@ use crate::shard::RangeRouter;
 use crate::Result;
 use cm_query::Table;
 use cm_storage::{
-    decode_stream, LogPayload, Lsn, PageAccessor, Rid, Row, Schema, Value, AUTOCOMMIT_TXN,
-    FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,
+    decode_stream, HeapFile, HeapImage, LogPayload, Lsn, PageAccessor, Rid, Row, Schema, Value,
+    AUTOCOMMIT_TXN, FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,
 };
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -56,18 +56,31 @@ use std::sync::Arc;
 const CHECKPOINT_END_FRAME_BYTES: u64 =
     (FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES + 8) as u64;
 
-/// One shard's slice of a checkpoint image.
+/// One shard's slice of a checkpoint image: a typed column copy of its
+/// heap, not rows.
 #[derive(Debug, Clone)]
 pub struct ShardImage {
-    /// Every heap slot in RID order: `Some(row)` while the row's version
-    /// is current, `None` for a slot that holds no row or whose version
-    /// a delete has ended. Liveness is recorded here, never read from the
-    /// row's values: an all-NULL row is a row.
-    pub slots: Vec<Option<Row>>,
+    /// The heap's typed column vectors, null bitmaps and counts, length
+    /// and dictionary strings ([`HeapImage`]), with every slot whose bit
+    /// in `live` is clear written NULL — the form a slot that holds no
+    /// row has in a restored heap. Dictionary codes are kept as issued.
+    pub heap: HeapImage,
+    /// One bit per heap slot (bit `r % 64` of word `r / 64`), set while
+    /// the slot's version is current. Liveness is recorded here, never
+    /// read from the values: an all-NULL row is a row.
+    pub live: Vec<u64>,
     /// The bulk-loaded sorted-prefix length ([`cm_query::Table::restore`]
     /// rebuilds the clustered index and bucket directory from it; rows
     /// past it are re-learned as appends).
     pub base_len: u64,
+}
+
+impl ShardImage {
+    /// Bytes the image allocates: its heap copy ([`HeapImage::bytes`])
+    /// and its liveness bitmap.
+    pub fn bytes(&self) -> usize {
+        self.heap.bytes() + self.live.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// One table's slice of a checkpoint image: enough to re-create the
@@ -169,7 +182,12 @@ impl Engine {
             let Some(lt) = entry.loaded.get() else { continue };
             let mut shards = Vec::with_capacity(lt.parts.len());
             for (i, part) in lt.parts.iter().enumerate() {
-                let t = part.read();
+                // The read lock covers a copy of each vector; the dead
+                // slots are cleared in the copy after it is released.
+                let (mut heap, live) = {
+                    let t = part.read();
+                    (t.heap().image(), t.current_slots())
+                };
                 // An ended version images as dead: a *committed* delete
                 // whose record precedes `redo_lsn` is never replayed, so
                 // the image must not carry the row — while an
@@ -177,9 +195,8 @@ impl Engine {
                 // record's before-image either way. Pending-begin rows
                 // (uncommitted inserts) are current; undo removes them
                 // if the transaction never commits.
-                let slots =
-                    t.heap().iter().map(|(rid, r)| t.is_current(rid).then_some(r)).collect();
-                shards.push(ShardImage { slots, base_len: lt.base_lens[i] });
+                heap.retain(&live);
+                shards.push(ShardImage { heap, live, base_len: lt.base_lens[i] });
             }
             let structures = StructureSet::of(&lt.parts[0].read());
             tables.push(TableImage {
@@ -456,7 +473,11 @@ fn restore_table(engine: &Engine, ti: &TableImage) -> Result<()> {
     )?;
     let entry = table_entry(engine, &ti.name)?;
     let router = RangeRouter::new(ti.clustered_col, ti.splits.clone());
-    let shards = ti.shards.iter().map(|si| (si.slots.clone(), si.base_len));
+    let shards = ti.shards.iter().enumerate().map(|(i, si)| {
+        let disk = engine.backends[i].disk();
+        let heap = HeapFile::from_image(disk, ti.schema.clone(), si.heap.clone());
+        Ok((heap, si.live.clone(), si.base_len))
+    });
     let lt = engine.publish_parts(&entry, router, shards)?;
     engine.install_structures(lt, &ti.structures, true)
 }

@@ -341,11 +341,31 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        self.modify(key, |_| {}, |_| true).flatten()
+    }
+
+    /// Find `key`'s entry in **one** descent, whose nodes `visit` sees
+    /// root first (as in [`BPlusTree::upsert`]), let `edit` change its
+    /// value, and remove the entry in the same descent when `edit`
+    /// returns true. `None` when the key is absent, else the removed
+    /// value, if any. A removal frees the nodes it empties and collapses
+    /// a dwindled root.
+    pub fn modify<Q>(
+        &mut self,
+        key: &Q,
+        mut visit: impl FnMut(NodeId),
+        edit: impl FnOnce(&mut V) -> bool,
+    ) -> Option<Option<V>>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let root = self.root;
-        let (old, _emptied) = self.remove_rec(root, key);
-        if old.is_some() {
-            self.len -= 1;
+        let (out, _emptied) = self.modify_rec(root, key, &mut visit, edit);
+        if !matches!(out, Some(Some(_))) {
+            return out;
         }
+        self.len -= 1;
         // Collapse a root that has dwindled to a single child.
         loop {
             let collapse = match self.node(self.root) {
@@ -361,35 +381,45 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                 None => break,
             }
         }
-        old
+        out
     }
 
-    /// Returns (removed value, whether `id` is now empty and was freed).
-    fn remove_rec<Q>(&mut self, id: NodeId, key: &Q) -> (Option<V>, bool)
+    /// [`BPlusTree::modify`] below `id`; also returns whether `id` is now
+    /// empty and was freed.
+    fn modify_rec<Q, F: FnMut(NodeId)>(
+        &mut self,
+        id: NodeId,
+        key: &Q,
+        visit: &mut F,
+        edit: impl FnOnce(&mut V) -> bool,
+    ) -> (Option<Option<V>>, bool)
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        visit(id);
+        let is_root = id == self.root;
         match self.node_mut(id) {
             Node::Leaf { keys, values, .. } => {
-                let old = match keys.binary_search_by(|k| k.borrow().cmp(key)) {
-                    Ok(i) => {
-                        keys.remove(i);
-                        Some(values.remove(i))
-                    }
-                    Err(_) => None,
+                let Ok(i) = keys.binary_search_by(|k| k.borrow().cmp(key)) else {
+                    return (None, false);
                 };
-                let emptied = old.is_some() && keys.is_empty() && id != self.root;
+                if !edit(&mut values[i]) {
+                    return (Some(None), false);
+                }
+                keys.remove(i);
+                let old = values.remove(i);
+                let emptied = keys.is_empty() && !is_root;
                 if emptied {
                     self.unlink_leaf(id);
                     self.dealloc(id);
                 }
-                (old, emptied)
+                (Some(Some(old)), emptied)
             }
             Node::Internal { keys, children } => {
                 let slot = Self::child_slot(keys, key);
                 let child = children[slot];
-                let (old, child_emptied) = self.remove_rec(child, key);
+                let (out, child_emptied) = self.modify_rec(child, key, visit, edit);
                 if child_emptied {
                     match self.node_mut(id) {
                         Node::Internal { keys, children } => {
@@ -397,16 +427,16 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                             if !keys.is_empty() {
                                 keys.remove(slot.max(1) - 1);
                             }
-                            let emptied = children.is_empty() && id != self.root;
+                            let emptied = children.is_empty() && !is_root;
                             if emptied {
                                 self.dealloc(id);
                             }
-                            return (old, emptied);
+                            return (out, emptied);
                         }
                         Node::Leaf { .. } => unreachable!("id is internal"),
                     }
                 }
-                (old, false)
+                (out, false)
             }
         }
     }

@@ -229,28 +229,29 @@ impl SecondaryIndex {
     }
 
     /// Remove the posting for `row` at `rid`; returns whether it existed.
-    /// Charges a root-to-leaf read and a leaf write.
+    /// Charges a root-to-leaf read and a leaf write. One descent finds
+    /// the posting list and, when the posting was its last, drops the
+    /// key in the same descent ([`BPlusTree::modify`]).
     pub fn remove(&mut self, io: &dyn PageAccessor, row: &[Value], rid: Rid) -> bool {
         let key = self.key_of(row);
-        let path = self.tree.probe_path(&key);
-        for &node in &path {
-            io.read(self.file, node as u64);
-        }
-        io.write(self.file, *path.last().expect("non-empty path") as u64);
-        let key_size = key.size_bytes() as u64;
-        let Some(list) = self.tree.get_mut(&key) else {
-            return false;
+        let (file, mut leaf, mut removed) = (self.file, 0, false);
+        let visit = |node| {
+            io.read(file, node as u64);
+            leaf = node;
         };
-        let Ok(pos) = list.binary_search(&rid) else {
-            return false;
-        };
-        list.remove(pos);
-        if list.is_empty() {
-            self.tree.remove(&key);
+        self.tree.modify(&key, visit, |list| {
+            if let Ok(pos) = list.binary_search(&rid) {
+                list.remove(pos);
+                removed = true;
+            }
+            list.is_empty()
+        });
+        io.write(file, leaf as u64);
+        if removed {
+            self.entries -= 1;
+            self.key_bytes -= key.size_bytes() as u64;
         }
-        self.entries -= 1;
-        self.key_bytes -= key_size;
-        true
+        removed
     }
 }
 

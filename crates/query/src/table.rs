@@ -14,10 +14,9 @@ use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
 use cm_stats::CorrelationStats;
 use cm_storage::{
-    is_pending, null_bit, ColumnSlice, DiskSim, HeapFile, LogWrite, PageAccessor, PageRef, Rid,
-    Row, Schema, Snapshot, StorageError, Value, ValueType, LIVE_TS,
+    is_pending, null_bit, ColumnSlice, DiskSim, FxHashMap, HeapFile, LogWrite, PageAccessor,
+    PageRef, Rid, Row, Schema, Snapshot, StorageError, Value, ValueType, LIVE_TS,
 };
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -139,51 +138,53 @@ impl Table {
     /// Build a table clustered on `clustered_col`, with a clustered index
     /// and a bucket directory targeting `bucket_target` tuples per bucket:
     /// the rows are sorted on the clustered column (ties keep their input
-    /// order, as under PostgreSQL's `CLUSTER`) and go through
-    /// [`Table::restore`] as one sorted image whose every slot is live.
+    /// order, as under PostgreSQL's `CLUSTER`), bulk-loaded, and go
+    /// through [`Table::restore`] as one sorted heap whose every slot is
+    /// live.
     pub fn build(
         disk: &DiskSim,
         schema: Arc<Schema>,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
         tups_per_page: usize,
         clustered_col: usize,
         bucket_target: u64,
     ) -> Result<Self, StorageError> {
-        rows.sort_by(|a, b| a[clustered_col].cmp(&b[clustered_col]));
-        let len = rows.len() as u64;
-        let slots = rows.into_iter().map(Some).collect();
-        Self::restore(disk, schema, slots, tups_per_page, clustered_col, bucket_target, len)
+        let heap = HeapFile::bulk_load_clustered(disk, schema, rows, tups_per_page, clustered_col)?;
+        let len = heap.len();
+        let live = vec![u64::MAX; len.div_ceil(64) as usize];
+        Ok(Self::restore(disk, heap, &live, clustered_col, bucket_target, len))
     }
 
-    /// Build a table from a heap image: `slots` in RID order, `None` for
-    /// a slot that holds no row, taken verbatim (the unsorted appended
-    /// tail included — no re-sort). The first `sorted_len` slots are
-    /// known to have been bulk-loaded clustered on `clustered_col`. The
-    /// clustered index and bucket directory are built over the live
-    /// rows; secondary indexes and CMs are added afterwards (recovery
-    /// re-adds them in design order, as redo replays).
+    /// Build a table over `heap`, whose slot `r` holds a row when bit
+    /// `r % 64` of `live[r / 64]` is set (a checkpoint writes the other
+    /// slots NULL: [`HeapImage::retain`](cm_storage::HeapImage::retain)).
+    /// The heap is taken verbatim, the unsorted appended tail included —
+    /// no re-sort. Its first `sorted_len` slots are known to have been
+    /// bulk-loaded clustered on `clustered_col`. The clustered index and
+    /// bucket directory are built over the live rows; secondary indexes
+    /// and CMs are added afterwards (recovery re-adds them in design
+    /// order, as redo replays). [`Table::build`], the engine's load and
+    /// recovery all construct tables here.
     pub fn restore(
         disk: &DiskSim,
-        schema: Arc<Schema>,
-        slots: Vec<Option<Row>>,
-        tups_per_page: usize,
+        heap: HeapFile,
+        live: &[u64],
         clustered_col: usize,
         bucket_target: u64,
         sorted_len: u64,
-    ) -> Result<Self, StorageError> {
-        let arity = schema.arity();
+    ) -> Self {
+        let arity = heap.schema().arity();
         // An image collapses version chains: live rows restart at the
         // epoch stamp.
-        let stamps: Vec<(u64, u64)> =
-            slots.iter().map(|slot| if slot.is_some() { LIVE } else { DEAD }).collect();
-        let rows = slots.into_iter().map(|slot| slot.unwrap_or_else(|| vec![Value::Null; arity]));
-        let heap = HeapFile::bulk_load(disk, schema, rows.collect(), tups_per_page)?;
-        let horizons = stamps.chunks(tups_per_page).map(page_horizon).collect();
+        let stamps: Vec<(u64, u64)> = (0..heap.len() as usize)
+            .map(|r| if null_bit(live, r) { LIVE } else { DEAD })
+            .collect();
+        let horizons = stamps.chunks(heap.tups_per_page()).map(page_horizon).collect();
         let live = |rid: Rid| stamps[rid.0 as usize] != DEAD;
         let clustered =
             ClusteredIndex::build(&heap, clustered_col, live, disk.alloc_file(), DEFAULT_TREE_ORDER);
         let dir = BucketDirectory::restore(&heap, clustered_col, bucket_target, sorted_len, live);
-        Ok(Table {
+        Table {
             heap,
             clustered_col,
             clustered,
@@ -193,7 +194,18 @@ impl Table {
             stats: vec![None; arity],
             stamps,
             horizons,
-        })
+        }
+    }
+
+    /// One bit per heap slot, set while the slot's version is current
+    /// ([`Table::is_current`]): the liveness a checkpoint images, in the
+    /// form [`Table::restore`] takes.
+    pub fn current_slots(&self) -> Vec<u64> {
+        let mut live = vec![0u64; self.stamps.len().div_ceil(64)];
+        for (r, &(_, end)) in self.stamps.iter().enumerate() {
+            live[r / 64] |= u64::from(end == LIVE_TS) << (r % 64);
+        }
+        live
     }
 
     /// The heap file.
@@ -413,18 +425,28 @@ impl Table {
         self.stats.get(col).and_then(Option::as_ref)
     }
 
-    /// Number of distinct values of `col` inside `[lo, hi]`, computed
-    /// exactly (used by experiments; the planner uses the estimate from
-    /// [`ColumnStats`]).
+    /// Number of distinct values of `col` inside `[lo, hi]` over the
+    /// slots that hold a row, NULL never counted, computed exactly (used
+    /// by experiments; the planner uses the estimate from
+    /// [`ColumnStats`]). Values are told apart by their column words,
+    /// and a value is materialised and tested against the range once,
+    /// when its word is first met.
     pub fn distinct_in_range(&self, col: usize, lo: &Value, hi: &Value) -> u64 {
-        let mut seen: HashSet<Value> = HashSet::new();
-        self.heap.scan_cols(&[col], |rid, row| {
-            let v = &row[col];
-            if self.holds_row(rid) && v >= lo && v <= hi && !seen.contains(v) {
-                seen.insert(v.clone());
+        let mut in_range: FxHashMap<u64, bool> = FxHashMap::default();
+        for page in self.heap.pages() {
+            let (words, nulls) = (page.column(col), page.nulls(col));
+            let first = page.first_rid().0 as usize;
+            for (slot, &stamp) in self.stamps[first..first + page.len()].iter().enumerate() {
+                if stamp == DEAD || nulls.is_some_and(|n| null_bit(n, slot)) {
+                    continue;
+                }
+                in_range.entry(words.word(slot)).or_insert_with(|| {
+                    let v = page.value(slot, col);
+                    *lo <= v && v <= *hi
+                });
             }
-        });
-        seen.len() as u64
+        }
+        in_range.values().filter(|&&inside| inside).count() as u64
     }
 
     /// The slots at or after `from` that hold a row, in RID order — what
@@ -996,22 +1018,11 @@ mod tests {
             vec![Value::Int(3), Value::Int(3333), Value::str("tail2")],
         )
         .unwrap();
-        let slots: Vec<Option<Row>> = live
-            .heap()
-            .iter()
-            .map(|(rid, r)| (!live.is_tombstone(rid).unwrap()).then(|| r.to_vec()))
-            .collect();
+        let (mut image, bits) = (live.heap().image(), live.current_slots());
+        image.retain(&bits);
         let disk2 = DiskSim::with_defaults();
-        let restored = Table::restore(
-            &disk2,
-            live.heap().schema().clone(),
-            slots,
-            20,
-            0,
-            40,
-            1000,
-        )
-        .unwrap();
+        let heap = HeapFile::from_image(&disk2, live.heap().schema().clone(), image);
+        let restored = Table::restore(&disk2, heap, &bits, 0, 40, 1000);
         assert_eq!(restored.heap().len(), live.heap().len());
         // The restored clustered index is query-equivalent to the live
         // (incrementally maintained) one: it may shift run boundaries

@@ -30,12 +30,13 @@
 //! layer's kernels, folds and join probes run on those. An owned [`Row`]
 //! of [`Value`]s is built only where a row must leave the page: [`peek`],
 //! [`PageRef::row`] (collected results, WAL before-images,
-//! the `&[Value]` visitor wrappers), [`iter`] (checkpoint images) and
-//! [`delete`]. The statistics scan and the structure builds walk
-//! [`pages`] uncharged; the statistics scan and the CM build read their
-//! columns as words ([`ColumnSlice::word`]) and materialise a value once
-//! per distinct key, not once per row. [`scan_cols`] serves the few
-//! builds that still want `&[Value]` rows.
+//! the `&[Value]` visitor wrappers) and [`delete`]; [`iter`] serves tests.
+//! The statistics scan and the structure builds walk [`pages`]
+//! uncharged; the statistics scan and the CM build read their columns as
+//! words ([`ColumnSlice::word`]) and materialise a value once per
+//! distinct key, not once per row. [`scan_cols`] serves the few builds
+//! that still want `&[Value]` rows. Checkpoint images are no rows at
+//! all: a [`HeapImage`] is a copy of the typed vectors themselves.
 //!
 //! [`peek`]: HeapFile::peek
 //! [`iter`]: HeapFile::iter
@@ -47,7 +48,7 @@ use crate::disk::{DiskSim, FileId, PageAccessor};
 use crate::error::StorageError;
 use crate::hash::FxHashMap;
 use crate::rid::Rid;
-use crate::schema::{Row, Schema, ValueType};
+use crate::schema::{Column, Row, Schema, ValueType};
 use crate::value::{OrdF64, Value};
 use crate::Result;
 use std::sync::Arc;
@@ -102,7 +103,7 @@ impl Dictionary {
 
 /// One column's values for every slot of the heap, in RID order, typed
 /// by the schema.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ColumnData {
     Int(Vec<i64>),
     Date(Vec<i32>),
@@ -112,7 +113,7 @@ enum ColumnData {
 
 /// One column of the heap: its typed values, page after page, and per
 /// page a null bitmap.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ColumnStore {
     data: ColumnData,
     /// `words` words per page: bit `s % 64` of a page's word `s / 64` is
@@ -272,6 +273,11 @@ impl<'a> PageRef<'a> {
         (self.null_counts[col] > 0).then(|| &self.cols[col].nulls[words])
     }
 
+    /// How many of the page's slots are NULL in `col`.
+    pub fn null_count(&self, col: usize) -> u32 {
+        self.null_counts[col]
+    }
+
     /// Whether `slot`'s value in `col` is NULL.
     #[inline]
     pub fn is_null(&self, slot: usize, col: usize) -> bool {
@@ -361,6 +367,56 @@ pub fn key_bits(ty: ValueType, dict: &Dictionary, v: &Value) -> Option<u64> {
     }
 }
 
+/// A typed column copy of a heap, what a checkpoint keeps of it: the
+/// typed vectors, page null bitmaps and counts, length, page size and
+/// the dictionary's strings. [`HeapFile::image`] copies the vectors and
+/// [`HeapFile::from_image`] adopts them, building no [`Value`]; string
+/// codes are kept as issued (they carry no order).
+#[derive(Debug, Clone)]
+pub struct HeapImage {
+    columns: Vec<ColumnStore>,
+    null_counts: Vec<u32>,
+    len: usize,
+    tups_per_page: usize,
+    strings: Vec<Arc<str>>,
+}
+
+impl HeapImage {
+    /// Write every slot whose bit in `live` is clear (bit `r % 64` of
+    /// word `r / 64` for slot `r`) as all NULL — values, bitmap bits and
+    /// null counts alike, exactly as [`HeapFile::delete`] leaves a slot.
+    pub fn retain(&mut self, live: &[u64]) {
+        let words = self.tups_per_page.div_ceil(64);
+        let arity = self.columns.len();
+        // A NULL interns nothing.
+        let mut no_strings = Dictionary::default();
+        for rid in (0..self.len).filter(|&r| !null_bit(live, r)) {
+            let (page, slot) = (rid / self.tups_per_page, rid % self.tups_per_page);
+            let at = Slot { rid, page, slot, words };
+            let counts = &mut self.null_counts[page * arity..(page + 1) * arity];
+            for (col, nulls) in self.columns.iter_mut().zip(counts) {
+                col.put(at, &Value::Null, &mut no_strings, nulls);
+            }
+        }
+    }
+
+    /// Bytes the image allocates: its typed vectors, bitmaps and null
+    /// counts, and its list of the dictionary's strings (whose texts it
+    /// shares with the heap).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let data = |c: &ColumnStore| match &c.data {
+            ColumnData::Int(d) => d.capacity() * size_of::<i64>(),
+            ColumnData::Date(d) => d.capacity() * size_of::<i32>(),
+            ColumnData::Float(d) => d.capacity() * size_of::<f64>(),
+            ColumnData::Str(d) => d.capacity() * size_of::<u32>(),
+        };
+        let cols: usize = self.columns.iter().map(|c| data(c) + c.nulls.capacity() * 8).sum();
+        cols + self.null_counts.capacity() * size_of::<u32>()
+            + self.strings.capacity() * size_of::<Arc<str>>()
+    }
+}
+
 /// A paged, append-only heap of rows, stored column-major per page.
 pub struct HeapFile {
     schema: Arc<Schema>,
@@ -414,6 +470,44 @@ impl HeapFile {
             heap.push_row(&row);
         }
         Ok(heap)
+    }
+
+    /// A heap that adopts `image`'s vectors (see [`HeapImage`]) as they
+    /// are: no row is built and no string re-interned. Its file is
+    /// allocated as [`HeapFile::bulk_load`] allocates one, and the load
+    /// is uncharged likewise.
+    ///
+    /// # Panics
+    /// Panics if `image` was not taken of a heap with `schema`'s column
+    /// types.
+    pub fn from_image(disk: &DiskSim, schema: Arc<Schema>, image: HeapImage) -> Self {
+        let HeapImage { columns, null_counts, len, tups_per_page, strings } = image;
+        let typed = |c: &Column| std::mem::discriminant(&ColumnStore::new(c.ty, 0).data);
+        let types = columns.iter().map(|c| std::mem::discriminant(&c.data));
+        assert!(types.eq(schema.columns().iter().map(typed)), "an image of another schema");
+        let codes = strings.iter().zip(0u32..).map(|(s, code)| (s.clone(), code)).collect();
+        HeapFile {
+            schema,
+            file: disk.alloc_file(),
+            columns,
+            null_counts,
+            len,
+            tups_per_page,
+            words: tups_per_page.div_ceil(64),
+            dict: Dictionary { strings, codes },
+        }
+    }
+
+    /// This heap as a [`HeapImage`]: a copy of each typed vector, bitmap
+    /// and count, and of the dictionary's string list (each text shared).
+    pub fn image(&self) -> HeapImage {
+        HeapImage {
+            columns: self.columns.clone(),
+            null_counts: self.null_counts.clone(),
+            len: self.len,
+            tups_per_page: self.tups_per_page,
+            strings: self.dict.strings.clone(),
+        }
     }
 
     /// Bulk-load clustered on a column: rows are sorted by that column
@@ -590,8 +684,8 @@ impl HeapFile {
     }
 
     /// Iterate all rows, materialised, with their RIDs, charging nothing
-    /// (checkpoint images, tests). Use [`HeapFile::read_run_visit`] in
-    /// measured code and [`HeapFile::scan_cols`] to read a few columns.
+    /// (tests and diagnostics). Use [`HeapFile::read_run_visit`] in
+    /// measured code and [`HeapFile::pages`] to read a few columns.
     pub fn iter(&self) -> impl Iterator<Item = (Rid, Row)> + '_ {
         (0..self.num_pages() as usize).flat_map(move |p| {
             let page = self.page_ref(p);
@@ -677,7 +771,6 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![

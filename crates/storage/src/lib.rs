@@ -78,7 +78,7 @@ pub use error::StorageError;
 pub use filedisk::{FileDisk, TempDir};
 pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use heap::{key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, PageRef};
+pub use heap::{key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, HeapImage, PageRef};
 pub use logrec::{
     crc32, decode_stream, encode_frame, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
     FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,

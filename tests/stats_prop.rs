@@ -20,10 +20,15 @@
 //!   probe path of every key and every posting list — and
 //!   [`SecondaryIndex::insert`] charges, page for page and in order, the
 //!   reads of the pre-insert probe path, the leaf write and one write
-//!   per split that the old sequence charged.
+//!   per split that the old sequence charged; random deletes through
+//!   [`SecondaryIndex::remove`] (one descent) then charge, and shape the
+//!   tree, as the old probe + `get_mut` + `remove` sequence did.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
 //! page-level property tests, so CI raises them together.
+
+mod row_image;
+mod typed_rows;
 
 use cm_core::{BucketSpec, CmAttr, CmKeyPart, CmSpec, CorrelationMap};
 use cm_index::{BPlusTree, IndexKey, SecondaryIndex};
@@ -32,6 +37,7 @@ use cm_stats::correlation_stats;
 use cm_storage::{Column, DiskSim, FileId, PageAccessor, Rid, Row, Schema, Value, ValueType};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
+use typed_rows::{same, value, Rng, TYPES};
 
 fn cases() -> ProptestConfig {
     let cases = std::env::var("HEAP_PROP_CASES")
@@ -39,74 +45,6 @@ fn cases() -> ProptestConfig {
         .and_then(|v| v.parse().ok())
         .unwrap_or(96);
     ProptestConfig::with_cases(cases)
-}
-
-/// SplitMix64: one seed drives a whole case.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len())]
-    }
-}
-
-const TYPES: [ValueType; 4] = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
-
-/// Floats whose `Value` equality and bits disagree: signed zeros and
-/// NaNs of several payloads, beside ordinary values.
-fn floats() -> [f64; 10] {
-    [
-        -0.0,
-        0.0,
-        f64::NAN,
-        f64::from_bits(0x7FF8_0000_0000_0001),
-        f64::from_bits(0xFFF8_0000_0000_0000),
-        1.5,
-        -1.5,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        4096.25,
-    ]
-}
-
-/// One value of type `ty`: NULL one time in `null_every` (never when
-/// 0), else drawn from a domain about `spread` values wide.
-fn value(rng: &mut Rng, ty: ValueType, spread: usize, null_every: usize) -> Value {
-    if null_every > 0 && rng.below(null_every) == 0 {
-        return Value::Null;
-    }
-    let small = rng.below(spread) as i64 - (spread / 2) as i64;
-    let extreme = rng.below(16) == 0;
-    match ty {
-        ValueType::Int if extreme => Value::Int(rng.pick(&[i64::MIN, i64::MAX, -1, 0])),
-        ValueType::Int => Value::Int(small * 1000),
-        ValueType::Float if extreme || rng.below(2) == 0 => Value::float(rng.pick(&floats())),
-        ValueType::Float => Value::float(small as f64 / 4.0),
-        ValueType::Str => Value::str(format!("{}{}", rng.pick(&["", "a", "B", "é"]), small)),
-        ValueType::Date if extreme => Value::Date(rng.pick(&[i32::MIN, i32::MAX, -1])),
-        ValueType::Date => Value::Date(small as i32),
-    }
-}
-
-/// Whether two values are the same stored value: `==`, and for floats
-/// the same bits (`==` calls `-0.0` and `0.0`, and every NaN, equal).
-fn same(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.0.to_bits() == y.0.to_bits(),
-        _ => a == b,
-    }
 }
 
 fn same_opt(a: &Option<Value>, b: &Option<Value>) -> bool {
@@ -188,6 +126,22 @@ fn model_insert(tree: &mut Tree, key: IndexKey, rid: Rid) -> Vec<(bool, u64)> {
     charges
 }
 
+/// The old posting delete: the probe path's charges, then a lookup of
+/// the list, then a removal of the key when its list empties — three
+/// descents. Returns the charges and whether the posting existed.
+fn model_remove(tree: &mut Tree, key: &IndexKey, rid: Rid) -> (Vec<(bool, u64)>, bool) {
+    let path = tree.probe_path(key);
+    let mut charges: Vec<(bool, u64)> = path.iter().map(|&n| (false, n as u64)).collect();
+    charges.push((true, *path.last().unwrap() as u64));
+    let Some(list) = tree.get_mut(key) else { return (charges, false) };
+    let Ok(pos) = list.binary_search(&rid) else { return (charges, false) };
+    list.remove(pos);
+    if list.is_empty() {
+        tree.remove(key);
+    }
+    (charges, true)
+}
+
 /// `got` grows the tree the model does.
 fn same_tree(got: &Tree, model: &Tree) {
     prop_assert_eq!(
@@ -231,7 +185,7 @@ proptest! {
         let slots = image.into_iter().map(|r| (rng.below(7) != 0).then_some(r)).collect();
         let target = 1 + rng.below(8) as u64;
         let sorted_len = sorted_len as u64;
-        let mut t = Table::restore(&disk, schema, slots, tpp, cc, target, sorted_len).unwrap();
+        let mut t = row_image::restore(&disk, schema, slots, tpp, cc, target, sorted_len);
         for _ in 0..rng.below(20) {
             match rng.below(3) {
                 0 if !t.heap().is_empty() => {
@@ -310,13 +264,34 @@ proptest! {
         same_tree(idx.tree(), &model);
         // Runtime inserts charge what the old two-descent insert charged.
         let next = t.heap().len();
+        let mut postings: Vec<(Row, Rid)> =
+            t.live_rids(0).map(|rid| (t.heap().peek(rid).unwrap(), rid)).collect();
         for i in 0..rng.below(3 * order * order) as u64 {
             let (r, rid) = (row(&mut rng), Rid(next + i));
             let io = Recorder::default();
             idx.insert(&io, &r, rid);
             let want = model_insert(&mut model, IndexKey::from_row(&r, &cols), rid);
             prop_assert_eq!(io.0.into_inner().unwrap(), want, "insert {}", i);
+            postings.push((r, rid));
         }
         same_tree(idx.tree(), &model);
+        // Runtime deletes — of postings, of postings already deleted and
+        // of keys never stored — charge what the old three-descent delete
+        // charged and shrink the tree as it did.
+        for i in 0..rng.below(2 * postings.len() + 1) {
+            let (r, rid) = match rng.below(8) {
+                0 => (row(&mut rng), Rid(next + 1000)),
+                _ => postings[rng.below(postings.len())].clone(),
+            };
+            let io = Recorder::default();
+            let got = idx.remove(&io, &r, rid);
+            let (want, existed) = model_remove(&mut model, &IndexKey::from_row(&r, &cols), rid);
+            prop_assert_eq!(got, existed, "delete {} found", i);
+            prop_assert_eq!(io.0.into_inner().unwrap(), want, "delete {}", i);
+            prop_assert_eq!(idx.tree().node_count(), model.node_count(), "delete {}", i);
+        }
+        same_tree(idx.tree(), &model);
+        let stored: usize = model.iter().map(|(_, _, list)| list.len()).sum();
+        prop_assert_eq!(idx.entries() as usize, stored);
     }
 }
