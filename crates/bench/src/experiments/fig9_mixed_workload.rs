@@ -83,7 +83,7 @@ fn run_config(cfg: EbayConfig, wl: &Workload, use_cms: bool, with_selects: bool)
         let before = disk.stats();
         for row in batch {
             table
-                .insert_row(&pool, Some(&mut wal), row.clone())
+                .insert_row(&pool, Some(&mut wal), row)
                 .expect("row conforms");
         }
         wal.commit();

@@ -345,8 +345,7 @@ impl CorrelationMap {
     /// bucket id, and a small header. Used by the maintenance experiments
     /// to log CM updates (§7.1: comparable recoverability to a B+Tree).
     pub fn wal_record_bytes(&self, row: &[Value]) -> usize {
-        let key = self.spec.key_of(row);
-        key.iter().map(CmKeyPart::size_bytes).sum::<usize>() + 4 + 8
+        self.spec.key_bytes(row) + 4 + 8
     }
 
     /// Iterate `(key, buckets)` pairs in key order (diagnostics/tests).
@@ -613,5 +612,26 @@ mod tests {
         let row = vec![Value::str("MA"), Value::str("boston"), Value::Int(1)];
         let n = cm.wal_record_bytes(&row);
         assert!(n < 64, "CM log records are tiny ({n} bytes)");
+    }
+
+    #[test]
+    fn wal_record_bytes_is_the_built_key_size() {
+        let specs = [
+            CmSpec::single_raw(0),
+            CmSpec::single_pow2(1, 3),
+            CmSpec::new(vec![CmAttr::raw(2), CmAttr::pow2(1, 2), CmAttr::raw(0)]),
+        ];
+        let rows = [
+            vec![Value::str("boston"), Value::Int(77), Value::float(2.5)],
+            vec![Value::Null, Value::Null, Value::Date(9)],
+            vec![Value::Int(-4), Value::str("not numeric"), Value::Null],
+        ];
+        for spec in specs {
+            let cm = CorrelationMap::new("cm", spec.clone());
+            for row in &rows {
+                let built: usize = spec.key_of(row).iter().map(CmKeyPart::size_bytes).sum();
+                assert_eq!(cm.wal_record_bytes(row), built + 4 + 8, "{spec:?} {row:?}");
+            }
+        }
     }
 }

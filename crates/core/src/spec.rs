@@ -72,6 +72,13 @@ impl CmSpec {
         self.attrs.iter().map(|a| a.bucket.key_part(&row[a.col])).collect()
     }
 
+    /// Stored size of `key_of(row)`, summed without building the key.
+    pub fn key_bytes(&self, row: &[Value]) -> usize {
+        let part =
+            |a: &CmAttr| a.bucket.bucket_of(&row[a.col]).map_or(row[a.col].size_bytes(), |_| 8);
+        self.attrs.iter().map(part).sum()
+    }
+
     /// Encode the spec as bytes — the opaque payload a
     /// [`cm_storage::LogPayload::DesignChange`] record carries, since
     /// the log layer sits *below* this crate in the dependency order.

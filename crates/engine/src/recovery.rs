@@ -146,7 +146,7 @@ pub struct CrashState {
 /// What [`Engine::recover`] did, and what it cost.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Bytes of log the crash left behind.
+    /// Bytes of the frame stream the crash left behind.
     pub log_bytes: u64,
     /// Bytes that decoded cleanly (`<= log_bytes`).
     pub valid_bytes: u64,
@@ -315,7 +315,8 @@ impl Engine {
     ) -> Result<(Arc<Engine>, RecoveryReport)> {
         let engine = Engine::try_new(config)?;
         // Analysis + redo read the surviving log once, sequentially,
-        // from the log disk.
+        // from the log disk: the typed frames only, since maintenance
+        // volume is priced at flush time but never written.
         let log_bytes = state.log.len() as u64;
         if log_bytes > 0 {
             let pages = log_bytes.div_ceil(engine.config.disk.page_bytes as u64);
@@ -372,8 +373,7 @@ impl Engine {
                     redo_design(&engine, table, design)?;
                     redone += 1;
                 }
-                LogPayload::Maintenance { .. }
-                | LogPayload::Commit { .. }
+                LogPayload::Commit { .. }
                 | LogPayload::CheckpointBegin
                 | LogPayload::CheckpointEnd { .. } => {}
             }
@@ -507,7 +507,7 @@ fn redo_insert(engine: &Engine, table: &str, shard: usize, rid: Rid, row: &Row) 
             while t.heap().len() < rid.0 {
                 t.append_placeholder();
             }
-            t.insert_row(pool, None, row.clone()).map_err(EngineError::Storage)?;
+            t.insert_row(pool, None, row).map_err(EngineError::Storage)?;
         } else if t.is_tombstone(rid).map_err(EngineError::Storage)? {
             t.reinstate_row(pool, rid, row.clone()).map_err(EngineError::Storage)?;
         }

@@ -62,11 +62,14 @@ impl Engine {
     /// maintenance, the MVCC begin stamp, and the typed
     /// [`LogPayload::Insert`] redo record, under a *single* write-lock
     /// acquisition with one WAL batch appended before that lock drops.
-    /// Row-at-a-time ingest would take the lock and log once per row, a
-    /// stream of short exclusive holds that concurrent readers keep
-    /// tripping over. Groups larger than `INSERT_CHUNK` (128) rows release
-    /// the lock between chunks so a bulk load never becomes one long
-    /// exclusive hold. Returned rids line up with the input row order.
+    /// Each redo frame is encoded from the borrowed row before the lock
+    /// is taken; the hold only writes in the rid the row landed at and
+    /// seals the frame's checksum. Row-at-a-time ingest would take the
+    /// lock and log once per row, a stream of short exclusive holds that
+    /// concurrent readers keep tripping over. Groups larger than
+    /// `INSERT_CHUNK` (128) rows release the lock between chunks so a
+    /// bulk load never becomes one long exclusive hold. Returned rids
+    /// line up with the input row order.
     pub(crate) fn insert_many_txn(
         &self,
         table: &str,
@@ -78,22 +81,22 @@ impl Engine {
             entry.schema.validate(row)?;
         }
         let lt = entry.loaded()?;
-        let total = rows.len();
-        let mut by_shard: Vec<Vec<(usize, Row)>> = vec![Vec::new(); lt.parts.len()];
-        for (pos, row) in rows.into_iter().enumerate() {
-            by_shard[lt.router.shard_of_row(&row)].push((pos, row));
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); lt.parts.len()];
+        for (pos, row) in rows.iter().enumerate() {
+            by_shard[lt.router.shard_of_row(row)].push(pos);
         }
-        let mut rids: Vec<Rid> = vec![Rid(0); total];
-        for (shard, group) in by_shard.into_iter().enumerate() {
+        let mut rids: Vec<Rid> = vec![Rid(0); rows.len()];
+        for (shard, group) in by_shard.iter().enumerate() {
             let pool = self.backends[shard].pool();
-            let mut queued = group.into_iter().peekable();
-            while queued.peek().is_some() {
+            for chunk in group.chunks(INSERT_CHUNK) {
                 let mut batch = WalBatch::new();
+                for &pos in chunk {
+                    batch.stage_insert(txn, &entry.name, shard as u16, &rows[pos]);
+                }
                 let mut t = lt.parts[shard].write();
                 let mut failed = None;
-                for (pos, row) in queued.by_ref().take(INSERT_CHUNK) {
-                    let redo_row = row.clone();
-                    let rid = match t.insert_row(pool, Some(&mut batch), row) {
+                for &pos in chunk {
+                    let rid = match t.insert_row(pool, Some(&mut batch), &rows[pos]) {
                         Ok(rid) => rid,
                         Err(e) => {
                             failed = Some(e);
@@ -110,18 +113,12 @@ impl Engine {
                             if txn == AUTOCOMMIT_TXN { mv.next_ts() } else { pending_stamp(txn) };
                         t.set_begin_stamp(rid, begin);
                     }
-                    batch.push(
-                        txn,
-                        &LogPayload::Insert {
-                            table: entry.name.clone(),
-                            shard: shard as u16,
-                            rid: rid.0,
-                            row: redo_row,
-                        },
-                    );
+                    batch.seal_staged(rid.0);
                     self.counters.inserts.fetch_add(1, Ordering::Relaxed);
                     rids[pos] = Rid::sharded(shard, rid);
                 }
+                // The rows that never landed take their frames with them.
+                batch.drop_staged();
                 // The batch goes to the shared log *before the shard lock
                 // drops* — even after a mid-chunk failure: a fuzzy
                 // checkpoint snapshots shards under this lock, so every
@@ -136,7 +133,7 @@ impl Engine {
                 }
             }
         }
-        entry.profile.lock().note_writes(total as u64);
+        entry.profile.lock().note_writes(rows.len() as u64);
         Ok(rids)
     }
 

@@ -124,6 +124,12 @@ impl SecondaryIndex {
         IndexKey::from_row(row, &self.cols)
     }
 
+    /// WAL bytes for one posting's maintenance record: the size of
+    /// `key_of(row)`, summed without building the key, plus 14.
+    pub fn wal_record_bytes(&self, row: &[Value]) -> usize {
+        self.cols.iter().map(|&c| row[c].size_bytes()).sum::<usize>() + 14
+    }
+
     /// Probe one key, charging `height` page reads; returns the posting
     /// list (empty if the key is absent).
     pub fn probe(&self, io: &dyn PageAccessor, key: &IndexKey) -> &[Rid] {
@@ -312,6 +318,21 @@ mod tests {
         let rids = idx.probe(disk.as_ref(), &IndexKey::single(Value::str("nowhere")));
         assert!(rids.is_empty());
         assert!(disk.stats().pages() > 0);
+    }
+
+    #[test]
+    fn wal_record_bytes_is_the_built_key_size() {
+        let disk = DiskSim::with_defaults();
+        let rows = [
+            vec![Value::Int(6), Value::str("boston"), Value::Null],
+            vec![Value::Null, Value::float(1.5), Value::Date(3)],
+        ];
+        for cols in [vec![1], vec![2, 0], vec![0, 1, 2]] {
+            let idx = SecondaryIndex::new("i", cols, disk.alloc_file(), 4);
+            for row in &rows {
+                assert_eq!(idx.wal_record_bytes(row), idx.key_of(row).size_bytes() + 14);
+            }
+        }
     }
 
     #[test]

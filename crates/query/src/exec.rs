@@ -664,7 +664,7 @@ mod tests {
         let ts = mv.next_ts();
         t.end_version(disk.as_ref(), victim, ts).unwrap();
         let pending = t
-            .insert_row(disk.as_ref(), None, vec![Value::Int(42), Value::Int(4250), Value::Int(0)])
+            .insert_row(disk.as_ref(), None, &[Value::Int(42), Value::Int(4250), Value::Int(0)])
             .unwrap();
         t.set_begin_stamp(pending, pending_stamp(9));
         let new_snap = mv.begin();

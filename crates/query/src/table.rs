@@ -462,28 +462,28 @@ impl Table {
     /// * the heap tail-page write (through `io`, typically a buffer pool);
     /// * per secondary index: a root-to-leaf read + leaf write (+ splits);
     /// * per CM: nothing — memory-resident, exactly the paper's point;
-    /// * WAL bytes for each index posting and each CM delta
-    ///   (recoverability comparable to a B+Tree, §7.1). The heap row
-    ///   itself is logged by the caller as a typed
-    ///   [`cm_storage::LogPayload::Insert`] record, which recovery
-    ///   replays; the per-structure records here remain volume-only.
+    /// * WAL volume for each index posting and each CM delta
+    ///   (recoverability comparable to a B+Tree, §7.1), priced through
+    ///   [`LogWrite::append_sized`]. The heap row itself is logged by the
+    ///   caller as a typed [`cm_storage::LogPayload::Insert`] record,
+    ///   which recovery replays.
     pub fn insert_row(
         &mut self,
         io: &dyn PageAccessor,
         wal: Option<&mut dyn LogWrite>,
-        row: Row,
+        row: &[Value],
     ) -> Result<Rid, StorageError> {
-        let rid = self.heap.append_row(io, &row)?;
+        let rid = self.heap.append_row(io, row)?;
         self.push_stamp(LIVE);
         self.dir.note_append(rid);
-        self.learn_row(io, wal, rid, &row);
+        self.learn_row(io, wal, rid, row);
         Ok(rid)
     }
 
     /// DELETE one row by RID, retracting it from every access structure.
     /// As with inserts, the heap-level record (a typed
     /// [`cm_storage::LogPayload::Delete`] carrying the before-image) is
-    /// the caller's job; only structure-maintenance volume is logged
+    /// the caller's job; only structure-maintenance volume is priced
     /// here.
     pub fn delete_row(
         &mut self,
@@ -496,7 +496,7 @@ impl Table {
         for sec in &mut self.secondaries {
             sec.remove(io, &row, rid);
             if let Some(w) = wal.as_deref_mut() {
-                w.append_sized(sec.key_of(&row).size_bytes() + 14);
+                w.append_sized(sec.wal_record_bytes(&row));
             }
         }
         for cm in &mut self.cms {
@@ -528,7 +528,7 @@ impl Table {
     }
 
     /// Teach the clustered index and every secondary index and CM
-    /// `row`, now stored in slot `rid`, logging each structure's
+    /// `row`, now stored in slot `rid`, pricing each structure's
     /// maintenance volume to `wal` if provided.
     fn learn_row(
         &mut self,
@@ -541,7 +541,7 @@ impl Table {
         for sec in &mut self.secondaries {
             sec.insert(io, row, rid);
             if let Some(w) = wal.as_deref_mut() {
-                w.append_sized(sec.key_of(row).size_bytes() + 14);
+                w.append_sized(sec.wal_record_bytes(row));
             }
         }
         for cm in &mut self.cms {
@@ -869,7 +869,7 @@ mod tests {
             .insert_row(
                 &pool,
                 Some(&mut wal),
-                vec![Value::Int(49), Value::Int(999_999), Value::str("new")],
+                &[Value::Int(49), Value::Int(999_999), Value::str("new")],
             )
             .unwrap();
         assert_eq!(rid.0, len_before);
@@ -913,8 +913,8 @@ mod tests {
         let row = vec![Value::Int(1), Value::Int(1), Value::str("x")];
         disk_a.reset();
         disk_b.reset();
-        plain.insert_row(disk_a.as_ref(), None, row.clone()).unwrap();
-        indexed.insert_row(disk_b.as_ref(), None, row).unwrap();
+        plain.insert_row(disk_a.as_ref(), None, &row).unwrap();
+        indexed.insert_row(disk_b.as_ref(), None, &row).unwrap();
         assert!(
             disk_b.stats().elapsed_ms > 4.0 * disk_a.stats().elapsed_ms,
             "5 B+Trees make inserts much more expensive: {} vs {}",
@@ -931,7 +931,7 @@ mod tests {
             t.add_cm(format!("cm{i}"), CmSpec::new(vec![CmAttr::pow2(1, 6)]));
         }
         disk.reset();
-        t.insert_row(disk.as_ref(), None, vec![Value::Int(1), Value::Int(1), Value::str("x")])
+        t.insert_row(disk.as_ref(), None, &[Value::Int(1), Value::Int(1), Value::str("x")])
             .unwrap();
         // Only the heap tail write is charged; CM updates are memory-only.
         assert_eq!(disk.stats().page_writes, 1);
@@ -1009,13 +1009,13 @@ mod tests {
         live.insert_row(
             disk.as_ref(),
             None,
-            vec![Value::Int(7), Value::Int(7777), Value::str("tail1")],
+            &[Value::Int(7), Value::Int(7777), Value::str("tail1")],
         )
         .unwrap();
         live.insert_row(
             disk.as_ref(),
             None,
-            vec![Value::Int(3), Value::Int(3333), Value::str("tail2")],
+            &[Value::Int(3), Value::Int(3333), Value::str("tail2")],
         )
         .unwrap();
         let (mut image, bits) = (live.heap().image(), live.current_slots());
@@ -1106,7 +1106,7 @@ mod tests {
             .insert_row(
                 io,
                 None,
-                vec![Value::Int(49), Value::Int(1), Value::str("x")],
+                &[Value::Int(49), Value::Int(1), Value::str("x")],
             )
             .unwrap();
         assert_eq!(
@@ -1123,7 +1123,7 @@ mod tests {
             .insert_row(
                 io,
                 None,
-                vec![Value::Int(49), Value::Int(2), Value::str("y")],
+                &[Value::Int(49), Value::Int(2), Value::str("y")],
             )
             .unwrap();
         t.set_begin_stamp(late, 9);
@@ -1178,7 +1178,7 @@ mod tests {
             .insert_row(
                 io,
                 None,
-                vec![Value::Int(49), Value::Int(1), Value::str("x")],
+                &[Value::Int(49), Value::Int(1), Value::str("x")],
             )
             .unwrap();
         t.set_begin_stamp(rid, ts);

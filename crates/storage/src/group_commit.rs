@@ -139,8 +139,8 @@ impl GroupCommitWal {
     /// path: writers log their records inside one such critical
     /// section). The commit horizon advances when `f` returns. Prefer
     /// [`GroupCommitWal::append_batch`] for maintenance work: gather the
-    /// encoded frames outside the lock, then append them here in one
-    /// short critical section.
+    /// encoded frames and priced volume outside the lock, then append
+    /// them here in one short critical section.
     pub fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
         let mut wal = self.wal.lock();
         let out = f(&mut wal);
@@ -168,12 +168,12 @@ impl GroupCommitWal {
         self.appended.load(Ordering::Acquire)
     }
 
-    /// Bytes made durable so far.
+    /// Bytes of the frame stream made durable so far.
     pub fn durable_bytes(&self) -> u64 {
         self.wal.lock().durable_bytes()
     }
 
-    /// Bytes appended so far (durable or not).
+    /// Bytes of the frame stream appended so far (durable or not).
     pub fn appended_bytes(&self) -> u64 {
         self.wal.lock().appended_bytes()
     }
@@ -294,6 +294,7 @@ impl GroupCommitWal {
 mod tests {
     use super::*;
     use crate::disk::DiskSim;
+    use crate::LogWrite;
     use std::sync::Barrier;
 
     fn gc(cfg: GroupCommitConfig) -> (std::sync::Arc<DiskSim>, GroupCommitWal) {
@@ -439,8 +440,8 @@ mod tests {
         gc.log(7, &LogPayload::Commit { ts: 0 });
         agree(&gc);
         let mut batch = crate::WalBatch::new();
-        batch.push(7, &LogPayload::Maintenance { bytes: 16 });
-        batch.push(7, &LogPayload::Maintenance { bytes: 32 });
+        batch.push(7, &LogPayload::Commit { ts: 1 });
+        batch.append_sized(32);
         gc.append_batch(&batch);
         agree(&gc);
         assert_eq!(gc.records(), 4);
@@ -490,16 +491,17 @@ mod tests {
         let (_disk, gc) = gc(GroupCommitConfig::default());
         gc.with_wal(|w| {
             w.append_sized(4);
-            w.append_sized(4);
+            w.log(1, &LogPayload::CheckpointBegin);
+            w.log(1, &LogPayload::Commit { ts: 0 });
         });
-        assert_eq!(gc.records(), 2);
+        assert_eq!(gc.records(), 3);
         gc.commit();
         assert_eq!(
             gc.durable_bytes(),
             gc.appended_bytes(),
             "everything appended is durable after commit"
         );
-        // The retained stream decodes back to the two records.
+        // The retained stream decodes back to the two typed records.
         let decoded = crate::logrec::decode_stream(&gc.durable_log());
         assert!(!decoded.torn);
         assert_eq!(decoded.records.len(), 2);

@@ -80,7 +80,7 @@ pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use heap::{key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, HeapImage, PageRef};
 pub use logrec::{
-    crc32, decode_stream, encode_frame, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
+    crc32, decode_stream, encode_into, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
     FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,
 };
 pub use mvcc::{
@@ -90,7 +90,7 @@ pub use rid::Rid;
 pub use schema::{Column, Row, Schema, ValueType};
 pub use shard::{aggregate_io, aggregate_pool, makespan_ms, Backend, StorageShard};
 pub use value::{OrdF64, Value};
-pub use wal::{LogWrite, Wal, WalBatch};
+pub use wal::{LogWrite, Wal, WalBatch, MAINTENANCE_OVERHEAD_BYTES};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -1,10 +1,6 @@
 //! Typed, checksummed WAL records.
 //!
-//! PR 2 gave the engine a group-committed WAL, but its records were raw
-//! byte volumes — enough to *price* logging (Experiment 3 counts "all
-//! costs involved in maintaining a CM, including transaction logging")
-//! but useless for *recovery*. This module adds the logical layer an
-//! ARIES-style restart needs: every record is a [`LogPayload`] framed as
+//! Every record recovery reads is a [`LogPayload`] framed as
 //!
 //! ```text
 //! [len: u32 LE][crc32: u32 LE][payload bytes]
@@ -18,7 +14,11 @@
 //!
 //! The payload itself begins `[kind: u8][txn: u64 LE]` followed by
 //! kind-specific fields. Values are encoded tag + little-endian payload;
-//! rows as a `u16` arity followed by their values.
+//! rows as a `u16` arity followed by their values. Frames are encoded in
+//! place at the end of a caller's buffer ([`encode_into`]); an insert's
+//! can be staged before its rid is known ([`stage_insert`],
+//! [`seal_insert`]). Structure maintenance has no record kind: recovery
+//! rebuilds structures, so the log only prices that volume.
 //!
 //! **Torn-tail rule:** a crash can cut the stream anywhere, including
 //! mid-frame. [`decode_stream`] stops at the first frame that is short
@@ -43,7 +43,7 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 /// Bytes of payload header per record (`kind` + `txn`).
 pub const PAYLOAD_HEADER_BYTES: usize = 9;
 
-const KIND_MAINTENANCE: u8 = 0;
+// Kind 0 is unassigned: a frame of it decodes as torn.
 const KIND_INSERT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_DELETE_SET: u8 = 3;
@@ -56,14 +56,6 @@ const KIND_DESIGN_CHANGE: u8 = 7;
 /// live in [`LogRecord`] and the frame position respectively).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogPayload {
-    /// Structure-maintenance volume (index/CM upkeep): `bytes` of
-    /// padding whose only job is to keep the log's byte accounting
-    /// identical to what the paper's Experiment 3 charges. Redo no-op —
-    /// structures are rebuilt from the recovered heap.
-    Maintenance {
-        /// Padding bytes appended after the header.
-        bytes: u32,
-    },
     /// A row insert into `table`'s shard `shard` at local rid `rid`.
     Insert {
         /// Table name.
@@ -150,29 +142,39 @@ pub struct DecodedLog {
 
 // ---------------------------------------------------------------- crc32
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `T[0]` is the bytewise CRC-32 table and `T[k][b]`
+/// the CRC register after byte `b` and `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        // One byte (`b`, or a zero after table `k - 1`'s) is eight bit steps.
+        let mut c = if k == 0 { b as u32 } else { t[k - 1][b] };
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+            bit += 1;
         }
-        table[i] = c;
+        t[k][b] = c;
         i += 1;
     }
-    table
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3) of `bytes`.
+/// CRC-32 (IEEE 802.3) of `bytes`, eight bytes a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let x = u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")) ^ c as u64;
+        c = (0..8).fold(0, |acc, i| acc ^ t[7 - i][(x >> (8 * i)) as usize & 0xFF]);
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -202,7 +204,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn put_row(out: &mut Vec<u8>, row: &Row) {
+fn put_row(out: &mut Vec<u8>, row: &[Value]) {
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         put_value(out, v);
@@ -214,55 +216,94 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
-/// Encode one record as a complete frame (`len` + `crc` + payload).
-pub fn encode_frame(txn: u64, payload: &LogPayload) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.push(kind_of(payload));
-    body.extend_from_slice(&txn.to_le_bytes());
+/// The fields an `Insert` or `Delete` payload carries after its header.
+fn put_row_record(out: &mut Vec<u8>, table: &str, shard: u16, rid: u64, row: &[Value]) {
+    put_name(out, table);
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&rid.to_le_bytes());
+    put_row(out, row);
+}
+
+/// Start a frame at the end of `out`; returns its start offset.
+fn open_frame(out: &mut Vec<u8>, kind: u8, txn: u64) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    out.push(kind);
+    out.extend_from_slice(&txn.to_le_bytes());
+    start
+}
+
+/// Write the `len` of the frame opened at `start`, which ends `out`.
+fn close_frame(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - FRAME_HEADER_BYTES) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Write the `crc` of the frame that starts `frame`; returns its length.
+fn write_crc(frame: &mut [u8]) -> usize {
+    let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
+    let end = FRAME_HEADER_BYTES + len;
+    let crc = crc32(&frame[FRAME_HEADER_BYTES..end]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    end
+}
+
+/// Append one record's complete frame (`len` + `crc` + payload) to
+/// `out`, encoded in place; returns its start offset in `out`.
+pub fn encode_into(out: &mut Vec<u8>, txn: u64, payload: &LogPayload) -> usize {
+    let start = open_frame(out, kind_of(payload), txn);
     match payload {
-        LogPayload::Maintenance { bytes } => {
-            body.extend_from_slice(&bytes.to_le_bytes());
-            body.resize(body.len() + *bytes as usize, 0);
-        }
         LogPayload::Insert { table, shard, rid, row }
         | LogPayload::Delete { table, shard, rid, row } => {
-            put_name(&mut body, table);
-            body.extend_from_slice(&shard.to_le_bytes());
-            body.extend_from_slice(&rid.to_le_bytes());
-            put_row(&mut body, row);
+            put_row_record(out, table, *shard, *rid, row);
         }
         LogPayload::DeleteSet { table, shard, victims } => {
-            put_name(&mut body, table);
-            body.extend_from_slice(&shard.to_le_bytes());
-            body.extend_from_slice(&(victims.len() as u32).to_le_bytes());
+            put_name(out, table);
+            out.extend_from_slice(&shard.to_le_bytes());
+            out.extend_from_slice(&(victims.len() as u32).to_le_bytes());
             for (rid, row) in victims {
-                body.extend_from_slice(&rid.to_le_bytes());
-                put_row(&mut body, row);
+                out.extend_from_slice(&rid.to_le_bytes());
+                put_row(out, row);
             }
         }
         LogPayload::Commit { ts } => {
-            body.extend_from_slice(&ts.to_le_bytes());
+            out.extend_from_slice(&ts.to_le_bytes());
         }
         LogPayload::CheckpointBegin => {}
         LogPayload::CheckpointEnd { redo_lsn } => {
-            body.extend_from_slice(&redo_lsn.to_le_bytes());
+            out.extend_from_slice(&redo_lsn.to_le_bytes());
         }
         LogPayload::DesignChange { table, design } => {
-            put_name(&mut body, table);
-            body.extend_from_slice(&(design.len() as u32).to_le_bytes());
-            body.extend_from_slice(design);
+            put_name(out, table);
+            out.extend_from_slice(&(design.len() as u32).to_le_bytes());
+            out.extend_from_slice(design);
         }
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame
+    close_frame(out, start);
+    write_crc(&mut out[start..]);
+    start
+}
+
+/// Append the frame of `LogPayload::Insert { table, shard, rid, row }`
+/// from borrowed parts, its rid and checksum left for [`seal_insert`].
+pub fn stage_insert(out: &mut Vec<u8>, txn: u64, table: &str, shard: u16, row: &[Value]) {
+    let start = open_frame(out, KIND_INSERT, txn);
+    put_row_record(out, table, shard, 0, row);
+    close_frame(out, start);
+}
+
+/// Write the rid, then the checksum, of the staged insert frame that
+/// starts `frame`; returns the frame's length.
+pub fn seal_insert(frame: &mut [u8], rid: u64) -> usize {
+    let name_at = FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES;
+    let name_len = u16::from_le_bytes([frame[name_at], frame[name_at + 1]]) as usize;
+    let rid_at = name_at + 2 + name_len + 2;
+    frame[rid_at..rid_at + 8].copy_from_slice(&rid.to_le_bytes());
+    write_crc(frame)
 }
 
 fn kind_of(p: &LogPayload) -> u8 {
     match p {
-        LogPayload::Maintenance { .. } => KIND_MAINTENANCE,
         LogPayload::Insert { .. } => KIND_INSERT,
         LogPayload::Delete { .. } => KIND_DELETE,
         LogPayload::DeleteSet { .. } => KIND_DELETE_SET,
@@ -341,11 +382,6 @@ fn decode_payload(body: &[u8]) -> Option<(u64, LogPayload)> {
     let kind = c.u8()?;
     let txn = c.u64()?;
     let payload = match kind {
-        KIND_MAINTENANCE => {
-            let bytes = c.u32()?;
-            c.take(bytes as usize)?;
-            LogPayload::Maintenance { bytes }
-        }
         KIND_INSERT | KIND_DELETE => {
             let table = c.name()?;
             let shard = c.u16()?;
@@ -418,6 +454,12 @@ pub fn decode_stream(bytes: &[u8]) -> DecodedLog {
 mod tests {
     use super::*;
 
+    fn encode_frame(txn: u64, payload: &LogPayload) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_into(&mut frame, txn, payload);
+        frame
+    }
+
     fn row() -> Row {
         vec![
             Value::Int(-7),
@@ -430,7 +472,6 @@ mod tests {
 
     fn samples() -> Vec<(u64, LogPayload)> {
         vec![
-            (AUTOCOMMIT_TXN, LogPayload::Maintenance { bytes: 37 }),
             (3, LogPayload::Insert { table: "t".into(), shard: 2, rid: 99, row: row() }),
             (3, LogPayload::Delete { table: "t".into(), shard: 0, rid: 4, row: row() }),
             (
@@ -476,9 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_frame_carries_its_advertised_volume() {
-        let frame = encode_frame(AUTOCOMMIT_TXN, &LogPayload::Maintenance { bytes: 100 });
-        assert_eq!(frame.len(), FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES + 4 + 100);
+    fn staged_insert_seals_to_the_encoded_frame() {
+        let mut out = encode_frame(7, &LogPayload::Commit { ts: 1 });
+        let at = out.len();
+        stage_insert(&mut out, 3, "orders", 2, &row());
+        let len = seal_insert(&mut out[at..], 99);
+        assert_eq!(at + len, out.len());
+        let whole = LogPayload::Insert { table: "orders".into(), shard: 2, rid: 99, row: row() };
+        assert_eq!(&out[at..], &encode_frame(3, &whole)[..]);
     }
 
     #[test]

@@ -4,37 +4,45 @@
 //! recoverable by writing a WAL and flushing it during two-phase commit
 //! with PostgreSQL (§7.1). Experiment 3 counts "all costs involved in
 //! maintaining a CM, including transaction logging and 2PC". [`Wal`]
-//! models that: records accumulate in a buffer and [`Wal::commit`] forces
+//! models that: records accumulate in memory and [`Wal::commit`] forces
 //! them to the simulated disk — a seek to the log head plus sequential
 //! page writes, exactly like an `fsync` of an append-only file.
 //!
-//! Since the recovery PR every record is a typed, checksummed
-//! [`LogPayload`] frame (see [`crate::logrec`]): [`Wal::log`] appends
-//! one and returns its [`Lsn`] (byte offset of the frame start), and the
-//! full framed stream is retained in memory so [`Wal::durable_log`] can
-//! hand recovery exactly the bytes a crash would leave on disk. The
-//! simulated disk still only *prices* the flushes; the retained stream
-//! stands in for the log file's contents.
+//! Recovery reads only typed [`LogPayload`] frames ([`crate::logrec`]):
+//! [`Wal::log`] appends one and returns its [`Lsn`], its offset in the
+//! kept stream of frames ([`Wal::durable_log`]). Structure maintenance
+//! is *priced*, not streamed ([`LogWrite::append_sized`]): flushes are
+//! priced from the logical length, frames plus that volume, so they
+//! write the pages a log streaming every maintenance frame would.
 
 use crate::disk::{DiskSim, FileId, IoStats, PageAccessor};
-use crate::logrec::{self, LogPayload, Lsn, AUTOCOMMIT_TXN};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::logrec::{self, LogPayload, Lsn, FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES};
+use crate::value::Value;
 use std::sync::Arc;
+
+/// Bytes a maintenance record is priced at beyond its payload: the
+/// frame header, the payload header and a `u32` size field.
+pub const MAINTENANCE_OVERHEAD_BYTES: usize = FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES + 4;
 
 /// Anything maintenance code can log record volumes to: the [`Wal`]
 /// itself, or a [`WalBatch`] gathered outside the log lock so a shared
 /// log's critical section shrinks to the appends alone.
 pub trait LogWrite {
-    /// Append a structure-maintenance record described only by its
-    /// payload size (a [`LogPayload::Maintenance`] frame).
+    /// Price one structure-maintenance record of `payload_len` payload
+    /// bytes as one more record and its frame's length; write no bytes.
     fn append_sized(&mut self, payload_len: usize);
 }
 
-/// A detached batch of encoded record frames, appended into a [`Wal`]
-/// later (e.g. under a briefly-held log lock).
+/// A detached batch of records, appended into a [`Wal`] later (e.g.
+/// under a briefly-held log lock): frames encoded back to back in one
+/// buffer, plus priced maintenance volume.
 #[derive(Debug, Default, Clone)]
 pub struct WalBatch {
-    frames: Vec<Vec<u8>>,
+    bytes: Vec<u8>,
+    /// End of the last complete frame; staged inserts follow it.
+    sealed: usize,
+    records: u64,
+    volume: u64,
 }
 
 impl WalBatch {
@@ -43,40 +51,58 @@ impl WalBatch {
         WalBatch::default()
     }
 
-    /// Number of records gathered.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Whether the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.records == 0
     }
 
-    /// Gather one typed record.
+    /// Gather one typed record. No staged insert may be waiting.
     pub fn push(&mut self, txn: u64, payload: &LogPayload) {
-        self.frames.push(logrec::encode_frame(txn, payload));
+        debug_assert_eq!(self.sealed, self.bytes.len(), "a staged insert is unsealed");
+        logrec::encode_into(&mut self.bytes, txn, payload);
+        self.sealed = self.bytes.len();
+        self.records += 1;
     }
 
-    /// Append every gathered record onto `wal`, in order. (Formerly
-    /// `replay` — renamed so "replay" unambiguously means recovery
-    /// redo.)
+    /// Encode the redo frame of inserting `row` into `table`'s shard
+    /// `shard` before its rid is known; [`WalBatch::seal_staged`] seals
+    /// staged frames in staging order.
+    pub fn stage_insert(&mut self, txn: u64, table: &str, shard: u16, row: &[Value]) {
+        logrec::stage_insert(&mut self.bytes, txn, table, shard, row);
+    }
+
+    /// Complete the oldest unsealed staged insert with the rid its row
+    /// landed at.
+    pub fn seal_staged(&mut self, rid: u64) {
+        self.sealed += logrec::seal_insert(&mut self.bytes[self.sealed..], rid);
+        self.records += 1;
+    }
+
+    /// Drop every staged insert not yet sealed (their rows never landed).
+    pub fn drop_staged(&mut self) {
+        self.bytes.truncate(self.sealed);
+    }
+
+    /// Append every gathered record onto `wal`, in order.
     pub fn append_into(&self, wal: &mut Wal) {
-        for frame in &self.frames {
-            wal.append_frame(frame);
-        }
+        debug_assert_eq!(self.sealed, self.bytes.len(), "a staged insert is unsealed");
+        wal.history.extend_from_slice(&self.bytes);
+        wal.logical += self.bytes.len() as u64 + self.volume;
+        wal.records += self.records;
     }
 }
 
 impl LogWrite for WalBatch {
     fn append_sized(&mut self, payload_len: usize) {
-        self.push(AUTOCOMMIT_TXN, &LogPayload::Maintenance { bytes: payload_len as u32 });
+        self.volume += (MAINTENANCE_OVERHEAD_BYTES + payload_len) as u64;
+        self.records += 1;
     }
 }
 
 impl LogWrite for Wal {
     fn append_sized(&mut self, payload_len: usize) {
-        self.log(AUTOCOMMIT_TXN, &LogPayload::Maintenance { bytes: payload_len as u32 });
+        self.logical += (MAINTENANCE_OVERHEAD_BYTES + payload_len) as u64;
+        self.records += 1;
     }
 }
 
@@ -84,20 +110,19 @@ impl LogWrite for Wal {
 pub struct Wal {
     disk: Arc<DiskSim>,
     file: FileId,
-    /// Unflushed record bytes.
-    buffer: BytesMut,
-    /// The full framed stream since creation. The simulated disk stores
+    /// The stream of frames since creation. The simulated disk stores
     /// no bytes, so this is the "log file" recovery reads back.
-    history: BytesMut,
+    history: Vec<u8>,
+    /// Logical bytes appended: frames plus priced volume.
+    logical: u64,
+    /// `logical` at the last flush.
+    flushed: u64,
+    /// Logical offset where the unsealed tail page, which the next
+    /// flush rewrites, begins.
+    tail_start: u64,
     /// Next page number to write.
     next_page: u64,
-    /// Bytes at the front of `buffer` that were already made durable by a
-    /// previous commit (the unsealed tail page is kept buffered so it can
-    /// be rewritten in place).
-    tail_carry: usize,
-    /// Bytes already durably written.
     durable_bytes: u64,
-    /// Records appended since creation.
     records: u64,
     page_bytes: usize,
 }
@@ -109,82 +134,71 @@ impl Wal {
         Wal {
             file: disk.alloc_file(),
             disk,
-            buffer: BytesMut::new(),
-            history: BytesMut::new(),
+            history: Vec::new(),
+            logical: 0,
+            flushed: 0,
+            tail_start: 0,
             next_page: 0,
-            tail_carry: 0,
             durable_bytes: 0,
             records: 0,
             page_bytes,
         }
     }
 
-    /// Append one typed record to the in-memory tail and return its LSN.
-    /// No disk cost until [`Wal::commit`].
+    /// Append one typed record and return its LSN. No disk cost until
+    /// [`Wal::commit`].
     pub fn log(&mut self, txn: u64, payload: &LogPayload) -> Lsn {
-        self.append_frame(&logrec::encode_frame(txn, payload))
-    }
-
-    /// Append one pre-encoded frame (see [`WalBatch`]); returns its LSN.
-    pub fn append_frame(&mut self, frame: &[u8]) -> Lsn {
-        let lsn = self.history.len() as Lsn;
-        self.history.put_slice(frame);
-        self.buffer.put_slice(frame);
+        let lsn = logrec::encode_into(&mut self.history, txn, payload) as Lsn;
+        self.logical += self.history.len() as u64 - lsn;
         self.records += 1;
         lsn
     }
 
-    /// Append a maintenance record described only by its size — most
-    /// callers (index and CM upkeep) only need the log volume to be
-    /// right, not the contents.
-    pub fn append_sized(&mut self, payload_len: usize) {
-        self.log(AUTOCOMMIT_TXN, &LogPayload::Maintenance { bytes: payload_len as u32 });
-    }
-
-    /// Force the buffered tail to disk; returns the I/O charged.
+    /// Force everything appended to disk; returns the I/O charged.
     ///
     /// Even a tiny commit rewrites the current tail page (torn-page-safe
     /// logging always flushes whole pages) — but a commit with *nothing
-    /// new* since the last flush is a pure no-op: no disk write, no
-    /// buffer work. Group commit relies on this so absorbed followers
-    /// and redundant leader flushes cost nothing.
+    /// new* since the last flush is a pure no-op: no disk write at all.
+    /// Group commit relies on this so absorbed followers and redundant
+    /// leader flushes cost nothing.
     pub fn commit(&mut self) -> IoStats {
         if self.pending_bytes() == 0 {
             return IoStats::default();
         }
         let before = self.disk.stats();
-        let total = self.buffer.len();
-        let pages = (total as u64).div_ceil(self.page_bytes as u64).max(1);
+        let page = self.page_bytes as u64;
+        let total = self.logical - self.tail_start;
+        let pages = total.div_ceil(page).max(1);
         // One vectored write for the whole tail: a log force is a single
         // seek to the log head plus sequential pages, and stays that way
         // even while shard traffic shares the device.
         self.disk.write_run(self.file, self.next_page, self.next_page + pages - 1);
-        // All but the last page are full and permanently sealed; the tail
-        // page's content stays buffered so the next commit rewrites it.
+        // All but the last page are full and permanently sealed; the
+        // next commit rewrites the tail page's content.
         self.next_page += pages - 1;
-        self.durable_bytes += (total - self.tail_carry) as u64;
-        let full = (total / self.page_bytes) * self.page_bytes;
-        let _ = self.buffer.split_to(full);
-        self.tail_carry = self.buffer.len();
+        self.tail_start += total / page * page;
+        self.flushed = self.logical;
+        self.durable_bytes = self.history.len() as u64;
         self.disk.stats().since(&before)
     }
 
-    /// Total bytes made durable so far.
+    /// Bytes of the frame stream made durable so far.
     pub fn durable_bytes(&self) -> u64 {
         self.durable_bytes
     }
 
-    /// Total bytes appended so far (durable or not).
+    /// Bytes of the frame stream appended so far (durable or not).
     pub fn appended_bytes(&self) -> u64 {
         self.history.len() as u64
     }
 
-    /// Bytes appended but not yet committed.
+    /// Logical bytes (frames plus priced volume) appended but not yet
+    /// flushed.
     pub fn pending_bytes(&self) -> u64 {
-        (self.buffer.len() - self.tail_carry) as u64
+        self.logical - self.flushed
     }
 
-    /// Number of records appended since creation.
+    /// Number of records appended since creation, priced ones included.
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -194,42 +208,33 @@ impl Wal {
         self.file
     }
 
-    /// The durable prefix of the framed record stream — what a crash
-    /// right now would leave readable on disk. Recovery decodes this
-    /// with [`logrec::decode_stream`].
+    /// The durable prefix of the frame stream — what a crash right now
+    /// would leave readable on disk. Recovery decodes this with
+    /// [`logrec::decode_stream`].
     pub fn durable_log(&self) -> Vec<u8> {
         self.history[..self.durable_bytes as usize].to_vec()
     }
 
-    /// The full appended stream including the not-yet-durable tail
-    /// (crash harnesses cut this at arbitrary points; real crashes can
-    /// leave any prefix of the in-flight tail page behind).
+    /// The full appended frame stream including the not-yet-durable
+    /// tail (crash harnesses cut this at arbitrary points; real crashes
+    /// can leave any prefix of the in-flight tail page behind).
     pub fn appended_log(&self) -> Vec<u8> {
-        self.history.to_vec()
-    }
-
-    /// Freeze and return the current unflushed buffer (test hook).
-    pub fn pending_snapshot(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.buffer)
+        self.history.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logrec::{decode_stream, FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES};
-
-    /// Frame overhead of a maintenance record: len+crc, kind+txn, and
-    /// the u32 padding-size field.
-    const MAINT_OVERHEAD: usize = FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES + 4;
+    use crate::logrec::decode_stream;
 
     #[test]
     fn commit_charges_seek_plus_sequential_pages() {
         let disk = DiskSim::with_defaults();
         let mut wal = Wal::new(disk.clone());
-        // Exactly 3 pages of records.
+        // Exactly 3 pages of priced volume.
         for _ in 0..3 {
-            wal.append_sized(8192 - MAINT_OVERHEAD);
+            wal.append_sized(8192 - MAINTENANCE_OVERHEAD_BYTES);
         }
         let io = wal.commit();
         assert_eq!(io.page_writes, 3);
@@ -247,22 +252,18 @@ mod tests {
 
     #[test]
     fn recommit_with_nothing_pending_is_free() {
-        // Regression: commit used to rewrite the tail page (and shuffle
-        // the buffer) even when nothing was appended since the last
-        // flush.
+        // Regression: commit used to rewrite the tail page even when
+        // nothing was appended since the last flush.
         let disk = DiskSim::with_defaults();
         let mut wal = Wal::new(disk.clone());
         wal.append_sized(7);
         let io1 = wal.commit();
         assert_eq!(io1.page_writes, 1);
-        let durable = wal.durable_bytes();
-        let snap = wal.pending_snapshot();
         let before = disk.stats();
         let io2 = wal.commit();
         assert_eq!(io2, IoStats::default(), "nothing pending: no I/O");
         assert_eq!(disk.stats(), before, "disk untouched");
-        assert_eq!(wal.durable_bytes(), durable);
-        assert_eq!(wal.pending_snapshot(), snap, "tail buffer untouched");
+        assert_eq!(wal.pending_bytes(), 0);
     }
 
     #[test]
@@ -282,16 +283,37 @@ mod tests {
     fn durable_bytes_accumulate() {
         let disk = DiskSim::with_defaults();
         let mut wal = Wal::new(disk);
-        wal.append_sized(4);
-        let one = (MAINT_OVERHEAD + 4) as u64;
+        wal.log(1, &LogPayload::Commit { ts: 0 });
+        let one = wal.appended_bytes();
         assert_eq!(wal.pending_bytes(), one);
         wal.commit();
         assert_eq!(wal.durable_bytes(), one);
         assert_eq!(wal.pending_bytes(), 0);
+        wal.log(2, &LogPayload::CheckpointBegin);
         wal.append_sized(100);
         wal.commit();
-        assert_eq!(wal.durable_bytes(), one + (MAINT_OVERHEAD + 100) as u64);
+        let mut two = Vec::new();
+        logrec::encode_into(&mut two, 2, &LogPayload::CheckpointBegin);
+        let two = two.len() as u64;
+        assert_eq!(wal.durable_bytes(), one + two, "the priced volume is not streamed");
         assert_eq!(wal.durable_bytes(), wal.appended_bytes());
+    }
+
+    #[test]
+    fn priced_volume_is_flushed_but_never_streamed() {
+        let disk = DiskSim::with_defaults();
+        let mut wal = Wal::new(disk);
+        wal.append_sized(4);
+        assert_eq!(wal.pending_bytes(), (MAINTENANCE_OVERHEAD_BYTES + 4) as u64);
+        assert_eq!(wal.commit().page_writes, 1, "the volume alone is flushed");
+        assert_eq!((wal.durable_bytes(), wal.appended_bytes()), (0, 0), "and writes no bytes");
+        let lsn = wal.log(1, &LogPayload::Commit { ts: 0 });
+        assert_eq!(lsn, 0, "LSNs are offsets into the frame stream");
+        wal.append_sized(100);
+        wal.commit();
+        assert_eq!(wal.durable_bytes(), wal.appended_bytes());
+        assert_eq!(decode_stream(&wal.durable_log()).records.len(), 1);
+        assert_eq!(wal.records(), 3);
     }
 
     #[test]
@@ -306,17 +328,6 @@ mod tests {
         // Only the (third) tail page is rewritten, not the sealed ones.
         assert_eq!(io.page_writes, 1);
         assert_eq!(disk.stats().page_writes, before.page_writes + 1);
-    }
-
-    #[test]
-    fn pending_snapshot_reflects_buffer() {
-        let disk = DiskSim::with_defaults();
-        let mut wal = Wal::new(disk);
-        wal.append_sized(2);
-        let snap = wal.pending_snapshot();
-        assert_eq!(snap.len(), MAINT_OVERHEAD + 2);
-        let body_len = (PAYLOAD_HEADER_BYTES + 4 + 2) as u32;
-        assert_eq!(&snap[..4], &body_len.to_le_bytes());
     }
 
     #[test]
@@ -356,21 +367,24 @@ mod tests {
         let disk = DiskSim::with_defaults();
         let mut wal = Wal::new(disk);
         wal.log(0, &LogPayload::CheckpointBegin);
+        let row = vec![Value::Int(1)];
         let mut batch = WalBatch::new();
-        batch.push(4, &LogPayload::Insert {
-            table: "t".into(),
-            shard: 0,
-            rid: 1,
-            row: vec![crate::value::Value::Int(1)],
-        });
+        batch.push(4, &LogPayload::Commit { ts: 9 });
+        batch.stage_insert(4, "t", 0, &row);
+        batch.stage_insert(4, "t", 0, &row);
         batch.append_sized(10);
-        assert_eq!(batch.len(), 2);
+        batch.seal_staged(1);
+        batch.drop_staged();
         batch.append_into(&mut wal);
-        assert_eq!(wal.records(), 3);
+        assert_eq!(wal.records(), 4);
+        let priced = (MAINTENANCE_OVERHEAD_BYTES + 10) as u64;
+        assert_eq!(wal.pending_bytes(), wal.appended_bytes() + priced);
         wal.commit();
         let decoded = decode_stream(&wal.durable_log());
-        assert_eq!(decoded.records.len(), 3);
+        assert!(!decoded.torn);
+        assert_eq!(decoded.records.len(), 3, "the unsealed insert was dropped");
         assert_eq!(decoded.records[1].txn, 4);
-        assert!(matches!(decoded.records[2].payload, LogPayload::Maintenance { bytes: 10 }));
+        let insert = LogPayload::Insert { table: "t".into(), shard: 0, rid: 1, row };
+        assert_eq!(decoded.records[2].payload, insert);
     }
 }

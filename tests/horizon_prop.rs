@@ -156,11 +156,11 @@ proptest! {
             };
             match rng.below(11) {
                 0 | 1 => {
-                    let rid = t.insert_row(io, None, row(rng.next())).unwrap();
+                    let rid = t.insert_row(io, None, &row(rng.next())).unwrap();
                     t.set_begin_stamp(rid, mv.next_ts());
                 }
                 2 => {
-                    let rid = t.insert_row(io, None, row(rng.next())).unwrap();
+                    let rid = t.insert_row(io, None, &row(rng.next())).unwrap();
                     t.set_begin_stamp(rid, pending_stamp(txn(&mut rng, &mut open)));
                 }
                 3 => {

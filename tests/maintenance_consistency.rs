@@ -7,7 +7,7 @@
 use cm_core::{CmSpec, CorrelationMap};
 use cm_datagen::ebay::{self, ebay, EbayConfig};
 use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
-use cm_storage::{BufferPool, DiskSim, Rid, Wal};
+use cm_storage::{BufferPool, DiskSim, LogWrite, Rid, Wal};
 
 fn small_table(disk: &std::sync::Arc<DiskSim>, seed: u64) -> (Table, ebay::EbayData) {
     let data = ebay(EbayConfig { categories: 200, min_items: 5, max_items: 12, seed });
@@ -28,7 +28,7 @@ fn queries_stay_correct_across_insert_batches() {
 
     for batch_no in 0..5u64 {
         for row in data.insert_batch(300, batch_no) {
-            t.insert_row(&pool, Some(&mut wal), row).unwrap();
+            t.insert_row(&pool, Some(&mut wal), &row).unwrap();
         }
         wal.commit();
         let ctx = ExecContext::cold(&disk);
@@ -69,7 +69,7 @@ fn maintained_cm_equals_rebuilt_cm_through_table_api() {
 
     // Mix of inserts and deletes through the Table API.
     for row in data.insert_batch(500, 0) {
-        t.insert_row(disk.as_ref(), None, row).unwrap();
+        t.insert_row(disk.as_ref(), None, &row).unwrap();
     }
     for rid in (0..t.heap().len()).step_by(13).map(Rid) {
         t.delete_row(disk.as_ref(), None, rid).unwrap();
@@ -110,7 +110,7 @@ fn btree_maintenance_costs_scale_with_index_count_cms_do_not() {
             // per insert (constant across configurations, so the
             // asymmetry below is purely structure maintenance).
             wal.append_sized(64);
-            t.insert_row(&pool, Some(&mut wal), row).unwrap();
+            t.insert_row(&pool, Some(&mut wal), &row).unwrap();
         }
         wal.commit();
         pool.flush_all();
@@ -140,14 +140,16 @@ fn wal_records_grow_with_structure_count() {
     let mut wal = Wal::new(disk.clone());
     let batch = data.insert_batch(10, 2);
     for row in batch {
-        t.insert_row(disk.as_ref(), Some(&mut wal), row).unwrap();
+        t.insert_row(disk.as_ref(), Some(&mut wal), &row).unwrap();
     }
     // 1 index + 2 CMs = 3 maintenance records per insert (the heap row
     // itself is the caller's typed `LogPayload::Insert` record).
     assert_eq!(wal.records(), 30);
     let io = wal.commit();
     assert!(io.page_writes >= 1);
-    assert!(wal.durable_bytes() > 0);
+    // Their volume is priced by the flush but never written: recovery
+    // rebuilds structures from the heap.
+    assert_eq!(wal.durable_bytes(), 0);
 }
 
 #[test]
@@ -157,7 +159,7 @@ fn clustered_index_and_directory_track_appends() {
     let len_before = t.heap().len();
     let buckets_before = t.dir().num_buckets();
     for row in data.insert_batch(2_000, 3) {
-        t.insert_row(disk.as_ref(), None, row).unwrap();
+        t.insert_row(disk.as_ref(), None, &row).unwrap();
     }
     assert_eq!(t.heap().len(), len_before + 2_000);
     assert!(t.dir().num_buckets() > buckets_before, "tail buckets opened");

@@ -198,7 +198,7 @@ proptest! {
                     t.append_placeholder();
                 }
                 _ => {
-                    t.insert_row(disk.as_ref(), None, row(&mut rng)).unwrap();
+                    t.insert_row(disk.as_ref(), None, &row(&mut rng)).unwrap();
                 }
             }
         }
