@@ -21,6 +21,10 @@ pub struct BucketDirectory {
     heap_len: u64,
     tups_per_page: usize,
     target: u64,
+    /// The sum over buckets of the pages each spans (a page two buckets
+    /// share counts for both), kept by [`BucketDirectory::note_append`]
+    /// so the planner's [`BucketDirectory::avg_pages_per_bucket`] is O(1).
+    span_pages: u64,
 }
 
 impl BucketDirectory {
@@ -80,13 +84,17 @@ impl BucketDirectory {
         if self.num_buckets() == 0 {
             return 0.0;
         }
-        let total_pages: u64 = (0..self.num_buckets())
+        self.span_pages as f64 / self.num_buckets() as f64
+    }
+
+    /// The pages each bucket spans, summed bucket by bucket.
+    fn count_span_pages(&self) -> u64 {
+        (0..self.num_buckets())
             .map(|b| {
                 let (lo, hi) = self.page_range(b);
                 hi - lo + 1
             })
-            .sum();
-        total_pages as f64 / self.num_buckets() as f64
+            .sum()
     }
 
     /// Register a heap append. Appended tuples extend the final bucket
@@ -95,13 +103,17 @@ impl BucketDirectory {
     /// table, but every RID keeps a valid bucket.
     pub fn note_append(&mut self, rid: Rid) {
         debug_assert_eq!(rid.0, self.heap_len, "appends are sequential");
-        if self.starts.is_empty() {
+        let opens = match self.starts.last() {
+            None => true,
+            Some(&last_start) => rid.0 - last_start >= self.target,
+        };
+        if opens {
+            // A new bucket spans the page it opens on, shared or not.
             self.starts.push(rid.0);
-        } else {
-            let last_start = *self.starts.last().expect("non-empty");
-            if rid.0 - last_start >= self.target {
-                self.starts.push(rid.0);
-            }
+            self.span_pages += 1;
+        } else if rid.0.is_multiple_of(self.tups_per_page as u64) {
+            // The last bucket grows onto a new page.
+            self.span_pages += 1;
         }
         self.heap_len = rid.0 + 1;
     }
@@ -150,7 +162,9 @@ impl BucketDirectory {
             heap_len: sorted_len,
             tups_per_page: heap.tups_per_page(),
             target,
+            span_pages: 0,
         };
+        dir.span_pages = dir.count_span_pages();
         for rid in sorted_len..heap.len() {
             dir.note_append(Rid(rid));
         }
@@ -331,6 +345,46 @@ mod tests {
             expect_lo = hi;
         }
         assert_eq!(expect_lo, heap.len());
+    }
+
+    #[test]
+    fn running_page_total_matches_the_bucket_by_bucket_sum() {
+        let disk = DiskSim::with_defaults();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let check = |dir: &BucketDirectory| {
+            assert_eq!(dir.span_pages, dir.count_span_pages());
+            let sum = dir.count_span_pages() as f64 / dir.num_buckets().max(1) as f64;
+            let want = if dir.num_buckets() == 0 { 0.0 } else { sum };
+            assert_eq!(dir.avg_pages_per_bucket().to_bits(), want.to_bits());
+        };
+        for _ in 0..200 {
+            let tpp = 1 + next(12) as usize;
+            // Runs of equal keys stretch buckets past their target, so
+            // tail buckets open at any offset of a page.
+            let keys: Vec<i64> = (0..next(300)).map(|i| (i / (1 + next(5))) as i64).collect();
+            let heap = heap_with_keys(&disk, &keys, tpp);
+            let mut dirs = vec![BucketDirectory::per_page(&heap, 0)];
+            if !keys.is_empty() {
+                let sorted = next(keys.len() as u64 + 1);
+                let dead = next(7) + 2;
+                let live = |rid: Rid| !rid.0.is_multiple_of(dead);
+                dirs.push(BucketDirectory::restore(&heap, 0, 1 + next(40), sorted, live));
+            }
+            dirs.push(BucketDirectory::build(&heap, 0, 1 + next(40)));
+            for mut dir in dirs {
+                check(&dir);
+                for rid in keys.len() as u64..keys.len() as u64 + next(200) {
+                    dir.note_append(Rid(rid));
+                    check(&dir);
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,11 +56,11 @@ use std::sync::Arc;
 const CHECKPOINT_END_FRAME_BYTES: u64 =
     (FRAME_HEADER_BYTES + PAYLOAD_HEADER_BYTES + 8) as u64;
 
-/// One shard's slice of a checkpoint image: a typed column copy of its
-/// heap, not rows.
+/// One shard's slice of a checkpoint image: its heap's typed column
+/// segments, shared copy-on-write with the heap, not rows.
 #[derive(Debug, Clone)]
 pub struct ShardImage {
-    /// The heap's typed column vectors, null bitmaps and counts, length
+    /// The heap's typed column segments, null bitmaps and counts, length
     /// and dictionary strings ([`HeapImage`]), with every slot whose bit
     /// in `live` is clear written NULL — the form a slot that holds no
     /// row has in a restored heap. Dictionary codes are kept as issued.
@@ -76,8 +76,9 @@ pub struct ShardImage {
 }
 
 impl ShardImage {
-    /// Bytes the image allocates: its heap copy ([`HeapImage::bytes`])
-    /// and its liveness bitmap.
+    /// Bytes the image holds: its heap segments ([`HeapImage::bytes`],
+    /// which counts segments it shares with the heap or other images in
+    /// full) and its liveness bitmap.
     pub fn bytes(&self) -> usize {
         self.heap.bytes() + self.live.capacity() * std::mem::size_of::<u64>()
     }
@@ -174,16 +175,19 @@ pub struct RecoveryReport {
 impl Engine {
     /// Snapshot every loaded table, one shard read-lock at a time
     /// (writers on other shards — and on this shard, before/after the
-    /// copy — proceed concurrently; the paired `redo_lsn` squares up
-    /// anything the fuzzy copy raced with).
+    /// snapshot — proceed concurrently; the paired `redo_lsn` squares up
+    /// anything the fuzzy snapshot raced with). A shard's image shares
+    /// its heap's segments, so the hold copies no column.
     fn snapshot_image(&self) -> DurableImage {
         let mut tables = Vec::new();
         for entry in self.entries() {
             let Some(lt) = entry.loaded.get() else { continue };
             let mut shards = Vec::with_capacity(lt.parts.len());
             for (i, part) in lt.parts.iter().enumerate() {
-                // The read lock covers a copy of each vector; the dead
-                // slots are cleared in the copy after it is released.
+                // The read lock covers a pointer to each heap segment and
+                // the liveness bits; the dead slots are cleared after it
+                // is released, copying only the segments that hold one
+                // with values still stored.
                 let (mut heap, live) = {
                     let t = part.read();
                     (t.heap().image(), t.current_slots())

@@ -147,7 +147,8 @@ impl Engine {
     /// typed [`LogPayload::Delete`] record carries the before-image of
     /// the victim row so recovery can undo the delete when `txn` never
     /// committed. The row goes through the same remove step as a
-    /// `delete_where` victim.
+    /// `delete_where` victim; its record is encoded from the removed row
+    /// and the table name as borrowed, so the hold clones neither.
     pub(crate) fn delete_txn(&self, table: &str, rid: Rid, txn: u64) -> Result<Row> {
         let entry = self.entry(table)?;
         let lt = entry.loaded()?;
@@ -170,15 +171,7 @@ impl Engine {
             };
             let removed = self.remove_rows(&mut t, shard, &[rid.local()], end, &mut batch)?;
             let (local, row) = removed.into_iter().next().expect("a live row is removed");
-            batch.push(
-                txn,
-                &LogPayload::Delete {
-                    table: entry.name.clone(),
-                    shard: shard as u16,
-                    rid: local,
-                    row: row.clone(),
-                },
-            );
+            batch.push_delete(txn, &entry.name, shard as u16, local, &row);
             self.wal.append_batch(&batch);
             row
         };

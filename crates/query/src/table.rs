@@ -199,13 +199,15 @@ impl Table {
 
     /// One bit per heap slot, set while the slot's version is current
     /// ([`Table::is_current`]): the liveness a checkpoint images, in the
-    /// form [`Table::restore`] takes.
+    /// form [`Table::restore`] takes. A checkpoint builds it under the
+    /// shard read lock beside [`HeapFile::image`]'s segment pointers, so
+    /// it is built a word at a time.
     pub fn current_slots(&self) -> Vec<u64> {
-        let mut live = vec![0u64; self.stamps.len().div_ceil(64)];
-        for (r, &(_, end)) in self.stamps.iter().enumerate() {
-            live[r / 64] |= u64::from(end == LIVE_TS) << (r % 64);
-        }
-        live
+        let word = |stamps: &[(u64, u64)]| {
+            let bits = stamps.iter().enumerate();
+            bits.fold(0u64, |w, (i, &(_, end))| w | u64::from(end == LIVE_TS) << i)
+        };
+        self.stamps.chunks(64).map(word).collect()
     }
 
     /// The heap file.
@@ -1019,6 +1021,10 @@ mod tests {
         )
         .unwrap();
         let (mut image, bits) = (live.heap().image(), live.current_slots());
+        for rid in (0..live.heap().len()).map(Rid) {
+            assert_eq!(null_bit(&bits, rid.0 as usize), live.is_current(rid), "{rid:?}");
+        }
+        assert_eq!(bits.len() as u64, live.heap().len().div_ceil(64));
         image.retain(&bits);
         let disk2 = DiskSim::with_defaults();
         let heap = HeapFile::from_image(&disk2, live.heap().schema().clone(), image);

@@ -21,7 +21,9 @@
 //! * [`HeapFile`] — a paged heap of rows, each page one typed vector per
 //!   column plus a null bitmap, strings as codes into a per-heap
 //!   [`Dictionary`]; readers get [`PageRef`] column views, and rows are
-//!   materialised only where one must leave the page. Clustering is
+//!   materialised only where one must leave the page. Pages are held in
+//!   segments of [`SEGMENT_PAGES`] pages shared copy-on-write with the
+//!   checkpoint images ([`HeapImage`]) taken of the heap. Clustering is
 //!   achieved by bulk loading rows sorted on the clustered attribute.
 //! * [`BufferPool`] — a capacity-bounded page cache with dirty write-back,
 //!   reproducing the mechanism behind the paper's Experiment 3 (index
@@ -78,7 +80,9 @@ pub use error::StorageError;
 pub use filedisk::{FileDisk, TempDir};
 pub use group_commit::{GroupCommitConfig, GroupCommitStats, GroupCommitWal};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use heap::{key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, HeapImage, PageRef};
+pub use heap::{
+    key_bits, null_bit, ColumnSlice, Dictionary, HeapFile, HeapImage, PageRef, SEGMENT_PAGES,
+};
 pub use logrec::{
     crc32, decode_stream, encode_into, DecodedLog, LogPayload, LogRecord, Lsn, AUTOCOMMIT_TXN,
     FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES,

@@ -284,6 +284,23 @@ pub fn encode_into(out: &mut Vec<u8>, txn: u64, payload: &LogPayload) -> usize {
     start
 }
 
+/// Append the frame of `LogPayload::Delete { table, shard, rid, row }`
+/// from borrowed parts: the bytes [`encode_into`] writes for it, with no
+/// owned payload built first.
+pub fn encode_delete(
+    out: &mut Vec<u8>,
+    txn: u64,
+    table: &str,
+    shard: u16,
+    rid: u64,
+    row: &[Value],
+) {
+    let start = open_frame(out, KIND_DELETE, txn);
+    put_row_record(out, table, shard, rid, row);
+    close_frame(out, start);
+    write_crc(&mut out[start..]);
+}
+
 /// Append the frame of `LogPayload::Insert { table, shard, rid, row }`
 /// from borrowed parts, its rid and checksum left for [`seal_insert`].
 pub fn stage_insert(out: &mut Vec<u8>, txn: u64, table: &str, shard: u16, row: &[Value]) {

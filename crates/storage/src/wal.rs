@@ -64,6 +64,16 @@ impl WalBatch {
         self.records += 1;
     }
 
+    /// Gather the `LogPayload::Delete` record of removing `row` from slot
+    /// `rid` of `table`'s shard `shard`, encoded from the borrowed parts.
+    /// No staged insert may be waiting.
+    pub fn push_delete(&mut self, txn: u64, table: &str, shard: u16, rid: u64, row: &[Value]) {
+        debug_assert_eq!(self.sealed, self.bytes.len(), "a staged insert is unsealed");
+        logrec::encode_delete(&mut self.bytes, txn, table, shard, rid, row);
+        self.sealed = self.bytes.len();
+        self.records += 1;
+    }
+
     /// Encode the redo frame of inserting `row` into `table`'s shard
     /// `shard` before its rid is known; [`WalBatch::seal_staged`] seals
     /// staged frames in staging order.
@@ -227,6 +237,38 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::logrec::decode_stream;
+
+    #[test]
+    fn borrowed_delete_encodes_the_payload_frame() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..500 {
+            let row: Vec<Value> = (0..next() % 7)
+                .map(|_| match next() % 5 {
+                    0 => Value::Null,
+                    1 => Value::Int(next() as i64),
+                    2 => Value::float(f64::from_bits(next())),
+                    3 => Value::str("é".repeat(next() as usize % 40)),
+                    _ => Value::Date(next() as i32),
+                })
+                .collect();
+            let (txn, shard, rid) = (next() % 3, next() as u16, next());
+            let table = "t".repeat(next() as usize % 20);
+            let mut batch = WalBatch::new();
+            batch.push(7, &LogPayload::Commit { ts: 1 });
+            batch.push_delete(txn, &table, shard, rid, &row);
+            let mut want = Vec::new();
+            logrec::encode_into(&mut want, 7, &LogPayload::Commit { ts: 1 });
+            logrec::encode_into(&mut want, txn, &LogPayload::Delete { table, shard, rid, row });
+            assert_eq!(batch.bytes, want);
+            assert_eq!((batch.records, batch.sealed), (2, want.len()));
+        }
+    }
 
     #[test]
     fn commit_charges_seek_plus_sequential_pages() {

@@ -1,0 +1,272 @@
+//! Property test of the heap's copy-on-write segments: a [`HeapImage`]
+//! shares the live heap's segments until the heap writes them, and no
+//! write to the heap ever shows through an image.
+//!
+//! Each case bulk-loads a heap of up to four [`SEGMENT_PAGES`] segments
+//! (small pages, so segments are small and a partial tail segment is
+//! common), images it, then runs random appends, deletes, restores,
+//! tombstone appends and vacuum-like batches of deletes across segment
+//! boundaries on the live heap, taking more images as it goes. It checks:
+//!
+//! * an image taken right after load shares every segment
+//!   ([`HeapImage::bytes_apart_from`] is 0), and every image's
+//!   [`HeapImage::bytes`] is its slots' exact size;
+//! * every image's column words, null bitmaps and null counts are those
+//!   of the moment it was taken, however the heap was written since;
+//! * the bytes an image does not share with the heap are exactly those
+//!   of the image's segments the heap has written since it was taken —
+//!   so never more than that, and an unwritten segment is never copied;
+//! * [`HeapImage::retain`] on a copy of an image writes exactly the dead
+//!   slots NULL, copies only the segments holding a dead slot that was
+//!   not all NULL, and leaves the image and the heap untouched;
+//! * the live heap reads back as a `Vec<Row>` model of the writes.
+//!
+//! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
+//! page-level property tests, so CI raises them together.
+
+use cm_storage::{
+    null_bit, Column, DiskSim, HeapFile, HeapImage, Rid, Row, Schema, Value, ValueType,
+    SEGMENT_PAGES,
+};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+fn cases() -> ProptestConfig {
+    let cases = std::env::var("HEAP_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(96);
+    ProptestConfig::with_cases(cases)
+}
+
+const TYPES: [ValueType; 4] = [ValueType::Str, ValueType::Int, ValueType::Date, ValueType::Float];
+
+fn schema(arity: usize) -> Arc<Schema> {
+    let cols = TYPES.iter().enumerate().map(|(i, &ty)| Column::new(format!("c{i}"), ty));
+    Arc::new(Schema::new(cols.take(arity).collect()))
+}
+
+/// A row with NULLs in any column, some rows all NULL.
+fn row(arity: usize, seed: u64) -> Row {
+    let null = |k: u64| (seed >> k).is_multiple_of(4);
+    let full = [
+        if null(0) { Value::Null } else { Value::str(format!("s{}", seed % 11)) },
+        if null(8) { Value::Null } else { Value::Int(seed as i64 % 1000 - 500) },
+        if null(16) { Value::Null } else { Value::Date((seed % 300) as i32 - 150) },
+        if null(24) { Value::Null } else { Value::float(f64::from_bits(seed >> 2)) },
+    ];
+    full[..arity].to_vec()
+}
+
+/// Bytes a heap of `len` slots takes in segment `seg`: typed values,
+/// null bitmaps and page null counts.
+fn segment_bytes(schema: &Schema, tpp: usize, len: usize, seg: usize) -> usize {
+    let seg_slots = SEGMENT_PAGES * tpp;
+    let slots = len.min((seg + 1) * seg_slots).saturating_sub(seg * seg_slots);
+    let per_slot: usize = schema
+        .columns()
+        .iter()
+        .map(|c| match c.ty {
+            ValueType::Int | ValueType::Float => 8,
+            ValueType::Date | ValueType::Str => 4,
+        })
+        .sum();
+    let per_page = schema.arity() * (tpp.div_ceil(64) * 8 + 4);
+    slots * per_slot + slots.div_ceil(tpp) * per_page
+}
+
+/// One page column as stored: every slot's word, the null bitmap a
+/// reader is handed, and the null count.
+type PageColumn = (Vec<u64>, Option<Vec<u64>>, u32);
+
+/// What a heap stores, page by page and column by column. Strings are
+/// compared by code: an image keeps the codes it was taken with.
+fn contents(heap: &HeapFile) -> Vec<Vec<PageColumn>> {
+    let arity = heap.schema().arity();
+    heap.pages()
+        .map(|p| {
+            (0..arity)
+                .map(|c| {
+                    let col = p.column(c);
+                    let words = (0..p.len()).map(|s| col.word(s)).collect();
+                    (words, p.nulls(c).map(<[u64]>::to_vec), p.null_count(c))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `image` read back through a heap that adopts (and so shares) its
+/// segments.
+fn image_contents(schema: &Arc<Schema>, image: &HeapImage) -> Vec<Vec<PageColumn>> {
+    contents(&HeapFile::from_image(&DiskSim::with_defaults(), schema.clone(), image.clone()))
+}
+
+/// One image under test: the image, its length, dictionary size and
+/// contents when taken, and the segments the heap has written since.
+struct Taken {
+    image: HeapImage,
+    len: usize,
+    strings: usize,
+    contents: Vec<Vec<PageColumn>>,
+    written: BTreeSet<usize>,
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    #[test]
+    fn images_share_unwritten_segments_and_never_see_a_write(
+        arity in 1usize..5,
+        tpp in 1usize..9,
+        loaded_pages in 0usize..4 * SEGMENT_PAGES,
+        partial in 0usize..9,
+        ops in prop::collection::vec((0u8..8, any::<u64>()), 0..60),
+    ) {
+        let schema = schema(arity);
+        let disk = DiskSim::with_defaults();
+        let loaded = loaded_pages * tpp + partial % tpp;
+        let mut model: Vec<Row> = (0..loaded as u64).map(|i| row(arity, i * 7919)).collect();
+        let mut heap = HeapFile::bulk_load(&disk, schema.clone(), model.clone(), tpp).unwrap();
+        let seg_of = |rid: usize| rid / tpp / SEGMENT_PAGES;
+        let take = |heap: &HeapFile| Taken {
+            image: heap.image(),
+            len: heap.len() as usize,
+            strings: heap.dict().len(),
+            contents: contents(heap),
+            written: BTreeSet::new(),
+        };
+        let first = take(&heap);
+        prop_assert_eq!(first.image.bytes_apart_from(&heap), 0, "a fresh image shares everything");
+        let mut images = vec![first];
+        let null_row = vec![Value::Null; arity];
+
+        for (op, x) in ops {
+            let len = model.len();
+            // Which slots the op writes.
+            let mut wrote: Vec<usize> = Vec::new();
+            match op {
+                0 => {
+                    heap.append(disk.as_ref(), row(arity, x)).unwrap();
+                    model.push(row(arity, x));
+                    wrote.push(len);
+                }
+                1 if len > 0 => {
+                    let rid = x as usize % len;
+                    heap.delete(disk.as_ref(), Rid(rid as u64)).unwrap();
+                    model[rid] = null_row.clone();
+                    wrote.push(rid);
+                }
+                2 if len > 0 => {
+                    let rid = x as usize % len;
+                    heap.restore_row(disk.as_ref(), Rid(rid as u64), &row(arity, x)).unwrap();
+                    model[rid] = row(arity, x);
+                    wrote.push(rid);
+                }
+                3 => {
+                    heap.append_tombstone();
+                    model.push(null_row.clone());
+                    wrote.push(len);
+                }
+                4 if len > 0 => {
+                    // A vacuum pass: a strided batch of slots cleared,
+                    // crossing segment boundaries when the stride is long.
+                    let stride = 1 + (x >> 8) as usize % (2 * SEGMENT_PAGES * tpp);
+                    let from = x as usize % len;
+                    for rid in (from..len).step_by(stride).take(1 + (x >> 40) as usize % 8) {
+                        heap.delete(disk.as_ref(), Rid(rid as u64)).unwrap();
+                        model[rid] = null_row.clone();
+                        wrote.push(rid);
+                    }
+                }
+                5 if images.len() < 4 => images.push(take(&heap)),
+                6 => {
+                    // Retain on a copy of an image, under a random
+                    // liveness bitmap.
+                    let t = &images[x as usize % images.len()];
+                    let live: Vec<u64> = (0..t.len.div_ceil(64) as u64)
+                        .map(|w| (x ^ w.wrapping_mul(0x9e37_79b9_7f4a_7c15)).rotate_left(w as u32))
+                        .collect();
+                    let before = image_contents(&schema, &t.image);
+                    let mut kept = t.image.clone();
+                    kept.retain(&live);
+                    let source = image_contents(&schema, &t.image);
+                    prop_assert_eq!(&source, &before, "retain wrote its source");
+                    let got = image_contents(&schema, &kept);
+                    // Segments holding a dead slot that is not all NULL.
+                    let mut copied = BTreeSet::new();
+                    for (p, (page, want)) in got.iter().zip(&before).enumerate() {
+                        for s in 0..want[0].0.len() {
+                            let rid = p * tpp + s;
+                            let is_null = |cols: &[PageColumn], c: usize| {
+                                cols[c].1.as_ref().is_some_and(|n| null_bit(n, s))
+                            };
+                            if null_bit(&live, rid) {
+                                for c in 0..arity {
+                                    let word = page[c].0[s];
+                                    prop_assert_eq!(word, want[c].0[s], "live slot {}", rid);
+                                    prop_assert_eq!(is_null(page, c), is_null(want, c));
+                                }
+                            } else {
+                                if !(0..arity).all(|c| is_null(want, c)) {
+                                    copied.insert(seg_of(rid));
+                                }
+                                for c in 0..arity {
+                                    prop_assert!(is_null(page, c), "dead slot {} col {}", rid, c);
+                                    prop_assert_eq!(page[c].0[s], 0, "dead slot {}'s filler", rid);
+                                }
+                            }
+                        }
+                        for (c, (words, bitmap, count)) in page.iter().enumerate() {
+                            let nulls = (0..words.len())
+                                .filter(|&s| bitmap.as_ref().is_some_and(|n| null_bit(n, s)))
+                                .count();
+                            prop_assert_eq!(*count as usize, nulls, "page {} col {} count", p, c);
+                        }
+                    }
+                    let source = HeapFile::from_image(&disk, schema.clone(), t.image.clone());
+                    let want: usize =
+                        copied.iter().map(|&s| segment_bytes(&schema, tpp, t.len, s)).sum();
+                    prop_assert_eq!(kept.bytes_apart_from(&source), want, "retain copies");
+                }
+                _ => {
+                    for t in &images {
+                        prop_assert_eq!(&image_contents(&schema, &t.image), &t.contents);
+                    }
+                }
+            }
+            for t in &mut images {
+                t.written.extend(wrote.iter().map(|&rid| seg_of(rid)));
+                let written: usize = t
+                    .written
+                    .iter()
+                    .map(|&s| segment_bytes(&schema, tpp, t.len, s))
+                    .sum();
+                prop_assert_eq!(t.image.bytes_apart_from(&heap), written, "bytes apart");
+                let all: usize = (0..t.len.div_ceil(tpp).div_ceil(SEGMENT_PAGES))
+                    .map(|s| segment_bytes(&schema, tpp, t.len, s))
+                    .sum();
+                let strings = t.strings * std::mem::size_of::<Arc<str>>();
+                prop_assert_eq!(t.image.bytes(), all + strings, "image bytes");
+            }
+        }
+
+        for t in &images {
+            prop_assert_eq!(&image_contents(&schema, &t.image), &t.contents, "image changed");
+        }
+        let seen: Vec<(Rid, Row)> = heap.iter().collect();
+        prop_assert_eq!(seen.len(), model.len());
+        for ((rid, got), (i, want)) in seen.into_iter().zip(model.iter().enumerate()) {
+            prop_assert_eq!(rid, Rid(i as u64));
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                let same = match (g, w) {
+                    (Value::Float(g), Value::Float(w)) => g.0.to_bits() == w.0.to_bits(),
+                    _ => g == w,
+                };
+                prop_assert!(same, "rid {}: {:?} vs {:?}", i, g, w);
+            }
+        }
+    }
+}

@@ -5,11 +5,15 @@
 //! must agree with the model slot for slot — a `Float`'s bits included,
 //! `-0.0` and NaN payloads too — and charge the same page I/O. Every
 //! column type may hold NULL. Arity 1, an empty initial heap and a
-//! partial tail page are all in the generator's range.
+//! partial tail page are all in the generator's range, and so are heaps
+//! of up to four [`SEGMENT_PAGES`] segments: a partial tail segment, and
+//! runs and random writes that cross segment boundaries.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96) so CI can run more.
 
-use cm_storage::{Column, DiskSim, HeapFile, PageRef, Rid, Row, Schema, Value, ValueType};
+use cm_storage::{
+    Column, DiskSim, HeapFile, PageRef, Rid, Row, Schema, Value, ValueType, SEGMENT_PAGES,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -85,9 +89,11 @@ proptest! {
     fn heap_matches_vec_of_rows_model(
         arity in 1usize..5,
         tpp in 1usize..70,
-        loaded in 0usize..20,
+        loaded_pages in 0usize..4 * SEGMENT_PAGES,
+        partial in 0usize..70,
         ops in prop::collection::vec((0u8..8, any::<u64>()), 0..80),
     ) {
+        let loaded = loaded_pages * tpp + partial % tpp;
         let disk = DiskSim::with_defaults();
         let mut model: Vec<Row> = (0..loaded as u64).map(|i| row(arity, i * 31)).collect();
         // Which model slots are tombstones: an all-NULL row may be live.

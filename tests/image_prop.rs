@@ -4,7 +4,9 @@
 //!
 //! Each case loads a random typed table — NULLs in every column type,
 //! `-0.0` and NaNs of several payloads, `i64`/`i32` extremes — into an
-//! engine of 1–3 shards, with MVCC on or off, adds CMs and B+Trees, and
+//! engine of 1–3 shards, with MVCC on or off, on pages of 1–9 slots and
+//! up to about three and a third [`SEGMENT_PAGES`] segments a shard (so
+//! images share, and writes copy, whole and partial segments), adds CMs and B+Trees, and
 //! runs random writes: an appended unsorted tail, committed deletes
 //! (physical, or ended versions under MVCC), vacuum passes, and an open
 //! session whose inserts and deletes are not committed. It then takes a
@@ -35,7 +37,9 @@ use cm_core::{BucketSpec, CmAttr, CmKeyPart, CmSpec};
 use cm_engine::{CrashState, DurableImage, Engine, EngineConfig, RecoveryReport, ShardImage};
 use cm_index::SecondaryIndex;
 use cm_query::Table;
-use cm_storage::{Column, ColumnSlice, DiskSim, HeapFile, Rid, Row, Schema, ValueType};
+use cm_storage::{
+    Column, ColumnSlice, DiskSim, HeapFile, Rid, Row, Schema, ValueType, SEGMENT_PAGES,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use typed_rows::{same, value, Rng, TYPES};
@@ -222,13 +226,16 @@ proptest! {
     #[test]
     fn column_images_restore_and_recover_what_row_images_did(
         seed in any::<u64>(),
-        rows in 0usize..120,
+        pages in 0usize..3 * SEGMENT_PAGES + 24,
+        partial in 0usize..10,
         tpp in 1usize..10,
         spread in 1usize..40,
         null_every in 0usize..6,
         shards in 1usize..4,
         mvcc in any::<bool>(),
     ) {
+        // About `pages` pages a shard: the router splits the keys evenly.
+        let rows = pages * tpp * shards + partial % tpp;
         let mut rng = Rng(seed);
         let ncols = 2 + rng.below(3);
         let types: Vec<ValueType> = (0..ncols).map(|_| rng.pick(&TYPES)).collect();
