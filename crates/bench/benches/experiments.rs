@@ -30,21 +30,21 @@ fn bench_experiment1_ebay(c: &mut Criterion) {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap())
+            black_box(table.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap())
         })
     });
     g.bench_function("btree_sorted_scan", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}))
+            black_box(table.exec_batches(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}))
         })
     });
     g.bench_function("full_scan", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap())
+            black_box(table.exec_batches(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap())
         })
     });
     g.finish();
@@ -68,14 +68,14 @@ fn bench_figure3_tpch(c: &mut Criterion) {
         b.iter(|| {
             disk_a.reset();
             let ctx = ExecContext::cold(&disk_a);
-            black_box(corr.exec_visit(&ctx, AccessPath::SecondarySorted(sec_a), &q, |_, _| {}))
+            black_box(corr.exec_batches(&ctx, AccessPath::SecondarySorted(sec_a), &q, |_, _| {}))
         })
     });
     g.bench_function("uncorrelated_clustering", |b| {
         b.iter(|| {
             disk_b.reset();
             let ctx = ExecContext::cold(&disk_b);
-            black_box(uncorr.exec_visit(&ctx, AccessPath::SecondarySorted(sec_b), &q, |_, _| {}))
+            black_box(uncorr.exec_batches(&ctx, AccessPath::SecondarySorted(sec_b), &q, |_, _| {}))
         })
     });
     g.finish();
@@ -109,14 +109,14 @@ fn bench_experiment5_sdss(c: &mut Criterion) {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_visit(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap())
+            black_box(table.exec_batches(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap())
         })
     });
     g.bench_function("composite_btree", |b| {
         b.iter(|| {
             disk.reset();
             let ctx = ExecContext::cold(&disk);
-            black_box(table.exec_visit(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}))
+            black_box(table.exec_batches(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}))
         })
     });
     g.finish();

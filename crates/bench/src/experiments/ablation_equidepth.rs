@@ -117,7 +117,7 @@ pub fn run(scale: BenchScale) -> Report {
     let mut eqw_total = 0.0;
     for (label, q) in &queries {
         disk.reset();
-        let run = |cm| table.exec_visit(&ctx, AccessPath::CmScan(cm), q, |_, _| {});
+        let run = |cm| table.exec_batches(&ctx, AccessPath::CmScan(cm), q, |_, _| {});
         let w = run(eq_width).expect("CM id in range");
         let d = run(eq_depth).expect("CM id in range");
         assert_eq!(w.matched, d.matched, "both schemes answer identically");

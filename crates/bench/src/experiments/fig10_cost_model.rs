@@ -80,7 +80,7 @@ pub fn run(scale: BenchScale) -> Report {
         disk.reset();
         let ctx = ExecContext::cold(&disk);
         let run = table
-            .exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
+            .exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
             .expect("CM id in range");
         let model = params.cost_cm(
             buckets.len() as f64,

@@ -58,7 +58,7 @@ pub fn run(scale: BenchScale) -> Report {
 
     let scan_ms = {
         let ctx = ExecContext::cold(&disk_a);
-        corr.exec_visit(&ctx, AccessPath::FullScan, &Query::default(), |_, _| {})
+        corr.exec_batches(&ctx, AccessPath::FullScan, &Query::default(), |_, _| {})
             .expect("a full scan uses no access structure")
             .ms()
     };
@@ -71,12 +71,12 @@ pub fn run(scale: BenchScale) -> Report {
         disk_a.reset();
         let ctx_a = ExecContext::cold(&disk_a);
         let r_corr = corr
-            .exec_visit(&ctx_a, AccessPath::SecondarySorted(sec_a), &q, |_, _| {})
+            .exec_batches(&ctx_a, AccessPath::SecondarySorted(sec_a), &q, |_, _| {})
             .expect("shipdate predicate");
         disk_b.reset();
         let ctx_b = ExecContext::cold(&disk_b);
         let r_uncorr = uncorr
-            .exec_visit(&ctx_b, AccessPath::SecondarySorted(sec_b), &q, |_, _| {})
+            .exec_batches(&ctx_b, AccessPath::SecondarySorted(sec_b), &q, |_, _| {})
             .expect("shipdate predicate");
         let model = params.cost_sorted(n as f64, st.c_per_u, st.c_tups);
         corr_at_max = r_corr.ms();

@@ -33,7 +33,7 @@ pub fn run(scale: BenchScale) -> Report {
     let bt_ms = {
         disk.reset();
         table
-            .exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {})
+            .exec_batches(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {})
             .expect("indexed predicate")
             .ms()
     };
@@ -63,7 +63,7 @@ pub fn run(scale: BenchScale) -> Report {
         disk.reset();
         let ctx2 = ExecContext::cold(&disk);
         let run = t2
-            .exec_visit(&ctx2, AccessPath::CmScan(cm), &q, |_, _| {})
+            .exec_batches(&ctx2, AccessPath::CmScan(cm), &q, |_, _| {})
             .expect("CM id in range");
         let cmref = t2.cm(cm);
         // Model: number of CM keys the 100-wide range selects at this

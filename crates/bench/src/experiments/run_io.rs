@@ -205,7 +205,7 @@ pub(crate) fn measure(
                 };
                 let mut local = 0u64;
                 for q in &queries[id * per_session..(id + 1) * per_session] {
-                    let r = table.exec_visit(&ctx, access, q, |_, _| {}).expect("catid prefix");
+                    let r = table.exec_batches(&ctx, access, q, |_, _| {}).expect("catid prefix");
                     local += r.matched;
                 }
                 matched.fetch_add(local, Ordering::Relaxed);

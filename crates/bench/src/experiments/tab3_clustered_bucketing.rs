@@ -48,7 +48,7 @@ pub fn run(scale: BenchScale) -> Report {
         disk.reset();
         let ctx = ExecContext::cold(&disk);
         let r = table
-            .exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
+            .exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {})
             .expect("CM id in range");
         if first_cost.is_none() {
             first_cost = Some(r.ms());

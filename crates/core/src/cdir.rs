@@ -9,7 +9,7 @@
 //! keys to bucket IDs, and a bucket resolves to one contiguous page range
 //! — false positives cost only sequential I/O (Table 3).
 
-use cm_storage::{HeapFile, Rid, Value};
+use cm_storage::{null_bit, HeapFile, Rid};
 
 /// The bucket-ID assignment over a clustered heap.
 #[derive(Debug, Clone)]
@@ -122,11 +122,12 @@ impl BucketDirectory {
     /// bulk-loaded clustered on `col` and whose later slots were appended
     /// through [`BucketDirectory::note_append`]; `live` says which slots
     /// hold a row. The sorted prefix runs the paper's algorithm over its
-    /// live rows. A dead slot counts toward its bucket's size but never
-    /// closes a bucket, because its value is not a row's. The tail
-    /// replays the append arithmetic. Every RID gets a valid, contiguous
-    /// bucket, and on a heap no delete has touched this is exactly the
-    /// directory the live table maintains.
+    /// live rows, telling values apart by their column words (NULL by its
+    /// bit), so no value is built. A dead slot counts toward its bucket's
+    /// size but never closes a bucket, because its value is not a row's.
+    /// The tail replays the append arithmetic. Every RID gets a valid,
+    /// contiguous bucket, and on a heap no delete has touched this is
+    /// exactly the directory the live table maintains.
     pub fn restore(
         heap: &HeapFile,
         col: usize,
@@ -140,23 +141,28 @@ impl BucketDirectory {
         if sorted_len > 0 {
             starts.push(0);
         }
-        // Set once the open bucket holds `target` slots: the bucket
-        // closes at the next live row with a different value.
-        let mut boundary: Option<Value> = None;
-        heap.scan_cols(&[col], |rid, row| {
-            if rid.0 >= sorted_len || !live(rid) {
-                return;
+        // Set, to the word of its last row (`None` for NULL), once the
+        // open bucket holds `target` slots: the bucket closes at the next
+        // live row with a different value.
+        let mut boundary: Option<Option<u64>> = None;
+        for page in heap.pages().take_while(|p| p.first_rid().0 < sorted_len) {
+            let (words, nulls) = (page.column(col), page.nulls(col));
+            for slot in 0..page.len() {
+                let rid = page.rid(slot as u32);
+                if rid.0 >= sorted_len || !live(rid) {
+                    continue;
+                }
+                let word = (!nulls.is_some_and(|n| null_bit(n, slot))).then(|| words.word(slot));
+                if boundary.is_some_and(|b| b != word) {
+                    starts.push(rid.0);
+                    boundary = None;
+                }
+                let start = *starts.last().expect("opened above");
+                if boundary.is_none() && rid.0 - start + 1 >= target {
+                    boundary = Some(word);
+                }
             }
-            let v = &row[col];
-            if boundary.as_ref().is_some_and(|bv| bv != v) {
-                starts.push(rid.0);
-                boundary = None;
-            }
-            let start = *starts.last().expect("opened above");
-            if boundary.is_none() && rid.0 - start + 1 >= target {
-                boundary = Some(v.clone());
-            }
-        });
+        }
         let mut dir = BucketDirectory {
             starts,
             heap_len: sorted_len,

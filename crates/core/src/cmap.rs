@@ -425,7 +425,8 @@ mod tests {
         let cm = CorrelationMap::build("city_cm", CmSpec::single_raw(1), &heap, |_| true, &dir);
         for city in ["boston", "springfield", "manchester", "toledo"] {
             let buckets = cm.lookup(&[AttrConstraint::Eq(Value::str(city))]);
-            for (rid, row) in heap.iter() {
+            for rid in (0..heap.len()).map(Rid) {
+                let row = heap.peek(rid).unwrap();
                 if row[1] == Value::str(city) {
                     assert!(
                         buckets.contains(&dir.bucket_of(rid)),
@@ -475,8 +476,8 @@ mod tests {
         let heap = figure4_heap(&disk);
         let dir = state_dir(&heap);
         let mut maintained = CorrelationMap::new("m", CmSpec::single_raw(1));
-        for (rid, row) in heap.iter() {
-            maintained.insert(&row, rid, &dir);
+        for rid in (0..heap.len()).map(Rid) {
+            maintained.insert(&heap.peek(rid).unwrap(), rid, &dir);
         }
         let built = CorrelationMap::build("b", CmSpec::single_raw(1), &heap, |_| true, &dir);
         assert_eq!(maintained.num_keys(), built.num_keys());

@@ -13,9 +13,16 @@
 //!    `lookup` once did, for raw, bucketed and composite CMs.
 
 use cm_core::{AttrConstraint, BucketDirectory, CmAttr, CmSpec, CorrelationMap};
-use cm_storage::{Column, DiskSim, HeapFile, Rid, Schema, Value, ValueType};
+use cm_storage::{Column, DiskSim, HeapFile, Rid, Row, Schema, Value, ValueType};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Every slot of `heap`, materialised, with its RID.
+fn stored(heap: &HeapFile) -> impl Iterator<Item = (Rid, Row)> + '_ {
+    (0..heap.len())
+        .map(Rid)
+        .map(|rid| (rid, heap.peek(rid).unwrap()))
+}
 
 fn schema() -> Arc<Schema> {
     Arc::new(Schema::new(vec![
@@ -126,7 +133,7 @@ proptest! {
         let qhi = qlo + qspan;
         let buckets =
             cm.lookup(&[AttrConstraint::Range(Value::Int(qlo), Value::Int(qhi))]);
-        for (rid, row) in heap.iter() {
+        for (rid, row) in stored(&heap) {
             let u = row[1].as_int().unwrap();
             if u >= qlo && u <= qhi {
                 prop_assert!(
@@ -161,7 +168,7 @@ proptest! {
             AttrConstraint::Eq(qu.clone()),
             AttrConstraint::Eq(qw.clone()),
         ]);
-        for (rid, row) in heap.iter() {
+        for (rid, row) in stored(&heap) {
             if row[1] == qu && row[2] == qw {
                 prop_assert!(buckets.binary_search(&dir.bucket_of(rid)).is_ok());
             }
@@ -181,7 +188,7 @@ proptest! {
         let mut maintained = CorrelationMap::build("m", spec.clone(), &heap, |_| true, &dir);
         // Delete a subset through the maintenance path.
         let mut survivors: Vec<(Rid, Vec<Value>)> = Vec::new();
-        for (rid, row) in heap.iter() {
+        for (rid, row) in stored(&heap) {
             if delete_mask[rid.0 as usize % delete_mask.len()] {
                 prop_assert!(maintained.delete(&row, rid, &dir));
             } else {
@@ -285,7 +292,7 @@ proptest! {
             // Deletes retract keys; the IN list names some of the
             // deleted values, now absent (or still held by a survivor).
             let mut vs: Vec<Value> = picks.iter().copied().map(probe_value).collect();
-            for (rid, row) in heap.iter() {
+            for (rid, row) in stored(&heap) {
                 if delete_mask[rid.0 as usize % delete_mask.len()] {
                     prop_assert!(cm.delete(&row, rid, &dir));
                     if rid.0 % 5 == 0 {

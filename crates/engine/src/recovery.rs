@@ -61,13 +61,18 @@ const CHECKPOINT_END_FRAME_BYTES: u64 =
 #[derive(Debug, Clone)]
 pub struct ShardImage {
     /// The heap's typed column segments, null bitmaps and counts, length
-    /// and dictionary strings ([`HeapImage`]), with every slot whose bit
-    /// in `live` is clear written NULL — the form a slot that holds no
-    /// row has in a restored heap. Dictionary codes are kept as issued.
+    /// and dictionary strings ([`HeapImage`]), exactly as the heap held
+    /// them: a slot whose bit in `live` is clear keeps the values it last
+    /// held, which nothing reads. Dictionary codes are kept as issued.
     pub heap: HeapImage,
     /// One bit per heap slot (bit `r % 64` of word `r / 64`), set while
     /// the slot's version is current. Liveness is recorded here, never
-    /// read from the values: an all-NULL row is a row.
+    /// read from the values: an all-NULL row is a row. An ended version
+    /// images as dead: a *committed* delete whose record precedes
+    /// `redo_lsn` is never replayed, so the image must not carry the row,
+    /// while undo reinstates an *uncommitted* one from its record's
+    /// before-image either way. Pending-begin rows (uncommitted inserts)
+    /// are current; undo removes them if the transaction never commits.
     pub live: Vec<u64>,
     /// The bulk-loaded sorted-prefix length ([`cm_query::Table::restore`]
     /// rebuilds the clustered index and bucket directory from it; rows
@@ -185,21 +190,11 @@ impl Engine {
             let mut shards = Vec::with_capacity(lt.parts.len());
             for (i, part) in lt.parts.iter().enumerate() {
                 // The read lock covers a pointer to each heap segment and
-                // the liveness bits; the dead slots are cleared after it
-                // is released, copying only the segments that hold one
-                // with values still stored.
-                let (mut heap, live) = {
+                // the liveness bits.
+                let (heap, live) = {
                     let t = part.read();
                     (t.heap().image(), t.current_slots())
                 };
-                // An ended version images as dead: a *committed* delete
-                // whose record precedes `redo_lsn` is never replayed, so
-                // the image must not carry the row — while an
-                // *uncommitted* delete is reinstated by undo from its
-                // record's before-image either way. Pending-begin rows
-                // (uncommitted inserts) are current; undo removes them
-                // if the transaction never commits.
-                heap.retain(&live);
                 shards.push(ShardImage { heap, live, base_len: lt.base_lens[i] });
             }
             let structures = StructureSet::of(&lt.parts[0].read());

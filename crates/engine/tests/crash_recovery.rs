@@ -96,8 +96,8 @@ proptest! {
         let mut base: BTreeMap<(u16, u64), Row> = BTreeMap::new();
         engine
             .with_each_shard("items", |s, t| {
-                for (rid, row) in t.heap().iter() {
-                    base.insert((s as u16, rid.0), row.to_vec());
+                for rid in t.live_rids(0) {
+                    base.insert((s as u16, rid.0), t.heap().peek(rid).unwrap());
                 }
             })
             .unwrap();

@@ -8,7 +8,7 @@
 //! charges per clustered value reached through a correlation (§4.1).
 
 use crate::btree::BPlusTree;
-use cm_storage::{FileId, HeapFile, PageAccessor, Rid, Value};
+use cm_storage::{null_bit, FileId, HeapFile, PageAccessor, Rid, Value};
 use std::ops::Bound;
 
 /// Sparse index: one entry per distinct clustered value.
@@ -21,13 +21,14 @@ pub struct ClusteredIndex {
 
 impl ClusteredIndex {
     /// Build over the slots of `heap` that `live` admits, in RID order,
-    /// reading only column `col`. Each distinct value is indexed at the
-    /// first live RID it appears at, NULL included: for a heap
+    /// reading only column `col`'s words. Each distinct value is indexed
+    /// at the first live RID it appears at, NULL included: for a heap
     /// bulk-loaded clustered on `col` that is the start of the value's
     /// run, and a value first seen in the appended tail starts where
     /// [`ClusteredIndex::note_append`] put it. A run that lost its first
     /// rows to deletes starts at its first surviving row, so a scan may
-    /// cover a few dead slots more, which hold no row.
+    /// cover a few dead slots more, which hold no row. A value is built
+    /// only where a run of equal words (or of NULLs) changes.
     pub fn build(
         heap: &HeapFile,
         col: usize,
@@ -37,15 +38,23 @@ impl ClusteredIndex {
     ) -> Self {
         let mut idx =
             ClusteredIndex { col, tree: BPlusTree::new(order), file, heap_len: heap.len() };
-        let mut last: Option<Value> = None;
-        heap.scan_cols(&[col], |rid, row| {
-            let v = &row[col];
-            // The rest of a run repeats its value: no tree probe.
-            if live(rid) && last.as_ref() != Some(v) {
-                idx.note_append(v, rid);
-                last = Some(v.clone());
+        // The word of the run the last live row opened, `None` for NULL.
+        let mut last: Option<Option<u64>> = None;
+        for page in heap.pages() {
+            let (words, nulls) = (page.column(col), page.nulls(col));
+            for slot in 0..page.len() {
+                let rid = page.rid(slot as u32);
+                if !live(rid) {
+                    continue;
+                }
+                let word = (!nulls.is_some_and(|n| null_bit(n, slot))).then(|| words.word(slot));
+                // The rest of a run repeats its word: no tree probe.
+                if last != Some(word) {
+                    idx.note_append(&page.value(slot, col), rid);
+                    last = Some(word);
+                }
             }
-        });
+        }
         idx
     }
 

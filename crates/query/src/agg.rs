@@ -900,7 +900,7 @@ mod tests {
         ];
         for spec in &specs {
             let mut rows = AggState::new(spec);
-            heap.iter().for_each(|(_, row)| rows.observe(&row));
+            (0..heap.len()).for_each(|r| rows.observe(&heap.peek(cm_storage::Rid(r)).unwrap()));
             let mut batch = BatchAgg::new(spec);
             let last = heap.num_pages() - 1;
             heap.read_run_visit(disk.as_ref(), 0, last, |page| {
@@ -910,7 +910,8 @@ mod tests {
             })
             .unwrap();
             let mut even = AggState::new(spec);
-            heap.iter().filter(|(rid, _)| rid.0 % 37 % 2 == 0).for_each(|(_, r)| even.observe(&r));
+            let even_slots = (0..heap.len()).filter(|r| r % 37 % 2 == 0);
+            even_slots.for_each(|r| even.observe(&heap.peek(cm_storage::Rid(r)).unwrap()));
             let (want, got) = (even.finish(), batch.finish().finish());
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "{spec:?}");
             assert!(!rows.finish().is_empty());

@@ -167,29 +167,16 @@ impl Table {
         Ok(RunResult { matched, examined, io: ctx.disk.stats().since(&before) })
     }
 
-    /// [`Table::exec_batches`] handing each match on as a row with its
-    /// RID — the materialising wrapper the `exec_*_visit` methods and
-    /// row-at-a-time callers use. One row buffer serves the whole run.
-    pub fn exec_visit(
-        &self,
-        ctx: &ExecContext<'_>,
-        path: AccessPath,
-        q: &Query,
-        on_match: impl FnMut(Rid, &[Value]),
-    ) -> Result<RunResult, QueryError> {
-        self.exec_batches(ctx, path, q, rows_of(on_match))
-    }
-
     /// Access path 1: full sequential scan (§3), with a visitor over
     /// matching rows. Panics on a predicate past the table's arity
-    /// ([`Table::exec_visit`] reports it).
+    /// ([`Table::exec_batches`] reports it).
     pub fn exec_full_scan_visit(
         &self,
         ctx: &ExecContext<'_>,
         q: &Query,
-        mut on_match: impl FnMut(&[Value]),
+        on_match: impl FnMut(&[Value]),
     ) -> RunResult {
-        self.exec_visit(ctx, AccessPath::FullScan, q, |_, row| on_match(row))
+        self.exec_batches(ctx, AccessPath::FullScan, q, rows_of(on_match))
             .expect("a full scan uses no access structure")
     }
 
@@ -262,9 +249,9 @@ impl Table {
         ctx: &ExecContext<'_>,
         sec_id: usize,
         q: &Query,
-        mut on_match: impl FnMut(&[Value]),
+        on_match: impl FnMut(&[Value]),
     ) -> Result<RunResult, QueryError> {
-        self.exec_visit(ctx, AccessPath::SecondaryPipelined(sec_id), q, |_, row| on_match(row))
+        self.exec_batches(ctx, AccessPath::SecondaryPipelined(sec_id), q, rows_of(on_match))
     }
 
     /// Access path 3: sorted (bitmap) secondary index scan (§3.2):
@@ -276,9 +263,9 @@ impl Table {
         ctx: &ExecContext<'_>,
         sec_id: usize,
         q: &Query,
-        mut on_match: impl FnMut(&[Value]),
+        on_match: impl FnMut(&[Value]),
     ) -> Result<RunResult, QueryError> {
-        self.exec_visit(ctx, AccessPath::SecondarySorted(sec_id), q, |_, row| on_match(row))
+        self.exec_batches(ctx, AccessPath::SecondarySorted(sec_id), q, rows_of(on_match))
     }
 
     /// Access path 4: CM-guided scan (§5.2, Figure 4).
@@ -294,26 +281,28 @@ impl Table {
     ///    false positives, never false negatives.
     ///
     /// The visitor gets every matching row. Panics on a CM id the table
-    /// does not have ([`Table::exec_visit`] reports it).
+    /// does not have ([`Table::exec_batches`] reports it).
     pub fn exec_cm_scan_visit(
         &self,
         ctx: &ExecContext<'_>,
         cm_id: usize,
         q: &Query,
-        mut on_match: impl FnMut(&[Value]),
+        on_match: impl FnMut(&[Value]),
     ) -> RunResult {
-        self.exec_visit(ctx, AccessPath::CmScan(cm_id), q, |_, row| on_match(row))
+        self.exec_batches(ctx, AccessPath::CmScan(cm_id), q, rows_of(on_match))
             .expect("CM id in range")
     }
 
     /// The page runs a CM lookup's `buckets` cover, after charging one
-    /// clustered-index descent per bucket. Upper index levels are cached
-    /// within the query (adjacent buckets share leaves, so contiguous
-    /// lookups charge little beyond the first). Each merged range is a
-    /// maximal contiguous run, swept with one vectored read, so the CM's
-    /// central promise — a few sequential clustered ranges — holds its
-    /// sequential pricing even when concurrent sessions share the shard
-    /// disk.
+    /// clustered-index descent per bucket, keyed by the clustered value
+    /// stored in the bucket's first slot (a deleted row keeps its
+    /// values, so a delete does not move the descent). Upper index
+    /// levels are cached within the query (adjacent buckets share
+    /// leaves, so contiguous lookups charge little beyond the first).
+    /// Each merged range is a maximal contiguous run, swept with one
+    /// vectored read, so the CM's central promise — a few sequential
+    /// clustered ranges — holds its sequential pricing even when
+    /// concurrent sessions share the shard disk.
     pub(crate) fn cm_bucket_runs(&self, io: &dyn PageAccessor, buckets: &[u32]) -> Vec<(u64, u64)> {
         let index_io = ReadCache::new(io);
         for &b in buckets {
@@ -326,16 +315,15 @@ impl Table {
     }
 }
 
-/// A batch visitor that hands each selected slot on as a row with its
-/// RID, built into one reused buffer.
-pub(crate) fn rows_of(
-    mut on_match: impl FnMut(Rid, &[Value]),
-) -> impl FnMut(PageRef<'_>, &[u32]) {
+/// A batch visitor that hands each selected slot on as a row, built
+/// into one reused buffer: the materialising adapter behind the
+/// `exec_*_visit` wrappers.
+pub(crate) fn rows_of(mut on_match: impl FnMut(&[Value])) -> impl FnMut(PageRef<'_>, &[u32]) {
     let mut row = Vec::new();
     move |page, sel| {
         for &s in sel {
             page.row_into(s as usize, &mut row);
-            on_match(page.rid(s), &row);
+            on_match(&row);
         }
     }
 }
@@ -430,7 +418,7 @@ mod tests {
         path: AccessPath,
         q: &Query,
     ) -> Result<RunResult, QueryError> {
-        t.exec_visit(ctx, path, q, |_, _| {})
+        t.exec_batches(ctx, path, q, |_, _| {})
     }
 
     fn count_by_scan(t: &Table, disk: &Arc<DiskSim>, q: &Query) -> u64 {
@@ -464,6 +452,31 @@ mod tests {
                 assert_eq!(run(&t, &ctx, path, q).unwrap().matched, truth, "{path:?} {q:?}");
             }
         }
+    }
+
+    #[test]
+    fn deleting_bucket_starts_leaves_cm_scan_io_unchanged() {
+        let disk = DiskSim::with_defaults();
+        let mut t = demo(&disk);
+        // `tag` is uncorrelated: the lookup names every bucket.
+        let cm = t.add_cm("tag_cm", CmSpec::single_raw(2));
+        let q = Query::single(Pred::eq(2, 5i64));
+        let ctx = ExecContext::cold(&disk);
+        // Each run starts from a reset disk, so its sim-ms is summed the
+        // same way.
+        disk.reset();
+        let before = run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap();
+        let starts: Vec<Rid> = t.dir().iter().map(|(_, (lo, _))| Rid(lo)).collect();
+        assert_eq!(starts.len(), 100);
+        for &rid in &starts {
+            t.delete_row(disk.as_ref(), None, rid).unwrap();
+        }
+        // Each clustered-index descent is keyed by the bucket's first
+        // slot, whose values a delete leaves in place.
+        disk.reset();
+        let after = run(&t, &ctx, AccessPath::CmScan(cm), &q).unwrap();
+        assert_eq!(after.io, before.io);
+        assert_eq!(after.examined, before.examined);
     }
 
     #[test]
@@ -650,12 +663,7 @@ mod tests {
         let q = Query::single(Pred::between(1, 4200i64, 4300i64));
         let truth = run(&t, &ExecContext::cold(&disk), AccessPath::FullScan, &q).unwrap().matched;
         assert!(truth > 0);
-        let victim = t
-            .heap()
-            .iter()
-            .find(|(_, r)| q.matches(r))
-            .map(|(rid, _)| rid)
-            .unwrap();
+        let victim = t.live_rids(0).find(|&rid| q.matches(&t.heap().peek(rid).unwrap())).unwrap();
 
         let mv = std::sync::Arc::new(MvccState::new());
         let old_snap = mv.begin();

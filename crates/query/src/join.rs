@@ -325,10 +325,9 @@ impl Table {
         q: &Query,
         probe_col: usize,
         keys: &[Value],
-        mut on_match: impl FnMut(&[Value]),
+        on_match: impl FnMut(&[Value]),
     ) -> RunResult {
-        let visit = rows_of(|_, row: &[Value]| on_match(row));
-        self.exec_cm_clamp_batches(ctx, cm_id, q, probe_col, keys, visit)
+        self.exec_cm_clamp_batches(ctx, cm_id, q, probe_col, keys, rows_of(on_match))
             .expect("CM id in range")
     }
 

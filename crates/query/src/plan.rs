@@ -235,8 +235,8 @@ mod tests {
         let planner = Planner::new(disk.config());
         let choice = planner.choose(&t, &q);
         let ctx = ExecContext::cold(&disk);
-        let sorted = t.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
-        let scan = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
+        let sorted = t.exec_batches(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
+        let scan = t.exec_batches(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
         assert!(sorted.ms() < scan.ms());
         // Planner agreed: its chosen estimate is below its scan estimate.
         let scan_est = choice

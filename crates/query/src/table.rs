@@ -43,8 +43,10 @@ pub struct ColumnStats {
 /// loaded rows are stamped `(1, LIVE_TS)`, slots that hold no row
 /// `(0, 0)`, and MVCC mutations stamp versions without touching the
 /// row bytes. The stamp is the one record of whether a slot holds a
-/// row, in both engine modes: a physical delete stamps `(0, 0)`, and
-/// nothing infers a dead slot from its values (a row may be all NULL).
+/// row, in both engine modes: a physical delete stamps `(0, 0)` and
+/// leaves the slot's values as they were (heap slots are write-once),
+/// and nothing infers a dead slot from its values (a row may be all
+/// NULL).
 /// Engines that run without MVCC pass no snapshot to the executors,
 /// which then only skip `(0, 0)` slots.
 ///
@@ -156,14 +158,14 @@ impl Table {
     }
 
     /// Build a table over `heap`, whose slot `r` holds a row when bit
-    /// `r % 64` of `live[r / 64]` is set (a checkpoint writes the other
-    /// slots NULL: [`HeapImage::retain`](cm_storage::HeapImage::retain)).
-    /// The heap is taken verbatim, the unsorted appended tail included —
-    /// no re-sort. Its first `sorted_len` slots are known to have been
-    /// bulk-loaded clustered on `clustered_col`. The clustered index and
-    /// bucket directory are built over the live rows; secondary indexes
-    /// and CMs are added afterwards (recovery re-adds them in design
-    /// order, as redo replays). [`Table::build`], the engine's load and
+    /// `r % 64` of `live[r / 64]` is set. The other slots keep whatever
+    /// values they last held, and nothing reads them. The heap is taken
+    /// verbatim, the unsorted appended tail included — no re-sort. Its
+    /// first `sorted_len` slots are known to have been bulk-loaded
+    /// clustered on `clustered_col`. The clustered index and bucket
+    /// directory are built over the live rows; secondary indexes and CMs
+    /// are added afterwards (recovery re-adds them in design order, as
+    /// redo replays). [`Table::build`], the engine's load and
     /// recovery all construct tables here.
     pub fn restore(
         disk: &DiskSim,
@@ -483,17 +485,25 @@ impl Table {
     }
 
     /// DELETE one row by RID, retracting it from every access structure.
-    /// As with inserts, the heap-level record (a typed
-    /// [`cm_storage::LogPayload::Delete`] carrying the before-image) is
-    /// the caller's job; only structure-maintenance volume is priced
-    /// here.
+    /// Only the slot's stamp changes: its values stay as they were, and
+    /// the page write a real heap pays for the tuple header is charged.
+    /// The caller checks that the slot holds a row. As with inserts, the
+    /// heap-level record (a typed [`cm_storage::LogPayload::Delete`]
+    /// carrying the before-image) is the caller's job; only
+    /// structure-maintenance volume is priced here.
     pub fn delete_row(
         &mut self,
         io: &dyn PageAccessor,
         mut wal: Option<&mut dyn LogWrite>,
         rid: Rid,
     ) -> Result<Row, StorageError> {
-        let row = self.heap.delete(io, rid)?;
+        // Retracting a dead slot's stale values would corrupt the structures.
+        assert_ne!(
+            self.is_tombstone(rid),
+            Ok(true),
+            "deleting a slot that holds no row"
+        );
+        let row = self.before_image(io, rid)?;
         self.set_stamp(rid, DEAD);
         for sec in &mut self.secondaries {
             sec.remove(io, &row, rid);
@@ -723,8 +733,17 @@ impl Table {
         rid: Rid,
         end: u64,
     ) -> Result<Row, StorageError> {
-        let row = self.heap.peek(rid)?;
+        let row = self.before_image(io, rid)?;
         self.set_stamp(rid, (self.stamps[rid.0 as usize].0, end));
+        Ok(row)
+    }
+
+    /// `rid`'s row as stored, charging the one write of its page that
+    /// ending the row costs (the tuple header a real heap rewrites): the
+    /// before-image of a delete and of an MVCC end, neither of which
+    /// writes a heap value.
+    fn before_image(&self, io: &dyn PageAccessor, rid: Rid) -> Result<Row, StorageError> {
+        let row = self.heap.peek(rid)?;
         io.write(self.heap.file_id(), self.heap.page_of(rid));
         Ok(row)
     }
@@ -898,9 +917,10 @@ mod tests {
         let deleted = t.delete_row(disk.as_ref(), None, rid).unwrap();
         assert_eq!(deleted, row);
         assert_eq!(t.secondary(0).entries(), 999);
-        // The exact (price, bucket) pair is gone if it was unique.
-        let again = t.delete_row(disk.as_ref(), None, rid).unwrap();
-        assert!(again[0].is_null(), "double delete sees the tombstone");
+        // Only the stamp ends the row: the slot keeps its values.
+        assert!(t.is_tombstone(rid).unwrap());
+        assert_eq!(t.heap().peek(rid).unwrap(), row);
+        assert!(t.live_rids(0).all(|r| r != rid));
     }
 
     #[test]
@@ -1020,12 +1040,11 @@ mod tests {
             &[Value::Int(3), Value::Int(3333), Value::str("tail2")],
         )
         .unwrap();
-        let (mut image, bits) = (live.heap().image(), live.current_slots());
+        let (image, bits) = (live.heap().image(), live.current_slots());
         for rid in (0..live.heap().len()).map(Rid) {
             assert_eq!(null_bit(&bits, rid.0 as usize), live.is_current(rid), "{rid:?}");
         }
         assert_eq!(bits.len() as u64, live.heap().len().div_ceil(64));
-        image.retain(&bits);
         let disk2 = DiskSim::with_defaults();
         let heap = HeapFile::from_image(&disk2, live.heap().schema().clone(), image);
         let restored = Table::restore(&disk2, heap, &bits, 0, 40, 1000);
@@ -1035,19 +1054,15 @@ mod tests {
         // across tombstoned slots, but every live row stays inside its
         // value's run, and any slots covered beyond the live range are
         // dead slots (skipped by every scan).
-        for (probe, probe_row) in live.heap().iter() {
-            if live.is_tombstone(probe).unwrap() {
-                continue;
-            }
-            let v = &probe_row[0];
+        for probe in live.live_rids(0) {
+            let v = &live.heap().value(probe, 0).unwrap();
             let (llo, lhi) = live.clustered().rid_range_uncharged(v, v).unwrap();
             let (rlo, rhi) = restored
                 .clustered()
                 .rid_range_uncharged(v, v)
                 .unwrap_or_else(|| panic!("value {v:?} still indexed"));
-            for rid in llo..lhi {
-                let row = live.heap().peek(Rid(rid)).unwrap();
-                if &row[0] == v {
+            for rid in (llo..lhi).filter(|&r| live.is_current(Rid(r))) {
+                if &live.heap().value(Rid(rid), 0).unwrap() == v {
                     assert!((rlo..rhi).contains(&rid), "live row {rid} of {v:?} covered");
                 }
             }
@@ -1068,12 +1083,11 @@ mod tests {
         let mut t = demo_table(&disk);
         // Delete every row of catid 10..15 and every seventh row.
         let doomed: Vec<Rid> = t
-            .heap()
-            .iter()
-            .filter(|(rid, row)| {
-                matches!(row[0], Value::Int(c) if (10..15).contains(&c)) || rid.0 % 7 == 0
+            .live_rids(0)
+            .filter(|&rid| {
+                let cat = t.heap().value(rid, 0).unwrap();
+                matches!(cat, Value::Int(c) if (10..15).contains(&c)) || rid.0 % 7 == 0
             })
-            .map(|(rid, _)| rid)
             .collect();
         for &rid in &doomed {
             t.delete_row(disk.as_ref(), None, rid).unwrap();

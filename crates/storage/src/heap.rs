@@ -32,26 +32,32 @@
 //! O(segments) to take, and beside its heap it holds only the segments
 //! the heap has written since.
 //!
+//! # Write-once slots
+//!
+//! A slot's values are written when it is appended and never after,
+//! save by recovery: [`restore_row`] refills a slot that holds no row.
+//! Whether a slot holds a row is its owner's record (the table's
+//! stamps), so a delete writes nothing here, and a deleted slot keeps
+//! the values it last held. Outside recovery only the tail append writes
+//! a segment: every segment below the tail is sealed, and an image
+//! shares it for as long as both live.
+//!
 //! # Where rows are materialised
 //!
 //! Readers that can work on columns get a [`PageRef`] — typed slices,
 //! null bitmaps and the dictionary — and a selection of slots; the query
 //! layer's kernels, folds and join probes run on those. An owned [`Row`]
-//! of [`Value`]s is built only where a row must leave the page: [`peek`],
-//! [`PageRef::row`] (collected results, WAL before-images,
-//! the `&[Value]` visitor wrappers) and [`delete`]; [`iter`] serves tests.
-//! The statistics scan and the structure builds walk [`pages`]
-//! uncharged; the statistics scan and the CM build read their columns as
-//! words ([`ColumnSlice::word`]) and materialise a value once per
-//! distinct key, not once per row. [`scan_cols`] serves the few builds
-//! that still want `&[Value]` rows. Checkpoint images are no rows at
-//! all: a [`HeapImage`] shares the typed segments themselves.
+//! of [`Value`]s is built only where a row must leave the page: [`peek`]
+//! and [`PageRef::row`] (collected results, WAL before-images, the
+//! `&[Value]` visitor wrappers). The statistics scan and the structure
+//! builds walk [`pages`] uncharged and read their columns as words
+//! ([`ColumnSlice::word`]), materialising a value once per distinct key
+//! or run, not once per row. Checkpoint images are no rows at all: a
+//! [`HeapImage`] shares the typed segments themselves.
 //!
 //! [`peek`]: HeapFile::peek
-//! [`iter`]: HeapFile::iter
-//! [`delete`]: HeapFile::delete
 //! [`pages`]: HeapFile::pages
-//! [`scan_cols`]: HeapFile::scan_cols
+//! [`restore_row`]: HeapFile::restore_row
 
 use crate::disk::{DiskSim, FileId, PageAccessor};
 use crate::error::StorageError;
@@ -270,12 +276,6 @@ impl Segment {
         }
     }
 
-    /// Whether every column of `at` is NULL.
-    fn is_null_row(&self, at: Slot) -> bool {
-        let words = at.seg_page * at.words..;
-        self.columns.iter().all(|c| null_bit(&c.nulls[words.clone()], at.slot))
-    }
-
     /// Bytes the segment's slots take: typed values, bitmaps and null
     /// counts, by length (spare capacity, which only a segment still
     /// being appended to has, is not counted).
@@ -491,8 +491,8 @@ pub fn key_bits(ty: ValueType, dict: &Dictionary, v: &Value) -> Option<u64> {
 /// strings. [`HeapFile::image`] shares the segments and
 /// [`HeapFile::from_image`] adopts them, building no [`Value`]; string
 /// codes are kept as issued (they carry no order). A segment is copied
-/// only when the heap writes it while an image holds it, or when
-/// [`HeapImage::retain`] must clear one of its slots.
+/// only when the heap writes it while an image holds it: an append to
+/// the image's tail segment, or a recovery [`HeapFile::restore_row`].
 #[derive(Debug, Clone)]
 pub struct HeapImage {
     segments: Vec<Arc<Segment>>,
@@ -502,34 +502,6 @@ pub struct HeapImage {
 }
 
 impl HeapImage {
-    /// Write every slot whose bit in `live` is clear (bit `r % 64` of
-    /// word `r / 64` for slot `r`) as all NULL — values, bitmap bits and
-    /// null counts alike, exactly as [`HeapFile::delete`] leaves a slot.
-    /// Only a segment holding such a slot that is not all NULL already
-    /// is copied; every other stays shared.
-    pub fn retain(&mut self, live: &[u64]) {
-        let tpp = self.tups_per_page;
-        let seg_slots = SEGMENT_PAGES * tpp;
-        // A NULL interns nothing.
-        let mut no_strings = Dictionary::default();
-        for (s, seg) in self.segments.iter_mut().enumerate() {
-            let lo = s * seg_slots;
-            let dead = || {
-                (lo..(lo + seg_slots).min(self.len))
-                    .filter(|&r| !null_bit(live, r))
-                    .map(|r| Slot::of(r, tpp))
-            };
-            if dead().all(|at| seg.is_null_row(at)) {
-                continue;
-            }
-            let seg = Arc::make_mut(seg);
-            let nulls = vec![Value::Null; seg.columns.len()];
-            for at in dead() {
-                seg.put_row(at, &nulls, &mut no_strings);
-            }
-        }
-    }
-
     /// Bytes the image holds: its segments' typed values, bitmaps and
     /// null counts (by length, as [`HeapImage::bytes_apart_from`]
     /// counts them), and its list of the dictionary's strings (whose
@@ -544,7 +516,7 @@ impl HeapImage {
     /// Bytes of this image's segments that `heap` does not share: what
     /// the image holds beside the heap it was taken of. Zero right after
     /// [`HeapFile::image`]; afterwards at most the bytes of the segments
-    /// the heap has written since (or [`HeapImage::retain`] cleared).
+    /// the heap has written since.
     pub fn bytes_apart_from(&self, heap: &HeapFile) -> usize {
         let shared = |i: usize, s: &Arc<Segment>| {
             heap.segments.get(i).is_some_and(|h| Arc::ptr_eq(s, h))
@@ -556,6 +528,13 @@ impl HeapImage {
 
 /// A paged, append-only heap of rows, stored column-major per page in
 /// shared segments.
+///
+/// Slots are write-once (see the module docs): the load,
+/// [`HeapFile::append`] and [`HeapFile::append_tombstone`] write only
+/// the tail segment, and only recovery's [`HeapFile::restore_row`]
+/// rewrites a slot. So while the engine runs, a segment below the tail
+/// never changes: it is sealed, and an image shares it for as long as
+/// both live.
 pub struct HeapFile {
     schema: Arc<Schema>,
     file: FileId,
@@ -812,33 +791,6 @@ impl HeapFile {
         (Rid(lo), Rid(hi))
     }
 
-    /// Iterate all rows, materialised, with their RIDs, charging nothing
-    /// (tests and diagnostics). Use [`HeapFile::read_run_visit`] in
-    /// measured code and [`HeapFile::pages`] to read a few columns.
-    pub fn iter(&self) -> impl Iterator<Item = (Rid, Row)> + '_ {
-        (0..self.num_pages() as usize).flat_map(move |p| {
-            let page = self.page_ref(p);
-            (0..page.len()).map(move |s| (page.rid(s as u32), page.row(s)))
-        })
-    }
-
-    /// Visit every slot, in RID order and uncharged, as a row holding
-    /// only the values of `cols` — every other column reads NULL. One
-    /// buffer serves the whole scan: what a structure build reads of
-    /// the heap, its key columns and nothing else.
-    pub fn scan_cols(&self, cols: &[usize], mut visit: impl FnMut(Rid, &[Value])) {
-        let mut row = vec![Value::Null; self.schema.arity()];
-        for p in 0..self.num_pages() as usize {
-            let page = self.page_ref(p);
-            for slot in 0..page.len() {
-                for &c in cols {
-                    row[c] = page.value(slot, c);
-                }
-                visit(page.rid(slot as u32), &row);
-            }
-        }
-    }
-
     /// Every page in heap order, uncharged: what the statistics scan and
     /// the structure builds read, a column slice at a time.
     pub fn pages(&self) -> impl Iterator<Item = PageRef<'_>> + '_ {
@@ -871,9 +823,10 @@ impl HeapFile {
         rid
     }
 
-    /// Reinstate a row into a tombstoned slot, charging a write of the
-    /// page — redo of a logged insert whose slot exists but was emptied,
-    /// and undo of an uncommitted delete. Errors if the slot is out of
+    /// Reinstate a row into a slot that holds none, charging a write of
+    /// the page — redo of a logged insert whose slot exists as a
+    /// placeholder or a deleted row, and undo of an uncommitted delete.
+    /// The one write below the tail (see the type docs). Errors if the slot is out of
     /// range. The caller checks that the slot is dead: recovery must
     /// never clobber a row that survived.
     pub fn restore_row(&mut self, io: &dyn PageAccessor, rid: Rid, row: &[Value]) -> Result<()> {
@@ -882,18 +835,6 @@ impl HeapFile {
         self.put_row(at, row);
         io.write(self.file, at.page as u64);
         Ok(())
-    }
-
-    /// Remove a row by RID. The slot's values are cleared to NULL rather
-    /// than compacted, as in a real heap; the caller unindexes the row
-    /// and records the slot as dead. Returns the removed row and charges
-    /// a write of the page.
-    pub fn delete(&mut self, io: &dyn PageAccessor, rid: Rid) -> Result<Row> {
-        let at = self.slot(rid)?;
-        let old = self.page_ref(at.page).row(at.slot);
-        self.put_row(at, &vec![Value::Null; self.schema.arity()]);
-        io.write(self.file, at.page as u64);
-        Ok(old)
     }
 }
 
@@ -910,6 +851,11 @@ mod tests {
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| vec![Value::Int(i), Value::str(format!("r{i}"))]).collect()
+    }
+
+    /// Every slot of `h`, materialised, with its RID.
+    fn stored(h: &HeapFile) -> impl Iterator<Item = (Rid, Row)> + '_ {
+        (0..h.len()).map(Rid).map(|rid| (rid, h.peek(rid).unwrap()))
     }
 
     #[test]
@@ -1002,7 +948,7 @@ mod tests {
             })
             .collect();
         let h = HeapFile::bulk_load(&disk, schema, input.clone(), 67).unwrap();
-        for (rid, row) in h.iter() {
+        for (rid, row) in stored(&h) {
             assert_eq!(row, input[rid.0 as usize]);
             if let Value::Float(f) = &row[2] {
                 // The stored bits, not a canonical float, come back.
@@ -1077,27 +1023,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_cols_reads_only_the_named_columns() {
-        let disk = DiskSim::with_defaults();
-        let h = HeapFile::bulk_load(&disk, schema(), rows(9), 4).unwrap();
-        let mut seen = Vec::new();
-        h.scan_cols(&[0], |rid, row| {
-            assert_eq!(row, [Value::Int(rid.0 as i64), Value::Null]);
-            seen.push(rid.0);
-        });
-        assert_eq!(seen, (0..9).collect::<Vec<_>>());
-        h.scan_cols(&[1], |rid, row| assert_eq!(row[1], Value::str(format!("r{}", rid.0))));
-    }
-
-    #[test]
     fn clustered_load_sorts_rows() {
         let disk = DiskSim::with_defaults();
         let mut input = rows(50);
         // Shuffle deterministically by reversing.
         input.reverse();
         let h = HeapFile::bulk_load_clustered(&disk, schema(), input, 10, 0).unwrap();
-        let keys: Vec<i64> =
-            h.iter().map(|(_, r)| r[0].as_int().unwrap()).collect();
+        let keys: Vec<i64> = stored(&h).map(|(_, r)| r[0].as_int().unwrap()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -1138,17 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones_slot() {
-        let disk = DiskSim::with_defaults();
-        let mut h = HeapFile::bulk_load(&disk, schema(), rows(3), 4).unwrap();
-        let old = h.delete(disk.as_ref(), Rid(1)).unwrap();
-        assert_eq!(old, vec![Value::Int(1), Value::str("r1")]);
-        assert!(h.peek(Rid(1)).unwrap()[0].is_null());
-        assert_eq!(h.len(), 3, "tombstone keeps slots stable");
-        assert!(h.delete(disk.as_ref(), Rid(9)).is_err());
-    }
-
-    #[test]
     fn tombstone_append_and_restore_roundtrip() {
         let disk = DiskSim::with_defaults();
         let mut h = HeapFile::bulk_load(&disk, schema(), rows(2), 4).unwrap();
@@ -1185,7 +1106,7 @@ mod tests {
         let x = h.peek(Rid(0)).unwrap()[1].clone();
         let y = h.peek(Rid(1)).unwrap()[1].clone();
         assert!(!shared(&x, &y));
-        for (rid, row) in h.iter() {
+        for (rid, row) in stored(&h) {
             let want = if rid.0 % 2 == 0 { &x } else { &y };
             assert!(shared(&row[1], want), "{rid:?} shares its string");
         }
@@ -1201,12 +1122,11 @@ mod tests {
         let n = 5000;
         let mut h = HeapFile::bulk_load(&disk, schema(), rows(n), 64).unwrap();
         assert_eq!(h.dict().len(), n as usize);
-        for (rid, row) in h.iter() {
+        for (rid, row) in stored(&h) {
             assert_eq!(row[1], Value::str(format!("r{}", rid.0)));
         }
-        // A deleted row's string keeps its code; a re-stored one reuses it.
+        // A string stored again reuses its code.
         let code = h.dict().code_of("r7").unwrap();
-        h.delete(disk.as_ref(), Rid(7)).unwrap();
         let again = h.append(disk.as_ref(), vec![Value::Int(7), Value::str("r7")]).unwrap();
         assert_eq!(h.dict().code_of("r7"), Some(code));
         let stored = h.peek(again).unwrap()[1].clone();
@@ -1224,8 +1144,9 @@ mod tests {
         assert_eq!(h.segments.len(), 3);
         let image = h.image();
         assert_eq!(image.bytes_apart_from(&h), 0);
-        // A delete in the middle segment copies it, and only it.
-        h.delete(disk.as_ref(), Rid(seg_slots as u64 + 1)).unwrap();
+        // Recovery's restore in the middle segment copies it, and only it.
+        let restored = Rid(seg_slots as u64 + 1);
+        h.restore_row(disk.as_ref(), restored, &[Value::Int(-3), Value::str("back")]).unwrap();
         let middle = image.segments[1].bytes();
         assert_eq!(image.bytes_apart_from(&h), middle);
         assert!(!Arc::ptr_eq(&image.segments[1], &h.segments[1]));
@@ -1240,9 +1161,8 @@ mod tests {
         // The image still reads what it was taken with.
         let back = HeapFile::from_image(&disk, schema(), image);
         assert_eq!(back.len(), n as u64);
-        let deleted = Rid(seg_slots as u64 + 1);
-        assert_eq!(back.peek(deleted).unwrap()[0], Value::Int(seg_slots as i64 + 1));
-        assert!(h.peek(deleted).unwrap()[0].is_null());
+        assert_eq!(back.peek(restored).unwrap()[0], Value::Int(seg_slots as i64 + 1));
+        assert_eq!(h.peek(restored).unwrap()[0], Value::Int(-3));
         // A run across the segment boundary reads both sides.
         let (lo, hi) = (SEGMENT_PAGES as u64 - 1, SEGMENT_PAGES as u64);
         let mut firsts = Vec::new();

@@ -4,9 +4,11 @@
 //!
 //! Each case bulk-loads a heap of up to four [`SEGMENT_PAGES`] segments
 //! (small pages, so segments are small and a partial tail segment is
-//! common), images it, then runs random appends, deletes, restores,
-//! tombstone appends and vacuum-like batches of deletes across segment
-//! boundaries on the live heap, taking more images as it goes. It checks:
+//! common), images it, then runs random appends, recovery restores into
+//! any segment and tombstone appends on the live heap, taking more images
+//! as it goes. (A delete writes no heap value, so it has no place here:
+//! `horizon_prop` checks that deletes and vacuums leave images shared.)
+//! It checks:
 //!
 //! * an image taken right after load shares every segment
 //!   ([`HeapImage::bytes_apart_from`] is 0), and every image's
@@ -16,17 +18,13 @@
 //! * the bytes an image does not share with the heap are exactly those
 //!   of the image's segments the heap has written since it was taken —
 //!   so never more than that, and an unwritten segment is never copied;
-//! * [`HeapImage::retain`] on a copy of an image writes exactly the dead
-//!   slots NULL, copies only the segments holding a dead slot that was
-//!   not all NULL, and leaves the image and the heap untouched;
 //! * the live heap reads back as a `Vec<Row>` model of the writes.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
 //! page-level property tests, so CI raises them together.
 
 use cm_storage::{
-    null_bit, Column, DiskSim, HeapFile, HeapImage, Rid, Row, Schema, Value, ValueType,
-    SEGMENT_PAGES,
+    Column, DiskSim, HeapFile, HeapImage, Rid, Row, Schema, Value, ValueType, SEGMENT_PAGES,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -122,7 +120,7 @@ proptest! {
         tpp in 1usize..9,
         loaded_pages in 0usize..4 * SEGMENT_PAGES,
         partial in 0usize..9,
-        ops in prop::collection::vec((0u8..8, any::<u64>()), 0..60),
+        ops in prop::collection::vec((0u8..6, any::<u64>()), 0..60),
     ) {
         let schema = schema(arity);
         let disk = DiskSim::with_defaults();
@@ -154,82 +152,16 @@ proptest! {
                 }
                 1 if len > 0 => {
                     let rid = x as usize % len;
-                    heap.delete(disk.as_ref(), Rid(rid as u64)).unwrap();
-                    model[rid] = null_row.clone();
-                    wrote.push(rid);
-                }
-                2 if len > 0 => {
-                    let rid = x as usize % len;
                     heap.restore_row(disk.as_ref(), Rid(rid as u64), &row(arity, x)).unwrap();
                     model[rid] = row(arity, x);
                     wrote.push(rid);
                 }
-                3 => {
+                2 => {
                     heap.append_tombstone();
                     model.push(null_row.clone());
                     wrote.push(len);
                 }
-                4 if len > 0 => {
-                    // A vacuum pass: a strided batch of slots cleared,
-                    // crossing segment boundaries when the stride is long.
-                    let stride = 1 + (x >> 8) as usize % (2 * SEGMENT_PAGES * tpp);
-                    let from = x as usize % len;
-                    for rid in (from..len).step_by(stride).take(1 + (x >> 40) as usize % 8) {
-                        heap.delete(disk.as_ref(), Rid(rid as u64)).unwrap();
-                        model[rid] = null_row.clone();
-                        wrote.push(rid);
-                    }
-                }
-                5 if images.len() < 4 => images.push(take(&heap)),
-                6 => {
-                    // Retain on a copy of an image, under a random
-                    // liveness bitmap.
-                    let t = &images[x as usize % images.len()];
-                    let live: Vec<u64> = (0..t.len.div_ceil(64) as u64)
-                        .map(|w| (x ^ w.wrapping_mul(0x9e37_79b9_7f4a_7c15)).rotate_left(w as u32))
-                        .collect();
-                    let before = image_contents(&schema, &t.image);
-                    let mut kept = t.image.clone();
-                    kept.retain(&live);
-                    let source = image_contents(&schema, &t.image);
-                    prop_assert_eq!(&source, &before, "retain wrote its source");
-                    let got = image_contents(&schema, &kept);
-                    // Segments holding a dead slot that is not all NULL.
-                    let mut copied = BTreeSet::new();
-                    for (p, (page, want)) in got.iter().zip(&before).enumerate() {
-                        for s in 0..want[0].0.len() {
-                            let rid = p * tpp + s;
-                            let is_null = |cols: &[PageColumn], c: usize| {
-                                cols[c].1.as_ref().is_some_and(|n| null_bit(n, s))
-                            };
-                            if null_bit(&live, rid) {
-                                for c in 0..arity {
-                                    let word = page[c].0[s];
-                                    prop_assert_eq!(word, want[c].0[s], "live slot {}", rid);
-                                    prop_assert_eq!(is_null(page, c), is_null(want, c));
-                                }
-                            } else {
-                                if !(0..arity).all(|c| is_null(want, c)) {
-                                    copied.insert(seg_of(rid));
-                                }
-                                for c in 0..arity {
-                                    prop_assert!(is_null(page, c), "dead slot {} col {}", rid, c);
-                                    prop_assert_eq!(page[c].0[s], 0, "dead slot {}'s filler", rid);
-                                }
-                            }
-                        }
-                        for (c, (words, bitmap, count)) in page.iter().enumerate() {
-                            let nulls = (0..words.len())
-                                .filter(|&s| bitmap.as_ref().is_some_and(|n| null_bit(n, s)))
-                                .count();
-                            prop_assert_eq!(*count as usize, nulls, "page {} col {} count", p, c);
-                        }
-                    }
-                    let source = HeapFile::from_image(&disk, schema.clone(), t.image.clone());
-                    let want: usize =
-                        copied.iter().map(|&s| segment_bytes(&schema, tpp, t.len, s)).sum();
-                    prop_assert_eq!(kept.bytes_apart_from(&source), want, "retain copies");
-                }
+                3 if images.len() < 4 => images.push(take(&heap)),
                 _ => {
                     for t in &images {
                         prop_assert_eq!(&image_contents(&schema, &t.image), &t.contents);
@@ -255,10 +187,9 @@ proptest! {
         for t in &images {
             prop_assert_eq!(&image_contents(&schema, &t.image), &t.contents, "image changed");
         }
-        let seen: Vec<(Rid, Row)> = heap.iter().collect();
-        prop_assert_eq!(seen.len(), model.len());
-        for ((rid, got), (i, want)) in seen.into_iter().zip(model.iter().enumerate()) {
-            prop_assert_eq!(rid, Rid(i as u64));
+        prop_assert_eq!(heap.len(), model.len() as u64);
+        for (i, want) in model.iter().enumerate() {
+            let got = heap.peek(Rid(i as u64)).unwrap();
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want) {
                 let same = match (g, w) {

@@ -27,8 +27,8 @@ fn recommended_design_materializes_and_answers_correctly() {
 
     let cm = t.add_cm("advisor_cm", CmSpec::new(chosen.design.attrs.clone()));
     let ctx = ExecContext::cold(&disk);
-    let truth = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched;
-    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let truth = t.exec_batches(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched;
+    let r = t.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert_eq!(r.matched, truth, "materialized recommendation answers correctly");
 
     // The estimated size tracks the materialized size within a small

@@ -9,7 +9,7 @@ use cm_storage::{DiskSim, Value};
 
 fn assert_paths_agree(table: &Table, disk: &std::sync::Arc<DiskSim>, sec: usize, cm: usize, q: &Query) {
     let ctx = ExecContext::cold(disk);
-    let matched = |path| table.exec_visit(&ctx, path, q, |_, _| {}).unwrap().matched;
+    let matched = |path| table.exec_batches(&ctx, path, q, |_, _| {}).unwrap().matched;
     let truth = matched(AccessPath::FullScan);
     for path in [
         AccessPath::SecondarySorted(sec),
@@ -74,8 +74,8 @@ fn tpch_shipdate_queries_agree_and_order_correctly() {
 
     // Ordering: correlated sorted scan beats pipelined by a wide margin.
     let ctx = ExecContext::cold(&disk);
-    let sorted = t.exec_visit(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
-    let pipelined = t.exec_visit(&ctx, AccessPath::SecondaryPipelined(sec), &q, |_, _| {}).unwrap();
+    let sorted = t.exec_batches(&ctx, AccessPath::SecondarySorted(sec), &q, |_, _| {}).unwrap();
+    let pipelined = t.exec_batches(&ctx, AccessPath::SecondaryPipelined(sec), &q, |_, _| {}).unwrap();
     // Postings come back rid-ascending per value, so even the pipelined
     // path gets some short-skip locality; the sorted scan still wins
     // clearly by merging across values.
@@ -106,7 +106,7 @@ fn sdss_composite_cm_agrees_and_wins() {
         Pred::between(sdss::COL_DEC, 3.1, 3.4),
     ]);
     let ctx = ExecContext::cold(&disk);
-    let matched = |path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+    let matched = |path| t.exec_batches(&ctx, path, &q, |_, _| {}).unwrap().matched;
     let truth = matched(AccessPath::FullScan);
     assert!(truth > 0, "query selects something");
     assert_eq!(matched(AccessPath::SecondarySorted(bt)), truth);
@@ -115,9 +115,9 @@ fn sdss_composite_cm_agrees_and_wins() {
 
     // Experiment 5's ordering: composite CM beats the single-attribute CM
     // and the composite B+Tree on this two-range query.
-    let r_pair = t.exec_visit(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap();
-    let r_ra = t.exec_visit(&ctx, AccessPath::CmScan(cm_ra), &q, |_, _| {}).unwrap();
-    let r_bt = t.exec_visit(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}).unwrap();
+    let r_pair = t.exec_batches(&ctx, AccessPath::CmScan(cm_pair), &q, |_, _| {}).unwrap();
+    let r_ra = t.exec_batches(&ctx, AccessPath::CmScan(cm_ra), &q, |_, _| {}).unwrap();
+    let r_bt = t.exec_batches(&ctx, AccessPath::SecondarySorted(bt), &q, |_, _| {}).unwrap();
     assert!(r_pair.ms() < r_ra.ms(), "pair {} vs ra {}", r_pair.ms(), r_ra.ms());
     assert!(r_pair.ms() < r_bt.ms(), "pair {} vs btree {}", r_pair.ms(), r_bt.ms());
     // The fine-bucketed pair CM is smaller than the dense index even at
@@ -157,9 +157,9 @@ fn cm_examined_rows_are_superset_of_matches() {
     let cm = t.add_cm("price_cm", CmSpec::single_pow2(ebay::COL_PRICE, 14));
     let q = Query::single(Pred::between(ebay::COL_PRICE, 200_000i64, 220_000i64));
     let ctx = ExecContext::cold(&disk);
-    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let r = t.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert!(r.examined >= r.matched);
-    assert_eq!(r.matched, t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched);
+    assert_eq!(r.matched, t.exec_batches(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap().matched);
 }
 
 #[test]
@@ -186,8 +186,8 @@ fn uncorrelated_cm_approaches_scan_cost() {
     let cm = t.add_cm("supp_cm", CmSpec::single_raw(tpch::COL_SUPPKEY));
     let q = Query::single(Pred::eq(tpch::COL_SUPPKEY, 7i64));
     let ctx = ExecContext::cold(&disk);
-    let r = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
-    let scan = t.exec_visit(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
+    let r = t.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let scan = t.exec_batches(&ctx, AccessPath::FullScan, &q, |_, _| {}).unwrap();
     assert!(
         r.io.pages() as f64 > 0.5 * scan.io.pages() as f64,
         "uncorrelated CM touches most of the table ({} vs {} pages)",
@@ -211,8 +211,8 @@ fn warm_pool_executions_cost_less_than_cold() {
     let q = Query::single(Pred::between(ebay::COL_PRICE, 100_000i64, 120_000i64));
     let pool = cm_storage::BufferPool::new(disk.clone(), 4096);
     let ctx = ExecContext::through(&disk, &pool);
-    let cold = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
-    let warm = t.exec_visit(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let cold = t.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
+    let warm = t.exec_batches(&ctx, AccessPath::CmScan(cm), &q, |_, _| {}).unwrap();
     assert_eq!(cold.matched, warm.matched);
     assert!(warm.ms() < 0.1 * cold.ms(), "warm {} vs cold {}", warm.ms(), cold.ms());
 }

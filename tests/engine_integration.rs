@@ -162,10 +162,8 @@ fn inserts_and_deletes_keep_cm_routed_results_consistent() {
                 "rebuilt",
                 CmSpec::single_raw(tpch::COL_SHIPDATE),
             );
-            for (rid, row) in t.heap().iter() {
-                if !row[tpch::COL_SHIPDATE].is_null() {
-                    rebuilt.insert(&row, rid, t.dir());
-                }
+            for rid in t.live_rids(0) {
+                rebuilt.insert(&t.heap().peek(rid).unwrap(), rid, t.dir());
             }
             let maintained = t.cm(0);
             assert_eq!(maintained.num_keys(), rebuilt.num_keys());

@@ -24,13 +24,21 @@
 //! vacuum passes over, so a horizon stuck at [`NOT_ALL_VISIBLE`] fails
 //! too.
 //!
+//! A second property checks that heap slots are write-once: a heap image
+//! taken of a table of up to three [`SEGMENT_PAGES`] segments, then
+//! random locking deletes, MVCC ends, vacuum passes (stamp rewrite plus
+//! reclaim) and appends, must still share every segment below the first
+//! one the appends wrote — and, when no append has written an image's
+//! partial tail segment, every segment — so a delete, an end or a vacuum
+//! copies none.
+//!
 //! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
 //! page-level property tests, so CI raises them together.
 
 use cm_query::{Table, HOLDS_FREE_SLOTS, NOT_ALL_VISIBLE};
 use cm_storage::{
-    is_pending, pending_stamp, Column, DiskSim, MvccState, Rid, Row, Schema, Snapshot, Value,
-    ValueType, LIVE_TS,
+    is_pending, pending_stamp, Column, DiskSim, HeapImage, MvccState, Rid, Row, Schema, Snapshot,
+    Value, ValueType, LIVE_TS, SEGMENT_PAGES,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -62,6 +70,24 @@ impl Rng {
 
 fn row(i: u64) -> Row {
     vec![Value::Int(i as i64 % 17), Value::str(format!("r{}", i % 5))]
+}
+
+fn schema() -> Arc<Schema> {
+    Arc::new(Schema::new(vec![
+        Column::new("k", ValueType::Int),
+        Column::new("v", ValueType::Str),
+    ]))
+}
+
+/// Bytes segment `seg` of a heap of `len` [`schema`] slots takes: an
+/// `i64` and a `u32` code per slot, and per page and column the null
+/// bitmap words and a null count.
+fn segment_bytes(tpp: usize, len: usize, seg: usize) -> usize {
+    let seg_slots = SEGMENT_PAGES * tpp;
+    let slots = len
+        .min((seg + 1) * seg_slots)
+        .saturating_sub(seg * seg_slots);
+    slots * (8 + 4) + slots.div_ceil(tpp) * 2 * (tpp.div_ceil(64) * 8 + 4)
 }
 
 const DEAD: (u64, u64) = (0, 0);
@@ -129,12 +155,8 @@ proptest! {
         let mut rng = Rng(seed);
         let disk = DiskSim::with_defaults();
         let io = disk.as_ref();
-        let schema = Arc::new(Schema::new(vec![
-            Column::new("k", ValueType::Int),
-            Column::new("v", ValueType::Str),
-        ]));
         let rows = (0..loaded as u64).map(row).collect();
-        let mut t = Table::build(&disk, schema, rows, tpp, 0, 4).unwrap();
+        let mut t = Table::build(&disk, schema(), rows, tpp, 0, 4).unwrap();
         let mv = Arc::new(MvccState::new());
         let mut open: Vec<u64> = Vec::new();
         let mut next_txn = 1u64;
@@ -237,6 +259,97 @@ proptest! {
                 prop_assert!(t.horizon(p) <= now.ts(), "page {} stuck at {}", p, t.horizon(p));
             } else if (lo.0..hi.0).all(|r| live(r) || t.stamp_of(Rid(r)) == DEAD) {
                 prop_assert_eq!(t.horizon(p), HOLDS_FREE_SLOTS, "page {} left to vacuum", p);
+            }
+        }
+    }
+}
+
+/// An image under test: the image, the heap length it was taken at, and
+/// whether an append has come since.
+struct Taken {
+    image: HeapImage,
+    len: usize,
+    appended: bool,
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    #[test]
+    fn deletes_ends_and_vacuums_leave_every_segment_shared(
+        seed in any::<u64>(),
+        loaded_pages in 0usize..3 * SEGMENT_PAGES,
+        tpp in 1usize..6,
+        steps in 0usize..60,
+    ) {
+        let mut rng = Rng(seed);
+        let disk = DiskSim::with_defaults();
+        let io = disk.as_ref();
+        let loaded = (loaded_pages * tpp + rng.below(tpp)) as u64;
+        let rows = (0..loaded).map(row).collect();
+        let mut t = Table::build(&disk, schema(), rows, tpp, 0, 4).unwrap();
+        let mv = Arc::new(MvccState::new());
+        let take = |t: &Table| Taken {
+            image: t.heap().image(),
+            len: t.heap().len() as usize,
+            appended: false,
+        };
+        let mut images = vec![take(&t)];
+        for _ in 0..steps {
+            let current: Vec<Rid> =
+                (0..t.heap().len()).map(Rid).filter(|&r| t.is_current(r)).collect();
+            let victim =
+                |rng: &mut Rng| (!current.is_empty()).then(|| current[rng.below(current.len())]);
+            match rng.below(8) {
+                0 | 1 => {
+                    // A locking-mode delete.
+                    if let Some(rid) = victim(&mut rng) {
+                        t.delete_row(io, None, rid).unwrap();
+                    }
+                }
+                2 | 3 => {
+                    // An MVCC delete, committed or still pending.
+                    if let Some(rid) = victim(&mut rng) {
+                        let end = if rng.below(3) == 0 { pending_stamp(1) } else { mv.next_ts() };
+                        t.end_version(io, rid, end).unwrap();
+                    }
+                }
+                4 => {
+                    // A vacuum pass: rewrite the stamps, reclaim what ended.
+                    if rng.below(2) == 0 {
+                        mv.commit_txn(1);
+                    }
+                    t.resolve_stamps(|stamp| mv.resolve(stamp));
+                    for rid in t.reclaimable(mv.now()) {
+                        t.delete_row(io, None, rid).unwrap();
+                    }
+                }
+                5 => {
+                    t.insert_row(io, None, &row(rng.next())).unwrap();
+                    images.iter_mut().for_each(|i| i.appended = true);
+                }
+                _ => {
+                    if images.len() < 4 {
+                        images.push(take(&t));
+                    }
+                }
+            }
+            // Only an append writes, and only the image's tail segment.
+            let seg_slots = SEGMENT_PAGES * tpp;
+            for (i, taken) in images.iter().enumerate() {
+                let tail_written = taken.appended && taken.len % seg_slots != 0;
+                let want = if tail_written {
+                    segment_bytes(tpp, taken.len, taken.len / seg_slots)
+                } else {
+                    0
+                };
+                prop_assert_eq!(
+                    taken.image.bytes_apart_from(t.heap()),
+                    want,
+                    "image {} of {} slots",
+                    i,
+                    taken.len
+                );
             }
         }
     }

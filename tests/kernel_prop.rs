@@ -23,7 +23,7 @@
 use cm_query::{
     AggFunc, AggSpec, AggState, BatchAgg, JoinHashTable, PageFilter, Pred, PredOp, Query,
 };
-use cm_storage::{Column, DiskSim, HeapFile, PageRef, Row, Schema, Value, ValueType};
+use cm_storage::{Column, DiskSim, HeapFile, PageRef, Rid, Row, Schema, Value, ValueType};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -205,7 +205,7 @@ proptest! {
         for _ in 0..4 {
             let spec = random_spec(&mut rng, &types);
             let mut want = AggState::new(&spec);
-            heap.iter().for_each(|(_, row)| want.observe(&row));
+            (0..heap.len()).for_each(|r| want.observe(&heap.peek(Rid(r)).unwrap()));
             let want = exact(want.finish());
             for split in 0..2 {
                 let mut fold = BatchAgg::new(&spec);

@@ -32,7 +32,7 @@ fn queries_stay_correct_across_insert_batches() {
         }
         wal.commit();
         let ctx = ExecContext::cold(&disk);
-        let matched = |path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+        let matched = |path| t.exec_batches(&ctx, path, &q, |_, _| {}).unwrap().matched;
         let truth = matched(AccessPath::FullScan);
         assert_eq!(matched(AccessPath::SecondarySorted(sec)), truth, "batch {batch_no}");
         assert_eq!(matched(AccessPath::CmScan(cm)), truth, "batch {batch_no}");
@@ -47,7 +47,7 @@ fn deletes_retract_from_every_structure() {
     let cm = t.add_cm("price_cm", CmSpec::single_pow2(ebay::COL_PRICE, 10));
     let q = Query::single(Pred::between(ebay::COL_PRICE, 0i64, 1_000_000i64));
     let ctx = ExecContext::cold(&disk);
-    let matched = |t: &Table, path| t.exec_visit(&ctx, path, &q, |_, _| {}).unwrap().matched;
+    let matched = |t: &Table, path| t.exec_batches(&ctx, path, &q, |_, _| {}).unwrap().matched;
     let before = matched(&t, AccessPath::FullScan);
 
     // Delete every 7th row.
@@ -77,10 +77,8 @@ fn maintained_cm_equals_rebuilt_cm_through_table_api() {
 
     // Rebuild a CM from the surviving rows and compare.
     let mut rebuilt = CorrelationMap::new("rebuilt", CmSpec::single_pow2(ebay::COL_PRICE, 12));
-    for (rid, row) in t.heap().iter() {
-        if !row[ebay::COL_PRICE].is_null() {
-            rebuilt.insert(&row, rid, t.dir());
-        }
+    for rid in t.live_rids(0) {
+        rebuilt.insert(&t.heap().peek(rid).unwrap(), rid, t.dir());
     }
     let maintained = t.cm(cm);
     assert_eq!(maintained.num_keys(), rebuilt.num_keys());

@@ -43,7 +43,8 @@ fn build_table(disk: &Arc<DiskSim>, data: &[(i64, i64)]) -> Table {
 /// Brute-force oracle in heap (RID) order — every converted path visits
 /// matching rows in ascending page order, so plain equality must hold.
 fn oracle(t: &Table, q: &Query) -> Vec<Row> {
-    t.heap().iter().filter(|(_, r)| q.matches(r)).map(|(_, r)| r.to_vec()).collect()
+    let rows = t.live_rids(0).map(|rid| t.heap().peek(rid).unwrap());
+    rows.filter(|r| q.matches(r)).collect()
 }
 
 fn queries(lo: i64, span: i64, point: i64) -> Vec<Query> {

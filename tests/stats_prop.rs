@@ -3,9 +3,9 @@
 //!
 //! Random typed heaps — `Int`, `Float`, `Str` and `Date` columns, NULLs
 //! in any column (the clustered one included), `-0.0`/`0.0` and NaNs of
-//! several payloads, `i64`/`i32` extremes, dead slots from the load
-//! image, from deletes and from placeholders, and an unsorted appended
-//! tail — are checked three ways:
+//! several payloads, `i64`/`i32` extremes, dead slots that keep stale
+//! values (from the load image and from deletes) or hold all-NULL
+//! placeholders, and an unsorted appended tail — are checked four ways:
 //!
 //! * [`Table::column_stats`] of every column equals
 //!   [`cm_stats::correlation_stats`] over the materialised live rows plus
@@ -22,19 +22,24 @@
 //!   reads of the pre-insert probe path, the leaf write and one write
 //!   per split that the old sequence charged; random deletes through
 //!   [`SecondaryIndex::remove`] (one descent) then charge, and shape the
-//!   tree, as the old probe + `get_mut` + `remove` sequence did.
+//!   tree, as the old probe + `get_mut` + `remove` sequence did;
+//! * [`ClusteredIndex::build`] and [`BucketDirectory::restore`], which
+//!   tell runs apart by column words, equal the row-at-a-time builds they
+//!   replaced: the index's entries (value and first RID, probe paths,
+//!   height) and the directory's buckets.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96), the setting of the other
 //! page-level property tests, so CI raises them together.
 
-mod row_image;
 mod typed_rows;
 
-use cm_core::{BucketSpec, CmAttr, CmKeyPart, CmSpec, CorrelationMap};
-use cm_index::{BPlusTree, IndexKey, SecondaryIndex};
+use cm_core::{BucketDirectory, BucketSpec, CmAttr, CmKeyPart, CmSpec, CorrelationMap};
+use cm_index::{BPlusTree, ClusteredIndex, IndexKey, SecondaryIndex};
 use cm_query::{ColumnStats, Table};
 use cm_stats::correlation_stats;
-use cm_storage::{Column, DiskSim, FileId, PageAccessor, Rid, Row, Schema, Value, ValueType};
+use cm_storage::{
+    Column, DiskSim, FileId, HeapFile, PageAccessor, Rid, Row, Schema, Value, ValueType,
+};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use typed_rows::{same, value, Rng, TYPES};
@@ -155,6 +160,95 @@ fn same_tree(got: &Tree, model: &Tree) {
     }
 }
 
+/// The row-at-a-time clustered index build: each live slot's clustered
+/// value materialised and compared with `Value`'s `==`, a value noted
+/// where its run starts. Returns the (value, RID) notes in order.
+fn model_clustered_notes(
+    heap: &HeapFile,
+    col: usize,
+    live: impl Fn(Rid) -> bool,
+) -> Vec<(Value, Rid)> {
+    let mut notes: Vec<(Value, Rid)> = Vec::new();
+    let mut last: Option<Value> = None;
+    for rid in (0..heap.len()).map(Rid).filter(|&rid| live(rid)) {
+        let v = heap.value(rid, col).unwrap();
+        if last.as_ref() != Some(&v) {
+            notes.push((v.clone(), rid));
+            last = Some(v);
+        }
+    }
+    notes
+}
+
+/// The row-at-a-time directory build: the paper's algorithm over the
+/// live rows of the sorted prefix, values compared with `Value`'s `==`,
+/// then the append arithmetic over the tail. Returns the bucket starts.
+fn model_bucket_starts(
+    heap: &HeapFile,
+    col: usize,
+    target: u64,
+    sorted_len: u64,
+    live: impl Fn(Rid) -> bool,
+) -> Vec<u64> {
+    let sorted_len = sorted_len.min(heap.len());
+    let mut starts: Vec<u64> = if sorted_len > 0 { vec![0] } else { Vec::new() };
+    let mut boundary: Option<Value> = None;
+    for rid in (0..sorted_len).map(Rid).filter(|&rid| live(rid)) {
+        let v = heap.value(rid, col).unwrap();
+        if boundary.as_ref().is_some_and(|bv| *bv != v) {
+            starts.push(rid.0);
+            boundary = None;
+        }
+        if boundary.is_none() && rid.0 - starts.last().unwrap() + 1 >= target {
+            boundary = Some(v);
+        }
+    }
+    for rid in sorted_len..heap.len() {
+        if starts.last().is_none_or(|&s| rid - s >= target) {
+            starts.push(rid);
+        }
+    }
+    starts
+}
+
+/// `ClusteredIndex::build` and `BucketDirectory::restore` over `t`'s
+/// heap against their row-at-a-time models.
+fn same_clustered_builds(t: &Table, disk: &DiskSim, order: usize, target: u64, sorted_len: u64) {
+    let (heap, cc) = (t.heap(), t.clustered_col());
+    let live = |rid: Rid| !t.is_tombstone(rid).unwrap();
+    let got = ClusteredIndex::build(heap, cc, live, disk.alloc_file(), order);
+    let notes = model_clustered_notes(heap, cc, live);
+    let empty = HeapFile::bulk_load(disk, heap.schema().clone(), Vec::new(), 1).unwrap();
+    let mut want = ClusteredIndex::build(&empty, cc, |_| true, disk.alloc_file(), order);
+    for (v, rid) in &notes {
+        want.note_append(v, *rid);
+    }
+    want.grow_to(heap.len());
+    prop_assert_eq!(
+        (got.height(), got.distinct_values(), got.c_tups().to_bits()),
+        (
+            want.height(),
+            want.distinct_values(),
+            want.c_tups().to_bits()
+        ),
+        "clustered index"
+    );
+    for (v, _) in &notes {
+        let range = |i: &ClusteredIndex| i.rid_range_uncharged(v, v);
+        prop_assert_eq!(range(&got), range(&want), "clustered range of {:?}", v);
+        let path = |i: &ClusteredIndex| {
+            let io = Recorder::default();
+            i.charge_probe(&io, v);
+            io.0.into_inner().unwrap()
+        };
+        prop_assert_eq!(path(&got), path(&want), "probe path of {:?}", v);
+    }
+    let dir = BucketDirectory::restore(heap, cc, target, sorted_len, live);
+    let starts: Vec<u64> = dir.iter().map(|(_, (lo, _))| lo).collect();
+    prop_assert_eq!(starts, model_bucket_starts(heap, cc, target, sorted_len, live));
+    prop_assert_eq!(dir.heap_len(), heap.len());
+}
+
 proptest! {
     #![proptest_config(cases())]
 
@@ -182,10 +276,19 @@ proptest! {
         let sorted_len = rng.below(rows + 1);
         let mut image: Vec<Row> = (0..rows).map(|_| row(&mut rng)).collect();
         image[..sorted_len].sort_by(|a, b| a[cc].cmp(&b[cc]));
-        let slots = image.into_iter().map(|r| (rng.below(7) != 0).then_some(r)).collect();
+        // A dead slot keeps its stale row, or is an all-NULL placeholder.
+        let mut live = vec![0u64; rows.div_ceil(64)];
+        for (r, slot) in image.iter_mut().enumerate() {
+            match rng.below(14) {
+                0 => *slot = vec![Value::Null; ncols],
+                1 => {}
+                _ => live[r / 64] |= 1 << (r % 64),
+            }
+        }
         let target = 1 + rng.below(8) as u64;
         let sorted_len = sorted_len as u64;
-        let mut t = row_image::restore(&disk, schema, slots, tpp, cc, target, sorted_len);
+        let heap = HeapFile::bulk_load(&disk, schema, image, tpp).unwrap();
+        let mut t = Table::restore(&disk, heap, &live, cc, target, sorted_len);
         for _ in 0..rng.below(20) {
             match rng.below(3) {
                 0 if !t.heap().is_empty() => {
@@ -202,6 +305,8 @@ proptest! {
                 }
             }
         }
+
+        same_clustered_builds(&t, &disk, 3 + rng.below(4), target, sorted_len);
 
         for (col, ty) in types.iter().enumerate() {
             let (got, want) = (t.column_stats(col), model_stats(&t, col));
