@@ -325,9 +325,10 @@ fn bench_page_batches(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let keys = ht.key_probe(heap, tpch::COL_PARTKEY);
-                let mut pairs = 0;
+                let (mut pairs, mut hits) = (0, Vec::new());
                 sweep(step, &mut |page, sel| {
-                    keys.probe(page, sel, |_, rows| pairs += rows.len())
+                    keys.hits(page, sel, &mut hits);
+                    pairs += hits.iter().map(|&(_, w)| keys.partners(w).len()).sum::<usize>();
                 });
                 black_box(pairs)
             })

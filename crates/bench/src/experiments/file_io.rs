@@ -27,7 +27,9 @@
 //! automatic fallback to buffered I/O where the filesystem refuses it
 //! (tmpfs); the effective mode is printed in the commentary. Each cell
 //! runs one untimed vectored warm-up pass first, so in buffered mode
-//! both measured modes face the same (warm) page-cache state. Files live
+//! both measured modes face the same (warm) page-cache state, and then
+//! measures the two modes in alternation (3 times at full scale, 24 at
+//! smoke scale), reporting each mode's fastest run. Files live
 //! in a self-deleting tempdir; set `FILE_IO_DIR=/path` to aim the bench
 //! at a specific device instead.
 
@@ -37,7 +39,7 @@ use crate::report::Report;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID};
 use cm_query::Table;
-use cm_storage::{DiskConfig, DiskSim, FileDisk, TempDir};
+use cm_storage::{DiskConfig, DiskSim, FileDisk, IoStats, TempDir};
 use std::path::PathBuf;
 
 /// Run the benchmark.
@@ -105,6 +107,12 @@ pub fn run(scale: BenchScale) -> Report {
     table.add_cm("cat_cm", CmSpec::single_raw(COL_CATID));
 
     let per_session = scale.n(12, 4);
+    // Each cell's two modes are measured in alternation this many times,
+    // and each mode keeps its fastest run: a scheduling hiccup lands in
+    // one run of one mode and drops out. A smoke cell takes well under a
+    // millisecond, so it repeats enough for the pair of fastest runs,
+    // not one run each, to decide the gate below.
+    let repeats = scale.n(3, 24);
 
     let mut agreements = 0usize;
     let mut cells = 0usize;
@@ -117,8 +125,18 @@ pub fn run(scale: BenchScale) -> Report {
             // Untimed warm-up: materialises extents and, in buffered
             // mode, leaves the page cache equally warm for both modes.
             measure(&table, &disk, &queries, path, sessions, true);
-            let (pp, pp_matched) = measure(&table, &disk, &queries, path, sessions, false);
-            let (vec_io, vec_matched) = measure(&table, &disk, &queries, path, sessions, true);
+            let mut fastest: [Option<(IoStats, u64)>; 2] = [None, None];
+            for _ in 0..repeats {
+                for (best, vectored) in fastest.iter_mut().zip([false, true]) {
+                    let run = measure(&table, &disk, &queries, path, sessions, vectored);
+                    if best.as_ref().is_none_or(|(b, _)| run.0.wall_ms() < b.wall_ms()) {
+                        *best = Some(run);
+                    }
+                }
+            }
+            let [Some((pp, pp_matched)), Some((vec_io, vec_matched))] = fastest else {
+                unreachable!("at least one run per mode")
+            };
             assert_eq!(pp_matched, vec_matched, "modes must agree on results");
             assert_eq!(pp.pages(), vec_io.pages(), "modes must touch the same pages");
 
@@ -163,7 +181,8 @@ pub fn run(scale: BenchScale) -> Report {
     // vectored mode must never be meaningfully slower than per-page on
     // the wall clock — >10% would mean the vectored syscall path itself
     // regressed. (Absolute timings are never gated; shared runners are
-    // noisy, which is why this is an aggregate ratio with headroom.)
+    // noisy, which is why this is an aggregate ratio with headroom, of
+    // each cell's fastest runs.)
     for (sessions, pp_total, vec_total) in &totals {
         assert!(
             *vec_total <= *pp_total * 1.10,

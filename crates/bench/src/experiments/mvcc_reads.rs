@@ -6,12 +6,14 @@
 //! (one ranged `delete_where` + a batched reinsert of the same rows,
 //! committed together, then a short sleep); reader threads fire point
 //! queries on the clustered column and time each one with a wall clock.
-//! Under single-version locking the ranged delete scans the *whole
-//! shard under its write lock* and maintains the secondary per victim,
-//! so every concurrent reader of that shard stalls for the scan; under
-//! MVCC the victim scan runs at a snapshot under the shard *read* lock
-//! and the write lock is held only to stamp the victims, so readers
-//! never wait on a scan. The sweep crosses write pressure (0/1/4 writer
+//! Under single-version locking the ranged delete runs its victim
+//! search — the planned path, here a scan of the whole shard with
+//! column kernels that build no row — *under the shard write lock*, and
+//! then maintains the secondary per victim in the same hold, so every
+//! concurrent reader of that shard waits out the search; under MVCC the
+//! search runs at a snapshot under the shard *read* lock, a window of
+//! pages a hold, and the write lock is held only to stamp the victims,
+//! so readers never wait on a search. The sweep crosses write pressure (0/1/4 writer
 //! threads) with shard counts, plus one row per mode where the "writer"
 //! is a loop of `apply_design` structure rebuilds. Both modes run the
 //! same staged install step per shard; what differs is the build's
@@ -352,8 +354,9 @@ fn row_cells(r: &RunResult) -> Vec<String> {
 
 /// Run the benchmark.
 pub fn run(scale: BenchScale) -> Report {
-    // The smoke table must stay big enough that a categorical delete's
-    // whole-shard scan is a *material* write-lock hold — on a tiny heap
+    // The smoke table must stay big enough that a locking categorical
+    // delete's victim search (a kernel scan of the whole shard, run
+    // under the write lock) is a *material* hold — on a tiny heap
     // the hold shrinks below the fixed costs both modes share and the
     // contrast this benchmark exists to show disappears.
     let data = ebay(EbayConfig {
@@ -371,9 +374,10 @@ pub fn run(scale: BenchScale) -> Report {
         "reader tail latency under categorical write bursts \
          (single-version shard locking vs MVCC snapshot reads)",
         "not a paper artifact — an engine-level property the versioned heap must \
-         deliver: a categorical delete under single-version locking scans the \
-         whole shard while holding its write lock, so concurrent readers absorb \
-         the scan into their tail; with MVCC the victim scan runs at a snapshot \
+         deliver: a categorical delete under single-version locking runs its \
+         victim search (the planned path, here a column-kernel scan of the whole \
+         shard) while holding the shard write lock, so concurrent readers absorb \
+         the search into their tail; with MVCC the search runs at a snapshot \
          under the read lock and the write lock is held only to stamp the \
          victims, so the reader tail should barely move as write pressure rises \
          (and a structure rebuild should stop being an outage)",

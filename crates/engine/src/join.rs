@@ -284,6 +284,7 @@ impl Engine {
         };
         // An empty hash table can match nothing; skip the probe sweep.
         let probe_legs = if ht.is_empty() { Vec::new() } else { probe_plan.legs };
+        let width = left_arity + right_arity;
         let probed = self.fan_out(probe_legs, forced.is_none(), |leg| {
             let mut out: Vec<Row> = Vec::new();
             let mut pairs = 0u64;
@@ -292,21 +293,41 @@ impl Engine {
             // column: the probe reads that column of every row, and the
             // rest only of rows that find a partner.
             let keys = ht.key_probe(t.heap(), probe_col);
+            let mut hits: Vec<(u32, u64)> = Vec::new();
+            // One (probe slot, build row) pair per output row of a page.
+            let (mut slots, mut partners) = (Vec::<u32>::new(), Vec::<u32>::new());
             let emit = |page: PageRef<'_>, sel: &[u32]| {
-                keys.probe(page, sel, |slot, partners| {
-                    pairs += partners.len() as u64;
-                    if !collect {
-                        return;
+                keys.hits(page, sel, &mut hits);
+                slots.clear();
+                partners.clear();
+                for &(slot, word) in &hits {
+                    let idx = keys.partners(word);
+                    pairs += idx.len() as u64;
+                    if collect {
+                        slots.extend(std::iter::repeat_n(slot, idx.len()));
+                        partners.extend_from_slice(idx);
                     }
-                    let probe_row = page.row(slot as usize);
-                    for &idx in partners {
-                        let build_row = ht.row(idx);
-                        out.push(match build_side {
-                            JoinSide::Left => [build_row.as_slice(), &probe_row].concat(),
-                            JoinSide::Right => [probe_row.as_slice(), build_row].concat(),
-                        });
+                }
+                if slots.is_empty() {
+                    return;
+                }
+                // Each output row is allocated once at its full width;
+                // the build columns come first when the build side is
+                // the left input.
+                let from = out.len();
+                out.extend(partners.iter().map(|&idx| {
+                    let mut row = Vec::with_capacity(width);
+                    if build_side == JoinSide::Left {
+                        row.extend_from_slice(ht.row(idx));
                     }
-                });
+                    row
+                }));
+                page.append_cols(&slots, &mut out[from..]);
+                if build_side == JoinSide::Right {
+                    for (row, &idx) in out[from..].iter_mut().zip(&partners) {
+                        row.extend_from_slice(ht.row(idx));
+                    }
+                }
             };
             let (path, run) = self.run_leg(&t, leg, &probe_how, emit)?;
             Ok((path, run, (out, pairs)))

@@ -263,7 +263,7 @@ impl Engine {
         let (path, run) =
             self.run_leg(&self.read_locked(&lt.parts[leg.shard]), leg, how, |page, sel| {
                 if collect {
-                    rows.extend(sel.iter().map(|&s| page.row(s as usize)));
+                    page.rows_into(sel, &mut rows);
                 }
             })?;
         Ok((path, run, rows))

@@ -281,3 +281,42 @@ proptest! {
         prop_assert_eq!(live_rows(&last), expect);
     }
 }
+
+/// Undoing an uncommitted delete writes no heap segment: the deleted
+/// slot still holds the before-image it is restored to, so recovery
+/// only restamps it, and the recovered heap keeps sharing every segment
+/// with the checkpoint image it was restored from — while the undo's
+/// page write is still charged.
+#[test]
+fn undoing_a_delete_leaves_the_image_shared() {
+    for mvcc in [false, true] {
+        let config = EngineConfig { shards: 1, mvcc, ..EngineConfig::default() };
+        let engine = Engine::new(config.clone());
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("catid", ValueType::Int),
+            Column::new("name", ValueType::Str),
+        ]));
+        // 4-slot pages: 2 000 rows are eight segments.
+        engine.create_table("items", schema, 0, 4, 16).unwrap();
+        let rows = (0..2000i64).map(|i| vec![Value::Int(i), Value::str(format!("n{}", i % 9))]);
+        engine.load("items", rows.collect()).unwrap();
+        let before = live_rows(&engine);
+
+        // An uncommitted delete in the first segment, imaged dead by a
+        // checkpoint; the crash keeps the delete's record and the image.
+        let session = engine.session();
+        let gone = session.delete_where("items", &Query::single(Pred::eq(0, 5i64))).unwrap();
+        assert_eq!(gone.len(), 1);
+        engine.checkpoint();
+        let state = engine.crash_state(None);
+        drop(session);
+
+        let (recovered, report) = Engine::recover(config, &state).unwrap();
+        assert_eq!(report.undone, 1, "mvcc={mvcc}");
+        assert!(report.sim_ms > 0.0);
+        assert_eq!(live_rows(&recovered), before, "mvcc={mvcc}");
+        let image = &state.image.tables[0].shards[0].heap;
+        let apart = recovered.with_shard("items", 0, |t| image.bytes_apart_from(t.heap())).unwrap();
+        assert_eq!(apart, 0, "mvcc={mvcc}: the undo copied a segment");
+    }
+}

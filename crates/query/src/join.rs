@@ -196,7 +196,11 @@ fn post(map: &mut FxHashMap<Value, Vec<u32>>, key: &Value, idx: u32) {
 }
 
 /// A [`JoinHashTable`]'s keys in one probe column's representation
-/// ([`JoinHashTable::key_probe`]), probed a page batch at a time.
+/// ([`JoinHashTable::key_probe`]), probed a page batch at a time in two
+/// phases: [`KeyProbe::hits`] runs the Bloom filter over the batch's
+/// key column, and [`KeyProbe::partners`] looks up the few words that
+/// pass. What a hit becomes — a count, or output rows built a batch at a
+/// time — is the caller's loop, outside the filter's.
 pub struct KeyProbe<'a> {
     col: usize,
     map: FxHashMap<u64, &'a [u32]>,
@@ -242,27 +246,35 @@ impl KeyFilter {
 }
 
 impl KeyProbe<'_> {
-    /// For each slot of `sel` (on `page`) whose join key has build
-    /// partners, in slot order, call `emit(slot, partner row indices)`.
-    /// A NULL key never joins. A selection that covers the whole page is
-    /// probed straight off the column slice.
-    pub fn probe(&self, page: PageRef<'_>, sel: &[u32], emit: impl FnMut(u32, &[u32])) {
+    /// The probe's first phase: replace `hits` with `(slot, word)` for
+    /// each slot of `sel` (on `page`), in slot order, whose join-key word
+    /// passes the Bloom filter. The loop does nothing else, so it stays
+    /// tight; [`KeyProbe::partners`] then resolves each word. A NULL key
+    /// never joins. A selection that covers the whole page is read
+    /// straight off the column slice.
+    pub fn hits(&self, page: PageRef<'_>, sel: &[u32], hits: &mut Vec<(u32, u64)>) {
+        hits.clear();
         if sel.len() == page.len() {
-            self.probe_slots(page, Dense(sel.len()), emit);
+            self.hits_in(page, Dense(sel.len()), hits);
         } else {
-            self.probe_slots(page, Sparse(sel), emit);
+            self.hits_in(page, Sparse(sel), hits);
         }
     }
 
-    fn probe_slots(&self, page: PageRef<'_>, slots: impl Slots, mut emit: impl FnMut(u32, &[u32])) {
+    fn hits_in(&self, page: PageRef<'_>, slots: impl Slots, hits: &mut Vec<(u32, u64)>) {
         slots.words(page.column(self.col), page.nulls(self.col), |k, word| {
-            if !self.filter.may_hold(word) {
-                return;
-            }
-            if let Some(rows) = self.map.get(&word) {
-                emit(slots.slot(k) as u32, rows);
+            if self.filter.may_hold(word) {
+                hits.push((slots.slot(k) as u32, word));
             }
         });
+    }
+
+    /// The probe's second phase: the build rows (indices into the
+    /// [`JoinHashTable`], in build order) whose key has word `word`;
+    /// empty for a Bloom false positive.
+    #[inline]
+    pub fn partners(&self, word: u64) -> &[u32] {
+        self.map.get(&word).copied().unwrap_or(&[])
     }
 }
 
@@ -442,9 +454,15 @@ mod tests {
         ht.insert(&Value::str("zz"), vec![]);
         let page = heap.read_page(disk.as_ref(), 0).unwrap();
         let sel: Vec<u32> = (0..5).collect();
+        let mut hits = Vec::new();
         for col in [0, 1] {
-            let mut got = Vec::new();
-            ht.key_probe(&heap, col).probe(page, &sel, |s, idx| got.push((s, idx.to_vec())));
+            let keys = ht.key_probe(&heap, col);
+            keys.hits(page, &sel, &mut hits);
+            let got: Vec<(u32, Vec<u32>)> = hits
+                .iter()
+                .map(|&(s, word)| (s, keys.partners(word).to_vec()))
+                .filter(|(_, idx)| !idx.is_empty())
+                .collect();
             let want: Vec<(u32, Vec<u32>)> = (0..5u32)
                 .map(|s| (s, ht.probe(&rows[s as usize][col]).to_vec()))
                 .filter(|(_, idx)| !idx.is_empty())

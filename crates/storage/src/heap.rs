@@ -35,21 +35,29 @@
 //! # Write-once slots
 //!
 //! A slot's values are written when it is appended and never after,
-//! save by recovery: [`restore_row`] refills a slot that holds no row.
+//! save by recovery: [`restore_row`] refills a placeholder slot.
 //! Whether a slot holds a row is its owner's record (the table's
 //! stamps), so a delete writes nothing here, and a deleted slot keeps
-//! the values it last held. Outside recovery only the tail append writes
-//! a segment: every segment below the tail is sealed, and an image
-//! shares it for as long as both live.
+//! the values it last held — which is why recovery's undo of a delete,
+//! restoring those very values, writes nothing either. Outside recovery
+//! only the tail append writes a segment: every segment below the tail
+//! is sealed, and an image shares it for as long as both live.
 //!
 //! # Where rows are materialised
 //!
 //! Readers that can work on columns get a [`PageRef`] — typed slices,
 //! null bitmaps and the dictionary — and a selection of slots; the query
 //! layer's kernels, folds and join probes run on those. An owned [`Row`]
-//! of [`Value`]s is built only where a row must leave the page: [`peek`]
-//! and [`PageRef::row`] (collected results, WAL before-images, the
-//! `&[Value]` visitor wrappers). The statistics scan and the structure
+//! of [`Value`]s is built only where a row must leave the page, and
+//! always by one routine, [`PageRef::append_cols`]: it appends a
+//! selection's values to a batch of rows a column at a time, one typed
+//! loop per column. [`PageRef::rows_into`] allocates each row once at
+//! the page's arity and fills it so (collected results); a join
+//! allocates each output row once at its full width and has the probe
+//! columns appended to the build columns, or the other way round.
+//! [`PageRef::row`], [`PageRef::row_into`] and [`peek`] are the
+//! one-slot calls of it (WAL before-images, point reads, the `&[Value]`
+//! visitor wrappers). The statistics scan and the structure
 //! builds walk [`pages`] uncharged and read their columns as words
 //! ([`ColumnSlice::word`]), materialising a value once per distinct key
 //! or run, not once per row. Checkpoint images are no rows at all: a
@@ -411,37 +419,14 @@ impl<'a> PageRef<'a> {
     /// `slot`'s value in `col`, materialised.
     #[inline]
     pub fn value(&self, slot: usize, col: usize) -> Value {
-        self.value_of(&self.cols[col], self.null_counts[col], slot)
-    }
-
-    #[inline]
-    fn value_of(&self, col: &ColumnStore, nulls: u32, slot: usize) -> Value {
-        self.decode(col, self.value_or_code(col, nulls, slot))
-    }
-
-    /// `slot`'s value in `col`, a string left as its code in a
-    /// `Value::Int` ([`PageRef::decode`] finishes it).
-    #[inline]
-    fn value_or_code(&self, col: &ColumnStore, nulls: u32, slot: usize) -> Value {
-        debug_assert!(slot < self.len, "slot on the page");
-        if nulls > 0 && null_bit(&col.nulls[self.seg_page * self.words..], slot) {
+        if self.is_null(slot, col) {
             return Value::Null;
         }
-        let at = self.at + slot;
-        match &col.data {
-            ColumnData::Int(d) => Value::Int(d[at]),
-            ColumnData::Date(d) => Value::Date(d[at]),
-            ColumnData::Float(d) => Value::Float(OrdF64(d[at])),
-            ColumnData::Str(d) => Value::Int(i64::from(d[at])),
-        }
-    }
-
-    /// Swap a string column's code for the dictionary's text.
-    #[inline]
-    fn decode(&self, col: &ColumnStore, v: Value) -> Value {
-        match (&col.data, v) {
-            (ColumnData::Str(_), Value::Int(code)) => Value::Str(self.dict.get(code as u32).clone()),
-            (_, v) => v,
+        match self.column(col) {
+            ColumnSlice::Int(v) => Value::Int(v[slot]),
+            ColumnSlice::Date(v) => Value::Date(v[slot]),
+            ColumnSlice::Float(v) => Value::Float(OrdF64(v[slot])),
+            ColumnSlice::Str(v) => Value::Str(self.dict.get(v[slot]).clone()),
         }
     }
 
@@ -452,20 +437,81 @@ impl<'a> PageRef<'a> {
         row
     }
 
-    /// `slot` as a row, written over `buf` (a visitor's reused buffer).
-    ///
-    /// Two passes: every column's value is loaded first, a string as its
-    /// code, and only then are the codes swapped for the dictionary's
-    /// `Arc<str>`. Cloning one is an atomic increment, which on x86 lets
-    /// no later load start early, so interleaved with the column loads it
-    /// would make a random row's cache misses wait for one another.
+    /// `slot` as a row, written over `buf` (a visitor's reused buffer):
+    /// [`PageRef::append_cols`] of one slot.
     pub fn row_into(&self, slot: usize, buf: &mut Row) {
         buf.clear();
-        let cols = self.cols.iter().zip(self.null_counts);
-        buf.extend(cols.map(|(c, &nulls)| self.value_or_code(c, nulls, slot)));
-        for (v, c) in buf.iter_mut().zip(self.cols) {
-            *v = self.decode(c, std::mem::replace(v, Value::Null));
+        self.append_cols(&[slot as u32], std::slice::from_mut(buf));
+    }
+
+    /// Append to `out` one row per slot of `sel`, each allocated once at
+    /// the page's arity and filled by [`PageRef::append_cols`].
+    pub fn rows_into(&self, sel: &[u32], out: &mut Vec<Row>) {
+        let from = out.len();
+        out.extend(sel.iter().map(|_| Vec::with_capacity(self.cols.len())));
+        self.append_cols(sel, &mut out[from..]);
+    }
+
+    /// Append the values of slot `sel[i]`, column after column, to
+    /// `rows[i]` for every `i` (`rows` is as long as `sel`): the one
+    /// place a page's values become [`Value`]s.
+    ///
+    /// One typed loop per column: the type is matched once per column,
+    /// and the null bitmap is read only when the page column holds a
+    /// NULL. A string is first pushed as its code, and the codes are
+    /// swapped for the dictionary's `Arc<str>` only after every column
+    /// is loaded: cloning one is an atomic increment, which on x86 lets
+    /// no later load start early, so interleaved with the column loads
+    /// it would make a random row's cache misses wait for one another.
+    pub fn append_cols(&self, sel: &[u32], rows: &mut [Row]) {
+        debug_assert_eq!(sel.len(), rows.len(), "one row per selected slot");
+        debug_assert!(sel.iter().all(|&s| (s as usize) < self.len), "slots on the page");
+        let at = self.at;
+        let words = self.seg_page * self.words..(self.seg_page + 1) * self.words;
+        for (col, &nulls) in self.cols.iter().zip(self.null_counts) {
+            let nulls = (nulls > 0).then(|| &col.nulls[words.clone()]);
+            match &col.data {
+                ColumnData::Int(d) => push_col(sel, rows, nulls, |s| Value::Int(d[at + s])),
+                ColumnData::Date(d) => push_col(sel, rows, nulls, |s| Value::Date(d[at + s])),
+                ColumnData::Float(d) => {
+                    push_col(sel, rows, nulls, |s| Value::Float(OrdF64(d[at + s])))
+                }
+                ColumnData::Str(d) => {
+                    push_col(sel, rows, nulls, |s| Value::Int(i64::from(d[at + s])))
+                }
+            }
         }
+        let arity = self.cols.len();
+        for (c, col) in self.cols.iter().enumerate() {
+            if !matches!(col.data, ColumnData::Str(_)) {
+                continue;
+            }
+            for row in rows.iter_mut() {
+                let i = row.len() - arity + c;
+                let v = &mut row[i];
+                if let Value::Int(code) = *v {
+                    *v = Value::Str(self.dict.get(code as u32).clone());
+                }
+            }
+        }
+    }
+}
+
+/// Push `value(sel[i])` onto `rows[i]`, or NULL where `nulls` marks the
+/// slot: [`PageRef::append_cols`]' loop over one column.
+#[inline(always)]
+fn push_col(
+    sel: &[u32],
+    rows: &mut [Row],
+    nulls: Option<&[u64]>,
+    value: impl Fn(usize) -> Value,
+) {
+    let slots = sel.iter().map(|&s| s as usize).zip(rows);
+    match nulls {
+        None => slots.for_each(|(s, row)| row.push(value(s))),
+        Some(n) => slots.for_each(|(s, row)| {
+            row.push(if null_bit(n, s) { Value::Null } else { value(s) })
+        }),
     }
 }
 
@@ -492,7 +538,8 @@ pub fn key_bits(ty: ValueType, dict: &Dictionary, v: &Value) -> Option<u64> {
 /// [`HeapFile::from_image`] adopts them, building no [`Value`]; string
 /// codes are kept as issued (they carry no order). A segment is copied
 /// only when the heap writes it while an image holds it: an append to
-/// the image's tail segment, or a recovery [`HeapFile::restore_row`].
+/// the image's tail segment, or a recovery [`HeapFile::restore_row`] of
+/// a placeholder slot.
 #[derive(Debug, Clone)]
 pub struct HeapImage {
     segments: Vec<Arc<Segment>>,
@@ -531,8 +578,8 @@ impl HeapImage {
 ///
 /// Slots are write-once (see the module docs): the load,
 /// [`HeapFile::append`] and [`HeapFile::append_tombstone`] write only
-/// the tail segment, and only recovery's [`HeapFile::restore_row`]
-/// rewrites a slot. So while the engine runs, a segment below the tail
+/// the tail segment, and only recovery's [`HeapFile::restore_row`] of a
+/// placeholder rewrites a slot. So while the engine runs, a segment below the tail
 /// never changes: it is sealed, and an image shares it for as long as
 /// both live.
 pub struct HeapFile {
@@ -826,15 +873,40 @@ impl HeapFile {
     /// Reinstate a row into a slot that holds none, charging a write of
     /// the page — redo of a logged insert whose slot exists as a
     /// placeholder or a deleted row, and undo of an uncommitted delete.
-    /// The one write below the tail (see the type docs). Errors if the slot is out of
-    /// range. The caller checks that the slot is dead: recovery must
-    /// never clobber a row that survived.
+    /// A deleted slot keeps its values, so it usually still holds
+    /// exactly `row`: then nothing is written and only the page write is
+    /// charged, and an image keeps sharing the slot's segment. Otherwise
+    /// (a placeholder) this is the one write below the tail (see the type
+    /// docs). Errors if the slot is out of range. The caller checks that
+    /// the slot is dead: recovery must never clobber a row that survived.
     pub fn restore_row(&mut self, io: &dyn PageAccessor, rid: Rid, row: &[Value]) -> Result<()> {
         self.schema.validate(row)?;
         let at = self.slot(rid)?;
-        self.put_row(at, row);
+        if !self.holds(at, row) {
+            self.put_row(at, row);
+        }
         io.write(self.file, at.page as u64);
         Ok(())
+    }
+
+    /// Whether the slot at `at` already stores a validated `row` as
+    /// [`Segment::put_row`] would: each column's null bit, and its
+    /// payload, float bits or string code.
+    fn holds(&self, at: Slot, row: &[Value]) -> bool {
+        let seg = &self.segments[at.seg];
+        seg.columns.iter().zip(row).all(|(col, v)| {
+            let null = null_bit(&col.nulls[at.seg_page * at.words..], at.slot);
+            let i = at.index;
+            match (&col.data, v) {
+                (_, Value::Null) => null,
+                _ if null => false,
+                (ColumnData::Int(d), Value::Int(x)) => d[i] == *x,
+                (ColumnData::Date(d), Value::Date(x)) => d[i] == *x,
+                (ColumnData::Float(d), Value::Float(x)) => d[i].to_bits() == x.0.to_bits(),
+                (ColumnData::Str(d), Value::Str(s)) => self.dict.code_of(s) == Some(d[i]),
+                _ => false,
+            }
+        })
     }
 }
 
@@ -1169,6 +1241,28 @@ mod tests {
         back.read_run_visit(disk.as_ref(), lo, hi, |p| firsts.push(p.value(0, 0))).unwrap();
         let first_of = |page: u64| Value::Int(page as i64 * 4);
         assert_eq!(firsts, [first_of(lo), first_of(hi)]);
+    }
+
+    #[test]
+    fn restoring_the_row_a_slot_holds_writes_nothing() {
+        let disk = DiskSim::with_defaults();
+        let n = 2 * (SEGMENT_PAGES * 4) as i64 + 5;
+        let mut h = HeapFile::bulk_load(&disk, schema(), rows(n), 4).unwrap();
+        let image = h.image();
+        let writes = disk.stats().page_writes;
+        // Undo of a delete: the dead slot still holds its before-image.
+        let row = h.peek(Rid(3)).unwrap();
+        h.restore_row(disk.as_ref(), Rid(3), &row).unwrap();
+        assert_eq!(image.bytes_apart_from(&h), 0, "no segment copied");
+        assert_eq!(disk.stats().page_writes, writes + 1, "the page write is still charged");
+        // One value apart is a write.
+        h.restore_row(disk.as_ref(), Rid(3), &[Value::Int(3), Value::str("r4")]).unwrap();
+        assert_eq!(image.bytes_apart_from(&h), image.segments[0].bytes());
+        assert_eq!(h.peek(Rid(3)).unwrap()[1], Value::str("r4"));
+        // A placeholder holds NULLs: restoring a row into it writes.
+        let slot = h.append_tombstone();
+        h.restore_row(disk.as_ref(), slot, &[Value::Int(7), Value::Null]).unwrap();
+        assert_eq!(h.peek(slot).unwrap(), vec![Value::Int(7), Value::Null]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! common), images it, then runs random appends, recovery restores into
 //! any segment and tombstone appends on the live heap, taking more images
 //! as it goes. (A delete writes no heap value, so it has no place here:
-//! `horizon_prop` checks that deletes and vacuums leave images shared.)
+//! `horizon_prop` checks that deletes and vacuums leave images shared.
+//! A restore of the row a slot already holds writes nothing either.)
 //! It checks:
 //!
 //! * an image taken right after load shares every segment
@@ -55,6 +56,16 @@ fn row(arity: usize, seed: u64) -> Row {
         if null(24) { Value::Null } else { Value::float(f64::from_bits(seed >> 2)) },
     ];
     full[..arity].to_vec()
+}
+
+/// Whether two rows are the same stored values: `==`, and for floats
+/// the same bits.
+fn same_row(a: &[Value], b: &[Value]) -> bool {
+    let same = |(x, y): (&Value, &Value)| match (x, y) {
+        (Value::Float(x), Value::Float(y)) => x.0.to_bits() == y.0.to_bits(),
+        _ => x == y,
+    };
+    a.len() == b.len() && a.iter().zip(b).all(same)
 }
 
 /// Bytes a heap of `len` slots takes in segment `seg`: typed values,
@@ -153,8 +164,11 @@ proptest! {
                 1 if len > 0 => {
                     let rid = x as usize % len;
                     heap.restore_row(disk.as_ref(), Rid(rid as u64), &row(arity, x)).unwrap();
-                    model[rid] = row(arity, x);
-                    wrote.push(rid);
+                    // A slot that already holds the row is not written.
+                    if !same_row(&model[rid], &row(arity, x)) {
+                        model[rid] = row(arity, x);
+                        wrote.push(rid);
+                    }
                 }
                 2 => {
                     heap.append_tombstone();
@@ -190,14 +204,7 @@ proptest! {
         prop_assert_eq!(heap.len(), model.len() as u64);
         for (i, want) in model.iter().enumerate() {
             let got = heap.peek(Rid(i as u64)).unwrap();
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want) {
-                let same = match (g, w) {
-                    (Value::Float(g), Value::Float(w)) => g.0.to_bits() == w.0.to_bits(),
-                    _ => g == w,
-                };
-                prop_assert!(same, "rid {}: {:?} vs {:?}", i, g, w);
-            }
+            prop_assert!(same_row(&got, want), "rid {}: {:?} vs {:?}", i, got, want);
         }
     }
 }

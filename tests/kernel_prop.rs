@@ -230,9 +230,11 @@ proptest! {
                     .filter(|(_, rows)| !rows.is_empty())
                     .collect();
                 for sels in batches(page) {
-                    let mut got = Vec::new();
+                    let (mut got, mut hits) = (Vec::new(), Vec::new());
                     for sel in &sels {
-                        keys.probe(page, sel, |s, rows| got.push((s, rows.to_vec())));
+                        keys.hits(page, sel, &mut hits);
+                        let found = hits.iter().map(|&(s, w)| (s, keys.partners(w).to_vec()));
+                        got.extend(found.filter(|(_, rows)| !rows.is_empty()));
                     }
                     prop_assert_eq!(&got, &want, "column {} of {:?}", col, types[col]);
                 }
