@@ -300,7 +300,21 @@ fn bench_page_batches(c: &mut Criterion) {
         vec![tpch::COL_SUPPKEY],
         vec![AggFunc::Count, AggFunc::Sum(tpch::COL_EXTENDEDPRICE)],
     );
-    for (name, spec) in [("page_fold_str_keys_200k", &str_spec), ("page_fold_int_keys_200k", &int_spec)] {
+    // The typed `MIN` / `MAX` loops no workload runs: a float column both
+    // ways and a string column compared by its text, by the 21 groups.
+    let minmax_spec = AggSpec::new(
+        vec![tpch::COL_SHIPMODE, tpch::COL_RETURNFLAG],
+        vec![
+            AggFunc::Min(tpch::COL_EXTENDEDPRICE),
+            AggFunc::Max(tpch::COL_EXTENDEDPRICE),
+            AggFunc::Min(tpch::COL_SHIPMODE),
+        ],
+    );
+    for (name, spec) in [
+        ("page_fold_str_keys_200k", &str_spec),
+        ("page_fold_int_keys_200k", &int_spec),
+        ("page_fold_minmax_200k", &minmax_spec),
+    ] {
         for (suffix, step) in [("", 1), ("_sparse", 2)] {
             c.bench_function(&format!("{name}{suffix}"), |b| {
                 b.iter(|| {

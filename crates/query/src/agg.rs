@@ -8,6 +8,13 @@
 //! merge-key order, so grouped results are identical however the legs
 //! were scheduled (the same determinism contract as PR 3's row fan-out).
 //!
+//! A leg's scan folds into a [`BatchAgg`] instead: it reads the leg's
+//! `(page, selection)` batches a column at a time into typed per-slot
+//! accumulators — indexed straight by the key's dictionary codes when
+//! every group-by column is a string, by a hashed group number
+//! otherwise — and builds no [`Value`] per row. Its
+//! [`BatchAgg::finish`] is an [`AggState`] like any other.
+//!
 //! `DISTINCT` is the degenerate aggregation with an empty aggregate
 //! list: the group keys *are* the result. `LIMIT` truncates the final
 //! key-sorted group list, so a limited result is always a stable prefix
@@ -15,8 +22,10 @@
 
 use crate::error::QueryError;
 use crate::kernel::{Dense, Slots, Sparse};
-use cm_storage::{ColumnSlice, FxBuildHasher, PageRef, Row, Schema, Value, ValueType};
+use cm_storage::{ColumnSlice, FxBuildHasher, OrdF64, PageRef, Row, Schema, Value, ValueType};
+use std::cmp::Ordering;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
 
 /// One aggregate function over a column (or over whole rows for
 /// [`AggFunc::Count`]).
@@ -31,8 +40,9 @@ pub enum AggFunc {
     /// SQL engines widen an overflowing integer sum: the running value
     /// becomes a `Float` and the fold goes on in `f64`. Like a float sum,
     /// a widened one can depend on how the rows were split over legs
-    /// (never on worker scheduling). A group with no non-NULL input sums
-    /// to `Null` (SQL semantics). A `Str` column is rejected before a
+    /// (never on worker scheduling). A float sum that turns NaN is the
+    /// last NaN added, payload and all. A group with no non-NULL input
+    /// sums to `Null` (SQL semantics). A `Str` column is rejected before a
     /// scan runs ([`AggSpec::check_types`]).
     Sum(usize),
     /// `MIN(col)`, skipping NULLs; `Null` if no non-NULL input.
@@ -124,7 +134,7 @@ impl Sum {
         *self = match *self {
             Sum::Empty => Sum::Int(i),
             Sum::Int(s) => int_sum(s, i),
-            Sum::Float(s) => Sum::Float(s + i as f64),
+            Sum::Float(s) => Sum::Float(fsum(s, i as f64)),
         };
     }
 
@@ -132,8 +142,8 @@ impl Sum {
     fn add_float(&mut self, x: f64) {
         *self = match *self {
             Sum::Empty => Sum::Float(x),
-            Sum::Int(s) => Sum::Float(s as f64 + x),
-            Sum::Float(s) => Sum::Float(s + x),
+            Sum::Int(s) => Sum::Float(fsum(s as f64, x)),
+            Sum::Float(s) => Sum::Float(fsum(s, x)),
         };
     }
 
@@ -143,10 +153,30 @@ impl Sum {
             (a, Sum::Empty) => a,
             (Sum::Empty, b) => b,
             (Sum::Int(a), Sum::Int(b)) => int_sum(a, b),
-            (Sum::Int(a), Sum::Float(b)) => Sum::Float(a as f64 + b),
-            (Sum::Float(a), Sum::Int(b)) => Sum::Float(a + b as f64),
-            (Sum::Float(a), Sum::Float(b)) => Sum::Float(a + b),
+            (Sum::Int(a), Sum::Float(b)) => Sum::Float(fsum(a as f64, b)),
+            (Sum::Float(a), Sum::Int(b)) => Sum::Float(fsum(a, b as f64)),
+            (Sum::Float(a), Sum::Float(b)) => Sum::Float(fsum(a, b)),
         }
+    }
+}
+
+/// `s + x` in a float sum, with a NaN result pinned down: `x` if it is
+/// NaN, else `s` if it is, else the machine's own NaN (`inf + -inf`).
+/// Which payload a bare `NaN + NaN` keeps depends on the instruction the
+/// compiler picks — debug and release builds disagree — so every float
+/// sum adds through here, and the row fold and the batch fold agree to
+/// the bit.
+#[inline(always)]
+fn fsum(s: f64, x: f64) -> f64 {
+    let r = s + x;
+    if !r.is_nan() {
+        r
+    } else if x.is_nan() {
+        x
+    } else if s.is_nan() {
+        s
+    } else {
+        r
     }
 }
 
@@ -415,84 +445,319 @@ fn accs_of<'s, 'a>(
 
 /// Most slots [`BatchAgg`]'s direct group index may take: a string key
 /// whose code combinations (NULL included) number more is grouped by
-/// hash instead. 4 096 slots are 16 KiB, a few L1 lines for the
-/// low-cardinality keys soft dependencies are found on.
+/// hash instead. The index allocates an entry per combination in each
+/// array once a leg, at most 32 KiB an 8-byte array; the low-cardinality
+/// keys soft dependencies are found on take a few L1 lines.
 const DIRECT_SLOTS: usize = 1 << 12;
 
-/// How a [`BatchAgg`] finds a row's group.
+/// How a [`BatchAgg`] finds a row's slot, the index of its group's
+/// accumulators.
 #[derive(Debug)]
 enum GroupIndex {
-    /// By the key words, hashed ([`GroupKeys`]).
+    /// By the key words, hashed (`GroupKeys`): a group's slot is its
+    /// number, and the accumulators grow as groups arrive.
     Hash(GroupKeys<u64>),
-    /// Every group-by column holds strings: by the dictionary codes
-    /// directly, as digits base `radix` (the dictionary's size plus one,
-    /// the top digit standing for NULL). `slots[key]` is the group + 1,
-    /// or 0 before the key's first row.
-    Direct { radix: u64, slots: Vec<u32>, groups: usize },
+    /// Every group-by column holds strings: the slot *is* the key, its
+    /// dictionary codes as digits base `radix` (the dictionary's size
+    /// plus one, the top digit standing for NULL). Every slot's
+    /// accumulators exist from the first batch; a slot is a group once it
+    /// has a row.
+    Direct { radix: u32 },
 }
 
-/// One aggregate's accumulators in a [`BatchAgg`], one per group.
+/// One aggregate's accumulators in a [`BatchAgg`], typed arrays indexed
+/// by slot. An aggregate over a column also counts, per slot, the rows
+/// whose value was NULL — only on pages whose column holds a NULL — so
+/// a slot with as many NULLs as rows had no input, and is `Null`.
 #[derive(Debug)]
 enum Accs {
-    Count(Vec<u64>),
-    Sum(Vec<Sum>),
-    MinMax(Vec<Option<Value>>),
+    /// `COUNT(*)`: the fold's row counts are the answer.
+    Count,
+    /// `SUM` of an `Int` or `Date` column: exact `i64` sums. A slot whose
+    /// sum overflowed goes on in `f64` in `wide`; `spilled` says whether
+    /// any has, so the loop reads `wide` only then.
+    IntSum { sums: Vec<i64>, wide: Vec<Option<f64>>, spilled: bool, nulls: Vec<u64> },
+    /// `SUM` of a `Float` column. Sums start at `-0.0`, the identity of
+    /// `+`: `fsum(-0.0, x)` is `x` to the bit, so a slot's first value
+    /// needs no branch.
+    FloatSum { sums: Vec<f64>, nulls: Vec<u64> },
+    /// `MIN` (`want` is `Less`) or `MAX` (`Greater`).
+    MinMax { want: Ordering, best: Best, nulls: Vec<u64> },
+}
+
+/// Per slot, the `MIN` / `MAX` winner so far. A candidate replaces it
+/// only if it compares strictly better, so a tie keeps the first-seen
+/// bits (`-0.0` against `0.0`, one NaN payload against another), as
+/// [`AggState::observe`] does.
+#[derive(Debug)]
+enum Best {
+    /// Starts at the far end of the type (`MAX` for a `MIN`): a first
+    /// value that ties with it is the same value.
+    Int(Vec<i64>),
+    Date(Vec<i32>),
+    /// The winner's [`OrdF64::order_key`] and its bits. Keys start at
+    /// `i64::MAX` or `i64::MIN`, which no float's key equals, so a slot's
+    /// first value always wins.
+    Float(Vec<(i64, f64)>),
+    /// The winner's code and its text, compared by text; a winner's
+    /// string is shared from the dictionary.
+    Str(Vec<Option<(u32, Arc<str>)>>),
+}
+
+impl Accs {
+    /// Accumulators for `f`, typed by its column on `page`.
+    fn new(f: &AggFunc, page: PageRef<'_>) -> Accs {
+        let nulls = Vec::new();
+        let want = match f {
+            AggFunc::Count => return Accs::Count,
+            AggFunc::Sum(col) => {
+                return match page.column(*col) {
+                    ColumnSlice::Float(_) => Accs::FloatSum { sums: Vec::new(), nulls },
+                    ColumnSlice::Str(_) => {
+                        unreachable!("SUM's input type is checked before a leg runs")
+                    }
+                    _ => Accs::IntSum { sums: Vec::new(), wide: Vec::new(), spilled: false, nulls },
+                }
+            }
+            AggFunc::Min(_) => Ordering::Less,
+            AggFunc::Max(_) => Ordering::Greater,
+        };
+        let best = match page.column(f.col().expect("MIN / MAX read a column")) {
+            ColumnSlice::Int(_) => Best::Int(Vec::new()),
+            ColumnSlice::Date(_) => Best::Date(Vec::new()),
+            ColumnSlice::Float(_) => Best::Float(Vec::new()),
+            ColumnSlice::Str(_) => Best::Str(Vec::new()),
+        };
+        Accs::MinMax { want, best, nulls }
+    }
+
+    /// Room for `n` slots.
+    fn resize(&mut self, n: usize) {
+        match self {
+            Accs::Count => {}
+            Accs::IntSum { sums, wide, nulls, .. } => {
+                sums.resize(n, 0);
+                wide.resize(n, None);
+                nulls.resize(n, 0);
+            }
+            Accs::FloatSum { sums, nulls } => {
+                sums.resize(n, -0.0);
+                nulls.resize(n, 0);
+            }
+            Accs::MinMax { want, best, nulls } => {
+                let min = *want == Ordering::Less;
+                match best {
+                    Best::Int(v) => v.resize(n, if min { i64::MAX } else { i64::MIN }),
+                    Best::Date(v) => v.resize(n, if min { i32::MAX } else { i32::MIN }),
+                    Best::Float(v) => v.resize(n, (if min { i64::MAX } else { i64::MIN }, 0.0)),
+                    Best::Str(v) => v.resize(n, None),
+                }
+                nulls.resize(n, 0);
+            }
+        }
+    }
+
+    /// Fold column `col` of the batch `slots` of `page`, whose rows fall
+    /// in the slots `ids`: one typed loop, and one over the NULLs if the
+    /// page's column has any.
+    fn fold(&mut self, col: Option<usize>, page: PageRef<'_>, slots: impl Slots, ids: &[u32]) {
+        let Some(col) = col else { return };
+        let nulls = page.nulls(col);
+        let count_nulls = |counts: &mut [u64]| {
+            if let Some(n) = nulls {
+                slots.each_null(n, |k| counts[ids[k] as usize] += 1);
+            }
+        };
+        match (self, page.column(col)) {
+            (Accs::FloatSum { sums, nulls: n }, ColumnSlice::Float(v)) => {
+                slots.each_with(v, nulls, ids, |s, x| {
+                    let sum = &mut sums[s as usize];
+                    *sum = fsum(*sum, x);
+                });
+                count_nulls(n);
+            }
+            (Accs::IntSum { sums, wide, spilled, nulls: n }, ColumnSlice::Int(v)) => {
+                add_ints(sums, wide, spilled, slots, v, nulls, ids);
+                count_nulls(n);
+            }
+            (Accs::IntSum { sums, wide, spilled, nulls: n }, ColumnSlice::Date(v)) => {
+                add_ints(sums, wide, spilled, slots, v, nulls, ids);
+                count_nulls(n);
+            }
+            (Accs::MinMax { want, best, nulls: n }, vals) => {
+                let want = *want;
+                match (best, vals) {
+                    (Best::Int(b), ColumnSlice::Int(v)) => {
+                        keep_best(b, slots, v, nulls, ids, |x, c| x.cmp(c) == want, |x| x);
+                    }
+                    (Best::Date(b), ColumnSlice::Date(v)) => {
+                        keep_best(b, slots, v, nulls, ids, |x, c| x.cmp(c) == want, |x| x);
+                    }
+                    (Best::Float(b), ColumnSlice::Float(v)) => {
+                        let beats =
+                            |x: f64, c: &(i64, f64)| OrdF64(x).order_key().cmp(&c.0) == want;
+                        keep_best(b, slots, v, nulls, ids, beats, |x| (OrdF64(x).order_key(), x));
+                    }
+                    (Best::Str(b), ColumnSlice::Str(v)) => {
+                        let dict = page.dict();
+                        let beats = |x: u32, c: &Option<(u32, Arc<str>)>| match c {
+                            Some((code, text)) => x != *code && (**dict.get(x)).cmp(text) == want,
+                            None => true,
+                        };
+                        keep_best(b, slots, v, nulls, ids, beats, |x| {
+                            Some((x, dict.get(x).clone()))
+                        });
+                    }
+                    _ => unreachable!("a column keeps its type"),
+                }
+                count_nulls(n);
+            }
+            _ => unreachable!("a column keeps its type"),
+        }
+    }
+
+    /// Slot `s`'s accumulator for [`AggState`], given its row count.
+    fn finish(&self, s: usize, rows: u64) -> Acc {
+        match self {
+            Accs::Count => Acc::Count(rows),
+            Accs::IntSum { nulls, .. } | Accs::FloatSum { nulls, .. } if nulls[s] == rows => {
+                Acc::Sum(Sum::Empty)
+            }
+            Accs::IntSum { sums, wide, .. } => {
+                Acc::Sum(wide[s].map_or(Sum::Int(sums[s]), Sum::Float))
+            }
+            Accs::FloatSum { sums, .. } => Acc::Sum(Sum::Float(sums[s])),
+            Accs::MinMax { nulls, .. } if nulls[s] == rows => Acc::MinMax(None),
+            Accs::MinMax { best, .. } => Acc::MinMax(Some(match best {
+                Best::Int(v) => Value::Int(v[s]),
+                Best::Date(v) => Value::Date(v[s]),
+                Best::Float(v) => Value::float(v[s].1),
+                Best::Str(v) => Value::Str(v[s].clone().expect("a non-NULL input").1),
+            })),
+        }
+    }
+}
+
+/// Add the non-NULL `vals` of a batch to the integer sums of their slots
+/// `ids`, in order. A sum that would leave `i64` goes on in `f64` from
+/// `sum as f64 + x as f64`, as [`Sum::add_int`] widens it.
+#[inline(always)]
+fn add_ints<T: Copy + Into<i64>>(
+    sums: &mut [i64],
+    wide: &mut [Option<f64>],
+    spilled: &mut bool,
+    slots: impl Slots,
+    vals: &[T],
+    nulls: Option<&[u64]>,
+    ids: &[u32],
+) {
+    let mut any = *spilled;
+    slots.each_with(vals, nulls, ids, |s, x| {
+        let (s, x) = (s as usize, x.into());
+        if any {
+            if let Some(w) = &mut wide[s] {
+                *w = fsum(*w, x as f64);
+                return;
+            }
+        }
+        match sums[s].checked_add(x) {
+            Some(sum) => sums[s] = sum,
+            None => {
+                wide[s] = Some(sums[s] as f64 + x as f64);
+                any = true;
+            }
+        }
+    });
+    *spilled = any;
+}
+
+/// Offer the non-NULL `vals` of a batch to the winners of their slots
+/// `ids`: a candidate that `beats` the winner takes its place, made by
+/// `keep`.
+#[inline(always)]
+fn keep_best<T: Copy, B>(
+    best: &mut [B],
+    slots: impl Slots,
+    vals: &[T],
+    nulls: Option<&[u64]>,
+    ids: &[u32],
+    beats: impl Fn(T, &B) -> bool,
+    keep: impl Fn(T) -> B,
+) {
+    slots.each_with(vals, nulls, ids, |s, x| {
+        let b = &mut best[s as usize];
+        if beats(x, b) {
+            *b = keep(x);
+        }
+    });
 }
 
 /// One shard leg's grouped fold over `(page, selection)` batches of a
-/// single heap. A group is found by its **key words** — per group-by
-/// column the value's [`cm_storage::key_bits`] (an `Int`'s or `Date`'s
-/// payload, a `Float`'s order key, a `Str`'s dictionary code; 0 for
-/// NULL), then a NULL mask — or, when every group-by column holds
-/// strings and their codes are few, by the codes as an index into a
-/// direct table. Either way the fold never materialises a value except
-/// each new group's first key, and each aggregate runs one typed loop
-/// over its column. Words and codes identify values exactly as
-/// [`Value`]'s equality does, so the groups are the ones
-/// [`AggState::observe`] would form. [`BatchAgg::finish`] turns the
-/// leg's groups back into `Value` keys: the [`AggState`] it returns
-/// merges and finishes like any other. Codes are per heap, so one
-/// `BatchAgg` folds one leg.
+/// single heap, into typed per-slot accumulators. Each batch runs in
+/// column-at-a-time passes:
+///
+/// 1. **Slots.** When every group-by column holds strings and their code
+///    combinations are few, a row's slot is its codes, read as one
+///    number — one zipped loop per key column, no table lookup. Any
+///    other key is found by its **key words** — per group-by column the
+///    value's [`cm_storage::key_bits`] (an `Int`'s or `Date`'s payload, a
+///    `Float`'s order key, a `Str`'s dictionary code; 0 for NULL), then a
+///    NULL mask — hashed into `GroupKeys`, whose group numbers are the
+///    slots.
+/// 2. **Rows.** Each slot's row count goes up; a slot's first row makes
+///    it a group, and materialises the group's key, once.
+/// 3. **Aggregates.** Each aggregate runs one typed loop over its column,
+///    indexed by the slots: `f64` and `i64` sums, typed `MIN` / `MAX`.
+///
+/// No `Value` is built per row — only each new group's key and each
+/// winning `MIN` / `MAX` candidate. Words and codes identify values
+/// exactly as [`Value`]'s equality does, so the groups are the ones
+/// [`AggState::observe`] would form, and each group adds its values in
+/// the same order, so counts and sums match it to the bit.
+/// [`BatchAgg::finish`] turns the leg's groups back into `Value` keys:
+/// the [`AggState`] it returns merges and finishes like any other. Codes
+/// are per heap, so one `BatchAgg` folds one leg.
 #[derive(Debug)]
 pub struct BatchAgg {
     spec: AggSpec,
     /// Chosen at the first batch, from the key columns' types and the
-    /// dictionary's size.
+    /// dictionary's size, as are the accumulators' types.
     index: Option<GroupIndex>,
-    /// Each group's key as first seen, `group_by.len()` values a group.
-    keys: Vec<Value>,
     /// Per aggregate, in spec order.
     accs: Vec<Accs>,
-    /// Reused batch to batch: its key words (or direct slots) and groups.
+    /// Rows per slot: `COUNT(*)`, and a slot with rows is a group.
+    rows: Vec<u64>,
+    /// The slots that are groups, in first-seen order, and their keys as
+    /// first seen, `group_by.len()` values a group.
+    groups: Vec<u32>,
+    keys: Vec<Value>,
+    /// Reused batch to batch: the key words (hash index) and each row's
+    /// slot.
     words: Vec<u64>,
-    gids: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl BatchAgg {
     /// An empty fold for `spec`.
     pub fn new(spec: &AggSpec) -> Self {
-        let accs = spec
-            .aggs
-            .iter()
-            .map(|f| match f {
-                AggFunc::Count => Accs::Count(Vec::new()),
-                AggFunc::Sum(_) => Accs::Sum(Vec::new()),
-                AggFunc::Min(_) | AggFunc::Max(_) => Accs::MinMax(Vec::new()),
-            })
-            .collect();
         BatchAgg {
             spec: spec.clone(),
             index: None,
+            accs: Vec::new(),
+            rows: Vec::new(),
+            groups: Vec::new(),
             keys: Vec::new(),
-            accs,
             words: Vec::new(),
-            gids: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
-    /// The group index for the heap `page` belongs to.
-    fn index_for(group_by: &[usize], page: PageRef<'_>) -> GroupIndex {
-        let radix = page.dict().len() as u64 + 1;
+    /// Choose the group index and type the accumulators for the heap
+    /// `page` belongs to.
+    fn start(&mut self, page: PageRef<'_>) -> GroupIndex {
+        let group_by = &self.spec.group_by;
+        self.accs = self.spec.aggs.iter().map(|f| Accs::new(f, page)).collect();
+        let radix = u32::try_from(page.dict().len() + 1).unwrap_or(u32::MAX);
         let all_str = group_by.iter().all(|&c| matches!(page.column(c), ColumnSlice::Str(_)));
         let slots = u32::try_from(group_by.len())
             .ok()
@@ -500,13 +765,20 @@ impl BatchAgg {
             .filter(|&n| n as usize <= DIRECT_SLOTS);
         match slots {
             Some(n) if all_str => {
-                GroupIndex::Direct { radix, slots: vec![0; n as usize], groups: 0 }
+                self.resize(n as usize);
+                GroupIndex::Direct { radix }
             }
             _ => {
                 let n = group_by.len();
                 GroupIndex::Hash(GroupKeys::new(n + n.div_ceil(64)))
             }
         }
+    }
+
+    /// Room for `n` slots in every array.
+    fn resize(&mut self, n: usize) {
+        self.rows.resize(n, 0);
+        self.accs.iter_mut().for_each(|a| a.resize(n));
     }
 
     /// Fold the slots `sel` of `page` (already filtered and visible). A
@@ -522,104 +794,70 @@ impl BatchAgg {
     }
 
     fn fold_slots(&mut self, page: PageRef<'_>, slots: impl Slots) {
-        let group_by = &self.spec.group_by;
-        let index = self.index.get_or_insert_with(|| Self::index_for(group_by, page));
-        let (words, gids) = (&mut self.words, &mut self.gids);
-        gids.clear();
-        let first_seen = |k: usize, keys: &mut Vec<Value>, accs: &mut [Accs]| {
-            let s = slots.slot(k);
-            keys.extend(group_by.iter().map(|&c| page.value(s, c)));
-            for acc in accs.iter_mut() {
-                match acc {
-                    Accs::Count(v) => v.push(0),
-                    Accs::Sum(v) => v.push(Sum::Empty),
-                    Accs::MinMax(v) => v.push(None),
-                }
+        if self.index.is_none() {
+            self.index = Some(self.start(page));
+        }
+        let (group_by, ids) = (&self.spec.group_by, &mut self.ids);
+        // The hash index's arrays grow with its groups.
+        let needed = match self.index.as_mut().expect("index chosen above") {
+            GroupIndex::Hash(groups) => {
+                let width = groups.width;
+                key_words(&mut self.words, width, group_by, page, slots);
+                ids.clear();
+                ids.extend(self.words.chunks_exact(width).map(|key| {
+                    u32::try_from(groups.find_or_insert(|i| &key[i]).0).expect("u32 groups")
+                }));
+                groups.len()
+            }
+            GroupIndex::Direct { radix } => {
+                direct_slots(ids, *radix, group_by, page, slots);
+                0
             }
         };
-        match index {
-            GroupIndex::Hash(groups) => {
-                key_words(words, groups.width, group_by, page, slots);
-                let width = groups.width;
-                for k in 0..slots.len() {
-                    let key = &words[k * width..(k + 1) * width];
-                    let (g, new) = groups.find_or_insert(|i| &key[i]);
-                    if new {
-                        first_seen(k, &mut self.keys, &mut self.accs);
-                    }
-                    gids.push(g as u32);
-                }
+        if needed > self.rows.len() {
+            self.resize(needed);
+        }
+        let (group_by, ids, rows) = (&self.spec.group_by, &self.ids, &mut self.rows[..]);
+        for (k, &s) in ids.iter().enumerate() {
+            let n = &mut rows[s as usize];
+            if *n == 0 {
+                new_group(&mut self.groups, &mut self.keys, s, group_by, page, slots.slot(k));
             }
-            GroupIndex::Direct {
-                radix,
-                slots: table,
-                groups,
-            } => {
-                direct_slots(words, *radix, group_by, page, slots);
-                gids.resize(words.len(), 0);
-                for (k, (&slot, gid)) in words.iter().zip(gids.iter_mut()).enumerate() {
-                    let entry = &mut table[slot as usize];
-                    if *entry == 0 {
-                        *groups += 1;
-                        *entry = *groups as u32;
-                        first_seen(k, &mut self.keys, &mut self.accs);
-                    }
-                    *gid = *entry - 1;
-                }
-            }
+            *n += 1;
         }
         for (f, acc) in self.spec.aggs.iter().zip(&mut self.accs) {
-            let Some(col) = f.col() else {
-                let Accs::Count(counts) = acc else { unreachable!("count accumulators") };
-                gids.iter().for_each(|&g| counts[g as usize] += 1);
-                continue;
-            };
-            let nulls = page.nulls(col);
-            match (acc, page.column(col)) {
-                (Accs::Sum(sums), ColumnSlice::Int(v)) => {
-                    slots.each_with(v, nulls, gids, |g, x| sums[g as usize].add_int(x));
-                }
-                (Accs::Sum(sums), ColumnSlice::Date(v)) => {
-                    slots.each_with(v, nulls, gids, |g, x| {
-                        sums[g as usize].add_int(i64::from(x))
-                    });
-                }
-                (Accs::Sum(sums), ColumnSlice::Float(v)) => {
-                    slots.each_with(v, nulls, gids, |g, x| sums[g as usize].add_float(x));
-                }
-                (Accs::Sum(_), ColumnSlice::Str(_)) => {
-                    unreachable!("SUM's input type is checked before a leg runs")
-                }
-                (Accs::MinMax(ms), _) => {
-                    for (k, &g) in gids.iter().enumerate() {
-                        min_max(&mut ms[g as usize], f, &page.value(slots.slot(k), col));
-                    }
-                }
-                (Accs::Count(_), _) => unreachable!("COUNT(*) reads no column"),
-            }
+            acc.fold(f.col(), page, slots, ids);
         }
     }
 
     /// The leg's state with `Value` group keys, ready to merge.
     pub fn finish(self) -> AggState {
         let n = self.spec.group_by.len();
-        let groups = match self.index {
-            Some(GroupIndex::Hash(g)) => g.len(),
-            Some(GroupIndex::Direct { groups, .. }) => groups,
-            None => 0,
-        };
         let mut keys = GroupKeys::new(n);
-        let mut accs = Vec::with_capacity(groups * self.accs.len());
-        for g in 0..groups {
+        let mut accs = Vec::with_capacity(self.groups.len() * self.accs.len());
+        for (g, &s) in self.groups.iter().enumerate() {
             keys.find_or_insert(|i| &self.keys[g * n + i]);
-            accs.extend(self.accs.iter().map(|a| match a {
-                Accs::Count(v) => Acc::Count(v[g]),
-                Accs::Sum(v) => Acc::Sum(v[g]),
-                Accs::MinMax(v) => Acc::MinMax(v[g].clone()),
-            }));
+            let (s, rows) = (s as usize, self.rows[s as usize]);
+            accs.extend(self.accs.iter().map(|a| a.finish(s, rows)));
         }
         AggState { spec: self.spec, groups: keys, accs }
     }
+}
+
+/// Slot `s` becomes a group, keyed by the page slot `at`'s values.
+/// Out of line, so the row-count loop keeps its slices in registers.
+#[cold]
+#[inline(never)]
+fn new_group(
+    groups: &mut Vec<u32>,
+    keys: &mut Vec<Value>,
+    s: u32,
+    group_by: &[usize],
+    page: PageRef<'_>,
+    at: usize,
+) {
+    groups.push(s);
+    keys.extend(group_by.iter().map(|&c| page.value(at, c)));
 }
 
 /// Fill `words` with each batch slot's key words, `width` a slot: the
@@ -645,26 +883,30 @@ fn key_words(
 }
 
 /// Fill `out` with each batch slot's direct-index slot: its string
-/// columns' codes as digits base `radix`, `radix - 1` for NULL.
+/// columns' codes as digits base `radix`, the first column's most
+/// significant, `radix - 1` for NULL. The first column's codes overwrite
+/// what the last batch left (a global aggregate's one slot is 0
+/// throughout).
 fn direct_slots(
-    out: &mut Vec<u64>,
-    radix: u64,
+    out: &mut Vec<u32>,
+    radix: u32,
     group_by: &[usize],
     page: PageRef<'_>,
     slots: impl Slots,
 ) {
-    out.clear();
     out.resize(slots.len(), 0);
-    let mut scale = 1;
-    for &c in group_by {
+    for (i, &c) in group_by.iter().enumerate() {
         let ColumnSlice::Str(codes) = page.column(c) else {
             unreachable!("direct keys are strings")
         };
-        slots.zip(codes, out, |slot, code| *slot += u64::from(code) * scale);
-        if let Some(nulls) = page.nulls(c) {
-            slots.each_null(nulls, |k| out[k] += (radix - 1) * scale);
+        if i == 0 {
+            slots.zip(codes, out, |slot, code| *slot = code);
+        } else {
+            slots.zip(codes, out, |slot, code| *slot = *slot * radix + code);
         }
-        scale *= radix;
+        if let Some(nulls) = page.nulls(c) {
+            slots.each_null(nulls, |k| out[k] += radix - 1);
+        }
     }
 }
 
@@ -862,15 +1104,20 @@ mod tests {
         }
     }
 
+    /// A heap of `rows` under the columns `cols`, `tpp` rows a page.
+    fn heap_of(
+        disk: &cm_storage::DiskSim,
+        cols: &[(&str, ValueType)],
+        rows: Vec<Row>,
+        tpp: usize,
+    ) -> cm_storage::HeapFile {
+        let cols = cols.iter().map(|&(name, ty)| cm_storage::Column::new(name, ty)).collect();
+        let schema = std::sync::Arc::new(Schema::new(cols));
+        cm_storage::HeapFile::bulk_load(disk, schema, rows, tpp).unwrap()
+    }
+
     /// A heap of every column type, NULLs in each, over several pages.
     fn typed_heap(disk: &cm_storage::DiskSim) -> cm_storage::HeapFile {
-        use cm_storage::{Column, Schema, ValueType};
-        let schema = std::sync::Arc::new(Schema::new(vec![
-            Column::new("s", ValueType::Str),
-            Column::new("i", ValueType::Int),
-            Column::new("d", ValueType::Date),
-            Column::new("f", ValueType::Float),
-        ]));
         let floats = [0.5, -0.0, 0.0, f64::NAN, 2.25];
         let rows = (0..300i64)
             .map(|i| {
@@ -883,7 +1130,44 @@ mod tests {
                 ]
             })
             .collect();
-        cm_storage::HeapFile::bulk_load(disk, schema, rows, 37).unwrap()
+        let cols = [
+            ("s", ValueType::Str),
+            ("i", ValueType::Int),
+            ("d", ValueType::Date),
+            ("f", ValueType::Float),
+        ];
+        heap_of(disk, &cols, rows, 37)
+    }
+
+    /// Result rows with each `Float` as its exact bits (`-0.0` and NaN
+    /// payloads included).
+    fn bits(rows: Vec<Row>) -> Vec<Vec<String>> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("F{:016x}", f.0.to_bits()),
+            v => format!("{v:?}"),
+        };
+        rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+    }
+
+    /// `spec` over every `step`-th slot of each page of `heap` (`step` 1:
+    /// dense batches, 2: sparse ones), folded by a [`BatchAgg`], which
+    /// must equal [`AggState::observe`] over the same rows to the bit.
+    fn batch_equals_rows(
+        disk: &cm_storage::DiskSim,
+        heap: &cm_storage::HeapFile,
+        spec: &AggSpec,
+        step: usize,
+    ) -> Vec<Row> {
+        let (mut rows, mut batch) = (AggState::new(spec), BatchAgg::new(spec));
+        heap.read_run_visit(disk, 0, heap.num_pages() - 1, |page| {
+            let sel: Vec<u32> = (0..page.len() as u32).step_by(step).collect();
+            sel.iter().for_each(|&s| rows.observe(&page.row(s as usize)));
+            batch.fold(page, &sel);
+        })
+        .unwrap();
+        let (want, got) = (rows.finish(), batch.finish().finish());
+        assert_eq!(bits(got), bits(want.clone()), "{spec:?}, every {step}th slot");
+        want
     }
 
     #[test]
@@ -899,22 +1183,147 @@ mod tests {
             AggSpec::new(vec![0], vec![AggFunc::Count, AggFunc::Sum(3), AggFunc::Max(0)]),
         ];
         for spec in &specs {
-            let mut rows = AggState::new(spec);
-            (0..heap.len()).for_each(|r| rows.observe(&heap.peek(cm_storage::Rid(r)).unwrap()));
-            let mut batch = BatchAgg::new(spec);
-            let last = heap.num_pages() - 1;
-            heap.read_run_visit(disk.as_ref(), 0, last, |page| {
-                // Every other slot, so selections are sparse.
-                let sel: Vec<u32> = (0..page.len() as u32).filter(|s| s % 2 == 0).collect();
-                batch.fold(page, &sel);
+            for step in [1, 2] {
+                assert!(!batch_equals_rows(&disk, &heap, spec, step).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_int_sums_widen_like_row_sums() {
+        // Four groups in turn on pages of five slots. Group "a" crosses
+        // i64::MAX at its third row (mid-page), falls back below it and
+        // crosses again two pages on: it stays a float sum from its first
+        // overflow on. Group "b" crosses i64::MIN; "c" stays in range
+        // while the others widen; "d" is all NULL. Every other slot
+        // still overflows "a" and "b".
+        let (max, min) = (i64::MAX, i64::MIN);
+        let a = [max / 2, max / 2, max / 2, -max, -max, 7, max, max, 0, 3].map(Some);
+        let mut b = [min / 2, -5, min / 2, 0, min / 2, min, 2, min / 2, -3, min / 2].map(Some);
+        let mut c = [1, -2, 0, 4, 5, 6, 7, 8, 9, 10].map(Some);
+        (b[3], c[2]) = (None, None);
+        let rows = (0..a.len())
+            .flat_map(|j| {
+                [("a", a[j]), ("b", b[j]), ("c", c[j]), ("d", None)].into_iter().enumerate().map(
+                    |(k, (s, v))| {
+                        vec![Value::str(s), Value::Int(k as i64), v.map_or(Value::Null, Value::Int)]
+                    },
+                )
             })
-            .unwrap();
-            let mut even = AggState::new(spec);
-            let even_slots = (0..heap.len()).filter(|r| r % 37 % 2 == 0);
-            even_slots.for_each(|r| even.observe(&heap.peek(cm_storage::Rid(r)).unwrap()));
-            let (want, got) = (even.finish(), batch.finish().finish());
-            assert_eq!(format!("{want:?}"), format!("{got:?}"), "{spec:?}");
-            assert!(!rows.finish().is_empty());
+            .collect();
+        let disk = cm_storage::DiskSim::with_defaults();
+        let cols = [("s", ValueType::Str), ("k", ValueType::Int), ("v", ValueType::Int)];
+        let heap = heap_of(&disk, &cols, rows, 5);
+        let aggs = vec![AggFunc::Count, AggFunc::Sum(2)];
+        // By the string: the direct index; by the int: the hash index.
+        for spec in [AggSpec::new(vec![0], aggs.clone()), AggSpec::new(vec![1], aggs)] {
+            for step in [1, 2] {
+                let out = batch_equals_rows(&disk, &heap, &spec, step);
+                let sums: Vec<&Value> = out.iter().map(|r| &r[2]).collect();
+                let widened = matches!(
+                    sums[..],
+                    [Value::Float(_), Value::Float(_), Value::Int(_), Value::Null]
+                );
+                assert!(widened, "{sums:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn float_sums_keep_the_last_nan() {
+        // A bare `NaN + NaN` keeps whichever operand the compiler's
+        // instruction favours; a sum pins it, on every fold path.
+        let (nan_a, nan_b) = (f64::from_bits(0x7ff8_0000_0000_0001), -f64::NAN);
+        let groups = [
+            (vec![nan_a, nan_b, 1.0], nan_b),
+            (vec![nan_b, 2.0, nan_a], nan_a),
+            (vec![nan_a, -0.0], nan_a),
+            (vec![-0.0, nan_b], nan_b),
+        ];
+        let rows: Vec<Row> = (0..3)
+            .flat_map(|j| {
+                let groups = &groups;
+                (0..groups.len()).filter_map(move |g| {
+                    let f = *groups[g].0.get(j)?;
+                    Some(vec![Value::Int(g as i64), Value::float(f)])
+                })
+            })
+            .collect();
+        let disk = cm_storage::DiskSim::with_defaults();
+        let heap = heap_of(&disk, &[("g", ValueType::Int), ("f", ValueType::Float)], rows, 3);
+        let spec = AggSpec::new(vec![0], vec![AggFunc::Sum(1)]);
+        let out = bits(batch_equals_rows(&disk, &heap, &spec, 1));
+        let want: Vec<String> =
+            groups.iter().map(|(_, nan)| format!("F{:016x}", nan.to_bits())).collect();
+        assert_eq!(out.iter().map(|r| r[1].clone()).collect::<Vec<_>>(), want);
+        batch_equals_rows(&disk, &heap, &spec, 2);
+        let inf = fold(
+            &spec,
+            &[
+                vec![Value::Int(0), Value::float(f64::INFINITY)],
+                vec![Value::Int(0), Value::float(f64::NEG_INFINITY)],
+            ],
+        );
+        assert!(matches!(inf[0][1], Value::Float(f) if f.0.is_nan()));
+    }
+
+    #[test]
+    fn batch_min_max_keep_the_first_of_a_tie() {
+        // Four groups, one row each on every page of four slots (and all
+        // on one page). `-0.0` and `0.0` tie, and so do NaNs of any
+        // payload: the first seen must win, as it does row by row. The
+        // string column is NULL on whole pages.
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = -f64::NAN;
+        let floats = [
+            [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+            [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+            [nan_a, nan_b, 1.0, nan_b, nan_a, 1.0],
+            [nan_b, 2.0, nan_a, nan_b, -1.0, nan_a],
+        ];
+        let strs = ["m", "c", "x", "c"];
+        let null_pages = [1, 2, 4];
+        let rows = (0..6)
+            .flat_map(|j| {
+                (0..4).map(move |g| {
+                    let t = if null_pages.contains(&j) {
+                        Value::Null
+                    } else {
+                        Value::str(strs[(g + j) % 4])
+                    };
+                    vec![
+                        Value::str(format!("g{g}")),
+                        Value::Int(g as i64),
+                        Value::float(floats[g][j]),
+                        t,
+                    ]
+                })
+            })
+            .collect::<Vec<Row>>();
+        let disk = cm_storage::DiskSim::with_defaults();
+        let cols = [
+            ("s", ValueType::Str),
+            ("k", ValueType::Int),
+            ("f", ValueType::Float),
+            ("t", ValueType::Str),
+        ];
+        let aggs = vec![AggFunc::Min(2), AggFunc::Max(2), AggFunc::Min(3), AggFunc::Max(3)];
+        let first = |f: f64| format!("F{:016x}", f.to_bits());
+        for tpp in [4, 24] {
+            let heap = heap_of(&disk, &cols, rows.clone(), tpp);
+            for spec in [AggSpec::new(vec![0], aggs.clone()), AggSpec::new(vec![1], aggs.clone())] {
+                let got = bits(batch_equals_rows(&disk, &heap, &spec, 1));
+                // MIN and MAX of each group, pinned.
+                let want = [(-0.0, -0.0), (0.0, 0.0), (1.0, nan_a), (-1.0, nan_b)];
+                for (row, (lo, hi)) in got.iter().zip(want) {
+                    assert_eq!(
+                        (&row[1], &row[2]),
+                        (&first(lo), &first(hi)),
+                        "{spec:?}, {tpp} a page"
+                    );
+                }
+                batch_equals_rows(&disk, &heap, &spec, 2);
+            }
         }
     }
 

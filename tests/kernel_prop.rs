@@ -15,7 +15,9 @@
 //! a dense batch (every slot) and once as two sparse halves, and both
 //! must equal [`AggState::observe`] and [`JoinHashTable::probe`] on the
 //! page's materialised rows — groups, float sums to the bit, and every
-//! probe hit with its partners.
+//! probe hit with its partners. `Int`s next to `i64::MAX` and `i64::MIN`
+//! now and then make integer sums overflow, so the fold's widening to
+//! `f64` is compared too.
 //!
 //! Case count is `HEAP_PROP_CASES` (default 96), the heap property
 //! test's setting, so CI raises both together.
@@ -74,7 +76,13 @@ impl Rng {
             return Value::Null;
         }
         match ty {
-            ValueType::Int => Value::Int(self.below(7) as i64 - 3),
+            // Now and then a value next to an end of `i64`, so integer
+            // sums overflow and widen to floats.
+            ValueType::Int => match self.below(20) {
+                0 => Value::Int(i64::MAX - self.below(3) as i64),
+                1 => Value::Int(i64::MIN + self.below(3) as i64),
+                _ => Value::Int(self.below(7) as i64 - 3),
+            },
             ValueType::Date => Value::Date(self.below(7) as i32 - 3),
             ValueType::Float => {
                 let f = FLOATS[self.below(FLOATS.len())];
