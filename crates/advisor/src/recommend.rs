@@ -63,19 +63,6 @@ impl Recommendation {
         }
         out
     }
-
-    /// Render the Table 4-style bucketing-candidate listing.
-    pub fn table4(&self) -> String {
-        let mut out =
-            String::from("Column       | Cardinality | Bucket Widths\n");
-        for c in &self.candidates {
-            out.push_str(&format!(
-                "{:<12} | {:>11} | {}\n",
-                c.name, c.cardinality, c.widths_label()
-            ));
-        }
-        out
-    }
 }
 
 /// The CM Advisor.
@@ -407,8 +394,6 @@ mod tests {
         let t = table(&disk);
         let q = Query::single(Pred::eq(1, 100_123i64));
         let rec = recommend(&t, &disk, &q, 0.10);
-        let t4 = rec.table4();
-        assert!(t4.contains("price"));
         let t5 = rec.table5(t.heap().schema(), 5);
         assert!(t5.contains("price"), "{t5}");
         assert!(t5.contains('%'));

@@ -393,6 +393,26 @@ fn planned_delete_logs_its_victims_in_rid_order() {
 }
 
 #[test]
+fn delete_by_rid_logs_a_one_victim_delete_set() {
+    for mvcc in [false, true] {
+        let engine = demo_engine_with(EngineConfig { shards: 2, mvcc, ..EngineConfig::default() });
+        let local = engine.with_shard("items", 1, |t| t.live_rids(0).nth(7).unwrap()).unwrap();
+        let rid = Rid::sharded(1, local);
+        let at = engine.appended_log().len() as u64;
+        let row = engine.delete("items", rid).unwrap();
+        let tail: Vec<_> = cm_storage::decode_stream(&engine.appended_log())
+            .records
+            .into_iter()
+            .filter(|r| r.lsn >= at)
+            .map(|r| (r.txn, r.payload))
+            .collect();
+        let victims = vec![(local.0, row)];
+        let want = LogPayload::DeleteSet { table: "items".into(), shard: 1, victims };
+        assert_eq!(tail, vec![(AUTOCOMMIT_TXN, want)], "mvcc={mvcc}");
+    }
+}
+
+#[test]
 fn explain_matches_execute_choice() {
     let engine = demo_engine();
     engine.create_btree("items", "price_idx", vec![1]).unwrap();

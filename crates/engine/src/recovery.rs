@@ -358,10 +358,6 @@ impl Engine {
                     redo_insert(&engine, table, *shard as usize, Rid(*rid), row)?;
                     redone += 1;
                 }
-                LogPayload::Delete { table, shard, rid, .. } => {
-                    redo_delete(&engine, table, *shard as usize, Rid(*rid))?;
-                    redone += 1;
-                }
                 LogPayload::DeleteSet { table, shard, victims } => {
                     for (rid, _) in victims {
                         redo_delete(&engine, table, *shard as usize, Rid(*rid))?;
@@ -389,10 +385,6 @@ impl Engine {
             match &rec.payload {
                 LogPayload::Insert { table, shard, rid, .. } => {
                     undo_insert(&engine, table, *shard as usize, Rid(*rid))?;
-                    undone += 1;
-                }
-                LogPayload::Delete { table, shard, rid, row } => {
-                    undo_delete(&engine, table, *shard as usize, Rid(*rid), row)?;
                     undone += 1;
                 }
                 LogPayload::DeleteSet { table, shard, victims } => {

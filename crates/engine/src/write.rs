@@ -15,6 +15,7 @@ use cm_query::{AccessPath, Query, RunResult, ShardLeg, Table, ALL_PAGES};
 use cm_storage::{
     pending_stamp, IoStats, LogPayload, Rid, Row, Snapshot, WalBatch, AUTOCOMMIT_TXN,
 };
+use std::ops::DerefMut;
 use std::sync::atomic::Ordering;
 
 /// Rows a batched insert lands per shard write-lock hold: one hold per
@@ -143,12 +144,11 @@ impl Engine {
         self.delete_txn(table, rid, AUTOCOMMIT_TXN)
     }
 
-    /// [`Engine::delete`] tagged with a session transaction id: the
-    /// typed [`LogPayload::Delete`] record carries the before-image of
-    /// the victim row so recovery can undo the delete when `txn` never
-    /// committed. The row goes through the same remove step as a
-    /// `delete_where` victim; its record is encoded from the removed row
-    /// and the table name as borrowed, so the hold clones neither.
+    /// [`Engine::delete`] tagged with a session transaction id. The row
+    /// goes through the same remove-and-log step as a `delete_where`
+    /// leg: its record is a one-victim [`LogPayload::DeleteSet`]
+    /// carrying the before-image, so recovery can undo the delete when
+    /// `txn` never committed.
     pub(crate) fn delete_txn(&self, table: &str, rid: Rid, txn: u64) -> Result<Row> {
         let entry = self.entry(table)?;
         let lt = entry.loaded()?;
@@ -157,46 +157,42 @@ impl Engine {
         if shard >= lt.parts.len() {
             return Err(bad_rid());
         }
-        let mut batch = WalBatch::new();
-        // Appended inside the shard lock, for the insert path's
-        // fuzzy-checkpoint ordering guarantee.
-        let row = {
-            let mut t = lt.parts[shard].write();
-            if !t.is_current(rid.local()) {
-                return Err(bad_rid());
-            }
-            let end = match &self.mvcc {
-                Some(mv) if txn == AUTOCOMMIT_TXN => mv.next_ts(),
-                _ => pending_stamp(txn),
-            };
-            let removed = self.remove_rows(&mut t, shard, &[rid.local()], end, &mut batch)?;
-            let (local, row) = removed.into_iter().next().expect("a live row is removed");
-            batch.push_delete(txn, &entry.name, shard as u16, local, &row);
-            self.wal.append_batch(&batch);
-            row
+        let t = lt.parts[shard].write();
+        if !t.is_current(rid.local()) {
+            return Err(bad_rid());
+        }
+        let end = match &self.mvcc {
+            Some(mv) if txn == AUTOCOMMIT_TXN => mv.next_ts(),
+            _ => pending_stamp(txn),
         };
-        self.note_deletes(&entry, 1);
-        Ok(row)
+        let removed = self.remove_and_log(&entry, t, shard, &[rid.local()], end, txn)?;
+        Ok(removed.into_iter().next().expect("a live row is removed").1)
     }
 
-    /// The delete pipeline's **remove** step, under the shard's write
-    /// lock. A victim whose version has already ended — another writer
-    /// deleted it, or its slot holds no row — is skipped, so a delete
-    /// never clobbers a concurrent one. With MVCC each victim's version
-    /// is end-stamped with `end`: its heap bytes and access-structure
-    /// entries stay for older snapshots until vacuum reclaims them.
-    /// Without MVCC the victim leaves the heap and every access
-    /// structure, with the maintenance volume logged to `batch`. Returns
-    /// each removed victim's local rid and before-image.
-    fn remove_rows(
+    /// The delete pipeline's **remove-and-log** step, under the shard's
+    /// write lock `t`. A victim whose version has already ended — another
+    /// writer deleted it, or its slot holds no row — is skipped, so a
+    /// delete never clobbers a concurrent one. With MVCC each victim's
+    /// version is end-stamped with `end`: its heap bytes and
+    /// access-structure entries stay for older snapshots until vacuum
+    /// reclaims them. Without MVCC the victim leaves the heap and every
+    /// access structure, with the maintenance volume priced into the
+    /// batch. The removed rows' [`LogPayload::DeleteSet`], encoded from
+    /// the borrowed rows and table name, reaches the log under `txn`
+    /// before the lock drops (the insert path's fuzzy-checkpoint
+    /// ordering guarantee); then they are counted. Returns each removed
+    /// victim's local rid and before-image, in `victims` order.
+    fn remove_and_log(
         &self,
-        t: &mut Table,
+        entry: &TableEntry,
+        mut t: impl DerefMut<Target = Table>,
         shard: usize,
         victims: &[Rid],
         end: u64,
-        batch: &mut WalBatch,
+        txn: u64,
     ) -> Result<Vec<(u64, Row)>> {
         let pool = self.backends[shard].pool();
+        let mut batch = WalBatch::new();
         let mut removed = Vec::with_capacity(victims.len());
         for &rid in victims {
             if !t.is_current(rid) {
@@ -205,10 +201,16 @@ impl Engine {
             let row = if self.mvcc.is_some() {
                 t.end_version(pool, rid, end)?
             } else {
-                t.delete_row(pool, Some(&mut *batch), rid)?
+                t.delete_row(pool, Some(&mut batch), rid)?
             };
             removed.push((rid.0, row));
         }
+        if !removed.is_empty() {
+            batch.push_delete_set(txn, &entry.name, shard as u16, &removed);
+        }
+        self.wal.append_batch(&batch);
+        drop(t);
+        self.note_deletes(entry, removed.len() as u64);
         Ok(removed)
     }
 
@@ -223,9 +225,9 @@ impl Engine {
     }
 
     /// One [`Engine::delete_where`] leg: find the victims through the
-    /// leg pipeline, then run the remove step. Without MVCC the search
-    /// runs under the shard write lock and the removal follows in the
-    /// same hold. With MVCC it runs at a fresh snapshot under the read
+    /// leg pipeline, then run the remove-and-log step. Without MVCC the
+    /// search runs under the shard write lock and the removal follows in
+    /// the same hold. With MVCC it runs at a fresh snapshot under the read
     /// lock, a full scan [`SEARCH_WINDOW`] heap pages a hold (concurrent
     /// readers and writers get in between windows), then a brief write lock
     /// end-stamps the victims with `txn`'s pending mark. Either way the
@@ -247,7 +249,7 @@ impl Engine {
                 victims.extend(sel.iter().map(|&s| page.rid(s)));
             })
         };
-        let (mut t, (path, run)) = match &self.mvcc {
+        let (t, (path, run)) = match &self.mvcc {
             Some(mv) => {
                 // The snapshot pins what the search sees: the versions it
                 // sees outlive vacuum, and pages appended after the first
@@ -285,25 +287,10 @@ impl Engine {
             }
         };
         victims.sort_unstable();
-        let mut batch = WalBatch::new();
         let removed =
-            self.remove_rows(&mut t, leg.shard, &victims, pending_stamp(txn), &mut batch)?;
-        let tagged: Vec<Rid> =
-            removed.iter().map(|&(local, _)| Rid::sharded(leg.shard, Rid(local))).collect();
-        if !removed.is_empty() {
-            batch.push(
-                txn,
-                &LogPayload::DeleteSet {
-                    table: entry.name.clone(),
-                    shard: leg.shard as u16,
-                    victims: removed,
-                },
-            );
-        }
-        self.wal.append_batch(&batch);
-        drop(t);
-        self.note_deletes(entry, tagged.len() as u64);
-        Ok((path, run, tagged))
+            self.remove_and_log(entry, t, leg.shard, &victims, pending_stamp(txn), txn)?;
+        let tagged = removed.iter().map(|&(local, _)| Rid::sharded(leg.shard, Rid(local)));
+        Ok((path, run, tagged.collect()))
     }
 
     /// DELETE every row matching `q`; returns the victims' shard-tagged

@@ -16,6 +16,10 @@
 //! * cuts after a design change (the rebuilt engine must carry the
 //!   secondary structures and keep them queryable).
 //!
+//! Deletes come three ways: a session's `delete_where` (one record per
+//! shard leg), a session's delete by rid of a row it inserted, and an
+//! autocommit delete by rid of a preloaded row.
+//!
 //! The workload also inserts rows whose values are all NULL: a slot's
 //! liveness is its stamp, never its values, so such a row must survive
 //! checkpoint images and restarts like any other. The survivor is read
@@ -26,7 +30,9 @@
 
 use cm_engine::{Engine, EngineConfig};
 use cm_query::{Pred, Query};
-use cm_storage::{decode_stream, LogPayload, Column, Row, Schema, Value, ValueType, AUTOCOMMIT_TXN};
+use cm_storage::{
+    decode_stream, Column, LogPayload, Rid, Row, Schema, Value, ValueType, AUTOCOMMIT_TXN,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -67,12 +73,31 @@ fn live_rows(engine: &Engine) -> Vec<Row> {
     rows
 }
 
+/// Every live row with its shard-tagged rid, in rid order.
+fn live_with_rids(engine: &Engine) -> Vec<(Rid, Row)> {
+    let mut out = Vec::new();
+    engine
+        .with_each_shard("items", |s, t| {
+            for rid in t.live_rids(0) {
+                out.push((Rid::sharded(s, rid), t.heap().peek(rid).unwrap()));
+            }
+        })
+        .unwrap();
+    out
+}
+
+/// Drop the rows of category `cat` from a list of rows a script may
+/// still delete by rid, once a purge took them.
+fn purge(rows: &mut Vec<(Rid, Row)>, cat: i64) {
+    rows.retain(|(_, row)| row[0] != Value::Int(cat));
+}
+
 proptest! {
     #![proptest_config(cases())]
 
     #[test]
     fn killed_engine_recovers_the_committed_prefix(
-        ops in prop::collection::vec(0u8..13, 10..80),
+        ops in prop::collection::vec(0u8..15, 10..80),
         cut_frac in 0u64..1001,
         shards in 1u8..3,
         ckpt_every in 0u64..40,
@@ -93,46 +118,49 @@ proptest! {
 
         // Oracle basis: the post-load state, keyed by (shard, rid) —
         // exactly how log records address rows.
-        let mut base: BTreeMap<(u16, u64), Row> = BTreeMap::new();
-        engine
-            .with_each_shard("items", |s, t| {
-                for rid in t.live_rids(0) {
-                    base.insert((s as u16, rid.0), t.heap().peek(rid).unwrap());
-                }
-            })
-            .unwrap();
+        let mut preloaded = live_with_rids(&engine);
+        let base: BTreeMap<(u16, u64), Row> = preloaded
+            .iter()
+            .map(|(rid, row)| ((rid.shard_index() as u16, rid.local().0), row.clone()))
+            .collect();
 
         // Scripted mixed workload on one session: inserts, targeted and
-        // categorical deletes, commits, explicit checkpoints, and one
-        // mid-script design change.
+        // categorical deletes, deletes by rid (the session's own rows and
+        // autocommitted preloaded ones), commits, explicit checkpoints,
+        // and one mid-script design change. `inserted` and `preloaded`
+        // hold the rows no delete has taken yet.
         let session = engine.session();
         let mut seq = 0i64;
-        let mut insert_prices: Vec<i64> = Vec::new();
+        let mut inserted: Vec<(Rid, Row)> = Vec::new();
         let mut created_btree = false;
         for (k, op) in ops.iter().enumerate() {
             match op {
                 0..=5 => {
-                    let cat = (seq * 13) % CATS;
-                    session
-                        .insert("items", vec![Value::Int(cat), Value::Int(100_000 + seq)])
-                        .unwrap();
-                    insert_prices.push(100_000 + seq);
+                    let row = vec![Value::Int((seq * 13) % CATS), Value::Int(100_000 + seq)];
+                    inserted.push((session.insert("items", row.clone()).unwrap(), row));
                     seq += 1;
                 }
                 6 | 7 => {
                     // Delete one known inserted row, or purge a preloaded
                     // category once none remain.
-                    if let Some(p) = insert_prices.pop() {
+                    if let Some((_, row)) = inserted.pop() {
                         session
-                            .delete_where("items", &Query::single(Pred::eq(1, p)))
+                            .delete_where("items", &Query::single(Pred::eq(1, row[1].clone())))
                             .unwrap();
                     } else {
-                        session
-                            .delete_where(
-                                "items",
-                                &Query::single(Pred::eq(0, (k as i64) % CATS)),
-                            )
-                            .unwrap();
+                        let cat = (k as i64) % CATS;
+                        session.delete_where("items", &Query::single(Pred::eq(0, cat))).unwrap();
+                        purge(&mut preloaded, cat);
+                    }
+                }
+                13 => {
+                    if let Some((rid, row)) = inserted.pop() {
+                        prop_assert_eq!(session.delete("items", rid).unwrap(), row);
+                    }
+                }
+                14 => {
+                    if let Some((rid, row)) = preloaded.pop() {
+                        prop_assert_eq!(engine.delete("items", rid).unwrap(), row);
                     }
                 }
                 8 | 9 => {
@@ -150,12 +178,10 @@ proptest! {
                         engine.create_btree("items", "price_ix", vec![1]).unwrap();
                         created_btree = true;
                     } else {
-                        session
-                            .delete_where(
-                                "items",
-                                &Query::single(Pred::eq(0, (k as i64 * 7) % CATS)),
-                            )
-                            .unwrap();
+                        let cat = (k as i64 * 7) % CATS;
+                        session.delete_where("items", &Query::single(Pred::eq(0, cat))).unwrap();
+                        purge(&mut preloaded, cat);
+                        purge(&mut inserted, cat);
                     }
                 }
             }
@@ -186,9 +212,6 @@ proptest! {
             match &rec.payload {
                 LogPayload::Insert { shard, rid, row, .. } => {
                     oracle.insert((*shard, *rid), row.clone());
-                }
-                LogPayload::Delete { shard, rid, .. } => {
-                    oracle.remove(&(*shard, *rid));
                 }
                 LogPayload::DeleteSet { shard, victims, .. } => {
                     for (rid, _) in victims {
@@ -236,31 +259,37 @@ proptest! {
 
     #[test]
     fn recovered_engines_survive_a_second_crash(
-        ops in prop::collection::vec(0u8..10, 8..30),
+        ops in prop::collection::vec(0u8..12, 8..30),
         cut_frac in 0u64..1001,
     ) {
         // Crash–recover–mutate–crash–recover: the recovered engine's
         // fresh log and reinstalled base image must compose.
         let config = EngineConfig::default();
         let engine = preloaded_engine(config.clone());
+        let mut preloaded = live_with_rids(&engine);
+        let mut inserted: Vec<(Rid, Row)> = Vec::new();
         let session = engine.session();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 0..=5 => {
-                    session
-                        .insert(
-                            "items",
-                            vec![Value::Int(i as i64 % CATS), Value::Int(200_000 + i as i64)],
-                        )
-                        .unwrap();
+                    let row = vec![Value::Int(i as i64 % CATS), Value::Int(200_000 + i as i64)];
+                    inserted.push((session.insert("items", row.clone()).unwrap(), row));
                 }
                 6 | 7 => {
-                    session
-                        .delete_where(
-                            "items",
-                            &Query::single(Pred::eq(0, (i as i64 * 3) % CATS)),
-                        )
-                        .unwrap();
+                    let cat = (i as i64 * 3) % CATS;
+                    session.delete_where("items", &Query::single(Pred::eq(0, cat))).unwrap();
+                    purge(&mut preloaded, cat);
+                    purge(&mut inserted, cat);
+                }
+                8 => {
+                    if let Some((rid, row)) = inserted.pop() {
+                        prop_assert_eq!(session.delete("items", rid).unwrap(), row);
+                    }
+                }
+                9 => {
+                    if let Some((rid, row)) = preloaded.pop() {
+                        prop_assert_eq!(engine.delete("items", rid).unwrap(), row);
+                    }
                 }
                 _ => {
                     session.commit();
@@ -271,9 +300,15 @@ proptest! {
         let state = engine.crash_state(Some(full * cut_frac / 1000));
         let (mid, _) = Engine::recover(config.clone(), &state).unwrap();
 
-        // Mutate the survivor, commit, crash again at the durable point.
+        // Mutate the survivor — an insert, a session delete by rid and
+        // an autocommitted one — commit, crash again at the durable point.
         let s2 = mid.session();
         s2.insert("items", vec![Value::Int(5), Value::Int(300_000)]).unwrap();
+        let live = live_with_rids(&mid);
+        for (n, (rid, row)) in live.iter().rev().take(2).enumerate() {
+            let gone = if n == 0 { s2.delete("items", *rid) } else { mid.delete("items", *rid) };
+            prop_assert_eq!(&gone.unwrap(), row);
+        }
         s2.commit();
         let expect = live_rows(&mid);
         let state2 = mid.crash_state(None);

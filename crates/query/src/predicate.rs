@@ -59,17 +59,6 @@ impl Pred {
     pub fn matches(&self, row: &[Value]) -> bool {
         self.op.matches(&row[self.col])
     }
-
-    /// Number of distinct point lookups this predicate implies for an
-    /// index (`n_lookups` in the cost model); `None` for ranges, whose
-    /// lookup count depends on column cardinality.
-    pub fn point_lookups(&self) -> Option<usize> {
-        match &self.op {
-            PredOp::Eq(_) => Some(1),
-            PredOp::In(vs) => Some(vs.len()),
-            PredOp::Between(..) => None,
-        }
-    }
 }
 
 /// A conjunction of per-column predicates.
@@ -149,16 +138,6 @@ mod tests {
         let q = Query::new(vec![Pred::eq(0, 5i64), Pred::eq(1, "nyc")]);
         assert!(!q.matches(&row()));
         assert!(Query::default().matches(&row()), "empty query matches all");
-    }
-
-    #[test]
-    fn point_lookup_counts() {
-        assert_eq!(Pred::eq(0, 1i64).point_lookups(), Some(1));
-        assert_eq!(
-            Pred::is_in(0, vec![Value::Int(1), Value::Int(2)]).point_lookups(),
-            Some(2)
-        );
-        assert_eq!(Pred::between(0, 1i64, 2i64).point_lookups(), None);
     }
 
     #[test]

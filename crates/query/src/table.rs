@@ -14,7 +14,7 @@ use cm_core::{BucketDirectory, CmSpec, CorrelationMap};
 use cm_index::{ClusteredIndex, SecondaryIndex};
 use cm_stats::CorrelationStats;
 use cm_storage::{
-    is_pending, null_bit, ColumnSlice, DiskSim, FxHashMap, HeapFile, LogWrite, PageAccessor,
+    is_pending, null_bit, ColumnSlice, DiskSim, HeapFile, LogWrite, PageAccessor,
     PageRef, Rid, Row, Schema, Snapshot, StorageError, Value, ValueType, LIVE_TS,
 };
 use std::ops::Range;
@@ -429,30 +429,6 @@ impl Table {
         self.stats.get(col).and_then(Option::as_ref)
     }
 
-    /// Number of distinct values of `col` inside `[lo, hi]` over the
-    /// slots that hold a row, NULL never counted, computed exactly (used
-    /// by experiments; the planner uses the estimate from
-    /// [`ColumnStats`]). Values are told apart by their column words,
-    /// and a value is materialised and tested against the range once,
-    /// when its word is first met.
-    pub fn distinct_in_range(&self, col: usize, lo: &Value, hi: &Value) -> u64 {
-        let mut in_range: FxHashMap<u64, bool> = FxHashMap::default();
-        for page in self.heap.pages() {
-            let (words, nulls) = (page.column(col), page.nulls(col));
-            let first = page.first_rid().0 as usize;
-            for (slot, &stamp) in self.stamps[first..first + page.len()].iter().enumerate() {
-                if stamp == DEAD || nulls.is_some_and(|n| null_bit(n, slot)) {
-                    continue;
-                }
-                in_range.entry(words.word(slot)).or_insert_with(|| {
-                    let v = page.value(slot, col);
-                    *lo <= v && v <= *hi
-                });
-            }
-        }
-        in_range.values().filter(|&&inside| inside).count() as u64
-    }
-
     /// The slots at or after `from` that hold a row, in RID order — what
     /// a catch-up and an advisor sample walk. The full statistics scans
     /// read page by page and skip the same slots.
@@ -488,7 +464,7 @@ impl Table {
     /// Only the slot's stamp changes: its values stay as they were, and
     /// the page write a real heap pays for the tuple header is charged.
     /// The caller checks that the slot holds a row. As with inserts, the
-    /// heap-level record (a typed [`cm_storage::LogPayload::Delete`]
+    /// heap-level record (a typed [`cm_storage::LogPayload::DeleteSet`]
     /// carrying the before-image) is the caller's job; only
     /// structure-maintenance volume is priced here.
     pub fn delete_row(
@@ -1105,9 +1081,6 @@ mod tests {
             assert_eq!(got.corr, want.corr, "col {col}");
             assert_eq!((&got.min, &got.max), (&want.min, &want.max), "col {col}");
         }
-        let (lo, hi) = (Value::Null, Value::Int(19));
-        assert_eq!(t.distinct_in_range(0, &lo, &hi), fresh.distinct_in_range(0, &lo, &hi));
-        assert_eq!(t.distinct_in_range(0, &lo, &hi), 15, "catids 0..10 and 15..20, no NULL");
     }
 
     #[test]
@@ -1230,13 +1203,5 @@ mod tests {
             19,
             "without a snapshot only dead slots drop"
         );
-    }
-
-    #[test]
-    fn distinct_in_range_exact() {
-        let disk = DiskSim::with_defaults();
-        let t = demo_table(&disk);
-        let d = t.distinct_in_range(0, &Value::Int(10), &Value::Int(19));
-        assert_eq!(d, 10);
     }
 }

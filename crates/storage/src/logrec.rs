@@ -43,9 +43,8 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 /// Bytes of payload header per record (`kind` + `txn`).
 pub const PAYLOAD_HEADER_BYTES: usize = 9;
 
-// Kind 0 is unassigned: a frame of it decodes as torn.
+// Kinds 0 and 2 are unassigned: a frame of either decodes as torn.
 const KIND_INSERT: u8 = 1;
-const KIND_DELETE: u8 = 2;
 const KIND_DELETE_SET: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 const KIND_CKPT_BEGIN: u8 = 5;
@@ -67,20 +66,9 @@ pub enum LogPayload {
         /// The inserted row (redo image).
         row: Row,
     },
-    /// A row delete; carries the before-image so an uncommitted delete
-    /// can be undone.
-    Delete {
-        /// Table name.
-        table: String,
-        /// Shard index.
-        shard: u16,
-        /// Local row ordinal.
-        rid: u64,
-        /// The deleted row (undo image).
-        row: Row,
-    },
-    /// The result set of one `delete_where` leg: every victim with its
-    /// before-image, in scan order.
+    /// The rows one delete removed from a shard — a `delete_where` leg's
+    /// victims in rid order, or the one row of a delete by rid — each
+    /// with its before-image so an uncommitted delete can be undone.
     DeleteSet {
         /// Table name.
         table: String,
@@ -216,7 +204,7 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     out.extend_from_slice(name.as_bytes());
 }
 
-/// The fields an `Insert` or `Delete` payload carries after its header.
+/// The fields an `Insert` payload carries after its header.
 fn put_row_record(out: &mut Vec<u8>, table: &str, shard: u16, rid: u64, row: &[Value]) {
     put_name(out, table);
     out.extend_from_slice(&shard.to_le_bytes());
@@ -253,18 +241,11 @@ fn write_crc(frame: &mut [u8]) -> usize {
 pub fn encode_into(out: &mut Vec<u8>, txn: u64, payload: &LogPayload) -> usize {
     let start = open_frame(out, kind_of(payload), txn);
     match payload {
-        LogPayload::Insert { table, shard, rid, row }
-        | LogPayload::Delete { table, shard, rid, row } => {
+        LogPayload::Insert { table, shard, rid, row } => {
             put_row_record(out, table, *shard, *rid, row);
         }
         LogPayload::DeleteSet { table, shard, victims } => {
-            put_name(out, table);
-            out.extend_from_slice(&shard.to_le_bytes());
-            out.extend_from_slice(&(victims.len() as u32).to_le_bytes());
-            for (rid, row) in victims {
-                out.extend_from_slice(&rid.to_le_bytes());
-                put_row(out, row);
-            }
+            put_delete_set(out, table, *shard, victims);
         }
         LogPayload::Commit { ts } => {
             out.extend_from_slice(&ts.to_le_bytes());
@@ -284,19 +265,29 @@ pub fn encode_into(out: &mut Vec<u8>, txn: u64, payload: &LogPayload) -> usize {
     start
 }
 
-/// Append the frame of `LogPayload::Delete { table, shard, rid, row }`
+/// The fields a `DeleteSet` payload carries after its header.
+fn put_delete_set(out: &mut Vec<u8>, table: &str, shard: u16, victims: &[(u64, Row)]) {
+    put_name(out, table);
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&(victims.len() as u32).to_le_bytes());
+    for (rid, row) in victims {
+        out.extend_from_slice(&rid.to_le_bytes());
+        put_row(out, row);
+    }
+}
+
+/// Append the frame of `LogPayload::DeleteSet { table, shard, victims }`
 /// from borrowed parts: the bytes [`encode_into`] writes for it, with no
 /// owned payload built first.
-pub fn encode_delete(
+pub fn encode_delete_set(
     out: &mut Vec<u8>,
     txn: u64,
     table: &str,
     shard: u16,
-    rid: u64,
-    row: &[Value],
+    victims: &[(u64, Row)],
 ) {
-    let start = open_frame(out, KIND_DELETE, txn);
-    put_row_record(out, table, shard, rid, row);
+    let start = open_frame(out, KIND_DELETE_SET, txn);
+    put_delete_set(out, table, shard, victims);
     close_frame(out, start);
     write_crc(&mut out[start..]);
 }
@@ -322,7 +313,6 @@ pub fn seal_insert(frame: &mut [u8], rid: u64) -> usize {
 fn kind_of(p: &LogPayload) -> u8 {
     match p {
         LogPayload::Insert { .. } => KIND_INSERT,
-        LogPayload::Delete { .. } => KIND_DELETE,
         LogPayload::DeleteSet { .. } => KIND_DELETE_SET,
         LogPayload::Commit { .. } => KIND_COMMIT,
         LogPayload::CheckpointBegin => KIND_CKPT_BEGIN,
@@ -399,16 +389,11 @@ fn decode_payload(body: &[u8]) -> Option<(u64, LogPayload)> {
     let kind = c.u8()?;
     let txn = c.u64()?;
     let payload = match kind {
-        KIND_INSERT | KIND_DELETE => {
+        KIND_INSERT => {
             let table = c.name()?;
             let shard = c.u16()?;
             let rid = c.u64()?;
-            let row = c.row()?;
-            if kind == KIND_INSERT {
-                LogPayload::Insert { table, shard, rid, row }
-            } else {
-                LogPayload::Delete { table, shard, rid, row }
-            }
+            LogPayload::Insert { table, shard, rid, row: c.row()? }
         }
         KIND_DELETE_SET => {
             let table = c.name()?;
@@ -490,7 +475,7 @@ mod tests {
     fn samples() -> Vec<(u64, LogPayload)> {
         vec![
             (3, LogPayload::Insert { table: "t".into(), shard: 2, rid: 99, row: row() }),
-            (3, LogPayload::Delete { table: "t".into(), shard: 0, rid: 4, row: row() }),
+            (3, LogPayload::DeleteSet { table: "t".into(), shard: 0, victims: vec![(4, row())] }),
             (
                 5,
                 LogPayload::DeleteSet {

@@ -17,6 +17,7 @@
 
 use crate::disk::{DiskSim, FileId, IoStats, PageAccessor};
 use crate::logrec::{self, LogPayload, Lsn, FRAME_HEADER_BYTES, PAYLOAD_HEADER_BYTES};
+use crate::schema::Row;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -64,12 +65,12 @@ impl WalBatch {
         self.records += 1;
     }
 
-    /// Gather the `LogPayload::Delete` record of removing `row` from slot
-    /// `rid` of `table`'s shard `shard`, encoded from the borrowed parts.
-    /// No staged insert may be waiting.
-    pub fn push_delete(&mut self, txn: u64, table: &str, shard: u16, rid: u64, row: &[Value]) {
+    /// Gather the `LogPayload::DeleteSet` record of removing `victims`
+    /// (local rid and before-image each) from `table`'s shard `shard`,
+    /// encoded from the borrowed parts. No staged insert may be waiting.
+    pub fn push_delete_set(&mut self, txn: u64, table: &str, shard: u16, victims: &[(u64, Row)]) {
         debug_assert_eq!(self.sealed, self.bytes.len(), "a staged insert is unsealed");
-        logrec::encode_delete(&mut self.bytes, txn, table, shard, rid, row);
+        logrec::encode_delete_set(&mut self.bytes, txn, table, shard, victims);
         self.sealed = self.bytes.len();
         self.records += 1;
     }
@@ -239,7 +240,7 @@ mod tests {
     use crate::logrec::decode_stream;
 
     #[test]
-    fn borrowed_delete_encodes_the_payload_frame() {
+    fn borrowed_delete_sets_decode_to_their_payload() {
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = || {
             rng ^= rng << 13;
@@ -248,25 +249,39 @@ mod tests {
             rng
         };
         for _ in 0..500 {
-            let row: Vec<Value> = (0..next() % 7)
-                .map(|_| match next() % 5 {
-                    0 => Value::Null,
-                    1 => Value::Int(next() as i64),
-                    2 => Value::float(f64::from_bits(next())),
-                    3 => Value::str("é".repeat(next() as usize % 40)),
-                    _ => Value::Date(next() as i32),
+            let victims: Vec<(u64, Row)> = (0..next() % 6)
+                .map(|_| {
+                    let row = (0..next() % 7)
+                        .map(|_| match next() % 5 {
+                            0 => Value::Null,
+                            1 => Value::Int(next() as i64),
+                            2 => Value::float(f64::from_bits(next())),
+                            3 => Value::str("é".repeat(next() as usize % 40)),
+                            _ => Value::Date(next() as i32),
+                        })
+                        .collect();
+                    (next(), row)
                 })
                 .collect();
-            let (txn, shard, rid) = (next() % 3, next() as u16, next());
+            let (txn, shard) = (next() % 3, next() as u16);
             let table = "t".repeat(next() as usize % 20);
+            // No victims, the one of a delete by rid, and many.
             let mut batch = WalBatch::new();
-            batch.push(7, &LogPayload::Commit { ts: 1 });
-            batch.push_delete(txn, &table, shard, rid, &row);
             let mut want = Vec::new();
-            logrec::encode_into(&mut want, 7, &LogPayload::Commit { ts: 1 });
-            logrec::encode_into(&mut want, txn, &LogPayload::Delete { table, shard, rid, row });
-            assert_eq!(batch.bytes, want);
-            assert_eq!((batch.records, batch.sealed), (2, want.len()));
+            for n in [0, 1, victims.len()] {
+                batch.push_delete_set(txn, &table, shard, &victims[..n.min(victims.len())]);
+                want.push(LogPayload::DeleteSet {
+                    table: table.clone(),
+                    shard,
+                    victims: victims[..n.min(victims.len())].to_vec(),
+                });
+            }
+            let decoded = decode_stream(&batch.bytes);
+            assert!(!decoded.torn);
+            assert!(decoded.records.iter().all(|r| r.txn == txn));
+            let got: Vec<LogPayload> = decoded.records.into_iter().map(|r| r.payload).collect();
+            assert_eq!(got, want);
+            assert_eq!((batch.records, batch.sealed), (3, batch.bytes.len()));
         }
     }
 

@@ -139,7 +139,7 @@ fn record(k: u8, x: u64) -> (u64, LogPayload) {
     let (txn, shard, rid) = (x % 4, (x >> 4) as u16 % 3, x >> 20);
     let payload = match k {
         0 => LogPayload::Insert { table: table(x), shard, rid, row: row(x) },
-        1 => LogPayload::Delete { table: table(x), shard, rid, row: row(x >> 1) },
+        1 => LogPayload::DeleteSet { table: table(x), shard, victims: vec![(rid, row(x >> 1))] },
         2 => LogPayload::DeleteSet {
             table: table(x),
             shard,
