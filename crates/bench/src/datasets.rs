@@ -4,10 +4,13 @@
 //! experiments in milliseconds while `--release` binaries run the full
 //! laptop-scale configuration.
 
+use cm_core::{CmAttr, CmSpec};
+use cm_datagen::ebay::{COL_CATID, COL_ITEMID, COL_PRICE};
 use cm_datagen::{
     ebay, sdss, tpch_lineitem, EbayConfig, EbayData, SdssConfig, SdssData, TpchConfig, TpchData,
 };
-use cm_query::Table;
+use cm_engine::{Engine, EngineConfig};
+use cm_query::{Pred, Query, Table};
 use cm_storage::DiskSim;
 use std::sync::Arc;
 
@@ -62,10 +65,69 @@ pub fn ebay_table(disk: &Arc<DiskSim>, data: &EbayData) -> Table {
         data.schema.clone(),
         data.rows.clone(),
         EBAY_TPP,
-        cm_datagen::ebay::COL_CATID,
+        COL_CATID,
         (EBAY_TPP * 2) as u64,
     )
     .expect("generated rows conform to schema")
+}
+
+/// The same `ITEMS` layout as [`ebay_table`], as the table `"items"` of
+/// a fresh engine built from `config`, loaded with a clone of the rows.
+pub fn ebay_engine(data: &EbayData, config: EngineConfig) -> Arc<Engine> {
+    let engine = Engine::new(config);
+    engine
+        .create_table("items", data.schema.clone(), COL_CATID, EBAY_TPP, (EBAY_TPP * 2) as u64)
+        .expect("fresh catalog");
+    engine.load("items", data.rows.clone()).expect("rows conform");
+    engine
+}
+
+/// Create Experiment 3's five structures on `items`, as CMs `cm0..cm4`
+/// or as B+Trees `idx0..idx4` on the same columns: the two selective
+/// hierarchy levels the SELECTs predicate (CAT4, CAT5), the
+/// high-cardinality Price and ItemID columns (bucketed in the CMs), and
+/// a (CAT6, Price) composite whose random leaf positions put real insert
+/// pressure on the shared pool.
+pub fn create_ladder(engine: &Engine, use_cms: bool) {
+    let ladder = [
+        (vec![4], CmSpec::single_raw(4)),
+        (vec![5], CmSpec::single_raw(5)),
+        (vec![COL_PRICE], CmSpec::single_pow2(COL_PRICE, 12)),
+        (vec![COL_ITEMID], CmSpec::single_pow2(COL_ITEMID, 16)),
+        (vec![6, COL_PRICE], CmSpec::new(vec![CmAttr::raw(6), CmAttr::pow2(COL_PRICE, 12)])),
+    ];
+    for (i, (cols, spec)) in ladder.into_iter().enumerate() {
+        if use_cms {
+            engine.create_cm("items", format!("cm{i}"), spec).expect("CM");
+        } else {
+            engine.create_btree("items", format!("idx{i}"), cols).expect("index");
+        }
+    }
+}
+
+/// Experiment 3's SELECT predicate, `CATX = X` on a selective hierarchy
+/// level (CAT4 or CAT5), drawn from `seed` and redrawn at `seed + 7919`
+/// until the level fits. Each such value maps to a handful of
+/// categories, as in the paper's per-category selects; shallow levels
+/// (CAT1 covers 1/30th of the table) would measure bucketing false
+/// positives, not the buffer-pool effect.
+pub fn selective_cat_pred(data: &EbayData, mut seed: u64) -> Pred {
+    loop {
+        let (col, v) = data.random_cat_predicate(seed);
+        if (4..=5).contains(&col) {
+            return Pred::eq(col, v);
+        }
+        seed += 7919;
+    }
+}
+
+/// The `s`-th clustered `CATID` range over `categories` categories:
+/// widths from ~1/16 of the table up to ~1/2, with a sliding start.
+pub fn catid_range(categories: usize, s: usize) -> Query {
+    let (cats, s) = (categories as i64, s as i64);
+    let span = (cats / 16).max(1) * (1 + s % 8);
+    let lo = (s * 613) % (cats - span).max(1);
+    Query::single(Pred::between(COL_CATID, lo, lo + span))
 }
 
 /// TPC-H lineitem at benchmark scale.

@@ -10,11 +10,11 @@
 //! price distribution: at an equal bucket *count*, equi-depth bucketing
 //! should match or beat equi-width on size while not degrading the query.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_table, BenchScale};
 use crate::report::{bytes, ms, Report};
 use cm_core::{BucketSpec, CmAttr, CmSpec};
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID, COL_PRICE};
-use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Pred, Query};
 use cm_storage::{DiskSim, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,15 +48,7 @@ pub fn run(scale: BenchScale) -> Report {
     }
 
     let disk = DiskSim::with_defaults();
-    let mut table = Table::build(
-        &disk,
-        data.schema.clone(),
-        data.rows.clone(),
-        EBAY_TPP,
-        COL_CATID,
-        (EBAY_TPP * 2) as u64,
-    )
-    .expect("rows conform");
+    let mut table = ebay_table(&disk, &data);
 
     // Equal bucket counts for both schemes.
     let buckets = 1u32 << 10;

@@ -12,12 +12,12 @@
 //! percent of whichever static design is best *for that mix* — B+Trees
 //! at 90/10, CMs at 10/90 — without being told the mix.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{create_ladder, ebay_engine, selective_cat_pred, BenchScale};
 use crate::report::{ms, Report};
-use cm_core::{CmAttr, CmSpec};
-use cm_datagen::ebay::{ebay, EbayConfig, EbayData, COL_CATID, COL_ITEMID, COL_PRICE};
-use cm_engine::{run_mixed, Engine, EngineConfig, MixedWorkloadConfig, WorkloadReport};
-use cm_query::{Pred, PredOp, Query};
+use crate::workload::{run_mixed, MixedWorkloadConfig, WorkloadReport};
+use cm_datagen::ebay::{ebay, EbayConfig, EbayData};
+use cm_engine::{Engine, EngineConfig};
+use cm_query::Query;
 
 /// Shared pool size: small enough that the read working set and index
 /// maintenance compete for frames at both scales.
@@ -25,89 +25,30 @@ fn pool_pages(scale: BenchScale) -> usize {
     scale.n(512, 24)
 }
 
-/// The five static column sets, exactly `engine_mixed`'s: the two
-/// selective hierarchy levels the SELECTs predicate, the
-/// high-cardinality Price and ItemID columns, and a composite.
-fn index_cols(i: usize) -> Vec<usize> {
-    match i {
-        0 => vec![4], // CAT4
-        1 => vec![5], // CAT5
-        2 => vec![COL_PRICE],
-        3 => vec![COL_ITEMID],
-        _ => vec![6, COL_PRICE], // (CAT6, Price)
-    }
-}
-
-/// Equivalent CM specs on the same columns.
-fn cm_specs(i: usize) -> CmSpec {
-    match i {
-        0 => CmSpec::single_raw(4),
-        1 => CmSpec::single_raw(5),
-        2 => CmSpec::single_pow2(COL_PRICE, 12),
-        3 => CmSpec::single_pow2(COL_ITEMID, 16),
-        _ => CmSpec::new(vec![CmAttr::raw(6), CmAttr::pow2(COL_PRICE, 12)]),
-    }
-}
-
 /// Build an engine over a clone of the shared dataset. `structures`:
 /// `None` = bare (the advised engine's starting point), `Some(true)` =
-/// 5 CMs, `Some(false)` = 5 B+Trees.
+/// `engine_mixed`'s 5 CMs, `Some(false)` = its 5 B+Trees.
 fn build_engine(
     data: &EbayData,
     scale: BenchScale,
     structures: Option<bool>,
 ) -> std::sync::Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        pool_pages: pool_pages(scale),
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("rows conform");
+    let engine = ebay_engine(
+        data,
+        EngineConfig {
+            pool_pages: pool_pages(scale),
+            ..EngineConfig::default()
+        },
+    );
     if let Some(use_cms) = structures {
-        for i in 0..5 {
-            if use_cms {
-                engine
-                    .create_cm("items", format!("cm{i}"), cm_specs(i))
-                    .expect("CM");
-            } else {
-                engine
-                    .create_btree("items", format!("idx{i}"), index_cols(i))
-                    .expect("index");
-            }
-        }
+        create_ladder(&engine, use_cms);
     }
     engine
 }
 
-/// The category columns the SELECTs predicate (CAT4/CAT5, as in
-/// `engine_mixed`).
-const SELECT_COLS: std::ops::RangeInclusive<usize> = 4..=5;
-
 fn workload(data: &mut EbayData, scale: BenchScale, read_fraction: f64) -> MixedWorkloadConfig {
     let reads: Vec<Query> = (0..scale.n(64, 16))
-        .map(|s| {
-            let mut seed = 31 * s as u64 + 7;
-            loop {
-                let (col, v) = data.random_cat_predicate(seed);
-                if SELECT_COLS.contains(&col) {
-                    return Query::single(Pred {
-                        col,
-                        op: PredOp::Eq(v),
-                    });
-                }
-                seed += 7919;
-            }
-        })
+        .map(|s| Query::single(selective_cat_pred(data, 31 * s as u64 + 7)))
         .collect();
     let ops = scale.n(5_000, 300);
     MixedWorkloadConfig {

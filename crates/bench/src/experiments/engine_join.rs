@@ -55,15 +55,7 @@ fn setup(scale: BenchScale) -> Setup {
 /// A fresh engine: `lineitem` clustered on receiptdate with CMs on the
 /// two join columns, plus one two-column dimension table per key set.
 fn build_engine(s: &Setup) -> Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        shards: SHARDS,
-        workers: WORKERS,
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table("lineitem", s.data.schema.clone(), tpch::COL_RECEIPTDATE, 60, 600)
-        .expect("fresh catalog");
-    engine.load("lineitem", s.data.rows.clone()).expect("rows conform");
+    let engine = setup_engine_workers(s, WORKERS);
     engine
         .create_cm("lineitem", "ship_cm", CmSpec::single_raw(tpch::COL_SHIPDATE))
         .expect("CM");

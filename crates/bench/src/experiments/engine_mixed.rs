@@ -9,92 +9,30 @@
 //! dirties buffer-pool pages that the SELECT traffic keeps needing; with
 //! memory-resident CMs the pool serves reads almost exclusively.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{create_ladder, ebay_engine, selective_cat_pred, BenchScale};
 use crate::report::{ms, Report};
-use cm_core::{CmAttr, CmSpec};
-use cm_datagen::ebay::{ebay, EbayConfig, EbayData, COL_CATID, COL_ITEMID, COL_PRICE};
-use cm_engine::{run_mixed, Engine, EngineConfig, MixedWorkloadConfig, WorkloadReport};
-use cm_query::{Pred, PredOp, Query};
+use crate::workload::{run_mixed, MixedWorkloadConfig, WorkloadReport};
+use cm_datagen::ebay::{ebay, EbayConfig, EbayData};
+use cm_engine::{Engine, EngineConfig};
+use cm_query::Query;
 
 const POOL_PAGES: usize = 512;
-const N_STRUCTURES: usize = 5;
-
-/// The five indexed column sets, as in the paper's Experiment 3 mix: the
-/// two selective hierarchy levels the SELECTs predicate, plus the
-/// high-cardinality Price and ItemID columns and a composite whose
-/// random leaf positions put real insert pressure on the shared pool.
-fn index_cols(i: usize) -> Vec<usize> {
-    match i {
-        0 => vec![4], // CAT4
-        1 => vec![5], // CAT5
-        2 => vec![COL_PRICE],
-        3 => vec![COL_ITEMID],
-        _ => vec![6, COL_PRICE], // (CAT6, Price)
-    }
-}
-
-/// Equivalent CM specs on the same columns (price-like columns bucketed).
-fn cm_specs(i: usize) -> CmSpec {
-    match i {
-        0 => CmSpec::single_raw(4),
-        1 => CmSpec::single_raw(5),
-        2 => CmSpec::single_pow2(COL_PRICE, 12),
-        3 => CmSpec::single_pow2(COL_ITEMID, 16),
-        _ => CmSpec::new(vec![CmAttr::raw(6), CmAttr::pow2(COL_PRICE, 12)]),
-    }
-}
 
 fn build_engine(data: &EbayData, use_cms: bool) -> std::sync::Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        pool_pages: POOL_PAGES,
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("rows conform");
-    for i in 0..N_STRUCTURES {
-        if use_cms {
-            engine
-                .create_cm("items", format!("cm{i}"), cm_specs(i))
-                .expect("CM");
-        } else {
-            engine
-                .create_btree("items", format!("idx{i}"), index_cols(i))
-                .expect("index");
-        }
-    }
+    let engine = ebay_engine(
+        data,
+        EngineConfig {
+            pool_pages: POOL_PAGES,
+            ..EngineConfig::default()
+        },
+    );
+    create_ladder(&engine, use_cms);
     engine
 }
-
-/// The category columns the SELECTs predicate: CAT4 and CAT5, the
-/// selective hierarchy levels (see fig9 for the rationale). Column
-/// positions, not structure counts.
-const SELECT_COLS: std::ops::RangeInclusive<usize> = 4..=5;
 
 fn workload(data: &mut EbayData, scale: BenchScale) -> MixedWorkloadConfig {
     let reads: Vec<Query> = (0..scale.n(64, 8))
-        .map(|s| {
-            let mut seed = 31 * s as u64 + 7;
-            loop {
-                let (col, v) = data.random_cat_predicate(seed);
-                if SELECT_COLS.contains(&col) {
-                    return Query::single(Pred {
-                        col,
-                        op: PredOp::Eq(v),
-                    });
-                }
-                seed += 7919;
-            }
-        })
+        .map(|s| Query::single(selective_cat_pred(data, 31 * s as u64 + 7)))
         .collect();
     MixedWorkloadConfig {
         table: "items".into(),
@@ -199,11 +137,7 @@ pub fn run(scale: BenchScale) -> Report {
     let (ratio_read_heavy, cm_report) = run_mix(&mut report, &mut data, scale, "90/10", 0.9);
     let (ratio_write_heavy, _) = run_mix(&mut report, &mut data, scale, "10/90", 0.1);
 
-    report.latency = Some(crate::report::LatencySummary {
-        p50_ms: cm_report.read_latency.p50_ms,
-        p95_ms: cm_report.read_latency.p95_ms,
-        p99_ms: cm_report.read_latency.p99_ms,
-    });
+    report.latency = Some(cm_report.read_latency);
     report.commentary = format!(
         "simulated-throughput ratio CM/B+Tree: {ratio_read_heavy:.1}x at 90/10, \
          {ratio_write_heavy:.1}x at 10/90 — heavier write traffic moves the advantage \

@@ -12,11 +12,12 @@
 //! log. Total buffer-pool RAM is held constant across shard counts, so
 //! the sweep isolates the head-interleaving effect.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_engine, BenchScale};
 use crate::report::{ms, Report};
+use crate::workload::{run_mixed, MixedWorkloadConfig, WorkloadReport};
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, EbayData, COL_CATID, COL_PRICE};
-use cm_engine::{run_mixed, Engine, EngineConfig, MixedWorkloadConfig, WorkloadReport};
+use cm_engine::{Engine, EngineConfig};
 use cm_query::{Pred, Query};
 use cm_storage::GroupCommitConfig;
 
@@ -32,24 +33,15 @@ fn build_engine(
     shards: usize,
     group_commit: GroupCommitConfig,
 ) -> std::sync::Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        pool_pages: POOL_PAGES,
-        shards,
-        group_commit,
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("rows conform");
+    let engine = ebay_engine(
+        data,
+        EngineConfig {
+            pool_pages: POOL_PAGES,
+            shards,
+            group_commit,
+            ..EngineConfig::default()
+        },
+    );
     // A CM on the clustered attribute itself guides range queries to the
     // overlapping buckets (intersected per shard), and a bucketed CM on
     // Price serves the secondary-attribute lookups.
@@ -163,11 +155,7 @@ pub fn run(scale: BenchScale) -> Report {
             let engine = build_engine(&data, shards, GroupCommitConfig::default());
             let r = run_mixed(&engine, &wl).expect("workload runs");
             if shards == 4 && read_fraction > 0.5 {
-                headline = Some(crate::report::LatencySummary {
-                    p50_ms: r.read_latency.p50_ms,
-                    p95_ms: r.read_latency.p95_ms,
-                    p99_ms: r.read_latency.p99_ms,
-                });
+                headline = Some(r.read_latency);
             }
             report.push(format!("{shards} shard(s) {label}"), row_cells(&r));
             out.push((shards, r.ops_per_sim_sec_parallel));

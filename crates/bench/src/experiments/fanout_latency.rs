@@ -14,11 +14,12 @@
 //! (`run.ms()`) reported alongside so the win is charged honestly —
 //! a 1-worker engine's "parallel" latency *is* the serial sum.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
-use crate::report::{LatencySummary, Report};
+use crate::datasets::{catid_range, ebay_engine, BenchScale};
+use crate::report::Report;
+use crate::workload::LatencyStats;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, EbayData, COL_CATID, COL_PRICE};
-use cm_engine::{Engine, EngineConfig, LatencyStats};
+use cm_engine::{Engine, EngineConfig};
 use cm_query::{Pred, Query};
 
 /// Total pool pages, divided across shards (equal RAM per config).
@@ -29,24 +30,15 @@ const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn build_engine(data: &EbayData, shards: usize, workers: usize) -> std::sync::Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        pool_pages: POOL_PAGES,
-        shards,
-        workers,
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("rows conform");
+    let engine = ebay_engine(
+        data,
+        EngineConfig {
+            pool_pages: POOL_PAGES,
+            shards,
+            workers,
+            ..EngineConfig::default()
+        },
+    );
     engine
         .create_cm("items", "cat_cm", CmSpec::single_raw(COL_CATID))
         .expect("CM");
@@ -61,18 +53,13 @@ fn build_engine(data: &EbayData, shards: usize, workers: usize) -> std::sync::Ar
 /// sweep of its shard), plus Price lookups that fan out to every shard
 /// through the CM.
 fn read_queries(categories: usize, scale: BenchScale) -> Vec<Query> {
-    let cats = categories as i64;
     (0..scale.n(240, 36))
         .map(|s| {
-            let s = s as i64;
             if s % 3 == 2 {
-                let p = (s * 7919) % 1_000_000;
+                let p = (s as i64 * 7919) % 1_000_000;
                 Query::single(Pred::between(COL_PRICE, p, p + 2_000))
             } else {
-                // Widths from ~1/16 of the table up to ~1/2, sliding start.
-                let span = (cats / 16).max(1) * (1 + s % 8);
-                let lo = (s * 613) % (cats - span).max(1);
-                Query::single(Pred::between(COL_CATID, lo, lo + span))
+                catid_range(categories, s)
             }
         })
         .collect()
@@ -129,7 +116,7 @@ pub fn run(scale: BenchScale) -> Report {
     let data = ebay(cfg);
     let queries = read_queries(data.category_paths.len(), scale);
 
-    let mut headline: Option<LatencySummary> = None;
+    let mut headline: Option<LatencyStats> = None;
     let mut speedup_4w_4s = 0.0;
     let mut speedup_8w_8s = 0.0;
     for &shards in &SHARD_COUNTS {
@@ -143,11 +130,7 @@ pub fn run(scale: BenchScale) -> Report {
             let speedup = base_p99 / par.p99_ms.max(1e-9);
             if shards == 4 && workers == 4 {
                 speedup_4w_4s = speedup;
-                headline = Some(LatencySummary {
-                    p50_ms: par.p50_ms,
-                    p95_ms: par.p95_ms,
-                    p99_ms: par.p99_ms,
-                });
+                headline = Some(par);
             }
             if shards == 8 && workers == 8 {
                 speedup_8w_8s = speedup;

@@ -8,29 +8,17 @@
 //! B+Tree because bucketing reads extraneous heap pages — while being
 //! three orders of magnitude smaller (0.9 MB vs 860 MB).
 
-use crate::datasets::{ebay_data, BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_data, ebay_engine, BenchScale};
 use crate::report::{bytes, ms, Report};
 use cm_core::CmSpec;
-use cm_datagen::ebay::{COL_CATID, COL_PRICE};
-use cm_engine::{Engine, EngineConfig};
+use cm_datagen::ebay::COL_PRICE;
+use cm_engine::EngineConfig;
 use cm_query::{AccessPath, Pred, Query};
 
 /// Run the experiment.
 pub fn run(scale: BenchScale) -> Report {
     let data = ebay_data(scale);
-    let engine = Engine::new(EngineConfig::default());
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("generated rows conform");
+    let engine = ebay_engine(&data, EngineConfig::default());
     let sec = engine
         .create_btree("items", "price_idx", vec![COL_PRICE])
         .expect("index");

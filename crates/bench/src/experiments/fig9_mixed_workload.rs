@@ -7,12 +7,12 @@
 //! re-reading pages evicted by update traffic; in total, 5 CMs are >4×
 //! faster than 5 B+Trees.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_table, selective_cat_pred, BenchScale};
 use crate::report::{ms, Report};
 use cm_core::CmSpec;
-use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID, COL_PRICE};
-use cm_query::{ExecContext, Pred, Query, Table};
-use cm_storage::{BufferPool, DiskSim, Row, Value, Wal};
+use cm_datagen::ebay::{ebay, EbayConfig, COL_PRICE};
+use cm_query::{ExecContext, Pred, Query};
+use cm_storage::{BufferPool, DiskSim, Row, Wal};
 
 const POOL_PAGES: usize = 512;
 /// Number of hierarchy-level indexes/CMs (the paper uses 5).
@@ -20,8 +20,8 @@ const N_INDEXES: usize = 5;
 
 struct Workload {
     batches: Vec<Vec<Row>>,
-    /// Per batch, the (column, value) predicates of the follow-up SELECTs.
-    selects: Vec<Vec<(usize, Value)>>,
+    /// Per batch, the predicates of the follow-up SELECTs.
+    selects: Vec<Vec<Pred>>,
 }
 
 fn workload(cfg: EbayConfig, runs: usize, batch: usize, selects_per_run: usize) -> Workload {
@@ -32,22 +32,7 @@ fn workload(cfg: EbayConfig, runs: usize, batch: usize, selects_per_run: usize) 
         batches.push(data.insert_batch(batch, r as u64));
         selects.push(
             (0..selects_per_run)
-                .map(|s| {
-                    // Restrict predicates to the selective hierarchy
-                    // levels (CAT4, CAT5): each value maps to a handful
-                    // of categories, as in the paper's per-category
-                    // selects. Shallow levels (CAT1 covers 1/30th of the
-                    // table) would measure bucketing false positives, not
-                    // the buffer-pool effect this experiment isolates.
-                    let mut seed = (r * 1000 + s) as u64;
-                    loop {
-                        let (col, v) = data.random_cat_predicate(seed);
-                        if (4..=N_INDEXES).contains(&col) {
-                            return (col, v);
-                        }
-                        seed += 7919;
-                    }
-                })
+                .map(|s| selective_cat_pred(&data, (r * 1000 + s) as u64))
                 .collect(),
         );
     }
@@ -58,15 +43,7 @@ fn workload(cfg: EbayConfig, runs: usize, batch: usize, selects_per_run: usize) 
 fn run_config(cfg: EbayConfig, wl: &Workload, use_cms: bool, with_selects: bool) -> (f64, f64) {
     let disk = DiskSim::with_defaults();
     let data = ebay(cfg);
-    let mut table = Table::build(
-        &disk,
-        data.schema.clone(),
-        data.rows,
-        EBAY_TPP,
-        COL_CATID,
-        (EBAY_TPP * 2) as u64,
-    )
-    .expect("rows conform");
+    let mut table = ebay_table(&disk, &data);
     for i in 0..N_INDEXES {
         if use_cms {
             table.add_cm(format!("cm_cat{}", i + 1), CmSpec::single_raw(1 + i));
@@ -91,13 +68,10 @@ fn run_config(cfg: EbayConfig, wl: &Workload, use_cms: bool, with_selects: bool)
 
         if with_selects {
             let before = disk.stats();
-            for (col, v) in sels {
-                let q = Query::single(Pred {
-                    col: *col,
-                    op: cm_query::PredOp::Eq(v.clone()),
-                });
+            for pred in sels {
+                let q = Query::single(pred.clone());
                 let ctx = ExecContext::through(&disk, &pool);
-                let idx = col - 1; // structure i covers CAT{i+1}
+                let idx = pred.col - 1; // structure i covers CAT{i+1}
                 let mut sum = 0i64;
                 let mut n = 0u64;
                 if use_cms {

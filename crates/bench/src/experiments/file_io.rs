@@ -33,12 +33,11 @@
 //! in a self-deleting tempdir; set `FILE_IO_DIR=/path` to aim the bench
 //! at a specific device instead.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_table, BenchScale};
 use crate::experiments::run_io::{measure, read_queries, PATHS, SESSIONS};
 use crate::report::Report;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID};
-use cm_query::Table;
 use cm_storage::{DiskConfig, DiskSim, FileDisk, IoStats, TempDir};
 use std::path::PathBuf;
 
@@ -94,15 +93,7 @@ pub fn run(scale: BenchScale) -> Report {
     let disk = DiskSim::with_backing(disk_cfg, fd);
 
     let data = ebay(cfg);
-    let mut table = Table::build(
-        &disk,
-        data.schema.clone(),
-        data.rows.clone(),
-        EBAY_TPP,
-        COL_CATID,
-        (EBAY_TPP * 2) as u64,
-    )
-    .expect("generated rows conform to schema");
+    let mut table = ebay_table(&disk, &data);
     table.add_secondary(&disk, "catid_idx", vec![COL_CATID]);
     table.add_cm("cat_cm", CmSpec::single_raw(COL_CATID));
 

@@ -21,10 +21,11 @@
 //! row, so the build must exclude deletes) vs the shard *read* lock
 //! under MVCC, with only the brief catch-up-and-swap write-locked.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{ebay_engine, BenchScale};
 use crate::report::Report;
 use cm_datagen::ebay::{ebay, EbayConfig, EbayData, COL_CATID, COL_PRICE};
-use cm_engine::{ColumnDesign, DesignSet, Engine, EngineConfig, LatencyStats, Structure};
+use crate::workload::LatencyStats;
+use cm_engine::{ColumnDesign, DesignSet, Engine, EngineConfig, Structure};
 use cm_query::{Pred, Query};
 use cm_storage::{Row, Value};
 use std::collections::BTreeMap;
@@ -61,28 +62,19 @@ fn churn_plan(data: &EbayData) -> Churn {
 }
 
 fn build_engine(data: &EbayData, shards: usize, mvcc: bool) -> Arc<Engine> {
-    let engine = Engine::new(EngineConfig {
-        pool_pages: POOL_PAGES,
-        shards,
-        mvcc,
-        // Vacuum every few hundred deletes: dead versions never pile
-        // past a few percent of the heap, and the chunked reclaim keeps
-        // each pass's per-hold stall bounded.
-        gc_every: if mvcc { 512 } else { 0 },
-        ..EngineConfig::default()
-    });
-    engine
-        .create_table(
-            "items",
-            data.schema.clone(),
-            COL_CATID,
-            EBAY_TPP,
-            (EBAY_TPP * 2) as u64,
-        )
-        .expect("fresh catalog");
-    engine
-        .load("items", data.rows.clone())
-        .expect("rows conform");
+    let engine = ebay_engine(
+        data,
+        EngineConfig {
+            pool_pages: POOL_PAGES,
+            shards,
+            mvcc,
+            // Vacuum every few hundred deletes: dead versions never pile
+            // past a few percent of the heap, and the chunked reclaim keeps
+            // each pass's per-hold stall bounded.
+            gc_every: if mvcc { 512 } else { 0 },
+            ..EngineConfig::default()
+        },
+    );
     // A secondary on the price column: categorical deletes must maintain
     // it under the write lock in locking mode, widening the hold — MVCC
     // defers that erase work to vacuum.
@@ -409,11 +401,7 @@ pub fn run(scale: BenchScale) -> Report {
                     (r.read.p99_ms, r.lock_wait_us_per_read),
                 );
                 if mvcc && shards == 1 && writers == *WRITER_COUNTS.last().expect("non-empty") {
-                    report.latency = Some(crate::report::LatencySummary {
-                        p50_ms: r.read.p50_ms,
-                        p95_ms: r.read.p95_ms,
-                        p99_ms: r.read.p99_ms,
-                    });
+                    report.latency = Some(r.read);
                 }
                 report.push(
                     format!(

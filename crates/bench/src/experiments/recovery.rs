@@ -17,8 +17,9 @@
 
 use crate::datasets::BenchScale;
 use crate::report::{bytes, ms, Report};
+use crate::workload::{run_mixed, MixedWorkloadConfig};
 use cm_core::CmSpec;
-use cm_engine::{run_mixed, Engine, EngineConfig, MixedWorkloadConfig};
+use cm_engine::{Engine, EngineConfig};
 use cm_query::{Pred, Query};
 use cm_storage::{Column, Row, Schema, Value, ValueType};
 use std::sync::Arc;

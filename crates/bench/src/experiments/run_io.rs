@@ -20,11 +20,11 @@
 //! scheduler noise. The table, row counts, and query shapes match
 //! `fanout_latency` (eBay, clustered CATID ranges), measured cold.
 
-use crate::datasets::{BenchScale, EBAY_TPP};
+use crate::datasets::{catid_range, ebay_table, BenchScale};
 use crate::report::Report;
 use cm_core::CmSpec;
 use cm_datagen::ebay::{ebay, EbayConfig, COL_CATID};
-use cm_query::{AccessPath, ExecContext, Pred, Query, Table};
+use cm_query::{AccessPath, ExecContext, Query, Table};
 use cm_storage::{DiskSim, FileId, IoStats, PageAccessor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -151,15 +151,7 @@ impl PageAccessor for PerPageIo<'_> {
 /// *different* queries — identical lockstep streams would artificially
 /// convoy on the same pages and hide the interleaving effect).
 pub(crate) fn read_queries(categories: usize, n: usize) -> Vec<Query> {
-    let cats = categories as i64;
-    (0..n)
-        .map(|s| {
-            let s = s as i64;
-            let span = (cats / 16).max(1) * (1 + s % 8);
-            let lo = (s * 613) % (cats - span).max(1);
-            Query::single(Pred::between(COL_CATID, lo, lo + span))
-        })
-        .collect()
+    (0..n).map(|s| catid_range(categories, s)).collect()
 }
 
 /// Run each session's disjoint query slice cold through the given
@@ -249,15 +241,7 @@ pub fn run(scale: BenchScale) -> Report {
 
     let data = ebay(cfg);
     let disk = DiskSim::with_defaults();
-    let mut table = Table::build(
-        &disk,
-        data.schema.clone(),
-        data.rows.clone(),
-        EBAY_TPP,
-        COL_CATID,
-        (EBAY_TPP * 2) as u64,
-    )
-    .expect("generated rows conform to schema");
+    let mut table = ebay_table(&disk, &data);
     table.add_secondary(&disk, "catid_idx", vec![COL_CATID]);
     table.add_cm("cat_cm", CmSpec::single_raw(COL_CATID));
 

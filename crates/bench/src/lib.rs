@@ -13,9 +13,18 @@
 //! a 2009 SATA disk; ours is a simulator at reduced data scale) — the
 //! *shapes* are the reproduction target: who wins, by what factor, and
 //! where the crossovers and knees fall.
+//!
+//! The engine experiments share one **mixed-workload driver**
+//! ([`workload`], [`run_mixed`]): multi-threaded read/write traffic
+//! through `cm-engine` sessions, reporting throughput, simulated I/O,
+//! per-path routing counts and [`LatencyStats`] percentiles. It can
+//! re-plan the physical design mid-run via
+//! [`MixedWorkloadConfig::advise_after`].
 
 pub mod datasets;
 pub mod experiments;
 pub mod report;
+pub mod workload;
 
-pub use report::{LatencySummary, Report, Row};
+pub use report::{Report, Row};
+pub use workload::{run_mixed, AdviceOutcome, LatencyStats, MixedWorkloadConfig, WorkloadReport};

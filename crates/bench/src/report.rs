@@ -1,6 +1,8 @@
 //! Experiment reports: tabular results with paper context, renderable as
 //! console text or `EXPERIMENTS.md` sections.
 
+use crate::workload::LatencyStats;
+
 /// One row of an experiment table: a label plus numeric cells.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -18,19 +20,6 @@ impl Row {
             cells,
         }
     }
-}
-
-/// Headline per-query latency percentiles for experiments that measure
-/// latency distributions (populated from the workload driver's
-/// full-sample percentiles).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Median per-query latency (simulated ms).
-    pub p50_ms: f64,
-    /// 95th percentile (simulated ms).
-    pub p95_ms: f64,
-    /// 99th percentile (simulated ms).
-    pub p99_ms: f64,
 }
 
 /// A reproduced table/figure.
@@ -54,8 +43,8 @@ pub struct Report {
     pub preformatted: Option<String>,
     /// Optional headline latency percentiles (experiments that measure
     /// per-query latency set this; throughput-only reports leave it
-    /// `None`).
-    pub latency: Option<LatencySummary>,
+    /// `None`). Every form renders p50/p95/p99 only.
+    pub latency: Option<LatencyStats>,
 }
 
 impl Report {
@@ -301,10 +290,11 @@ mod tests {
     #[test]
     fn latency_summary_rendered_everywhere() {
         let mut r = sample();
-        r.latency = Some(LatencySummary {
+        r.latency = Some(LatencyStats {
             p50_ms: 12.5,
             p95_ms: 40.0,
             p99_ms: 55.25,
+            ..LatencyStats::default()
         });
         let t = r.to_text();
         assert!(

@@ -8,10 +8,7 @@
 //! engine the driver also exposes the sharding win: per-shard I/O, the
 //! makespan over the parallel spindles, and WAL group-commit counters.
 
-use crate::engine::Engine;
-use crate::stats::RouteCounts;
-use crate::Result;
-use cm_advisor::DesignSet;
+use cm_engine::{DesignSet, Engine, EngineError, Result, RouteCounts};
 use cm_query::Query;
 use cm_storage::{makespan_ms, GroupCommitStats, IoStats, PoolStats, Row};
 use rand::rngs::StdRng;
@@ -136,7 +133,7 @@ pub struct WorkloadReport {
     /// The mid-run design re-plan, when `advise_after` fired.
     pub advice: Option<AdviceOutcome>,
     /// Per-read-query simulated latency percentiles. Each sample is the
-    /// query's fan-out makespan ([`crate::QueryOutcome::parallel_ms`]):
+    /// query's fan-out makespan ([`cm_engine::QueryOutcome::parallel_ms`]):
     /// on a 1-worker engine that is the serial per-shard sum, with
     /// workers it is the legs list-scheduled over the pool.
     pub read_latency: LatencyStats,
@@ -187,7 +184,7 @@ pub fn run_mixed(engine: &Arc<Engine>, cfg: &MixedWorkloadConfig) -> Result<Work
     let latencies: parking_lot::Mutex<Vec<f64>> =
         parking_lot::Mutex::new(Vec::with_capacity(cfg.ops));
     let write_latencies: parking_lot::Mutex<Vec<f64>> = parking_lot::Mutex::new(Vec::new());
-    let first_err: parking_lot::Mutex<Option<crate::EngineError>> =
+    let first_err: parking_lot::Mutex<Option<EngineError>> =
         parking_lot::Mutex::new(None);
     let advice: parking_lot::Mutex<Option<AdviceOutcome>> = parking_lot::Mutex::new(None);
 
@@ -340,7 +337,7 @@ pub fn run_mixed(engine: &Arc<Engine>, cfg: &MixedWorkloadConfig) -> Result<Work
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use cm_engine::EngineConfig;
     use cm_core::CmSpec;
     use cm_query::Pred;
     use cm_storage::{Column, Schema, Value, ValueType};

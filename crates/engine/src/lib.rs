@@ -46,9 +46,6 @@
 //! * a **session layer** ([`Session`]): cheap per-connection handles over
 //!   an `Arc<Engine>` with per-session statistics and an optional
 //!   cold-read mode for cache-flushed experiments;
-//! * a **mixed-workload driver** ([`workload`]): multi-threaded 90/10
-//!   read/write traffic through sessions, reporting throughput, simulated
-//!   I/O, and per-path routing counts;
 //! * **MVCC snapshot reads** (`EngineConfig::mvcc`): heap versions carry
 //!   begin/end timestamps, every query pins a commit-time snapshot and
 //!   reads under shard *read* locks (writers stop blocking readers —
@@ -64,8 +61,7 @@
 //!   with read costs *plus* per-write maintenance, and
 //!   [`Engine::apply_design`] swaps the table's structure set shard by
 //!   shard through the one staged install step that also serves
-//!   `create_btree`, `create_cm`, and recovery (the driver can re-plan
-//!   mid-run via [`MixedWorkloadConfig::advise_after`]).
+//!   `create_btree`, `create_cm`, and recovery.
 //!
 //! The full loop, runnable:
 //!
@@ -139,7 +135,6 @@ pub mod recovery;
 mod session;
 pub mod shard;
 mod stats;
-pub mod workload;
 mod write;
 
 pub use agg::AggOutcome;
@@ -154,7 +149,6 @@ pub use executor::{scheduled_makespan, Executor};
 pub use recovery::{CrashState, DurableImage, RecoveryReport, ShardImage, TableImage};
 pub use session::{Session, SessionStats};
 pub use shard::{partition_rows, RangeRouter};
-pub use workload::{run_mixed, AdviceOutcome, LatencyStats, MixedWorkloadConfig, WorkloadReport};
 
 // The backend knob, re-exported so engine callers can pick the device
 // ([`EngineConfig::backend`]) without naming cm-storage directly.

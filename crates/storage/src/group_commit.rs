@@ -440,7 +440,7 @@ mod tests {
         gc.log(7, &LogPayload::Commit { ts: 0 });
         agree(&gc);
         let mut batch = crate::WalBatch::new();
-        batch.push(7, &LogPayload::Commit { ts: 1 });
+        batch.push_delete_set(7, "t", 0, &[(1, vec![crate::Value::Int(1)])]);
         batch.append_sized(32);
         gc.append_batch(&batch);
         agree(&gc);

@@ -57,14 +57,6 @@ impl WalBatch {
         self.records == 0
     }
 
-    /// Gather one typed record. No staged insert may be waiting.
-    pub fn push(&mut self, txn: u64, payload: &LogPayload) {
-        debug_assert_eq!(self.sealed, self.bytes.len(), "a staged insert is unsealed");
-        logrec::encode_into(&mut self.bytes, txn, payload);
-        self.sealed = self.bytes.len();
-        self.records += 1;
-    }
-
     /// Gather the `LogPayload::DeleteSet` record of removing `victims`
     /// (local rid and before-image each) from `table`'s shard `shard`,
     /// encoded from the borrowed parts. No staged insert may be waiting.
@@ -421,27 +413,44 @@ mod tests {
 
     #[test]
     fn batch_append_into_preserves_records_and_lsns() {
-        let disk = DiskSim::with_defaults();
-        let mut wal = Wal::new(disk);
-        wal.log(0, &LogPayload::CheckpointBegin);
-        let row = vec![Value::Int(1)];
+        // A batch filled through the engine's entry points (an insert
+        // staged, priced and sealed at its rid, a second staged insert
+        // that never lands, a delete set) appends exactly what
+        // `Wal::log` of the same records and volume writes.
+        let (mut wal, mut plain) =
+            (Wal::new(DiskSim::with_defaults()), Wal::new(DiskSim::with_defaults()));
+        let row = vec![Value::Int(1), Value::str("a")];
+        let victims = vec![(3, vec![Value::Int(9), Value::Null])];
+        let (table, shard) = (String::from("t"), 2);
+        let insert = LogPayload::Insert { table: table.clone(), shard, rid: 5, row: row.clone() };
+        let delete = LogPayload::DeleteSet { table, shard, victims: victims.clone() };
+        let ckpt = LogPayload::CheckpointBegin;
+        wal.log(0, &ckpt);
         let mut batch = WalBatch::new();
-        batch.push(4, &LogPayload::Commit { ts: 9 });
-        batch.stage_insert(4, "t", 0, &row);
-        batch.stage_insert(4, "t", 0, &row);
+        batch.stage_insert(4, "t", shard, &row);
+        batch.stage_insert(4, "t", shard, &row);
         batch.append_sized(10);
-        batch.seal_staged(1);
+        batch.seal_staged(5);
         batch.drop_staged();
+        batch.push_delete_set(4, "t", shard, &victims);
         batch.append_into(&mut wal);
+        let lsns = [
+            plain.log(0, &ckpt),
+            plain.log(4, &insert),
+            plain.log(4, &delete),
+        ];
+        plain.append_sized(10);
         assert_eq!(wal.records(), 4);
+        assert_eq!(wal.records(), plain.records());
+        assert_eq!(wal.appended_log(), plain.appended_log(), "the same frames, byte for byte");
         let priced = (MAINTENANCE_OVERHEAD_BYTES + 10) as u64;
         assert_eq!(wal.pending_bytes(), wal.appended_bytes() + priced);
-        wal.commit();
+        assert_eq!(wal.pending_bytes(), plain.pending_bytes());
+        assert_eq!(wal.commit(), plain.commit());
         let decoded = decode_stream(&wal.durable_log());
         assert!(!decoded.torn);
-        assert_eq!(decoded.records.len(), 3, "the unsealed insert was dropped");
-        assert_eq!(decoded.records[1].txn, 4);
-        let insert = LogPayload::Insert { table: "t".into(), shard: 0, rid: 1, row };
-        assert_eq!(decoded.records[2].payload, insert);
+        let got: Vec<_> = decoded.records.iter().map(|r| (r.lsn, r.txn, &r.payload)).collect();
+        let want = [(lsns[0], 0, &ckpt), (lsns[1], 4, &insert), (lsns[2], 4, &delete)];
+        assert_eq!(got, want, "the unsealed insert was dropped");
     }
 }

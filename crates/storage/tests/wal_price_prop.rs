@@ -5,8 +5,11 @@
 //!
 //! Random scripts of every typed record kind, maintenance records of
 //! 0..=300 payload bytes, insert landings and commits run through a
-//! plain [`Wal`] and through [`WalBatch`] + [`GroupCommitWal`] (inserts
-//! staged before their rids are known, then sealed, some dropped).
+//! plain [`Wal`] and through [`WalBatch`] + [`GroupCommitWal`], each
+//! record by the entry point the engine uses: inserts staged before
+//! their rids are known, then sealed (some dropped), delete sets
+//! encoded from their parts, and commit, checkpoint and design records
+//! logged straight onto the shared log.
 //! After every commit each must charge the model's I/O exactly —
 //! sim-ms bit for bit — and count its records; both must hold the same
 //! frame stream, which decodes to the model's stream with its
@@ -240,8 +243,23 @@ proptest! {
             match op {
                 Op::Record(txn, payload) => {
                     wal.log(txn, &payload);
-                    batch.push(txn, &payload);
                     model.log(txn, &payload);
+                    match &payload {
+                        LogPayload::Insert { table, shard, rid, row } => {
+                            batch.stage_insert(txn, table, *shard, row);
+                            batch.seal_staged(*rid);
+                        }
+                        LogPayload::DeleteSet { table, shard, victims } => {
+                            batch.push_delete_set(txn, table, *shard, victims);
+                        }
+                        // Logged past the batch: append what it gathered
+                        // first, so the stream keeps the script's order.
+                        _ => {
+                            gc.append_batch(&batch);
+                            batch = WalBatch::new();
+                            gc.log(txn, &payload);
+                        }
+                    }
                 }
                 Op::Sized(n) => {
                     wal.append_sized(n);

@@ -3,12 +3,10 @@
 //! oracle, maintenance consistency under inserts/deletes, and concurrent
 //! sessions over one engine.
 
+use cm_bench::{run_mixed, MixedWorkloadConfig};
 use cm_core::CmSpec;
 use cm_datagen::tpch::{self, tpch_lineitem, TpchConfig};
-use cm_engine::{
-    run_mixed, AggFunc, AggSpec, Engine, EngineConfig, JoinQuery, JoinStrategy,
-    MixedWorkloadConfig,
-};
+use cm_engine::{AggFunc, AggSpec, Engine, EngineConfig, JoinQuery, JoinStrategy};
 use cm_query::{AccessPath, Pred, Query};
 use cm_storage::{Column, Row, Schema, Value, ValueType};
 use std::sync::Arc;
